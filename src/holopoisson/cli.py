@@ -30,7 +30,7 @@ from .errors import (
     StructureError,
     TruncationError,
 )
-from .exactalg import parse_gq
+from .exactalg import Chart, parse_gq
 from .serialize import (
     algebroid_dict,
     alternating_dict,
@@ -105,19 +105,16 @@ def cmd_decompose(doc, options):
 def cmd_pn_check(doc, options):
     require_keys(doc, {"chart", "pi", "endo", "expected"}, "pn-check input")
     chart = parse_chart(doc.get("chart", {}))
+    pi = parse_bivector(chart, doc.get("pi", []))
     if chart.is_complex():
-        pi = parse_bivector(chart, doc.get("pi", []))
-        pair = poi.decompose(pi)
-        pi_i = pair.pi_I
-        endo = poi.standard_j(pi_i.chart)
+        report = poi.pn_check_complex(pi)
+        chart = Chart.real(chart.n)
     else:
-        pi_i = parse_bivector(chart, doc.get("pi", []))
         if "endo" not in doc:
             raise ParseError("pn-check on a real chart needs an endo matrix")
-        endo = parse_endo(chart, doc["endo"])
-    report = poi.pn_check(pi_i, endo)
+        report = poi.pn_check(pi, parse_endo(chart, doc["endo"]))
     return {"verdicts": report.as_dict(),
-            "data": {"chart": chart_dict(pi_i.chart)}}, report.all_ok
+            "data": {"chart": chart_dict(chart)}}, report.all_ok
 
 
 def cmd_torsion(doc, options):
@@ -224,12 +221,15 @@ def cmd_cohomology(doc, options):
     chart, pi = _doc_chart_pi(doc, "cohomology input")
     mp = alg.canonical_matched_pair(pi)
     if options.get("weight") is not None:
-        truncation = coho.Truncation("weight", int(options["weight"]))
+        mode, flag, key = "weight", "--weight", "weight"
     elif options.get("max_degree") is not None:
-        truncation = coho.Truncation("total_degree",
-                                     int(options["max_degree"]))
+        mode, flag, key = "total_degree", "--max-degree", "max_degree"
     else:
         raise ParseError("cohomology needs --weight or --max-degree")
+    bound = int(options[key])
+    if bound < 0:
+        raise ParseError(f"{flag} must be >= 0, got {bound}")
+    truncation = coho.Truncation(mode, bound)
     method = options.get("method") or "sparse"
     dump_dir = options.get("dump_matrices")
     if dump_dir:

@@ -7,15 +7,16 @@ double complex; d_pi is the polyvector-degree-raising operator of the
 canonical pair, defined directly on mixed forms.  The total differential
 on total degree k + l is partial_A + (-1)^k partial_B.
 
-Betti numbers are computed per truncation block with two independent
-elimination routes: sparse fraction-free (method "sparse") and dense naive
-Gaussian elimination over GQ (method "oracle").
+Betti numbers are computed per truncation block, one total degree at a
+time: the partial_A and partial_B matrices of that degree's cells are built
+once, ranked for the cell reports and assembled into the total matrix.
+Ranks come from two independent elimination routes over GQ: sparse
+Markowitz elimination (method "sparse") and dense naive Gaussian
+elimination (method "oracle").
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -510,36 +511,43 @@ class _Block:
                 entries[(pos, col)] = value
         return SparseMatrix(rows, cols, entries)
 
-    def total_matrix(self, degree):
-        """Matrix of the total differential from total degree n to n+1."""
-        source_cells = [c for c in self.cells() if c[0] + c[1] == degree]
-        target_cells = [c for c in self.cells() if c[0] + c[1] == degree + 1]
-        col_offset = {}
-        cols = 0
-        for cell in source_cells:
-            col_offset[cell] = cols
-            cols += self.cell_dim(cell)
+    def degree_cells(self, degree):
+        return [c for c in self.cells() if c[0] + c[1] == degree]
+
+    def cell_matrices(self, degree):
+        """The partial_A and partial_B matrices of every cell of one total
+        degree, keyed by (cell, direction)."""
+        return {(cell, direction): self.cell_matrix(cell, direction)
+                for cell in self.degree_cells(degree) for direction in "AB"}
+
+    def total_matrix(self, degree, cell_matrices=None):
+        """Matrix of the total differential from total degree n to n+1.
+
+        Assembled block by block from the cell matrices of degree n (built
+        here unless given): partial_A, and partial_B negated when k is odd.
+        """
+        if cell_matrices is None:
+            cell_matrices = self.cell_matrices(degree)
         row_offset = {}
         rows = 0
-        for cell in target_cells:
+        for cell in self.degree_cells(degree + 1):
             row_offset[cell] = rows
             rows += self.cell_dim(cell)
         entries = {}
-        for cell in source_cells:
+        cols = 0
+        for cell in self.degree_cells(degree):
             k, l = cell
-            for col, key in enumerate(self.basis.get(cell, [])):
-                cochain = self._basis_cochain(cell, key)
-                da, db = total_differential(cochain)
-                for image, target in ((da, (k + 1, l)), (db, (k, l + 1))):
-                    if image.is_zero():
-                        continue
-                    if target not in row_offset:
-                        # the image must vanish if its cell is absent
-                        self._expand(image, None)
-                        continue
-                    base = row_offset[target]
-                    for pos, value in self._expand(image, target).items():
-                        entries[(base + pos, col_offset[cell] + col)] = value
+            for direction, target in (("A", (k + 1, l)), ("B", (k, l + 1))):
+                # an absent target cell has no rows: cell_matrix has
+                # already checked that the image vanishes
+                base = row_offset.get(target)
+                if base is None:
+                    continue
+                negate = direction == "B" and k % 2
+                matrix = cell_matrices[(cell, direction)]
+                for (i, j), value in matrix.entries.items():
+                    entries[(base + i, cols + j)] = -value if negate else value
+            cols += self.cell_dim(cell)
         return SparseMatrix(rows, cols, entries)
 
     def max_total_degree(self):
@@ -584,26 +592,26 @@ def build_block(mp: MatchedPairData, truncation: Truncation, weight=None):
 
 def _block_report(block: _Block, method: str) -> BlockReport:
     cells = []
-    for cell in block.cells():
-        dim = block.cell_dim(cell)
-        mat_a = block.cell_matrix(cell, "A")
-        mat_b = block.cell_matrix(cell, "B")
-        rank_a = mat_a.rank(method)
-        rank_b = mat_b.rank(method)
-        cells.append(CellReport(cell[0], cell[1], dim,
-                                dim - rank_a, rank_a,
-                                dim - rank_b, rank_b))
-    top = block.max_total_degree()
     dims = []
     ranks = []
-    for degree in range(top + 1):
-        matrix = block.total_matrix(degree)
-        dims.append(matrix.ncols)
-        ranks.append(matrix.rank(method))
+    for degree in range(block.max_total_degree() + 1):
+        matrices = block.cell_matrices(degree)
+        for cell in block.degree_cells(degree):
+            dim = block.cell_dim(cell)
+            rank_a = matrices[(cell, "A")].rank(method)
+            rank_b = matrices[(cell, "B")].rank(method)
+            cells.append(CellReport(cell[0], cell[1], dim,
+                                    dim - rank_a, rank_a,
+                                    dim - rank_b, rank_b))
+        total = block.total_matrix(degree, matrices)
+        dims.append(total.ncols)
+        ranks.append(total.rank(method))
+        del matrices, total  # keep one degree's matrices alive at a time
+    cells.sort(key=lambda c: (c.k, c.l))
     betti = []
-    for degree in range(top + 1):
+    for degree, dim in enumerate(dims):
         incoming = ranks[degree - 1] if degree > 0 else 0
-        betti.append(dims[degree] - ranks[degree] - incoming)
+        betti.append(dim - ranks[degree] - incoming)
     return BlockReport(block.weight, tuple(cells), tuple(dims), tuple(betti))
 
 
@@ -631,17 +639,6 @@ def _blocks_for(mp, truncation):
             for w in range(truncation.bound + 1)]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HOLOPOISSON_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
 def betti(mp: MatchedPairData, truncation: Truncation,
           method: str = "sparse") -> BettiReport:
     """Betti numbers of the truncated double complex.
@@ -652,15 +649,8 @@ def betti(mp: MatchedPairData, truncation: Truncation,
     """
     if method not in ("sparse", "oracle"):
         raise TruncationError(f"unknown method {method!r}")
-    blocks = _blocks_for(mp, truncation)
-    workers = _thread_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda b: _block_report(b, method),
-                                    blocks))
-    else:
-        reports = [_block_report(block, method) for block in blocks]
-    reports.sort(key=lambda r: (r.weight is not None, r.weight or 0))
+    reports = [_block_report(block, method)
+               for block in _blocks_for(mp, truncation)]
     label = ("exact_weight_graded" if truncation.mode == "weight"
              else "filtered_approximation")
     return BettiReport(truncation.mode, truncation.bound, method, label,

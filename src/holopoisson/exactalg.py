@@ -9,6 +9,7 @@ is immutable and every operation returns a canonical form.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -16,6 +17,8 @@ from .errors import ChartError, ParseError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# the rationals of the scalar grammar: no decimals, exponents or '_'
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class GQ:
@@ -119,7 +122,12 @@ def format_gq(c: GQ) -> str:
 
 
 def parse_gq(text: str) -> GQ:
-    """Parse the canonical Gaussian-rational forms accepted by format_gq."""
+    """Parse the canonical Gaussian-rational forms accepted by format_gq.
+
+    Real and imaginary parts are integers or integer fractions
+    ([+-]digits[/digits]); decimals and exponents such as "1e3" are
+    rejected.
+    """
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1].strip()
@@ -153,9 +161,11 @@ def parse_gq(text: str) -> GQ:
 
 
 def _parse_fraction(body: str, context: str) -> Fraction:
+    if not _RATIONAL.fullmatch(body):
+        raise ParseError(f"bad rational {body!r} in {context!r}")
     try:
         return Fraction(body)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {body!r} in {context!r}") from exc
 
 
@@ -580,6 +590,10 @@ def _split_factors(term: str):
             depth += 1
         elif ch == ")":
             depth -= 1
+            if depth == 0:
+                # a parenthesised scalar ends its factor: "(1/2+3i)z1"
+                factors.append(term[start:k + 1])
+                start = k + 1
         elif depth == 0 and (ch.isspace() or ch == "*"):
             if k > start:
                 factors.append(term[start:k])

@@ -2,18 +2,16 @@
 
 Two independent routes are kept deliberately separate:
 
-* ``bareiss_rank``: fraction-free (Bareiss-style) elimination on the
-  denominator-cleared Gaussian-integer matrix, sparse column-major storage,
-  pivot column = shortest active column (ties by lowest index), pivot row =
-  lowest active row index.  Deterministic.
+* ``markowitz_rank``: sparse Gaussian elimination straight over GQ, rows
+  stored as dicts with a column -> rows index; each pivot is the entry of
+  least Markowitz cost (r - 1)(c - 1), ties by (row, col), and only the
+  rows with a nonzero in the pivot column are updated.  Deterministic.
 * ``dense_rank``: naive dense Gaussian elimination straight over GQ with
   first-nonzero pivoting and no heuristics of any kind.  This is the
   cross-validation oracle and must stay simple.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .exactalg import GQ
 
@@ -50,7 +48,7 @@ class SparseMatrix:
 
     def rank(self, method: str = "sparse") -> int:
         if method == "sparse":
-            return bareiss_rank(self)
+            return markowitz_rank(self)
         if method == "oracle":
             return dense_rank(self.rows())
         raise ValueError(f"unknown rank method {method!r}")
@@ -92,98 +90,60 @@ def dense_rank(rows) -> int:
 
 
 # ----------------------------------------------------------------------
-# fraction-free sparse elimination over Z[i]
+# sparse elimination over GQ with Markowitz pivoting
 
-def _to_gaussian_int_columns(matrix: SparseMatrix):
-    """Clear each row's denominators; return column-major dict of (a, b)
-    Gaussian integers.  Row scaling leaves the rank unchanged."""
-    row_lcm: dict = {}
-    for (i, _), v in matrix.entries.items():
-        d = row_lcm.get(i, 1)
-        for part in (v.re, v.im):
-            den = part.denominator
-            d = d * den // gcd(d, den)
-        row_lcm[i] = d
-    cols: dict = {}
-    for (i, j), v in matrix.entries.items():
-        s = row_lcm[i]
-        a = int(v.re * s)
-        b = int(v.im * s)
-        cols.setdefault(j, {})[i] = (a, b)
-    return cols
+def markowitz_rank(matrix: SparseMatrix) -> int:
+    """Rank of a sparse GQ matrix by Gaussian elimination over GQ.
 
-
-def _zi_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _zi_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _zi_divexact(x, y):
-    # exact division in Z[i]; Bareiss guarantees divisibility
-    norm = y[0] * y[0] + y[1] * y[1]
-    re = x[0] * y[0] + x[1] * y[1]
-    im = x[1] * y[0] - x[0] * y[1]
-    qr, rr = divmod(re, norm)
-    qi, ri = divmod(im, norm)
-    if rr or ri:
-        raise ArithmeticError("non-exact division in fraction-free step")
-    return (qr, qi)
-
-
-def bareiss_rank(matrix: SparseMatrix) -> int:
-    """Fraction-free rank of a sparse GQ matrix.
-
-    Pivot column: fewest active nonzeros, ties by lowest column index.
-    Pivot row: lowest active row index within the pivot column.
+    Rows are dicts ``col -> value`` with a ``col -> rows`` index.  Each
+    step pivots on the entry with the smallest Markowitz cost
+    ``(r - 1)(c - 1)`` (r, c: nonzeros in its row and column), ties broken
+    by the smaller (row, col), and updates only the rows with a nonzero in
+    the pivot column.
     """
-    cols = _to_gaussian_int_columns(matrix)
-    active_rows = set()
-    for col in cols.values():
-        active_rows.update(col)
-    prev = (1, 0)
+    rows: dict = {}
+    cols: dict = {}
+    # rows are only ever deleted, so the dict keeps ascending row order
+    for i, j in sorted(matrix.entries):
+        rows.setdefault(i, {})[j] = matrix.entries[(i, j)]
+        cols.setdefault(j, set()).add(i)
     rank = 0
-    while True:
-        pivot_col_idx = None
-        best = None
-        for j in sorted(cols):
-            col = cols[j]
-            if not col:
-                continue
-            size = len(col)
-            if best is None or size < best:
-                best = size
-                pivot_col_idx = j
-        if pivot_col_idx is None:
-            return rank
-        pivot_col = cols.pop(pivot_col_idx)
-        pivot_row_idx = min(pivot_col)
-        pivot = pivot_col[pivot_row_idx]
-        active_rows.discard(pivot_row_idx)
-        # Bareiss update: m'[i][j] = (pivot*m[i][j] - m[i][c]*m[r][j]) / prev
-        for j, col in cols.items():
-            head = col.pop(pivot_row_idx, None)
-            touched = set(col) | (set(pivot_col) & active_rows
-                                  if head is not None else set())
-            for i in touched if head is not None else list(col):
-                left = _zi_mul(pivot, col.get(i, (0, 0)))
-                if head is not None:
-                    down = pivot_col.get(i)
-                    if down is not None:
-                        left = _zi_sub(left, _zi_mul(down, head))
-                value = _zi_divexact(left, prev)
-                if value == (0, 0):
-                    col.pop(i, None)
+    while rows:
+        best = pr = pc = None
+        for i, row in rows.items():
+            r1 = len(row) - 1
+            for j in row:
+                cost = r1 * (len(cols[j]) - 1)
+                if (best is None or cost < best
+                        or cost == best and i == pr and j < pc):
+                    best, pr, pc = cost, i, j
+            if best == 0:
+                break  # later rows lose the tie on the row index
+        pivot_row = rows.pop(pr)
+        neg_inv = GQ(-1) / pivot_row.pop(pc)
+        below = cols.pop(pc)
+        below.discard(pr)
+        for j in pivot_row:
+            cols[j].discard(pr)
+        for i in below:
+            row = rows[i]
+            factor = row.pop(pc) * neg_inv
+            for j, value in pivot_row.items():
+                old = row.get(j)
+                if old is None:
+                    row[j] = factor * value
+                    cols[j].add(i)
                 else:
-                    col[i] = value
-        prev = pivot
+                    new = old + factor * value
+                    if new.is_zero():
+                        del row[j]
+                        cols[j].discard(i)
+                    else:
+                        row[j] = new
+            if not row:
+                del rows[i]
         rank += 1
-
-
-def kernel_dimension(matrix: SparseMatrix, method: str = "sparse") -> int:
-    return matrix.ncols - matrix.rank(method)
+    return rank
 
 
 def column_space_equal(a, b) -> bool:

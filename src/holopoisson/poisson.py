@@ -149,16 +149,19 @@ class HoloPoissonReport:
 
 @dataclass(frozen=True)
 class PNReport:
+    schouten_zero: bool
     sharp_intertwine: bool
     koszul_compat: bool
     torsion_zero: bool
 
     @property
     def all_ok(self) -> bool:
-        return self.sharp_intertwine and self.koszul_compat and self.torsion_zero
+        return (self.schouten_zero and self.sharp_intertwine
+                and self.koszul_compat and self.torsion_zero)
 
     def as_dict(self):
-        return {"sharp_intertwine": self.sharp_intertwine,
+        return {"schouten_zero": self.schouten_zero,
+                "sharp_intertwine": self.sharp_intertwine,
                 "koszul_compat": self.koszul_compat,
                 "torsion_zero": self.torsion_zero,
                 "poisson_nijenhuis": self.all_ok}
@@ -374,12 +377,15 @@ def bivector_matrix(pi: Multivector):
     return mat
 
 
-def pn_check(pi_i: Multivector, n_field: EndoField) -> PNReport:
-    """Poisson-Nijenhuis compatibility of (pi_I, N) on a real chart.
+def pn_check(pi_i: Multivector, n_field: EndoField,
+             schouten_zero=None) -> PNReport:
+    """Poisson-Nijenhuis check of (pi_I, N) on a real chart.
 
-    Checks N pi# = pi# N* as an exact matrix identity, the Koszul
-    compatibility on all coordinate coframe pairs (sufficient by
-    tensoriality), and vanishing of the Nijenhuis torsion of N.
+    Checks [pi_I, pi_I] = 0 (unless the caller passes that verdict as
+    schouten_zero, see pn_check_complex), N pi# = pi# N* as an exact
+    matrix identity, the Koszul compatibility on all coordinate coframe
+    pairs (sufficient by tensoriality), and vanishing of the Nijenhuis
+    torsion of N.
     """
     if pi_i.chart.is_complex():
         raise ChartError("pn_check runs on the real chart")
@@ -389,6 +395,8 @@ def pn_check(pi_i: Multivector, n_field: EndoField) -> PNReport:
         raise ChartError("chart mismatch")
     chart = pi_i.chart
     m = chart.nvars
+    if schouten_zero is None:
+        schouten_zero = schouten(pi_i, pi_i).is_zero()
 
     msharp = sharp_matrix(pi_i)
     lhs = poly_mat_mul(n_field.matrix, msharp)
@@ -418,7 +426,25 @@ def pn_check(pi_i: Multivector, n_field: EndoField) -> PNReport:
                 break
         if not koszul_compat:
             break
-    return PNReport(sharp_intertwine, koszul_compat, torsion_zero)
+    return PNReport(schouten_zero, sharp_intertwine, koszul_compat,
+                    torsion_zero)
+
+
+def pn_check_complex(pi: Multivector) -> PNReport:
+    """pn_check of (pi_I, J) for a (2,0) bivector pi on a complex chart.
+
+    With holomorphic coefficients, [pi_I, pi_I] = 0 is decided by
+    [pi, pi] = 0 on the complex chart, which is much cheaper: [pi, conj pi]
+    vanishes, so [pi_R, pi_R] = -[pi_I, pi_I] and Re [pi, pi] is a nonzero
+    multiple of [pi_I, pi_I]; and the (3,0) field [pi, pi] is determined
+    by its real part.  Otherwise the bracket is taken on the real chart.
+    """
+    pair = decompose(pi)
+    schouten_zero = None
+    if all(coeff.is_holomorphic() for coeff in pi.comps.values()):
+        schouten_zero = schouten(pi, pi).is_zero()
+    return pn_check(pair.pi_I, standard_j(pair.pi_I.chart),
+                    schouten_zero=schouten_zero)
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,14 @@ These deliberately take different routes from the library code:
 * ce_differential is the plain Chevalley-Eilenberg differential of a single
   algebroid; applied to the direct-sum algebroid of a matched pair it
   reproduces the double-complex operators by projection.
+* total_matrix_oracle builds a block's total matrix one basis vector at a
+  time through total_differential, instead of assembling the cell
+  matrices.
 """
 
 from itertools import combinations
 
+from holopoisson.cohomology import BiCochain, total_differential
 from holopoisson.exactalg import GQ, Poly
 from holopoisson.multivec import Form, Multivector, insert_index
 
@@ -184,3 +188,40 @@ def total_as_bicochain_parts(total_comps, mp, k, l):
         elif len(I) == k and len(J) == l + 1:
             part_b[(I, J)] = poly
     return part_a, part_b
+
+
+# ----------------------------------------------------------------------
+# total matrix of a truncation block, basis vector by basis vector
+
+def total_matrix_oracle(block, degree):
+    """Entries {(row, col): GQ} and shape of the total differential from
+    total degree n to n+1 of a block, image of each basis vector expanded
+    in the block's frozen basis order."""
+    def offsets(total_degree):
+        out = {}
+        size = 0
+        for cell in sorted(block.basis):
+            if sum(cell) == total_degree:
+                out[cell] = size
+                size += len(block.basis[cell])
+        return out, size
+
+    col_offset, ncols = offsets(degree)
+    row_offset, nrows = offsets(degree + 1)
+    chart = block.mp.A.chart
+    entries = {}
+    for (k, l), col_base in col_offset.items():
+        for col, (I, J, exps) in enumerate(block.basis[(k, l)]):
+            cochain = BiCochain(block.mp, k, l,
+                                {(I, J): Poly.monomial(chart, exps)})
+            for image in total_differential(cochain):
+                if image.is_zero():
+                    continue
+                target = (image.k, image.l)
+                items = block.basis[target]
+                for (I2, J2), poly in image.comps.items():
+                    for exps2, coeff in poly.terms.items():
+                        row = items.index((I2, J2, exps2))
+                        entries[(row_offset[target] + row,
+                                 col_base + col)] = coeff
+    return (nrows, ncols), entries

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -15,14 +14,10 @@ from holopoisson.serialize import (
 )
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("HOLOPOISSON_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     proc = subprocess.run(
         [sys.executable, "-m", "holopoisson.cli", *args],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -190,6 +185,28 @@ def test_cohomology_requires_truncation(tmp_path):
     assert "--weight" in err or "--max-degree" in err
 
 
+def test_negative_truncation_bound_is_input_error(tmp_path):
+    doc = write_doc(tmp_path, "pi.json", {
+        "chart": {"kind": "complex", "n": 1}, "pi": []})
+    for flag in ("--weight", "--max-degree"):
+        code, out, err = run_cli(["cohomology", doc, flag, "-1"])
+        assert code == 1
+        assert out == ""
+        assert flag in err
+
+
+def test_pn_check_of_non_poisson_bivector_fails(tmp_path):
+    doc = write_doc(tmp_path, "pi.json", {
+        "chart": {"kind": "complex", "n": 3},
+        "pi": [{"frame": ["z1", "z2"], "coeff": "z1"},
+               {"frame": ["z1", "z3"], "coeff": "z2"}]})
+    code, out, _ = run_cli(["pn-check", doc])
+    assert code == 2
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts["schouten_zero"] is False
+    assert verdicts["poisson_nijenhuis"] is False
+
+
 def test_methods_agree_via_cli(tmp_path):
     doc = write_doc(tmp_path, "sl2.json", {
         "lie_algebra": {"rank": 3,
@@ -221,16 +238,29 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     assert len(outs) == 1
 
 
-def test_reports_are_byte_identical_across_thread_counts(tmp_path):
-    doc = write_doc(tmp_path, "sl2.json", {
-        "lie_algebra": {"rank": 3,
-                        "brackets": [[1, 2, 2, "2"], [1, 3, 3, "-2"],
-                                     [2, 3, 1, "1"]],
-                        "j": None}})
+def test_dumped_matrices_are_byte_identical_across_runs(tmp_path):
+    doc = write_doc(tmp_path, "pi.json", {
+        "chart": {"kind": "complex", "n": 2},
+        "pi": [{"frame": ["z1", "z2"], "coeff": "-1"}]})
+    runs = set()
+    for run in range(2):
+        dump_dir = tmp_path / f"mats{run}"
+        code, out, _ = run_cli(["cohomology", doc, "--max-degree", "1",
+                                "--dump-matrices", str(dump_dir)])
+        assert code == 0
+        dumps = tuple((p.name, p.read_bytes())
+                      for p in sorted(dump_dir.iterdir()))
+        runs.add((out, dumps))
+    assert len(runs) == 1
+
+
+def test_oracle_reports_are_byte_identical_across_runs(tmp_path):
+    doc = write_doc(tmp_path, "pi.json", {
+        "chart": {"kind": "complex", "n": 1}, "pi": []})
     outputs = set()
-    for threads in ("1", "4"):
-        code, out, _ = run_cli(["cohomology", doc, "--weight", "2"],
-                               env_extra={"HOLOPOISSON_THREADS": threads})
+    for _ in range(2):
+        code, out, _ = run_cli(["cohomology", doc, "--weight", "1",
+                                "--method", "oracle"])
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
@@ -311,14 +341,3 @@ def test_mixedform_serialization():
     m = MixedForm(chart, 1, 1, {((0,), (1,)): Poly.var(chart, 0)})
     assert mixedform_dict(m) == [
         {"forms": ["zb1"], "vectors": ["z2"], "coeff": "z1"}]
-
-
-def test_thread_env_auto_value(tmp_path):
-    doc = write_doc(tmp_path, "pi.json", {
-        "chart": {"kind": "complex", "n": 1}, "pi": []})
-    code, out, _ = run_cli(["cohomology", doc, "--weight", "1"],
-                           env_extra={"HOLOPOISSON_THREADS": "0"})
-    assert code == 0
-    code2, out2, _ = run_cli(["cohomology", doc, "--weight", "1"],
-                             env_extra={"HOLOPOISSON_THREADS": "1"})
-    assert out == out2

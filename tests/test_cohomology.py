@@ -34,6 +34,7 @@ from oracles import (
     ce_differential,
     rand_poly,
     total_as_bicochain_parts,
+    total_matrix_oracle,
 )
 
 C1 = Chart.complex(1)
@@ -293,6 +294,30 @@ def test_assemble_total_composes_to_zero():
                         else:
                             product[key] = acc
                 assert not product
+
+
+def heisenberg_pi():
+    g = LieAlgebraData.from_triples(3, [(1, 2, 3, GQ(1))])
+    return lie_poisson(g)
+
+
+def test_total_matrix_equals_basis_vector_assembly():
+    # darboux_n1: pi = -d/dz1 ^ d/dz2 on C^2
+    darboux = frame_bivector(C2, 0, 1, Poly.const(C2, -1))
+    cases = [(sl2_pi(), Truncation("weight", 2)),
+             (heisenberg_pi(), Truncation("weight", 2)),
+             (darboux, Truncation("total_degree", 1))]
+    for pi, truncation in cases:
+        mp = canonical_matched_pair(pi)
+        weights = (range(truncation.bound + 1)
+                   if truncation.mode == "weight" else [None])
+        for weight in weights:
+            block = build_block(mp, truncation, weight=weight)
+            for degree in range(block.max_total_degree() + 1):
+                matrix = block.total_matrix(degree)
+                shape, entries = total_matrix_oracle(block, degree)
+                assert (matrix.nrows, matrix.ncols) == shape
+                assert matrix.entries == entries
 
 
 def test_block_diagonal_for_zero_pi():

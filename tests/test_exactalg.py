@@ -228,6 +228,25 @@ def test_parse_rejects_garbage():
             parse_poly(bad, c)
 
 
+def test_scalar_grammar_rejects_decimals_and_exponents():
+    for bad in ["1e3", "1.5", "1_000", "(1e3+i)", "2.0i", "1/0", "1/-2"]:
+        with pytest.raises(ParseError):
+            parse_gq(bad)
+    with pytest.raises(ParseError):
+        parse_poly("1e3 z1", C(1))
+    assert parse_gq("-12/8") == GQ("-3/2")
+
+
+def test_parenthesised_scalar_needs_no_space_before_a_variable():
+    c = C(2)
+    spaced = parse_poly("(1/2+3i) z1", c)
+    assert parse_poly("(1/2+3i)z1", c) == spaced
+    assert parse_poly("(1/2+3i)*z1", c) == spaced
+    assert parse_poly("z1 (1/2+3i)", c) == spaced
+    assert parse_poly("2 (1/2+3i)z1^2 zb2", c) == parse_poly(
+        "(1+6i) z1^2 zb2", c)
+
+
 def test_canonical_order_is_graded_lex():
     c = C(1)
     f = parse_poly("1 + z1^2 + z1 + zb1", c)

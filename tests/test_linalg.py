@@ -2,16 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holopoisson.errors import SingularError
 from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.linalg import (
     SparseMatrix,
-    bareiss_rank,
     column_space_equal,
     dense_rank,
     gq_mat_inverse,
-    kernel_dimension,
     poly_identity,
     poly_mat_eq,
     poly_mat_mul,
@@ -47,8 +47,7 @@ def test_rank_of_rank_one_products():
         m = SparseMatrix(n, n, entries)
         expected = 1 if (any(not x.is_zero() for x in u)
                          and any(not x.is_zero() for x in v)) else 0
-        assert bareiss_rank(m) == expected
-        assert kernel_dimension(m) == n - expected
+        assert m.rank("sparse") == expected
 
 
 def test_identity_and_singular_inverse():
@@ -89,6 +88,72 @@ def test_poly_matrix_helpers():
     assert poly_mat_eq(poly_mat_transpose(poly_mat_transpose(m)), m)
 
 
-def test_bareiss_empty_and_zero():
-    assert bareiss_rank(SparseMatrix(0, 0, {})) == 0
-    assert bareiss_rank(SparseMatrix(3, 4, {})) == 0
+def test_sparse_rank_empty_and_zero():
+    assert SparseMatrix(0, 0, {}).rank("sparse") == 0
+    assert SparseMatrix(3, 4, {}).rank("sparse") == 0
+
+
+def test_sparse_rank_keeps_fill_in():
+    # every pivot has Markowitz cost 1; the first one fills (1, 1), and
+    # only with that fill does the last row cancel (rank 2, not 3)
+    one = GQ(1)
+    matrix = SparseMatrix(3, 3, {(0, 0): one, (0, 1): one,
+                                 (1, 0): one, (1, 2): one,
+                                 (2, 1): one, (2, 2): -one})
+    assert matrix.rank("sparse") == 2 == dense_rank(matrix.rows())
+
+
+# ----------------------------------------------------------------------
+# property: the sparse route agrees with the dense oracle
+
+def rationals(height):
+    return st.builds(Fraction, st.integers(-height, height),
+                     st.integers(1, height))
+
+
+def gaussian_rationals(height):
+    return st.builds(GQ, rationals(height), rationals(height))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse Q(i) matrices: plain random ones, and planted low rank
+    (a product of n x r and r x m factors), with zero rows and columns
+    forced in and entries of small or large height."""
+    height = draw(st.sampled_from([3, 10 ** 12, 2 ** 200]))
+    density = draw(st.sampled_from([0.15, 0.4, 0.8]))
+    zero = GQ(0)
+    scalar = gaussian_rationals(height)
+    mask = st.floats(0, 1)
+
+    def sparse(n, m):
+        return [[draw(scalar) if draw(mask) < density else zero
+                 for _ in range(m)] for _ in range(n)]
+
+    nrows = draw(st.integers(0, 9))
+    ncols = draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 4))
+        left, right = sparse(nrows, inner), sparse(inner, ncols)
+        rows = [[sum((left[i][t] * right[t][j] for t in range(inner)), zero)
+                 for j in range(ncols)] for i in range(nrows)]
+    else:
+        rows = sparse(nrows, ncols)
+    if nrows:
+        for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+            rows[i] = [zero] * ncols
+    if ncols:
+        for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+            for row in rows:
+                row[j] = zero
+    return nrows, ncols, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rank_equals_dense_oracle(case):
+    nrows, ncols, rows = case
+    entries = {(i, j): v for i, row in enumerate(rows)
+               for j, v in enumerate(row) if not v.is_zero()}
+    matrix = SparseMatrix(nrows, ncols, entries)
+    assert matrix.rank("sparse") == dense_rank(rows)

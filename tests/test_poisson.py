@@ -32,6 +32,7 @@ from holopoisson.poisson import (
     nijenhuis_torsion,
     nijenhuis_torsion_apply,
     pn_check,
+    pn_check_complex,
     poisson_bracket,
     recompose,
     standard_j,
@@ -270,6 +271,31 @@ def test_pn_check_examples():
     bad_pair = decompose(frame_bivector(C2, 0, 1, Poly.var(C2, 2)))
     rep = pn_check(bad_pair.pi_I, standard_j(R2))
     assert not rep.all_ok
+
+
+def test_pn_check_rejects_non_poisson_pi_i():
+    # z1 d1^d2 + z2 d1^d3 on C^3 is holomorphic but [pi, pi] != 0; the
+    # compatibility verdicts alone do not see it
+    c3 = Chart.complex(3)
+    pi = Multivector(c3, 2, {(0, 1): Poly.var(c3, 0),
+                             (0, 2): Poly.var(c3, 1)})
+    assert not is_holomorphic_poisson(pi).schouten_zero
+    rep = pn_check_complex(pi)
+    assert rep.sharp_intertwine and rep.koszul_compat and rep.torsion_zero
+    assert not rep.schouten_zero and not rep.all_ok
+    # the real-chart bracket of pi_I gives the same verdicts
+    pair = decompose(pi)
+    assert pn_check(pair.pi_I, standard_j(pair.pi_I.chart)) == rep
+
+
+def test_pn_check_complex_schouten_matches_real_chart():
+    rng = random.Random(53)
+    c3 = Chart.complex(3)
+    for holomorphic in (True, True, False):
+        pi = rand_bivector_20(rng, c3, holomorphic=holomorphic, deg=1)
+        pi_i = decompose(pi).pi_I
+        assert (pn_check_complex(pi).schouten_zero
+                == schouten(pi_i, pi_i).is_zero())
 
 
 def test_pn_check_requires_real_chart():
