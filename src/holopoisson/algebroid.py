@@ -852,6 +852,10 @@ class MatchedPairData:
         self.nablaAB = nablaAB
         self.nablaBA = nablaBA
 
+    def swapped(self) -> "MatchedPairData":
+        """The same matched pair with the roles of A and B exchanged."""
+        return MatchedPairData(self.B, self.A, self.nablaBA, self.nablaAB)
+
 
 class MatchedPairTensors:
     """The F/S/T obstruction tensors evaluated on frames."""
@@ -890,14 +894,8 @@ def matched_pair_S(mp: MatchedPairData, x, y1, y2):
 
 
 def matched_pair_T(mp: MatchedPairData, y, x1, x2):
-    """T(Y;X1,X2), the mirror of S with the roles of A and B swapped."""
-    a = mp.A
-    t1 = a.bracket(mp.nablaBA.apply(y, x1), x2)
-    t2 = a.bracket(x1, mp.nablaBA.apply(y, x2))
-    t3 = mp.nablaBA.apply(y, a.bracket(x1, x2))
-    t4 = mp.nablaBA.apply(mp.nablaAB.apply(x2, y), x1)
-    t5 = mp.nablaBA.apply(mp.nablaAB.apply(x1, y), x2)
-    return [p + q - r + s - t for p, q, r, s, t in zip(t1, t2, t3, t4, t5)]
+    """T(Y;X1,X2) = S(Y;X1,X2) of the swapped pair (an A-section)."""
+    return matched_pair_S(mp.swapped(), y, x1, x2)
 
 
 def matched_pair_tensors(mp: MatchedPairData) -> MatchedPairTensors:
@@ -914,6 +912,12 @@ def matched_pair_tensors(mp: MatchedPairData) -> MatchedPairTensors:
                                    mp.B.frame_section(j))
             if not value.is_zero():
                 F[(i, j)] = value
+    return MatchedPairTensors(F, _s_tensor(mp), _s_tensor(mp.swapped()))
+
+
+def _s_tensor(mp: MatchedPairData) -> dict:
+    """The nonzero values of S on frames, keyed (i, j1, j2) with j1 < j2;
+    on the swapped pair these are the values of T."""
     S = {}
     for i in range(mp.A.rank):
         for j1 in range(mp.B.rank):
@@ -923,16 +927,7 @@ def matched_pair_tensors(mp: MatchedPairData) -> MatchedPairTensors:
                                        mp.B.frame_section(j2))
                 if not mp.B.section_is_zero(value):
                     S[(i, j1, j2)] = value
-    T = {}
-    for j in range(mp.B.rank):
-        for i1 in range(mp.A.rank):
-            for i2 in range(i1 + 1, mp.A.rank):
-                value = matched_pair_T(mp, mp.B.frame_section(j),
-                                       mp.A.frame_section(i1),
-                                       mp.A.frame_section(i2))
-                if not mp.A.section_is_zero(value):
-                    T[(j, i1, i2)] = value
-    return MatchedPairTensors(F, S, T)
+    return S
 
 
 def bowtie(mp: MatchedPairData) -> AlgebroidChart:

@@ -229,8 +229,11 @@ def cmd_cohomology(doc, options):
     bound = int(options[key])
     if bound < 0:
         raise ParseError(f"{flag} must be >= 0, got {bound}")
-    truncation = coho.Truncation(mode, bound)
     method = options.get("method") or "sparse"
+    if method not in ("sparse", "oracle"):
+        raise ParseError(f"unknown method {method!r}: options.method is "
+                         "sparse or oracle")
+    truncation = coho.Truncation(mode, bound)
     dump_dir = options.get("dump_matrices")
     if dump_dir:
         _dump_matrices(mp, truncation, dump_dir)

@@ -3,9 +3,12 @@
 BiCochains are sections of Lambda^k A* (x) Lambda^l B* presented by
 components on pairs of increasing frame index sets.  partial_A and
 partial_B implement the two coboundary operators of the matched-pair
-double complex; d_pi is the polyvector-degree-raising operator of the
-canonical pair, defined directly on mixed forms.  The total differential
-on total degree k + l is partial_A + (-1)^k partial_B.
+double complex.  A matched pair (A, B) is symmetric: (B, A) is one too, so
+partial_B is partial_A of the swapped pair (MatchedPairData.swapped) with
+the A- and B-index tuples of each component exchanged.  d_pi is the
+polyvector-degree-raising operator of the canonical pair, defined directly
+on mixed forms.  The total differential on total degree k + l is
+partial_A + (-1)^k partial_B.
 
 Betti numbers are computed per truncation block, one total degree at a
 time: the partial_A and partial_B matrices of that degree's cells are built
@@ -20,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebroid import MatchedPairData, canonical_matched_pair
+from .algebroid import MatchedPairData
 from .errors import ChartError, DegreeError, StructureError, TruncationError
-from .exactalg import GQ, Poly
+from .exactalg import GQ, Poly, _accumulate
 from .linalg import SparseMatrix
 from .multivec import MixedForm, Multivector, insert_index, sharp
 from .poisson import is_holomorphic_poisson
@@ -84,12 +87,7 @@ class BiCochain:
             raise DegreeError("cannot add different bidegrees")
         comps = dict(self.comps)
         for key, poly in other.comps.items():
-            acc = comps.get(key)
-            poly = poly if acc is None else acc + poly
-            if poly.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = poly
+            _accumulate(comps, key, poly)
         return BiCochain(self.mp, self.k, self.l, comps)
 
     def __neg__(self):
@@ -108,48 +106,12 @@ class BiCochain:
         return BiCochain(self.mp, self.k, self.l, comps)
 
 
-def _sort_with_sign(seq):
-    """Sort a list of indices, counting transpositions; None on repeats."""
-    seq = list(seq)
-    sign = 1
-    for a in range(1, len(seq)):
-        b = a
-        while b > 0 and seq[b - 1] > seq[b]:
-            seq[b - 1], seq[b] = seq[b], seq[b - 1]
-            sign = -sign
-            b -= 1
-        if b > 0 and seq[b - 1] == seq[b]:
-            return None
-    return tuple(seq), sign
-
-
-def _eval_with_replacement(cochain, I, J, slot_side, slot_pos, section):
-    """Sum of section[m] * cochain(I with slot replaced by frame m, J),
-    expanded multilinearly with antisymmetrization signs."""
-    total = Poly.zero(cochain.mp.A.chart)
-    base = list(I) if slot_side == "A" else list(J)
-    for m, coeff in enumerate(section):
-        if coeff.is_zero():
-            continue
-        args = list(base)
-        args[slot_pos] = m
-        sorted_args = _sort_with_sign(args)
-        if sorted_args is None:
-            continue
-        key, sign = sorted_args
-        comp = (cochain.component(key, J) if slot_side == "A"
-                else cochain.component(I, key))
-        if comp.is_zero():
-            continue
-        term = coeff * comp
-        total = total + (term if sign > 0 else -term)
-    return total
-
-
-def _eval_with_first_insertion(cochain, section, rest, J, side):
-    """Sum of section[m] * cochain((m, rest...), J) for side A (or the
-    mirrored B version), with the insertion sign of m into rest."""
-    total = Poly.zero(cochain.mp.A.chart)
+def _eval_with_replacement(comps, I, J, slot_pos, section):
+    """Sum of section[m] * alpha(I, J with slot slot_pos replaced by frame
+    m), expanded with antisymmetrization signs; alpha is given by comps."""
+    total = None
+    rest = J[:slot_pos] + J[slot_pos + 1:]
+    slot_sign = -1 if slot_pos % 2 else 1
     for m, coeff in enumerate(section):
         if coeff.is_zero():
             continue
@@ -157,89 +119,94 @@ def _eval_with_first_insertion(cochain, section, rest, J, side):
         if merged is None:
             continue
         key, sign = merged
-        comp = (cochain.component(key, J) if side == "A"
-                else cochain.component(J, key))
-        if comp.is_zero():
+        comp = comps.get((I, key))
+        if comp is None:
             continue
         term = coeff * comp
-        total = total + (term if sign > 0 else -term)
+        term = term if sign * slot_sign > 0 else -term
+        total = term if total is None else total + term
     return total
 
 
-def partial_A(cochain: BiCochain) -> BiCochain:
-    """The A-direction coboundary of the matched-pair double complex.
+def _eval_with_first_insertion(comps, section, rest, J):
+    """Sum of section[m] * alpha((m, rest...), J), with the insertion sign
+    of m into rest; alpha is given by comps."""
+    total = None
+    for m, coeff in enumerate(section):
+        if coeff.is_zero():
+            continue
+        merged = insert_index(m, rest)
+        if merged is None:
+            continue
+        key, sign = merged
+        comp = comps.get((key, J))
+        if comp is None:
+            continue
+        term = coeff * comp
+        term = term if sign > 0 else -term
+        total = term if total is None else total + term
+    return total
+
+
+def _coboundary(mp: MatchedPairData, comps: dict, k: int, l: int) -> dict:
+    """The A-direction coboundary of the (k, l) cochain alpha whose nonzero
+    components comps are keyed (A-indices, B-indices); returns the
+    components of the (k + 1, l) image.
 
     On frame arguments (A_0..A_k, B_1..B_l):
     sum_i (-1)^i [ a(A_i) alpha(..hat A_i.., B..)
                    - sum_j alpha(..hat A_i.., B_1, .., nabla_{A_i} B_j, ..) ]
     + sum_{i<j} (-1)^{i+j} alpha([A_i,A_j], ..hat A_i..hat A_j.., B..).
     """
-    mp = cochain.mp
-    chart = mp.A.chart
-    k, l = cochain.k, cochain.l
-    comps = {}
-    for I_out in combinations(range(mp.A.rank), k + 1):
+    a = mp.A
+    gamma = mp.nablaAB.gamma
+    chart = a.chart
+    out = {}
+    for I_out in combinations(range(a.rank), k + 1):
         for J_out in combinations(range(mp.B.rank), l):
             total = Poly.zero(chart)
             for t, i in enumerate(I_out):
                 rest = I_out[:t] + I_out[t + 1:]
                 sign = -1 if t % 2 else 1
-                base = cochain.component(rest, J_out)
-                if not base.is_zero():
-                    term = mp.A.anchor_apply(mp.A.frame_section(i), base)
+                base = comps.get((rest, J_out))
+                if base is not None:
+                    term = a.anchor_apply(a.frame_section(i), base)
                     total = total + (term if sign > 0 else -term)
                 for s, j in enumerate(J_out):
-                    nabla = mp.nablaAB.gamma[i][j]
-                    term = _eval_with_replacement(cochain, rest, J_out,
-                                                  "B", s, nabla)
-                    total = total - (term if sign > 0 else -term)
+                    term = _eval_with_replacement(comps, rest, J_out, s,
+                                                  gamma[i][j])
+                    if term is not None:
+                        total = total - (term if sign > 0 else -term)
             for t in range(len(I_out)):
                 for u in range(t + 1, len(I_out)):
                     rest = tuple(v for w, v in enumerate(I_out)
                                  if w not in (t, u))
                     sign = -1 if (t + u) % 2 else 1
-                    section = mp.A.structure[I_out[t]][I_out[u]]
-                    term = _eval_with_first_insertion(cochain, section,
-                                                      rest, J_out, "A")
-                    total = total + (term if sign > 0 else -term)
+                    section = a.structure[I_out[t]][I_out[u]]
+                    term = _eval_with_first_insertion(comps, section,
+                                                      rest, J_out)
+                    if term is not None:
+                        total = total + (term if sign > 0 else -term)
             if not total.is_zero():
-                comps[(I_out, J_out)] = total
-    return BiCochain(mp, k + 1, l, comps)
+                out[(I_out, J_out)] = total
+    return out
+
+
+def partial_A(cochain: BiCochain) -> BiCochain:
+    """The A-direction coboundary of the matched-pair double complex."""
+    mp = cochain.mp
+    comps = _coboundary(mp, cochain.comps, cochain.k, cochain.l)
+    return BiCochain(mp, cochain.k + 1, cochain.l, comps)
 
 
 def partial_B(cochain: BiCochain) -> BiCochain:
-    """The B-direction coboundary, mirroring partial_A."""
+    """The B-direction coboundary: partial_A of the swapped pair, on the
+    components with their index tuples exchanged."""
     mp = cochain.mp
-    chart = mp.A.chart
-    k, l = cochain.k, cochain.l
-    comps = {}
-    for J_out in combinations(range(mp.B.rank), l + 1):
-        for I_out in combinations(range(mp.A.rank), k):
-            total = Poly.zero(chart)
-            for s, j in enumerate(J_out):
-                rest = J_out[:s] + J_out[s + 1:]
-                sign = -1 if s % 2 else 1
-                base = cochain.component(I_out, rest)
-                if not base.is_zero():
-                    term = mp.B.anchor_apply(mp.B.frame_section(j), base)
-                    total = total + (term if sign > 0 else -term)
-                for t in range(len(I_out)):
-                    nabla = mp.nablaBA.gamma[j][I_out[t]]
-                    term = _eval_with_replacement(cochain, I_out, rest,
-                                                  "A", t, nabla)
-                    total = total - (term if sign > 0 else -term)
-            for s in range(len(J_out)):
-                for u in range(s + 1, len(J_out)):
-                    rest = tuple(v for w, v in enumerate(J_out)
-                                 if w not in (s, u))
-                    sign = -1 if (s + u) % 2 else 1
-                    section = mp.B.structure[J_out[s]][J_out[u]]
-                    term = _eval_with_first_insertion(cochain, section,
-                                                      rest, I_out, "B")
-                    total = total + (term if sign > 0 else -term)
-            if not total.is_zero():
-                comps[(I_out, J_out)] = total
-    return BiCochain(mp, k, l + 1, comps)
+    transposed = {(J, I): poly for (I, J), poly in cochain.comps.items()}
+    image = _coboundary(mp.swapped(), transposed, cochain.l, cochain.k)
+    comps = {(I, J): poly for (J, I), poly in image.items()}
+    return BiCochain(mp, cochain.k, cochain.l + 1, comps)
 
 
 def total_differential(cochain: BiCochain):
@@ -268,16 +235,6 @@ def d_pi(m: MixedForm, pi: Multivector) -> MixedForm:
     hamiltonian = [sharp(pi, Form.frame(chart, i)) for i in range(n)]
     comps = {}
 
-    def add(key, poly):
-        if poly.is_zero():
-            return
-        acc = comps.get(key)
-        poly = poly if acc is None else acc + poly
-        if poly.is_zero():
-            comps.pop(key, None)
-        else:
-            comps[key] = poly
-
     from .multivec import schouten
 
     for (J, I), f in m.comps.items():
@@ -286,7 +243,7 @@ def d_pi(m: MixedForm, pi: Multivector) -> MixedForm:
         for idx, coeff in bracket.comps.items():
             if any(v >= n for v in idx):
                 raise StructureError("d_pi left the holomorphic polyvectors")
-            add((J, idx), f * coeff)
+            _accumulate(comps, (J, idx), f * coeff)
         for i in range(n):
             deriv = hamiltonian[i].apply_to(f)
             if deriv.is_zero():
@@ -295,7 +252,7 @@ def d_pi(m: MixedForm, pi: Multivector) -> MixedForm:
             if merged is None:
                 continue
             new_I, sign = merged
-            add((J, new_I), deriv if sign > 0 else -deriv)
+            _accumulate(comps, (J, new_I), deriv if sign > 0 else -deriv)
     return MixedForm(chart, m.q, m.p + 1, comps)
 
 
@@ -339,22 +296,18 @@ def _homogeneous_degree(poly: Poly):
     return degs.pop()
 
 
-def _direction_shift(anchor_rows, gammas, structures) -> set:
+def _direction_shift(mp: MatchedPairData) -> set:
+    """Degree shifts of the A-direction data: anchor entries shift by their
+    degree minus one, connection and structure coefficients by their
+    degree."""
     shifts = set()
-    for row in anchor_rows:
+    for row in mp.A.anchor:
         for entry in row:
             d = _homogeneous_degree(entry)
             if d is not None:
                 shifts.add(d - 1)
-    for gamma in gammas:
-        for row in gamma:
-            for vec in row:
-                for entry in vec:
-                    d = _homogeneous_degree(entry)
-                    if d is not None:
-                        shifts.add(d)
-    for structure in structures:
-        for row in structure:
+    for table in (mp.nablaAB.gamma, mp.A.structure):
+        for row in table:
             for vec in row:
                 for entry in vec:
                     d = _homogeneous_degree(entry)
@@ -370,10 +323,8 @@ def weight_exponents(mp: MatchedPairData):
     in each direction carries one common degree shift; otherwise weight
     mode is rejected.
     """
-    shifts_a = _direction_shift(mp.A.anchor, [mp.nablaAB.gamma],
-                                [mp.A.structure])
-    shifts_b = _direction_shift(mp.B.anchor, [mp.nablaBA.gamma],
-                                [mp.B.structure])
+    shifts_a = _direction_shift(mp)
+    shifts_b = _direction_shift(mp.swapped())
     if len(shifts_a) > 1 or len(shifts_b) > 1:
         raise TruncationError(
             "weight mode needs a graded differential; degree shifts are "
@@ -655,13 +606,3 @@ def betti(mp: MatchedPairData, truncation: Truncation,
              else "filtered_approximation")
     return BettiReport(truncation.mode, truncation.bound, method, label,
                        tuple(reports))
-
-
-def betti_oracle(mp: MatchedPairData, truncation: Truncation) -> BettiReport:
-    """Cross-validation route: dense naive elimination over GQ."""
-    return betti(mp, truncation, method="oracle")
-
-
-def canonical_pair_for(pi: Multivector) -> MatchedPairData:
-    """Convenience wrapper used by the CLI."""
-    return canonical_matched_pair(pi)

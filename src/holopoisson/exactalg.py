@@ -514,6 +514,16 @@ class Poly:
         return f"Poly({self.chart}, {self})"
 
 
+def _accumulate(comps: dict, key, value) -> None:
+    """comps[key] += value in a sparse dict that stores no zero entries."""
+    acc = comps.get(key)
+    value = value if acc is None else acc + value
+    if value.is_zero():
+        comps.pop(key, None)
+    else:
+        comps[key] = value
+
+
 # ----------------------------------------------------------------------
 # parsing
 

@@ -20,7 +20,7 @@ antisymmetry [P, Q] = -(-1)^((p-1)(q-1)) [Q, P].  These force
 from __future__ import annotations
 
 from .errors import ChartError, DegreeError
-from .exactalg import GQ, Chart, Poly, convert_chart
+from .exactalg import GQ, Chart, Poly, _accumulate, convert_chart
 
 
 def merge_indices(left, right):
@@ -103,12 +103,7 @@ class _Alternating:
             raise DegreeError("cannot add different degrees")
         comps = dict(self.comps)
         for idx, poly in other.comps.items():
-            acc = comps.get(idx)
-            poly = poly if acc is None else acc + poly
-            if poly.is_zero():
-                comps.pop(idx, None)
-            else:
-                comps[idx] = poly
+            _accumulate(comps, idx, poly)
         return self._raw(comps)
 
     def __neg__(self):
@@ -151,14 +146,7 @@ class _Alternating:
                     continue
                 idx, sign = merged
                 poly = p1 * p2
-                if sign < 0:
-                    poly = -poly
-                acc = comps.get(idx)
-                poly = poly if acc is None else acc + poly
-                if poly.is_zero():
-                    comps.pop(idx, None)
-                else:
-                    comps[idx] = poly
+                _accumulate(comps, idx, poly if sign > 0 else -poly)
         out = type(self).__new__(type(self))
         out.chart = self.chart
         out.degree = degree
@@ -336,14 +324,7 @@ def contract(xi: Form, P: Multivector) -> Multivector:
                 continue
             rest = idx[:pos] + idx[pos + 1:]
             poly = coeff * xic
-            if pos % 2 == 1:
-                poly = -poly
-            acc = comps.get(rest)
-            poly = poly if acc is None else acc + poly
-            if poly.is_zero():
-                comps.pop(rest, None)
-            else:
-                comps[rest] = poly
+            _accumulate(comps, rest, -poly if pos % 2 else poly)
     return Multivector(P.chart, P.degree - 1, comps)
 
 
@@ -363,14 +344,7 @@ def interior(x: Multivector, omega: Form) -> Form:
                 continue
             rest = idx[:pos] + idx[pos + 1:]
             poly = coeff * xc
-            if pos % 2 == 1:
-                poly = -poly
-            acc = comps.get(rest)
-            poly = poly if acc is None else acc + poly
-            if poly.is_zero():
-                comps.pop(rest, None)
-            else:
-                comps[rest] = poly
+            _accumulate(comps, rest, -poly if pos % 2 else poly)
     return Form(omega.chart, omega.degree - 1, comps)
 
 
@@ -387,13 +361,7 @@ def exterior_d(omega: Form) -> Form:
             if merged is None:
                 continue
             new_idx, sign = merged
-            poly = dcoeff if sign > 0 else -dcoeff
-            acc = comps.get(new_idx)
-            poly = poly if acc is None else acc + poly
-            if poly.is_zero():
-                comps.pop(new_idx, None)
-            else:
-                comps[new_idx] = poly
+            _accumulate(comps, new_idx, dcoeff if sign > 0 else -dcoeff)
     return Form(chart, omega.degree + 1, comps)
 
 
@@ -416,14 +384,8 @@ def derham_split(omega: Form):
             if merged is None:
                 continue
             new_idx, sign = merged
-            target = parts[0] if k < n else parts[1]
-            poly = dcoeff if sign > 0 else -dcoeff
-            acc = target.get(new_idx)
-            poly = poly if acc is None else acc + poly
-            if poly.is_zero():
-                target.pop(new_idx, None)
-            else:
-                target[new_idx] = poly
+            _accumulate(parts[0] if k < n else parts[1], new_idx,
+                        dcoeff if sign > 0 else -dcoeff)
     return (Form(chart, omega.degree + 1, parts[0]),
             Form(chart, omega.degree + 1, parts[1]))
 
@@ -439,7 +401,7 @@ def schouten(P: Multivector, Q: Multivector) -> Multivector:
     degree = max(p + q - 1, 0)
     comps: dict = {}
 
-    def accumulate(src, dst, outer_sign):
+    def one_side(src, dst, outer_sign):
         # sum_k (src right-derivative in slot k) wedge (d/dx_k dst)
         sp = src.degree
         for idx, f in src.comps.items():
@@ -455,18 +417,12 @@ def schouten(P: Multivector, Q: Multivector) -> Multivector:
                         continue
                     new_idx, msign = merged
                     poly = f * dg
-                    if sign * msign < 0:
-                        poly = -poly
-                    acc = comps.get(new_idx)
-                    poly = poly if acc is None else acc + poly
-                    if poly.is_zero():
-                        comps.pop(new_idx, None)
-                    else:
-                        comps[new_idx] = poly
+                    _accumulate(comps, new_idx,
+                                poly if sign * msign > 0 else -poly)
 
-    accumulate(P, Q, 1)
+    one_side(P, Q, 1)
     flip = -1 if ((p - 1) * (q - 1)) % 2 else 1
-    accumulate(Q, P, -flip)
+    one_side(Q, P, -flip)
     return Multivector(P.chart, degree, comps)
 
 
@@ -657,12 +613,7 @@ class MixedForm:
             raise DegreeError("cannot add different bidegrees")
         comps = dict(self.comps)
         for key, poly in other.comps.items():
-            acc = comps.get(key)
-            poly = poly if acc is None else acc + poly
-            if poly.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = poly
+            _accumulate(comps, key, poly)
         return self._raw(comps)
 
     def __neg__(self):
@@ -729,14 +680,7 @@ def dbar_mixed(m: MixedForm) -> MixedForm:
             if merged is None:
                 continue
             newJ, sign = merged
-            poly = dcoeff if sign > 0 else -dcoeff
-            key = (newJ, I)
-            acc = comps.get(key)
-            poly = poly if acc is None else acc + poly
-            if poly.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = poly
+            _accumulate(comps, (newJ, I), dcoeff if sign > 0 else -dcoeff)
     return MixedForm(chart, m.q + 1, m.p, comps)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartError, DegreeError, ShapeError, StructureError
-from .exactalg import GQ, Chart, Poly
+from .exactalg import GQ, Chart, Poly, _accumulate
 from .linalg import (
     column_space_equal,
     dense_rank,
@@ -252,9 +252,7 @@ def multivector_conj(P: Multivector) -> Multivector:
         poly = coeff.conj()
         if sign < 0:
             poly = -poly
-        key = tuple(sorted(swapped))
-        acc = comps.get(key)
-        comps[key] = poly if acc is None else acc + poly
+        _accumulate(comps, tuple(sorted(swapped)), poly)
     return Multivector(P.chart, P.degree, comps)
 
 

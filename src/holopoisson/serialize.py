@@ -1,4 +1,4 @@
-"""Parsing and canonical printing of the JSON object schemas.
+"""Parsing and canonical printing of the JSON input and report documents.
 
 All numbers travel as exact strings in the polynomial literal grammar;
 printing uses the global monomial and frame orders so that reports are
@@ -107,10 +107,6 @@ def parse_endo(chart: Chart, doc) -> EndoField:
     return EndoField(chart, parse_matrix(chart, doc, chart.nvars, "endo"))
 
 
-def matrix_dict(rows) -> list:
-    return [[str(entry) for entry in row] for row in rows]
-
-
 def parse_liealgebra(doc) -> LieAlgebraData:
     require_keys(doc, {"rank", "brackets", "j"}, "lie_algebra")
     rank = doc.get("rank")
@@ -148,7 +144,3 @@ def algebroid_dict(a: AlgebroidChart) -> dict:
         "anchor": [[str(p) for p in row] for row in a.anchor],
         "structure": structure,
     }
-
-
-def section_dict(a: AlgebroidChart, section) -> list:
-    return [str(p) for p in section]

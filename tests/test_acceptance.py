@@ -29,7 +29,6 @@ from holopoisson.cohomology import (
     BiCochain,
     Truncation,
     betti,
-    betti_oracle,
     bicochain_to_mixedform,
     d_pi,
     mixedform_to_bicochain,
@@ -341,7 +340,7 @@ def test_criterion_8_betti_oracle_equivalence():
         mp = canonical_matched_pair(Multivector.zero(chart, 2))
         truncation = Truncation("total_degree", 3)
         sparse = betti(mp, truncation)
-        oracle = betti_oracle(mp, truncation)
+        oracle = betti(mp, truncation, method="oracle")
         if sparse.blocks != oracle.blocks:
             ok = False
         block = sparse.blocks[0]
@@ -356,7 +355,7 @@ def test_criterion_8_betti_oracle_equivalence():
     for w in range(4):
         truncation = Truncation("weight", w)
         sparse = betti(mp, truncation)
-        oracle = betti_oracle(mp, truncation)
+        oracle = betti(mp, truncation, method="oracle")
         if sparse.blocks != oracle.blocks:
             ok = False
         if w == 2 and sparse.block(2).total_betti[0] != 1:
@@ -364,7 +363,8 @@ def test_criterion_8_betti_oracle_equivalence():
     # (c) constant symplectic on C^2, degree <= 2
     mp = canonical_matched_pair(frame_bivector(C2, 0, 1))
     truncation = Truncation("total_degree", 2)
-    if betti(mp, truncation).blocks != betti_oracle(mp, truncation).blocks:
+    oracle = betti(mp, truncation, method="oracle")
+    if betti(mp, truncation).blocks != oracle.blocks:
         ok = False
     conclude(8, "sparse Markowitz and dense oracle Betti numbers agree "
                 "(dbar complexes n = 1, 2 at degree <= 3; sl2 weights 0..3 "

@@ -4,7 +4,13 @@ import sys
 
 import pytest
 
-from holopoisson.cli import corpus, corpus_path, run_job
+from holopoisson.cli import (
+    INPUT_ERRORS,
+    VERIFY_ERRORS,
+    corpus,
+    corpus_path,
+    run_job,
+)
 from holopoisson.errors import ParseError
 from holopoisson.exactalg import Chart
 from holopoisson.serialize import (
@@ -315,6 +321,14 @@ def test_run_job_inline_input():
                   "pi": [{"frame": ["z1", "z2"], "coeff": "1"}]},
         "options": {}})
     assert code == 0 and report["ok"] is True
+
+
+def test_run_job_unknown_method_is_input_error():
+    with pytest.raises(ParseError, match="method"):
+        run_job({"command": "cohomology",
+                 "input": {"chart": {"kind": "complex", "n": 1}, "pi": []},
+                 "options": {"weight": 1, "method": "bogus"}})
+    assert ParseError in INPUT_ERRORS and ParseError not in VERIFY_ERRORS
 
 
 # ----------------------------------------------------------------------
