@@ -35,6 +35,7 @@ from .serialize import (
     algebroid_dict,
     alternating_dict,
     chart_dict,
+    is_int,
     parse_alternating,
     parse_bivector,
     parse_chart,
@@ -226,7 +227,9 @@ def cmd_cohomology(doc, options):
         mode, flag, key = "total_degree", "--max-degree", "max_degree"
     else:
         raise ParseError("cohomology needs --weight or --max-degree")
-    bound = int(options[key])
+    bound = options[key]
+    if not is_int(bound):
+        raise ParseError(f"{flag} must be an integer, got {bound!r}")
     if bound < 0:
         raise ParseError(f"{flag} must be >= 0, got {bound}")
     method = options.get("method") or "sparse"
@@ -235,6 +238,8 @@ def cmd_cohomology(doc, options):
                          "sparse or oracle")
     truncation = coho.Truncation(mode, bound)
     dump_dir = options.get("dump_matrices")
+    if dump_dir is not None and not isinstance(dump_dir, str):
+        raise ParseError("dump_matrices must be a directory path")
     if dump_dir:
         _dump_matrices(mp, truncation, dump_dir)
     report = coho.betti(mp, truncation, method=method)

@@ -5,10 +5,16 @@ components on pairs of increasing frame index sets.  partial_A and
 partial_B implement the two coboundary operators of the matched-pair
 double complex.  A matched pair (A, B) is symmetric: (B, A) is one too, so
 partial_B is partial_A of the swapped pair (MatchedPairData.swapped) with
-the A- and B-index tuples of each component exchanged.  d_pi is the
-polyvector-degree-raising operator of the canonical pair, defined directly
-on mixed forms.  The total differential on total degree k + l is
-partial_A + (-1)^k partial_B.
+the A- and B-index tuples of each component exchanged.  The total
+differential on total degree k + l is partial_A + (-1)^k partial_B.
+
+The (q, p) cell of the canonical pair (T^{0,1}X, (T*X)_pi) is
+Omega^{0,q}(X, Lambda^p T^{1,0}X): a BiCochain keyed (dzb-indices,
+d/dz-indices).  dbar_mixed (the Dolbeault operator on coefficients) and
+d_pi (the degree-raising operator of holomorphic Poisson cohomology) act on
+these BiCochains by their own formulas, reading the chart and pi but not
+the pair's anchors, brackets or connections, so that they check partial_A
+and partial_B rather than share code with them.
 
 Betti numbers are computed per truncation block, one total degree at a
 time: the partial_A and partial_B matrices of that degree's cells are built
@@ -27,10 +33,8 @@ from .algebroid import MatchedPairData
 from .errors import ChartError, DegreeError, StructureError, TruncationError
 from .exactalg import GQ, Poly, _accumulate
 from .linalg import SparseMatrix
-from .multivec import MixedForm, Multivector, insert_index, sharp
+from .multivec import Form, Multivector, insert_index, schouten, sharp
 from .poisson import is_holomorphic_poisson
-
-from .multivec import Form
 
 
 class BiCochain:
@@ -64,10 +68,6 @@ class BiCochain:
         self.l = l
         self.comps = clean
 
-    def component(self, I, J) -> Poly:
-        return self.comps.get((tuple(I), tuple(J)),
-                              Poly.zero(self.mp.A.chart))
-
     def is_zero(self) -> bool:
         return not self.comps
 
@@ -93,17 +93,6 @@ class BiCochain:
     def __neg__(self):
         return BiCochain(self.mp, self.k, self.l,
                          {key: -p for key, p in self.comps.items()})
-
-    def __sub__(self, other):
-        return self.__add__(other.__neg__())
-
-    def scale(self, value):
-        if isinstance(value, Poly):
-            comps = {key: value * p for key, p in self.comps.items()}
-        else:
-            value = GQ.of(value)
-            comps = {key: p.scale(value) for key, p in self.comps.items()}
-        return BiCochain(self.mp, self.k, self.l, comps)
 
 
 def _eval_with_replacement(comps, I, J, slot_pos, section):
@@ -219,55 +208,59 @@ def total_differential(cochain: BiCochain):
 
 
 # ----------------------------------------------------------------------
-# the canonical-pair operator d_pi on mixed forms
+# the canonical-pair operators dbar_mixed and d_pi
 
-def d_pi(m: MixedForm, pi: Multivector) -> MixedForm:
+def dbar_mixed(c: BiCochain) -> BiCochain:
+    """The Dolbeault column operator on a cochain of the canonical pair:
+    dbar acts on the coefficients, and each dzb_b it produces joins the
+    A-indices (the d/dz slots of the B-indices are a holomorphic frame)."""
+    chart = c.mp.A.chart
+    n = chart.n
+    comps: dict = {}
+    for (I, J), coeff in c.comps.items():
+        for b in range(n):
+            dcoeff = coeff.diff(n + b)
+            if dcoeff.is_zero():
+                continue
+            merged = insert_index(b, I)
+            if merged is None:
+                continue
+            new_I, sign = merged
+            _accumulate(comps, (new_I, J), dcoeff if sign > 0 else -dcoeff)
+    return BiCochain(c.mp, c.k + 1, c.l, comps)
+
+
+def d_pi(c: BiCochain, pi: Multivector) -> BiCochain:
     """Polyvector-degree-raising differential of holomorphic Poisson
-    cohomology: on a decomposable cell omega (x) P it is
+    cohomology on a cochain of the canonical pair of pi: on a decomposable
+    cell omega (x) P it is
     omega (x) [pi, P] + sum_i (i_{pi#(dz^i)} d omega) (x) (e_i ^ P)."""
     report = is_holomorphic_poisson(pi)
     if not report.holomorphic_poisson:
         raise StructureError("d_pi needs a holomorphic Poisson bivector")
     chart = pi.chart
-    if m.chart != chart:
+    if c.mp.A.chart != chart:
         raise ChartError("chart mismatch")
     n = chart.n
     hamiltonian = [sharp(pi, Form.frame(chart, i)) for i in range(n)]
     comps = {}
-
-    from .multivec import schouten
-
-    for (J, I), f in m.comps.items():
-        frame_vec = Multivector(chart, len(I), {I: Poly.one(chart)})
+    for (I, J), f in c.comps.items():
+        frame_vec = Multivector(chart, len(J), {J: Poly.one(chart)})
         bracket = schouten(pi, frame_vec)
         for idx, coeff in bracket.comps.items():
             if any(v >= n for v in idx):
                 raise StructureError("d_pi left the holomorphic polyvectors")
-            _accumulate(comps, (J, idx), f * coeff)
+            _accumulate(comps, (I, idx), f * coeff)
         for i in range(n):
             deriv = hamiltonian[i].apply_to(f)
             if deriv.is_zero():
                 continue
-            merged = insert_index(i, I)
+            merged = insert_index(i, J)
             if merged is None:
                 continue
-            new_I, sign = merged
-            _accumulate(comps, (J, new_I), deriv if sign > 0 else -deriv)
-    return MixedForm(chart, m.q, m.p + 1, comps)
-
-
-def mixedform_to_bicochain(m: MixedForm, mp: MatchedPairData) -> BiCochain:
-    """Identify Omega^{0,q}(X, T^{p,0}) with the (q,p) cell of the
-    canonical matched pair: the dzb slots are the A-arguments and the
-    polyvector slots pair with the B-frame."""
-    comps = {(J, I): poly for (J, I), poly in m.comps.items()}
-    return BiCochain(mp, m.q, m.p, comps)
-
-
-def bicochain_to_mixedform(c: BiCochain) -> MixedForm:
-    chart = c.mp.A.chart
-    comps = {(I, J): poly for (I, J), poly in c.comps.items()}
-    return MixedForm(chart, c.k, c.l, comps)
+            new_J, sign = merged
+            _accumulate(comps, (I, new_J), deriv if sign > 0 else -deriv)
+    return BiCochain(c.mp, c.k, c.l + 1, comps)
 
 
 # ----------------------------------------------------------------------

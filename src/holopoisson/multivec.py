@@ -1,7 +1,6 @@
 """Exterior calculus on a chart: multivector fields, differential forms,
-mixed bicomplex cells, wedge, contraction, Lie derivative, the
-Schouten-Nijenhuis bracket, de Rham d with its (dpart, dbar) splitting and
-the sharp map of a bivector.
+wedge, contraction, Lie derivative, the Schouten-Nijenhuis bracket, de Rham
+d with its (dpart, dbar) splitting and the sharp map of a bivector.
 
 Frame bookkeeping: on a chart of dimension n both the tangent and cotangent
 frames carry 2n slots.  On complex charts slot k < n is the holomorphic
@@ -540,157 +539,3 @@ def convert_alternating(obj, target: Chart):
         total = total + term
     return total
 
-
-# ----------------------------------------------------------------------
-# mixed bicomplex cells
-
-class MixedForm:
-    """Element of Omega^(0,q)(X, T^(p,0)X): components on pairs (J, I) of
-    increasing index tuples, J the dzb slots and I the d/dz slots."""
-
-    __slots__ = ("chart", "q", "p", "comps")
-
-    def __init__(self, chart: Chart, q: int, p: int, comps=None):
-        if not chart.is_complex():
-            raise ChartError("MixedForm requires a complex chart")
-        if q < 0 or p < 0:
-            raise DegreeError("negative bidegree")
-        self.chart = chart
-        self.q = q
-        self.p = p
-        clean = {}
-        if comps:
-            for key, poly in comps.items():
-                J, I = tuple(key[0]), tuple(key[1])
-                if len(J) != q or len(I) != p:
-                    raise DegreeError("component does not match bidegree")
-                for t in (J, I):
-                    if list(t) != sorted(set(t)):
-                        raise DegreeError(f"index tuple {t} not increasing")
-                    if any(not 0 <= k < chart.n for k in t):
-                        raise ChartError("mixed-form index out of range")
-                if isinstance(poly, (int, GQ)):
-                    poly = Poly.const(chart, poly)
-                if poly.chart != chart:
-                    raise ChartError("component on wrong chart")
-                if not poly.is_zero():
-                    clean[(J, I)] = poly
-        self.comps = clean
-
-    @staticmethod
-    def zero(chart: Chart, q: int = 0, p: int = 0) -> "MixedForm":
-        return MixedForm(chart, q, p, {})
-
-    @staticmethod
-    def function(f: Poly) -> "MixedForm":
-        return MixedForm(f.chart, 0, 0, {((), ()): f})
-
-    @staticmethod
-    def from_multivector(P: Multivector) -> "MixedForm":
-        """Embed a (p,0) multivector as a q = 0 cell."""
-        bid = P.bidegree()
-        if bid is None or bid[1] != 0:
-            raise DegreeError("need a (p,0) multivector")
-        comps = {((), idx): poly for idx, poly in P.comps.items()}
-        return MixedForm(P.chart, 0, P.degree, comps)
-
-    def _raw(self, comps):
-        out = MixedForm.__new__(MixedForm)
-        out.chart = self.chart
-        out.q = self.q
-        out.p = self.p
-        out.comps = comps
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, MixedForm) or other.chart != self.chart:
-            raise ChartError("chart mismatch")
-        if (self.q, self.p) != (other.q, other.p):
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise DegreeError("cannot add different bidegrees")
-        comps = dict(self.comps)
-        for key, poly in other.comps.items():
-            _accumulate(comps, key, poly)
-        return self._raw(comps)
-
-    def __neg__(self):
-        return self._raw({k: -p for k, p in self.comps.items()})
-
-    def __sub__(self, other):
-        return self.__add__(other.__neg__())
-
-    def scale(self, value):
-        if isinstance(value, Poly):
-            comps = {k: value * p for k, p in self.comps.items()}
-        else:
-            value = GQ.of(value)
-            comps = {k: p.scale(value) for k, p in self.comps.items()}
-        return MixedForm(self.chart, self.q, self.p, comps)
-
-    def __eq__(self, other):
-        if not isinstance(other, MixedForm):
-            return NotImplemented
-        if self.chart != other.chart:
-            return False
-        if not self.comps and not other.comps:
-            return True
-        return ((self.q, self.p) == (other.q, other.p)
-                and self.comps == other.comps)
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def component(self, J, I) -> Poly:
-        return self.comps.get((tuple(J), tuple(I)), Poly.zero(self.chart))
-
-    def sorted_comps(self):
-        return sorted(self.comps.items())
-
-    def __str__(self):
-        if not self.comps:
-            return "0"
-        chunks = []
-        n = self.chart.n
-        for (J, I), poly in self.sorted_comps():
-            fpart = "^".join("d" + self.chart.var_name(n + j) for j in J)
-            vpart = "^".join("d/d" + self.chart.var_name(i) for i in I)
-            label = " (x) ".join(x for x in (fpart, vpart) if x)
-            chunks.append(f"({poly}) {label}" if label else f"({poly})")
-        return " + ".join(chunks)
-
-    def __repr__(self):
-        return f"MixedForm({self.chart}, {self})"
-
-
-def dbar_mixed(m: MixedForm) -> MixedForm:
-    """The Dolbeault column operator: dbar acts on coefficients, in the
-    holomorphic coordinate frame of the polyvector slots."""
-    chart = m.chart
-    n = chart.n
-    comps: dict = {}
-    for (J, I), coeff in m.comps.items():
-        for b in range(n):
-            dcoeff = coeff.diff(n + b)
-            if dcoeff.is_zero():
-                continue
-            merged = insert_index(b, J)
-            if merged is None:
-                continue
-            newJ, sign = merged
-            _accumulate(comps, (newJ, I), dcoeff if sign > 0 else -dcoeff)
-    return MixedForm(chart, m.q + 1, m.p, comps)
-
-
-def dbar(obj):
-    """Polymorphic dbar: Form -> Form, MixedForm -> MixedForm,
-    (p,0) Multivector -> MixedForm cell."""
-    if isinstance(obj, Form):
-        return derham_split(obj)[1]
-    if isinstance(obj, MixedForm):
-        return dbar_mixed(obj)
-    if isinstance(obj, Multivector):
-        return dbar_mixed(MixedForm.from_multivector(obj))
-    raise DegreeError(f"cannot apply dbar to {type(obj).__name__}")

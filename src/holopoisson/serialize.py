@@ -10,7 +10,7 @@ from __future__ import annotations
 from .algebroid import AlgebroidChart, LieAlgebraData
 from .errors import ParseError
 from .exactalg import Chart, parse_gq, parse_poly
-from .multivec import Form, MixedForm, Multivector
+from .multivec import Form, Multivector
 from .poisson import EndoField
 
 
@@ -22,6 +22,11 @@ def require_keys(obj: dict, allowed, context: str):
         raise ParseError(f"{context}: unknown fields {sorted(unknown)}")
 
 
+def is_int(value) -> bool:
+    """True for a JSON integer: bool is an int subclass, but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_chart(doc) -> Chart:
     require_keys(doc, {"kind", "n"}, "chart")
     try:
@@ -29,7 +34,7 @@ def parse_chart(doc) -> Chart:
         n = doc["n"]
     except KeyError as exc:
         raise ParseError(f"chart: missing field {exc}") from exc
-    if not isinstance(n, int):
+    if not is_int(n):
         raise ParseError("chart: n must be an integer")
     if kind not in ("complex", "real"):
         raise ParseError(f"chart: unknown kind {kind!r}")
@@ -82,16 +87,6 @@ def parse_bivector(chart: Chart, entries) -> Multivector:
     return parse_alternating(chart, entries, 2, "vector")
 
 
-def mixedform_dict(m: MixedForm) -> list:
-    n = m.chart.n
-    out = []
-    for (J, I), poly in m.sorted_comps():
-        out.append({"forms": [m.chart.var_name(n + j) for j in J],
-                    "vectors": [m.chart.var_name(i) for i in I],
-                    "coeff": str(poly)})
-    return out
-
-
 def parse_matrix(chart: Chart, rows, size, context="matrix"):
     if not isinstance(rows, list) or len(rows) != size:
         raise ParseError(f"{context}: expected {size} rows")
@@ -110,22 +105,27 @@ def parse_endo(chart: Chart, doc) -> EndoField:
 def parse_liealgebra(doc) -> LieAlgebraData:
     require_keys(doc, {"rank", "brackets", "j"}, "lie_algebra")
     rank = doc.get("rank")
-    if not isinstance(rank, int) or rank < 0:
+    if not is_int(rank) or rank < 0:
         raise ParseError("lie_algebra: rank must be a nonnegative integer")
+    brackets = doc.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ParseError("lie_algebra: brackets must be a list")
     triples = []
-    for item in doc.get("brackets", []):
+    for item in brackets:
         if not isinstance(item, list) or len(item) != 4:
             raise ParseError("lie_algebra: brackets entries are "
                              "[i, j, k, coeff]")
         i, j, k, coeff = item
         for v in (i, j, k):
-            if not isinstance(v, int) or not 1 <= v <= rank:
-                raise ParseError(f"lie_algebra: index {v} out of range")
+            if not is_int(v) or not 1 <= v <= rank:
+                raise ParseError(f"lie_algebra: index {v!r} out of range")
         triples.append((i, j, k, parse_gq(str(coeff))))
     j_matrix = None
     if doc.get("j") is not None:
         rows = doc["j"]
-        if not isinstance(rows, list) or len(rows) != rank:
+        if (not isinstance(rows, list) or len(rows) != rank
+                or any(not isinstance(row, list) or len(row) != rank
+                       for row in rows)):
             raise ParseError("lie_algebra: j must be rank x rank")
         j_matrix = [[parse_gq(str(v)) for v in row] for row in rows]
     return LieAlgebraData.from_triples(rank, triples, j_matrix)

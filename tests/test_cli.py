@@ -201,6 +201,43 @@ def test_negative_truncation_bound_is_input_error(tmp_path):
         assert flag in err
 
 
+MALFORMED = [
+    ("lie-poisson", {"lie_algebra": {"rank": 2, "brackets": 5}}),
+    ("lie-poisson", {"lie_algebra": {"rank": 2, "brackets": [],
+                                     "j": [5, 6]}}),
+    ("check-poisson", {"chart": {"kind": "complex", "n": True}, "pi": []}),
+    ("lie-poisson", {"lie_algebra": {"rank": True, "brackets": []}}),
+    ("lie-poisson", {"lie_algebra": {"rank": 2,
+                                     "brackets": [[True, 2, 1, "1"]]}}),
+]
+MALFORMED_JOB_OPTIONS = [{"weight": 1.9}, {"weight": True},
+                         {"max_degree": [1]},
+                         {"weight": 0, "dump_matrices": 5}]
+
+
+@pytest.mark.parametrize("command, doc, options",
+                         [(c, d, None) for c, d in MALFORMED]
+                         + [("cohomology", None, o)
+                            for o in MALFORMED_JOB_OPTIONS])
+def test_malformed_input_is_input_error(tmp_path, command, doc, options):
+    """Non-list brackets or j rows, bools and floats where an integer is
+    due, a dump directory that is not a path: exit 1 with an input error,
+    never a traceback.  JobSpec options have no command-line route, so
+    those cases check for the ParseError that main() reports as an input
+    error."""
+    if options is not None:
+        with pytest.raises(ParseError):
+            run_job({"command": command, "options": options,
+                     "input": {"chart": {"kind": "complex", "n": 1},
+                               "pi": []}})
+        return
+    code, out, err = run_cli([command, write_doc(tmp_path, "bad.json", doc)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
 def test_pn_check_of_non_poisson_bivector_fails(tmp_path):
     doc = write_doc(tmp_path, "pi.json", {
         "chart": {"kind": "complex", "n": 3},
@@ -345,13 +382,3 @@ def test_component_serialization_roundtrip():
 def test_chart_parse_rejects_unknown_kind():
     with pytest.raises(ParseError):
         parse_chart({"kind": "quaternionic", "n": 1})
-
-
-def test_mixedform_serialization():
-    from holopoisson.multivec import MixedForm
-    from holopoisson.serialize import mixedform_dict
-    from holopoisson.exactalg import Poly
-    chart = Chart.complex(2)
-    m = MixedForm(chart, 1, 1, {((0,), (1,)): Poly.var(chart, 0)})
-    assert mixedform_dict(m) == [
-        {"forms": ["zb1"], "vectors": ["z2"], "coeff": "z1"}]

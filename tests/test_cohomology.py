@@ -2,7 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from holopoisson import cohomology
 from holopoisson.algebroid import (
     AlgebroidChart,
     LieAlgebraData,
@@ -17,10 +20,9 @@ from holopoisson.cohomology import (
     Truncation,
     assemble_total,
     betti,
-    bicochain_to_mixedform,
     build_block,
     d_pi,
-    mixedform_to_bicochain,
+    dbar_mixed,
     monomials_of_degree,
     monomials_up_to_degree,
     partial_A,
@@ -30,7 +32,7 @@ from holopoisson.cohomology import (
 )
 from holopoisson.errors import StructureError, TruncationError
 from holopoisson.exactalg import GQ, Chart, Poly
-from holopoisson.multivec import MixedForm, Multivector, dbar_mixed
+from holopoisson.multivec import Multivector
 
 from oracles import (
     bicochain_as_total,
@@ -124,15 +126,13 @@ def test_partial_a_on_functions_is_dbar():
     pi = frame_bivector(C2, 0, 1)
     mp = canonical_matched_pair(pi)
     f = Poly.var(C2, 2) * Poly.var(C2, 0)
-    cochain = mixedform_to_bicochain(MixedForm.function(f), mp)
-    da = partial_A(cochain)
-    assert bicochain_to_mixedform(da) == dbar_mixed(MixedForm.function(f))
+    cochain = BiCochain(mp, 0, 0, {((), ()): f})
+    assert partial_A(cochain) == dbar_mixed(cochain)
 
 
 def test_partial_b_zero_pi_on_functions():
     mp = canonical_matched_pair(Multivector.zero(C2, 2))
-    f = Poly.var(C2, 0)
-    cochain = mixedform_to_bicochain(MixedForm.function(f), mp)
+    cochain = BiCochain(mp, 0, 0, {((), ()): Poly.var(C2, 0)})
     assert partial_B(cochain).is_zero()
 
 
@@ -165,59 +165,122 @@ def test_total_differential_squares_to_zero():
 
 
 # ----------------------------------------------------------------------
-# d_pi
+# dbar_mixed and d_pi on cochains of the canonical pair
+
+def test_dbar_mixed_examples():
+    z1 = Poly.var(C3, 0)
+    mp = canonical_matched_pair(Multivector.zero(C3, 2))
+    # a holomorphic (2,0) polyvector is dbar-closed
+    assert dbar_mixed(BiCochain(mp, 0, 2, {((), (0, 1)): z1 * z1})).is_zero()
+    c = BiCochain(mp, 1, 1, {((1,), (0,)): Poly.var(C3, 3) * z1})
+    assert dbar_mixed(c) == BiCochain(mp, 2, 1, {((0, 1), (0,)): z1})
+
+
+def test_dbar_mixed_squares_to_zero():
+    rng = random.Random(31)
+    mp = canonical_matched_pair(Multivector.zero(C2, 2))
+    for _ in range(20):
+        comps = {}
+        q, p = rng.randint(0, 2), rng.randint(0, 2)
+        for I in combinations(range(2), q):
+            for J in combinations(range(2), p):
+                comps[(I, J)] = rand_poly(rng, C2)
+        c = BiCochain(mp, q, p, comps)
+        assert dbar_mixed(dbar_mixed(c)).is_zero()
+
 
 def test_d_pi_examples():
     pi = frame_bivector(C2, 0, 1)
-    f = MixedForm.function(Poly.var(C2, 0))
-    assert d_pi(f, pi) == MixedForm(C2, 0, 1, {((), (1,)): Poly.const(C2, -1)})
+    mp = canonical_matched_pair(pi)
+    f = BiCochain(mp, 0, 0, {((), ()): Poly.var(C2, 0)})
+    assert d_pi(f, pi) == BiCochain(mp, 0, 1,
+                                    {((), (1,)): Poly.const(C2, -1)})
     assert d_pi(f, Multivector.zero(C2, 2)).is_zero()
     # second-term contribution: omega = zb1 dzb1
-    m = MixedForm(C2, 1, 0, {((0,), ()): Poly.var(C2, 2)})
+    m = BiCochain(mp, 1, 0, {((0,), ()): Poly.var(C2, 2)})
     out = d_pi(m, pi)
-    assert out.q == 1 and out.p == 1
+    assert (out.k, out.l) == (1, 1)
     # i_{pi#(dz^i)} d(zb1 dzb1) vanishes: d omega is a (0,2)-form
     assert out.is_zero()
-    m2 = MixedForm(C2, 1, 0, {((0,), ()): Poly.var(C2, 0)})
-    out = d_pi(m2, pi)
-    assert out == MixedForm(C2, 1, 1, {((0,), (1,)): Poly.const(C2, -1)})
+    m2 = BiCochain(mp, 1, 0, {((0,), ()): Poly.var(C2, 0)})
+    assert d_pi(m2, pi) == BiCochain(mp, 1, 1,
+                                     {((0,), (1,)): Poly.const(C2, -1)})
 
 
 def test_d_pi_squares_to_zero_and_commutes_with_dbar():
     rng = random.Random(101)
     for pi in (frame_bivector(C2, 0, 1), sl2_pi(),
                frame_bivector(C2, 0, 1, Poly.var(C2, 0) * Poly.var(C2, 0))):
-        chart = pi.chart
-        n = chart.n
+        mp = canonical_matched_pair(pi)
+        n = pi.chart.n
         for _ in range(6):
-            q, p = rng.randint(0, n), rng.randint(0, n)
-            comps = {}
-            for J in combinations(range(n), q):
-                for I in combinations(range(n), p):
-                    if rng.random() < 0.6:
-                        comps[(J, I)] = rand_poly(rng, chart)
-            m = MixedForm(chart, q, p, comps)
-            assert d_pi(d_pi(m, pi), pi).is_zero()
-            assert dbar_mixed(d_pi(m, pi)) == d_pi(dbar_mixed(m), pi)
+            c = rand_bicochain(rng, mp, rng.randint(0, n), rng.randint(0, n))
+            assert d_pi(d_pi(c, pi), pi).is_zero()
+            assert dbar_mixed(d_pi(c, pi)) == d_pi(dbar_mixed(c), pi)
 
 
 def test_d_pi_equals_partial_b_under_identification():
     rng = random.Random(103)
     for name, mp in corpus_pairs():
-        chart = mp.A.chart
-        n = chart.n
+        n = mp.A.chart.n
         pi = _pi_of(mp)
         for _ in range(10):
-            q, p = rng.randint(0, n), rng.randint(0, n)
-            comps = {}
-            for J in combinations(range(n), q):
-                for I in combinations(range(n), p):
-                    if rng.random() < 0.6:
-                        comps[(J, I)] = rand_poly(rng, chart)
-            m = MixedForm(chart, q, p, comps)
-            bc = mixedform_to_bicochain(m, mp)
-            assert bicochain_to_mixedform(partial_B(bc)) == d_pi(m, pi)
-            assert bicochain_to_mixedform(partial_A(bc)) == dbar_mixed(m)
+            c = rand_bicochain(rng, mp, rng.randint(0, n), rng.randint(0, n))
+            assert partial_B(c) == d_pi(c, pi)
+            assert partial_A(c) == dbar_mixed(c)
+
+
+@st.composite
+def poisson_cochains(draw):
+    """f d/dz1 ^ d/dz2 on C^2 for a holomorphic f with Gaussian-integer
+    coefficients and exponents <= 3 (Poisson, since Lambda^3 T^{1,0} = 0),
+    and a random cochain of its canonical pair."""
+    small = st.integers(-3, 3)
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 3),
+                                           st.integers(0, 3)),
+                                 st.tuples(small, small), max_size=4))
+    f = Poly(C2, {(a, b, 0, 0): GQ(re, im)
+                  for (a, b), (re, im) in terms.items()})
+    pi = frame_bivector(C2, 0, 1, f)
+    mp = canonical_matched_pair(pi)
+    k, l = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    exps = st.tuples(*[st.integers(0, 2)] * C2.nvars)
+    comps = {}
+    for I in combinations(range(2), k):
+        for J in combinations(range(2), l):
+            coeffs = draw(st.dictionaries(exps, st.tuples(small, small),
+                                          max_size=3))
+            comps[(I, J)] = Poly(C2, {e: GQ(re, im)
+                                      for e, (re, im) in coeffs.items()})
+    return pi, BiCochain(mp, k, l, comps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(poisson_cochains())
+def test_check_operators_equal_partials_on_random_poisson_structures(case):
+    pi, c = case
+    assert partial_B(c) == d_pi(c, pi)
+    assert partial_A(c) == dbar_mixed(c)
+
+
+def test_check_operators_do_not_use_the_coboundary(monkeypatch):
+    """dbar_mixed and d_pi check partial_A and partial_B, so they must not
+    reach the coboundary route (or the swapped pair it runs on)."""
+    pi = sl2_pi()
+    mp = canonical_matched_pair(pi)
+    c = BiCochain(mp, 1, 1, {((0,), (1,)): Poly.var(C3, 0) * Poly.var(C3, 4),
+                             ((2,), (0,)): Poly.var(C3, 5)})
+    want_a, want_b = partial_A(c), partial_B(c)
+    assert not want_a.is_zero() and not want_b.is_zero()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check operator ran the route it checks")
+
+    for name in ("_coboundary", "partial_A", "partial_B"):
+        monkeypatch.setattr(cohomology, name, refuse)
+    monkeypatch.setattr(MatchedPairData, "swapped", refuse)
+    assert dbar_mixed(c) == want_a
+    assert d_pi(c, pi) == want_b
 
 
 def _pi_of(mp):
@@ -234,8 +297,11 @@ def _pi_of(mp):
 
 
 def test_d_pi_rejects_non_poisson():
+    # the cochain lives on the pair of the zero bivector, so the bad pi
+    # reaches d_pi itself rather than canonical_matched_pair
+    mp = canonical_matched_pair(Multivector.zero(C2, 2))
     with pytest.raises(StructureError):
-        d_pi(MixedForm.function(Poly.one(C2)),
+        d_pi(BiCochain(mp, 0, 0, {((), ()): Poly.one(C2)}),
              frame_bivector(C2, 0, 1, Poly.var(C2, 2)))
 
 

@@ -6,12 +6,9 @@ from holopoisson.errors import ChartError, DegreeError
 from holopoisson.exactalg import Chart, Poly
 from holopoisson.multivec import (
     Form,
-    MixedForm,
     Multivector,
     contract,
     convert_alternating,
-    dbar,
-    dbar_mixed,
     derham_split,
     differential,
     exterior_d,
@@ -27,7 +24,6 @@ from oracles import (
     contract_oracle,
     rand_form,
     rand_multivector,
-    rand_poly,
     schouten_oracle,
     sgn,
 )
@@ -191,12 +187,6 @@ def test_derham_split_examples():
     dp, db = derham_split(Form(C2, 0, {(): zb1}))
     assert db == ef(C2, 2)
     assert dp.is_zero()
-    z1 = Poly.var(C3, 0)
-    mv = Multivector(C3, 2, {(0, 1): z1 * z1})
-    assert dbar(mv).is_zero()
-    m = MixedForm(C3, 1, 1, {((1,), (0,)): Poly.var(C3, 3) * z1})
-    out = dbar_mixed(m)
-    assert out == MixedForm(C3, 2, 1, {((0, 1), (0,)): z1})
 
 
 def test_derham_split_requires_complex():
@@ -214,20 +204,6 @@ def test_d_and_split_laws():
         assert derham_split(dp)[0].is_zero()
         assert derham_split(db)[1].is_zero()
         assert (derham_split(dp)[1] + derham_split(db)[0]).is_zero()
-
-
-def test_dbar_mixed_squares_to_zero():
-    rng = random.Random(31)
-    for _ in range(20):
-        comps = {}
-        n = 2
-        from itertools import combinations
-        q, p = rng.randint(0, 2), rng.randint(0, 2)
-        for J in combinations(range(n), q):
-            for I in combinations(range(n), p):
-                comps[(J, I)] = rand_poly(rng, C2)
-        m = MixedForm(C2, q, p, comps)
-        assert dbar_mixed(dbar_mixed(m)).is_zero()
 
 
 # ----------------------------------------------------------------------
