@@ -77,7 +77,7 @@ class AlgebroidChart:
 
     @staticmethod
     def _coerce(chart, p):
-        if isinstance(p, (int, GQ, Fraction)):
+        if type(p) is not Poly and isinstance(p, (int, GQ, Fraction)):
             return Poly.const(chart, p)
         if p.chart != chart:
             raise ChartError("algebroid data on wrong chart")

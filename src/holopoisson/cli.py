@@ -276,7 +276,7 @@ COMMANDS = {
 }
 
 JOB_OPTION_KEYS = {"point", "weight", "max_degree", "method",
-                   "dump_matrices", "out"}
+                   "dump_matrices"}
 
 
 def run_job(job: dict):

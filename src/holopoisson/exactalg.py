@@ -1,38 +1,59 @@
 """Exact coefficient arithmetic on polynomial coordinate charts.
 
-Scalars are Gaussian rationals (rational real and imaginary parts, always
-reduced).  Polynomials live on a chart: a complex chart of dimension n has
-2n independent generators z1..zn, zb1..zbn ("zb" is the conjugate variable,
-treated formally); a real chart has generators x1..xn, y1..yn.  Everything
-is immutable and every operation returns a canonical form.
+Scalars are Gaussian rationals, each stored as three normalised Python
+ints: (a + b i)/d with d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1)
+and equal values have equal triples.  Polynomials live on a chart: a
+complex chart of dimension n has 2n independent generators z1..zn,
+zb1..zbn ("zb" is the conjugate variable, treated formally); a real chart
+has generators x1..xn, y1..yn.  Everything is immutable and every
+operation returns a canonical form.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
+from operator import add
 from typing import Iterable
 
 from .errors import ChartError, ParseError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 # the rationals of the scalar grammar: no decimals, exponents or '_'
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# a bare GQ, for results whose triple is already normalised
+_new = object.__new__
 
 
 class GQ:
-    """A Gaussian rational a + bi with exact Fraction components."""
+    """A Gaussian rational (a + b i)/d held as normalised ints.
 
-    __slots__ = ("re", "im")
+    Invariants: d > 0 and gcd(a, b, d) = 1, so each value has exactly one
+    triple and zero is (0, 0, 1).  ``re`` and ``im`` are derived
+    ``Fraction``s.  ``GQ(re, im)`` takes ints, ``Fraction``s or strings of
+    the scalar grammar ``[+-]digits(/digits)?``; a float is a TypeError.
+    A real GQ hashes like the int or Fraction it equals.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a = re
+            self.b = im
+            self.d = 1
+            return
+        ra, rd = _rational(re)
+        ia, id_ = _rational(im)
+        a, b, d = ra * id_, ia * rd, rd * id_
+        g = gcd(a, b, d)
+        self.a = a // g
+        self.b = b // g
+        self.d = d // g
 
     @staticmethod
     def of(value) -> "GQ":
-        if isinstance(value, GQ):
+        if type(value) is GQ:
             return value
         return GQ(value)
 
@@ -40,58 +61,148 @@ class GQ:
     def i() -> "GQ":
         return GQ(0, 1)
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     def __add__(self, other):
-        other = GQ.of(other)
-        return GQ(self.re + other.re, self.im + other.im)
+        if type(other) is not GQ:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        e = other.d
+        if d == 1 and e == 1:
+            z = _new(GQ)
+            z.a = self.a + other.a
+            z.b = self.b + other.b
+            z.d = 1
+            return z
+        if d == e:
+            return _normal(self.a + other.a, self.b + other.b, d)
+        return _normal(self.a * e + other.a * d, self.b * e + other.b * d,
+                       d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GQ.of(other)
-        return GQ(self.re - other.re, self.im - other.im)
+        if type(other) is not GQ:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        e = other.d
+        if d == 1 and e == 1:
+            z = _new(GQ)
+            z.a = self.a - other.a
+            z.b = self.b - other.b
+            z.d = 1
+            return z
+        if d == e:
+            return _normal(self.a - other.a, self.b - other.b, d)
+        return _normal(self.a * e - other.a * d, self.b * e - other.b * d,
+                       d * e)
 
     def __rsub__(self, other):
-        return GQ.of(other).__sub__(self)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other.__sub__(self)
 
     def __mul__(self, other):
-        other = GQ.of(other)
-        return GQ(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        kind = type(other)
+        if kind is GQ:
+            a = self.a
+            b = self.b
+            c = other.a
+            e = other.b
+            if self.d == 1 and other.d == 1:
+                z = _new(GQ)
+                z.a = a * c - b * e
+                z.b = a * e + b * c
+                z.d = 1
+                return z
+            return _normal(a * c - b * e, a * e + b * c, self.d * other.d)
+        if kind is int:
+            if self.d == 1:
+                z = _new(GQ)
+                z.a = self.a * other
+                z.b = self.b * other
+                z.d = 1
+                return z
+            return _normal(self.a * other, self.b * other, self.d)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return self.__mul__(other)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GQ(-self.re, -self.im)
+        z = _new(GQ)
+        z.a = -self.a
+        z.b = -self.b
+        z.d = self.d
+        return z
 
     def __truediv__(self, other):
-        other = GQ.of(other)
-        norm = other.re * other.re + other.im * other.im
+        if type(other) is not GQ:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        # 1/((c + ei)/f) = f(c - ei)/(c^2 + e^2)
+        c = other.a
+        e = other.b
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GQ((self.re * other.re + self.im * other.im) / norm,
-                  (self.im * other.re - self.re * other.im) / norm)
+        a = self.a
+        b = self.b
+        f = other.d
+        return _normal((a * c + b * e) * f, (b * c - a * e) * f,
+                       self.d * norm)
 
     def __rtruediv__(self, other):
-        return GQ.of(other).__truediv__(self)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other.__truediv__(self)
 
     def conj(self) -> "GQ":
-        return GQ(self.re, -self.im)
+        z = _new(GQ)
+        z.a = self.a
+        z.b = -self.b
+        z.d = self.d
+        return z
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.b == 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GQ(other)
-        if not isinstance(other, GQ):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is GQ:
+            return (self.a == other.a and self.b == other.b
+                    and self.d == other.d)
+        if isinstance(other, int):
+            return self.b == 0 and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (self.b == 0 and self.a == other.numerator
+                    and self.d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal values hash equal: a real GQ like the int or Fraction it is
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        if self.d == 1:
+            return hash(self.a)
+        return hash(Fraction(self.a, self.d))
 
     def __repr__(self):
         return f"GQ({self.re!r}, {self.im!r})"
@@ -100,25 +211,60 @@ class GQ:
         return format_gq(self)
 
 
+def _normal(a: int, b: int, d: int) -> GQ:
+    """The GQ (a + b i)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    z = _new(GQ)
+    if g == 1:
+        z.a = a
+        z.b = b
+        z.d = d
+    else:
+        z.a = a // g
+        z.b = b // g
+        z.d = d // g
+    return z
+
+
+def _operand(value):
+    """An int or Fraction operand as a GQ; None for any other type."""
+    if isinstance(value, (int, Fraction)):
+        return GQ(value)
+    return None
+
+
+def _rational(value):
+    """(numerator, denominator > 0) of one part of GQ(re, im)."""
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, str):
+        return _parse_ratio(value, value)
+    raise TypeError("a GQ part is an int, a Fraction or a rational string, "
+                    f"not {type(value).__name__}")
+
+
 def format_gq(c: GQ) -> str:
     """Canonical string form: '3', '-1/2', 'i', '-i', '3i', '(1/2-3i)'."""
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        if c.im == 1:
+    real, imag = c.re, c.im
+    if imag == 0:
+        return str(real)
+    if real == 0:
+        if imag == 1:
             return "i"
-        if c.im == -1:
+        if imag == -1:
             return "-i"
-        return f"{c.im}i"
-    if c.im == 1:
+        return f"{imag}i"
+    if imag == 1:
         tail = "+i"
-    elif c.im == -1:
+    elif imag == -1:
         tail = "-i"
-    elif c.im > 0:
-        tail = f"+{c.im}i"
+    elif imag > 0:
+        tail = f"+{imag}i"
     else:
-        tail = f"{c.im}i"
-    return f"({c.re}{tail})"
+        tail = f"{imag}i"
+    return f"({real}{tail})"
 
 
 def parse_gq(text: str) -> GQ:
@@ -141,8 +287,7 @@ def parse_gq(text: str) -> GQ:
             parts.append(s[start:k])
             start = k
     parts.append(s[start:])
-    re = _ZERO
-    im = _ZERO
+    value = GQ(0)
     for part in parts:
         part = part.strip()
         if not part:
@@ -150,23 +295,27 @@ def parse_gq(text: str) -> GQ:
         if part.endswith("i"):
             body = part[:-1].strip()
             if body in ("", "+"):
-                im += 1
+                num, den = 1, 1
             elif body == "-":
-                im -= 1
+                num, den = -1, 1
             else:
-                im += _parse_fraction(body, text)
+                num, den = _parse_ratio(body, text)
+            value = value + _normal(0, num, den)
         else:
-            re += _parse_fraction(part, text)
-    return GQ(re, im)
+            num, den = _parse_ratio(part, text)
+            value = value + _normal(num, 0, den)
+    return value
 
 
-def _parse_fraction(body: str, context: str) -> Fraction:
+def _parse_ratio(body: str, context: str):
+    """(numerator, denominator > 0) of a rational of the scalar grammar."""
     if not _RATIONAL.fullmatch(body):
         raise ParseError(f"bad rational {body!r} in {context!r}")
-    try:
-        return Fraction(body)
-    except ZeroDivisionError as exc:
-        raise ParseError(f"bad rational {body!r} in {context!r}") from exc
+    num, _, den = body.partition("/")
+    den = int(den) if den else 1
+    if den == 0:
+        raise ParseError(f"bad rational {body!r} in {context!r}")
+    return int(num), den
 
 
 class Chart:
@@ -257,7 +406,8 @@ class Poly:
         clean = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = GQ.of(coeff)
+                if type(coeff) is not GQ:
+                    coeff = GQ.of(coeff)
                 if coeff.is_zero():
                     continue
                 exps = tuple(exps)
@@ -304,7 +454,7 @@ class Poly:
                 f"chart mismatch: {self.chart} vs {other.chart}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GQ)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction, GQ)):
             other = Poly.const(self.chart, other)
         self._require_same_chart(other)
         terms = dict(self.terms)
@@ -329,18 +479,18 @@ class Poly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GQ)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction, GQ)):
             other = Poly.const(self.chart, other)
         return self.__add__(other.__neg__())
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GQ)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction, GQ)):
             return self.scale(other)
         self._require_same_chart(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 c = c1 * c2
                 acc = terms.get(exps)
                 c = c if acc is None else acc + c
@@ -379,7 +529,7 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GQ)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction, GQ)):
             other = Poly.const(self.chart, other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -417,7 +567,10 @@ class Poly:
             new = list(exps)
             new[var] = e - 1
             terms[tuple(new)] = coeff * e
-        return Poly(self.chart, terms)
+        out = Poly.__new__(Poly)
+        out.chart = self.chart
+        out.terms = terms
+        return out
 
     def conj(self) -> "Poly":
         """Swap z_k <-> zb_k and conjugate coefficients.  Complex chart only."""

@@ -64,7 +64,8 @@ class EndoField:
         for row in matrix:
             new_row = []
             for entry in row:
-                if isinstance(entry, (int, GQ, Fraction)):
+                if (type(entry) is not Poly
+                        and isinstance(entry, (int, GQ, Fraction))):
                     entry = Poly.const(chart, entry)
                 if entry.chart != chart:
                     raise ChartError("matrix entry on wrong chart")

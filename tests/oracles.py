@@ -12,8 +12,12 @@ These deliberately take different routes from the library code:
 * total_matrix_oracle builds a block's total matrix one basis vector at a
   time through total_differential, instead of assembling the cell
   matrices.
+* FractionGQ is the Gaussian rational as a pair of Fractions: the scalar
+  the library used before its integer-triple GQ, frozen here, with
+  format_fraction_gq, as the reference for the property tests.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from holopoisson.cohomology import BiCochain, total_differential
@@ -225,3 +229,103 @@ def total_matrix_oracle(block, degree):
                         entries[(row_offset[target] + row,
                                  col_base + col)] = coeff
     return (nrows, ncols), entries
+
+
+class FractionGQ:
+    """A Gaussian rational a + bi with exact Fraction components."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @staticmethod
+    def of(value) -> "FractionGQ":
+        if isinstance(value, FractionGQ):
+            return value
+        return FractionGQ(value)
+
+    @staticmethod
+    def i() -> "FractionGQ":
+        return FractionGQ(0, 1)
+
+    def __add__(self, other):
+        other = FractionGQ.of(other)
+        return FractionGQ(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = FractionGQ.of(other)
+        return FractionGQ(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return FractionGQ.of(other).__sub__(self)
+
+    def __mul__(self, other):
+        other = FractionGQ.of(other)
+        return FractionGQ(self.re * other.re - self.im * other.im,
+                          self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return FractionGQ(-self.re, -self.im)
+
+    def __truediv__(self, other):
+        other = FractionGQ.of(other)
+        norm = other.re * other.re + other.im * other.im
+        if norm == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return FractionGQ((self.re * other.re + self.im * other.im) / norm,
+                          (self.im * other.re - self.re * other.im) / norm)
+
+    def __rtruediv__(self, other):
+        return FractionGQ.of(other).__truediv__(self)
+
+    def conj(self) -> "FractionGQ":
+        return FractionGQ(self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionGQ(other)
+        if not isinstance(other, FractionGQ):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"FractionGQ({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        return format_fraction_gq(self)
+
+
+def format_fraction_gq(c: FractionGQ) -> str:
+    """Canonical string form: '3', '-1/2', 'i', '-i', '3i', '(1/2-3i)'."""
+    if c.im == 0:
+        return str(c.re)
+    if c.re == 0:
+        if c.im == 1:
+            return "i"
+        if c.im == -1:
+            return "-i"
+        return f"{c.im}i"
+    if c.im == 1:
+        tail = "+i"
+    elif c.im == -1:
+        tail = "-i"
+    elif c.im > 0:
+        tail = f"+{c.im}i"
+    else:
+        tail = f"{c.im}i"
+    return f"({c.re}{tail})"

@@ -212,7 +212,8 @@ MALFORMED = [
 ]
 MALFORMED_JOB_OPTIONS = [{"weight": 1.9}, {"weight": True},
                          {"max_degree": [1]},
-                         {"weight": 0, "dump_matrices": 5}]
+                         {"weight": 0, "dump_matrices": 5},
+                         {"weight": 0, "out": "report.json"}]
 
 
 @pytest.mark.parametrize("command, doc, options",
@@ -221,10 +222,10 @@ MALFORMED_JOB_OPTIONS = [{"weight": 1.9}, {"weight": True},
                             for o in MALFORMED_JOB_OPTIONS])
 def test_malformed_input_is_input_error(tmp_path, command, doc, options):
     """Non-list brackets or j rows, bools and floats where an integer is
-    due, a dump directory that is not a path: exit 1 with an input error,
-    never a traceback.  JobSpec options have no command-line route, so
-    those cases check for the ParseError that main() reports as an input
-    error."""
+    due, a dump directory that is not a path, a JobSpec ``out`` that
+    nothing would write: exit 1 with an input error, never a traceback.
+    JobSpec options have no command-line route, so those cases check for
+    the ParseError that main() reports as an input error."""
     if options is not None:
         with pytest.raises(ParseError):
             run_job({"command": command, "options": options,

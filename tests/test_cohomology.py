@@ -1,4 +1,6 @@
+import json
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -15,6 +17,7 @@ from holopoisson.algebroid import (
     canonical_matched_pair,
     lie_poisson,
 )
+from holopoisson.cli import corpus_path
 from holopoisson.cohomology import (
     BiCochain,
     Truncation,
@@ -33,6 +36,7 @@ from holopoisson.cohomology import (
 from holopoisson.errors import StructureError, TruncationError
 from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.multivec import Multivector
+from holopoisson.serialize import parse_liealgebra
 
 from oracles import (
     bicochain_as_total,
@@ -455,6 +459,27 @@ def test_betti_sl2_weight_two_casimir_line():
     assert report.block(2).total_betti[0] == 1
     assert report.block(0).total_betti[0] == 1
     assert report.block(1).total_betti[0] == 0
+
+
+def test_betti_constructs_no_fraction(monkeypatch):
+    """The scalar is integer-only: once the input is parsed, the whole
+    cohomology route builds no Fraction."""
+    with open(corpus_path("sl2.json"), encoding="utf-8") as handle:
+        sl2 = lie_poisson(parse_liealgebra(json.load(handle)["lie_algebra"]))
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    assert Fraction(1, 2) and len(built) == 1  # the counter is live
+    built.clear()
+    report = betti(canonical_matched_pair(sl2), Truncation("weight", 2))
+    monkeypatch.undo()
+    assert report.block(2).total_betti[0] == 1
+    assert built == []
 
 
 def test_betti_monotonicity_in_truncation_bound():

@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holopoisson.errors import ChartError, ParseError
 from holopoisson.exactalg import (
@@ -14,7 +18,7 @@ from holopoisson.exactalg import (
     parse_poly,
 )
 
-from oracles import rand_poly
+from oracles import FractionGQ, format_fraction_gq, rand_poly
 
 
 def C(n):
@@ -51,6 +55,107 @@ def test_gq_canonical_strings():
     assert format_gq(GQ(0, 1)) == "i"
     assert format_gq(GQ(0, -1)) == "-i"
     assert format_gq(GQ("1/2", -3)) == "(1/2-3i)"
+
+
+def test_gq_hash_agrees_with_equality():
+    assert GQ(3) == 3 and len({GQ(3), 3}) == 1
+    assert GQ(-1) == -1 and hash(GQ(-1)) == hash(-1)
+    half = Fraction(1, 2)
+    assert GQ(half) == half and len({GQ(half), half}) == 1
+    assert len({GQ(2, 0), GQ(Fraction(4, 2)), 2, Fraction(2)}) == 1
+    assert GQ(0, 1) != 0 and GQ(1, 1) != 1
+    assert len({GQ(1, 1), GQ(Fraction(2, 2), 1)}) == 1
+
+
+def test_gq_constructor_follows_the_scalar_grammar():
+    assert GQ("1/2") == Fraction(1, 2)
+    assert GQ("-6/4", "+3") == GQ(Fraction(-3, 2), 3)
+    for bad in ["1e3", "1.5", "1_000", " 1", "i", "1/0", "1/-2", ""]:
+        with pytest.raises(ParseError):
+            GQ(bad)
+        with pytest.raises(ParseError):
+            GQ(0, bad)
+    for bad in [0.1, 1.5, 3.0]:
+        with pytest.raises(TypeError):
+            GQ(bad)
+        with pytest.raises(TypeError):
+            GQ(1, bad)
+        with pytest.raises(TypeError):
+            GQ(1) * bad
+        with pytest.raises(TypeError):
+            bad + GQ(1)
+
+
+def _canonical(x: GQ) -> bool:
+    return (type(x.a) is int and type(x.b) is int and type(x.d) is int
+            and x.d > 0 and gcd(x.a, x.b, x.d) == 1)
+
+
+def _same(got: GQ, want: FractionGQ):
+    """got is canonical, has want's value and prints as want did."""
+    assert type(got) is GQ and _canonical(got)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == (want.re, want.im)
+    if want.is_real():
+        assert got == want.re and hash(got) == hash(want.re)
+    else:
+        assert got != want.re
+    text = format_gq(got)
+    assert text == format_fraction_gq(want)
+    assert parse_gq(text) == got
+
+
+# parts of height up to 2^100, with zeros, denominators of 1, small
+# values (so that sums cancel and values coincide) and negative signs
+_NUMERATORS = st.one_of(st.integers(-3, 3), st.integers(-2**100, 2**100))
+_DENOMINATORS = st.one_of(st.just(1), st.integers(1, 6),
+                          st.integers(1, 2**100))
+_PARTS = st.one_of(_NUMERATORS, st.builds(Fraction, _NUMERATORS,
+                                          _DENOMINATORS))
+_PAIRS = st.tuples(_PARTS, _PARTS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_PAIRS, y=_PAIRS, n=_NUMERATORS)
+def test_gq_agrees_with_fraction_reference(x, y, n):
+    a, b = GQ(*x), GQ(*y)
+    fa, fb = FractionGQ(*x), FractionGQ(*y)
+    _same(a, fa)
+    _same(a + b, fa + fb)
+    _same(a - b, fa - fb)
+    _same(a * b, fa * fb)
+    _same(-a, -fa)
+    _same(a.conj(), fa.conj())
+    # int and Fraction operands on either side
+    _same(a * n, fa * n)
+    _same(n * a, n * fa)
+    _same(a + y[0], fa + y[0])
+    _same(y[0] - a, y[0] - fa)
+    if fb.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        _same(a / b, fa / fb)
+        _same(n / b, n / fb)
+    assert a.is_zero() == fa.is_zero() and a.is_real() == fa.is_real()
+    # equality and hashing, also against ints and Fractions
+    assert (a == b) == (fa == fb)
+    if a == b:
+        assert hash(a) == hash(b)
+    for other in (x[0], n, Fraction(n, 7)):
+        assert (a == other) == (fa == other)
+        if a == other:
+            assert hash(a) == hash(other) and len({a, other}) == 1
+
+
+@given(x=_PAIRS)
+def test_gq_division_by_zero_raises(x):
+    a = GQ(*x)
+    for zero in (GQ(0), GQ(Fraction(0, 5), 0), 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1, 3) / GQ(0)
 
 
 # ----------------------------------------------------------------------
