@@ -6,7 +6,8 @@ fixed input always produces byte-identical output.  Timing goes to stderr,
 never into the report.
 
 Exit codes: 0 = structural success, 2 = a verification failed (a verdict
-is false or a structural precondition was rejected), 1 = input error.
+is false or a structural precondition was rejected), 1 = input error,
+including a cohomology truncation the structure does not support.
 """
 
 from __future__ import annotations
@@ -240,23 +241,35 @@ def cmd_cohomology(doc, options):
     dump_dir = options.get("dump_matrices")
     if dump_dir is not None and not isinstance(dump_dir, str):
         raise ParseError("dump_matrices must be a directory path")
+    dumps = {}
+
+    def keep(label, matrix):
+        dumps[label] = _dump_text(matrix)
+
     if dump_dir:
-        _dump_matrices(mp, truncation, dump_dir)
-    report = coho.betti(mp, truncation, method=method)
+        os.makedirs(dump_dir, exist_ok=True)
+    try:
+        report = coho.betti(mp, truncation, method=method,
+                            on_total=keep if dump_dir else None)
+    except TruncationError as exc:
+        # the structure does not support the requested truncation: the
+        # request is at fault, no verification failed
+        raise ParseError(str(exc)) from exc
+    for label, text in dumps.items():
+        path = os.path.join(dump_dir, f"{label}.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
     return {"verdicts": {},
             "data": report.as_dict()}, True
 
 
-def _dump_matrices(mp, truncation, dump_dir):
-    """One file per block: header "rows cols nnz" then "i j value"."""
-    os.makedirs(dump_dir, exist_ok=True)
-    for label, matrix in coho.assemble_total(mp, truncation):
-        lines = [f"{matrix.nrows} {matrix.ncols} {matrix.nnz}"]
-        for (i, j) in sorted(matrix.entries):
-            lines.append(f"{i} {j} {matrix.entries[(i, j)]}")
-        path = os.path.join(dump_dir, f"{label}.txt")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+def _dump_text(matrix):
+    """A total matrix's dump file: header "rows cols nnz" then "i j
+    value", one line per nonzero entry in (i, j) order."""
+    lines = [f"{matrix.nrows} {matrix.ncols} {matrix.nnz}"]
+    for (i, j) in sorted(matrix.entries):
+        lines.append(f"{i} {j} {matrix.entries[(i, j)]}")
+    return "\n".join(lines) + "\n"
 
 
 COMMANDS = {

@@ -3,10 +3,18 @@
 BiCochains are sections of Lambda^k A* (x) Lambda^l B* presented by
 components on pairs of increasing frame index sets.  partial_A and
 partial_B implement the two coboundary operators of the matched-pair
-double complex.  A matched pair (A, B) is symmetric: (B, A) is one too, so
-partial_B is partial_A of the swapped pair (MatchedPairData.swapped) with
-the A- and B-index tuples of each component exchanged.  The total
-differential on total degree k + l is partial_A + (-1)^k partial_B.
+double complex.  Both are linear differential operators with polynomial
+coefficients, so each cell's operator is read off the matched-pair data
+once, into a table from each source frame pair (I, J) to its target pairs
+(I', J'): an anchor part (the vector field rho(a_i), as variables with
+coefficient terms) and one summed multiplier for the connection and
+structure terms.  The image of a monomial x^e is then exponent arithmetic
+alone.  The same tables give the cell matrices, column by column from the
+basis monomials, and partial_A and partial_B on any BiCochain.  A matched
+pair (A, B) is symmetric: (B, A) is one too, so the B-direction table is
+the A-direction table of the swapped pair (MatchedPairData.swapped) with
+the A- and B-index tuples exchanged.  The total differential on total
+degree k + l is partial_A + (-1)^k partial_B.
 
 The (q, p) cell of the canonical pair (T^{0,1}X, (T*X)_pi) is
 Omega^{0,q}(X, Lambda^p T^{1,0}X): a BiCochain keyed (dzb-indices,
@@ -19,6 +27,7 @@ and partial_B rather than share code with them.
 Betti numbers are computed per truncation block, one total degree at a
 time: the partial_A and partial_B matrices of that degree's cells are built
 once, ranked for the cell reports and assembled into the total matrix.
+The blocks of one truncation share the cells' tables.
 Ranks come from two independent elimination routes over GQ: sparse
 Markowitz elimination (method "sparse") and dense naive Gaussian
 elimination (method "oracle").
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 
 from .algebroid import MatchedPairData
 from .errors import ChartError, DegreeError, StructureError, TruncationError
@@ -95,107 +105,130 @@ class BiCochain:
                          {key: -p for key, p in self.comps.items()})
 
 
-def _eval_with_replacement(comps, I, J, slot_pos, section):
-    """Sum of section[m] * alpha(I, J with slot slot_pos replaced by frame
-    m), expanded with antisymmetrization signs; alpha is given by comps."""
-    total = None
-    rest = J[:slot_pos] + J[slot_pos + 1:]
-    slot_sign = -1 if slot_pos % 2 else 1
-    for m, coeff in enumerate(section):
-        if coeff.is_zero():
-            continue
-        merged = insert_index(m, rest)
-        if merged is None:
-            continue
-        key, sign = merged
-        comp = comps.get((I, key))
-        if comp is None:
-            continue
-        term = coeff * comp
-        term = term if sign * slot_sign > 0 else -term
-        total = term if total is None else total + term
-    return total
+def _coboundary_table(mp: MatchedPairData, k: int, l: int) -> dict:
+    """The A-direction coboundary from cell (k, l) to (k + 1, l), read off
+    the matched-pair data once.
 
-
-def _eval_with_first_insertion(comps, section, rest, J):
-    """Sum of section[m] * alpha((m, rest...), J), with the insertion sign
-    of m into rest; alpha is given by comps."""
-    total = None
-    for m, coeff in enumerate(section):
-        if coeff.is_zero():
-            continue
-        merged = insert_index(m, rest)
-        if merged is None:
-            continue
-        key, sign = merged
-        comp = comps.get((key, J))
-        if comp is None:
-            continue
-        term = coeff * comp
-        term = term if sign > 0 else -term
-        total = term if total is None else total + term
-    return total
-
-
-def _coboundary(mp: MatchedPairData, comps: dict, k: int, l: int) -> dict:
-    """The A-direction coboundary of the (k, l) cochain alpha whose nonzero
-    components comps are keyed (A-indices, B-indices); returns the
-    components of the (k + 1, l) image.
-
-    On frame arguments (A_0..A_k, B_1..B_l):
+    On frame arguments (A_0..A_k, B_1..B_l) the coboundary of alpha is
     sum_i (-1)^i [ a(A_i) alpha(..hat A_i.., B..)
                    - sum_j alpha(..hat A_i.., B_1, .., nabla_{A_i} B_j, ..) ]
     + sum_{i<j} (-1)^{i+j} alpha([A_i,A_j], ..hat A_i..hat A_j.., B..).
+    Each term takes the component of alpha on one source frame pair (I, J)
+    into one target pair (I', J'), either through the anchor (a vector
+    field) or by multiplication with a polynomial.  The table maps each
+    source pair to a tuple of entries (target, anchor, mult): anchor holds
+    the terms (v, shift, c) of the field sum c x^(shift + 1_v) d/dx_v,
+    and mult the terms (exponents, c) of the summed multiplier.
     """
     a = mp.A
     gamma = mp.nablaAB.gamma
-    chart = a.chart
-    out = {}
+    # (source, target, v) -> coefficient of d/dx_v; v None: the multiplier
+    parts: dict = {}
     for I_out in combinations(range(a.rank), k + 1):
         for J_out in combinations(range(mp.B.rank), l):
-            total = Poly.zero(chart)
+            target = (I_out, J_out)
             for t, i in enumerate(I_out):
                 rest = I_out[:t] + I_out[t + 1:]
                 sign = -1 if t % 2 else 1
-                base = comps.get((rest, J_out))
-                if base is not None:
-                    term = a.anchor_apply(a.frame_section(i), base)
-                    total = total + (term if sign > 0 else -term)
+                for v, c in enumerate(a.anchor[i]):
+                    if not c.is_zero():
+                        _accumulate(parts, ((rest, J_out), target, v),
+                                    c if sign > 0 else -c)
                 for s, j in enumerate(J_out):
-                    term = _eval_with_replacement(comps, rest, J_out, s,
-                                                  gamma[i][j])
-                    if term is not None:
-                        total = total - (term if sign > 0 else -term)
-            for t in range(len(I_out)):
-                for u in range(t + 1, len(I_out)):
-                    rest = tuple(v for w, v in enumerate(I_out)
+                    others = J_out[:s] + J_out[s + 1:]
+                    slot_sign = -1 if s % 2 else 1
+                    for m, c in enumerate(gamma[i][j]):
+                        merged = insert_index(m, others)
+                        if merged is None or c.is_zero():
+                            continue
+                        key, ins = merged
+                        _accumulate(parts, ((rest, key), target, None),
+                                    -c if sign * slot_sign * ins > 0 else c)
+            for t in range(k + 1):
+                for u in range(t + 1, k + 1):
+                    rest = tuple(x for w, x in enumerate(I_out)
                                  if w not in (t, u))
                     sign = -1 if (t + u) % 2 else 1
                     section = a.structure[I_out[t]][I_out[u]]
-                    term = _eval_with_first_insertion(comps, section,
-                                                      rest, J_out)
-                    if term is not None:
-                        total = total + (term if sign > 0 else -term)
-            if not total.is_zero():
-                out[(I_out, J_out)] = total
+                    for m, c in enumerate(section):
+                        merged = insert_index(m, rest)
+                        if merged is None or c.is_zero():
+                            continue
+                        key, ins = merged
+                        _accumulate(parts, ((key, J_out), target, None),
+                                    c if sign * ins > 0 else -c)
+    grouped: dict = {}
+    for (source, target, v), poly in parts.items():
+        anchor, mult = grouped.setdefault(source, {}).setdefault(
+            target, ([], []))
+        if v is None:
+            mult.extend(poly.terms.items())
+        else:
+            anchor.extend((v, tuple(e - 1 if w == v else e
+                                    for w, e in enumerate(exps)), c)
+                          for exps, c in poly.terms.items())
+    return {source: tuple((target, tuple(anchor), tuple(mult))
+                          for target, (anchor, mult) in targets.items())
+            for source, targets in grouped.items()}
+
+
+def _cell_table(mp: MatchedPairData, cell, direction: str) -> dict:
+    """The coboundary table of one cell in direction 'A' or 'B'.  The B
+    table is the A table of the swapped pair on cell (l, k), with the index
+    pairs of its sources and targets exchanged."""
+    k, l = cell
+    if direction == "A":
+        return _coboundary_table(mp, k, l)
+    swapped = _coboundary_table(mp.swapped(), l, k)
+    return {(I, J): tuple(((I2, J2), anchor, mult)
+                          for (J2, I2), anchor, mult in entries)
+            for (J, I), entries in swapped.items()}
+
+
+def _image(entries, exps) -> dict:
+    """The coboundary of the monomial x^exps on the source frame pair whose
+    table entries are given, as {(I', J', exponents): coefficient}."""
+    out: dict = {}
+    for (I, J), anchor, mult in entries:
+        for v, shift, c in anchor:
+            e = exps[v]
+            if e:
+                _accumulate(out, (I, J, tuple(map(add, exps, shift))), c * e)
+        for shift, c in mult:
+            _accumulate(out, (I, J, tuple(map(add, exps, shift))), c)
     return out
+
+
+def _apply(cochain: BiCochain, direction: str) -> BiCochain:
+    """partial_A (direction 'A') or partial_B ('B') of a cochain, through
+    its cell's table."""
+    mp = cochain.mp
+    k, l = cochain.k, cochain.l
+    table = _cell_table(mp, (k, l), direction)
+    terms: dict = {}
+    for key, poly in cochain.comps.items():
+        entries = table.get(key, ())
+        for exps, coeff in poly.terms.items():
+            for image_key, value in _image(entries, exps).items():
+                _accumulate(terms, image_key, coeff * value)
+    comps: dict = {}
+    for (I, J, exps), value in terms.items():
+        comps.setdefault((I, J), {})[exps] = value
+    chart = mp.A.chart
+    target = (k + 1, l) if direction == "A" else (k, l + 1)
+    return BiCochain(mp, *target,
+                     {key: Poly(chart, t) for key, t in comps.items()})
 
 
 def partial_A(cochain: BiCochain) -> BiCochain:
     """The A-direction coboundary of the matched-pair double complex."""
-    mp = cochain.mp
-    comps = _coboundary(mp, cochain.comps, cochain.k, cochain.l)
-    return BiCochain(mp, cochain.k + 1, cochain.l, comps)
+    return _apply(cochain, "A")
 
 
 def partial_B(cochain: BiCochain) -> BiCochain:
     """The B-direction coboundary: partial_A of the swapped pair, on the
     components with their index tuples exchanged."""
-    mp = cochain.mp
-    transposed = {(J, I): poly for (I, J), poly in cochain.comps.items()}
-    image = _coboundary(mp.swapped(), transposed, cochain.l, cochain.k)
-    comps = {(I, J): poly for (J, I), poly in image.items()}
-    return BiCochain(mp, cochain.k, cochain.l + 1, comps)
+    return _apply(cochain, "B")
 
 
 def total_differential(cochain: BiCochain):
@@ -403,9 +436,12 @@ class BettiReport:
 
 
 class _Block:
-    """One truncation block: a finite complex with frozen basis order."""
+    """One truncation block: a finite complex with frozen basis order.
 
-    def __init__(self, mp: MatchedPairData, weight, basis):
+    tables caches the coboundary table of each (cell, direction); blocks of
+    one matched pair may share it."""
+
+    def __init__(self, mp: MatchedPairData, weight, basis, tables=None):
         self.mp = mp
         self.weight = weight
         # basis: dict (k, l) -> list of (I, J, exps)
@@ -413,6 +449,7 @@ class _Block:
         self.index = {}
         for cell, items in basis.items():
             self.index[cell] = {key: pos for pos, key in enumerate(items)}
+        self.tables = {} if tables is None else tables
 
     def cells(self):
         return sorted(self.basis)
@@ -420,40 +457,32 @@ class _Block:
     def cell_dim(self, cell):
         return len(self.basis.get(cell, []))
 
-    def _expand(self, cochain: BiCochain, cell):
-        """Positions/values of a cochain in the cell basis; error if it
-        does not lie in the enumerated span."""
-        table = self.index.get(cell)
-        out = {}
-        for (I, J), poly in cochain.comps.items():
-            for exps, coeff in poly.terms.items():
-                key = (I, J, exps)
-                if table is None or key not in table:
-                    raise TruncationError(
-                        "differential escapes the truncated basis; "
-                        "choose a compatible truncation")
-                out[table[key]] = coeff
-        return out
-
-    def _basis_cochain(self, cell, key):
-        I, J, exps = key
-        poly = Poly.monomial(self.mp.A.chart, exps)
-        return BiCochain(self.mp, cell[0], cell[1], {(I, J): poly})
+    def _table(self, cell, direction):
+        key = (cell, direction)
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = _cell_table(self.mp, cell, direction)
+        return table
 
     def cell_matrix(self, cell, direction):
         """Matrix of partial_A (direction 'A') or partial_B ('B') from one
-        cell to its neighbor, in the frozen basis order."""
+        cell to its neighbor, in the frozen basis order; an image outside
+        the target cell's basis is a TruncationError."""
         k, l = cell
         target = (k + 1, l) if direction == "A" else (k, l + 1)
-        rows = self.cell_dim(target)
-        cols = self.cell_dim(cell)
+        table = self._table(cell, direction)
+        index = self.index.get(target, {})
         entries = {}
-        for col, key in enumerate(self.basis.get(cell, [])):
-            cochain = self._basis_cochain(cell, key)
-            image = partial_A(cochain) if direction == "A" else partial_B(cochain)
-            for pos, value in self._expand(image, target).items():
-                entries[(pos, col)] = value
-        return SparseMatrix(rows, cols, entries)
+        for col, (I, J, exps) in enumerate(self.basis.get(cell, [])):
+            for key, value in _image(table.get((I, J), ()), exps).items():
+                row = index.get(key)
+                if row is None:
+                    raise TruncationError(
+                        "differential escapes the truncated basis; "
+                        "choose a compatible truncation")
+                entries[(row, col)] = value
+        return SparseMatrix(self.cell_dim(target), self.cell_dim(cell),
+                            entries)
 
     def degree_cells(self, degree):
         return [c for c in self.cells() if c[0] + c[1] == degree]
@@ -503,8 +532,11 @@ def _canonical_cells(mp):
             for l in range(mp.B.rank + 1)]
 
 
-def build_block(mp: MatchedPairData, truncation: Truncation, weight=None):
-    """Enumerate the frozen basis of one block."""
+def build_block(mp: MatchedPairData, truncation: Truncation, weight=None,
+                tables=None):
+    """Enumerate the frozen basis of one block; tables is the coboundary
+    table cache to share with the pair's other blocks (a new one if
+    None)."""
     nvars = mp.A.chart.nvars
     basis = {}
     if truncation.mode == "total_degree":
@@ -516,7 +548,7 @@ def build_block(mp: MatchedPairData, truncation: Truncation, weight=None):
                     for exps in monos:
                         items.append((I, J, exps))
             basis[cell] = items
-        return _Block(mp, None, basis)
+        return _Block(mp, None, basis, tables)
     c_a, c_b = weight_exponents(mp)
     for cell in _canonical_cells(mp):
         k, l = cell
@@ -531,10 +563,16 @@ def build_block(mp: MatchedPairData, truncation: Truncation, weight=None):
                 for exps in monos:
                     items.append((I, J, exps))
         basis[cell] = items
-    return _Block(mp, weight, basis)
+    return _Block(mp, weight, basis, tables)
 
 
-def _block_report(block: _Block, method: str) -> BlockReport:
+def _total_label(block: _Block, degree: int) -> str:
+    if block.weight is None:
+        return f"d{degree}"
+    return f"w{block.weight}_d{degree}"
+
+
+def _block_report(block: _Block, method: str, on_total=None) -> BlockReport:
     cells = []
     dims = []
     ranks = []
@@ -548,6 +586,8 @@ def _block_report(block: _Block, method: str) -> BlockReport:
                                     dim - rank_a, rank_a,
                                     dim - rank_b, rank_b))
         total = block.total_matrix(degree, matrices)
+        if on_total is not None:
+            on_total(_total_label(block, degree), total)
         dims.append(total.ncols)
         ranks.append(total.rank(method))
         del matrices, total  # keep one degree's matrices alive at a time
@@ -565,35 +605,32 @@ def assemble_total(mp: MatchedPairData, truncation: Truncation):
     Returns a list of (label, SparseMatrix) with consecutive matrices
     composing to zero (verified exactly by the caller's tests).
     """
-    out = []
-    blocks = _blocks_for(mp, truncation)
-    for block in blocks:
-        top = block.max_total_degree()
-        for degree in range(top + 1):
-            label = (f"w{block.weight}_d{degree}" if block.weight is not None
-                     else f"d{degree}")
-            out.append((label, block.total_matrix(degree)))
-    return out
+    return [(_total_label(block, degree), block.total_matrix(degree))
+            for block in _blocks_for(mp, truncation)
+            for degree in range(block.max_total_degree() + 1)]
 
 
 def _blocks_for(mp, truncation):
+    """The truncation's blocks, sharing one coboundary table cache."""
+    tables = {}
     if truncation.mode == "total_degree":
-        return [build_block(mp, truncation)]
-    return [build_block(mp, truncation, weight=w)
+        return [build_block(mp, truncation, tables=tables)]
+    return [build_block(mp, truncation, weight=w, tables=tables)
             for w in range(truncation.bound + 1)]
 
 
 def betti(mp: MatchedPairData, truncation: Truncation,
-          method: str = "sparse") -> BettiReport:
+          method: str = "sparse", *, on_total=None) -> BettiReport:
     """Betti numbers of the truncated double complex.
 
     Weight mode is exact per weight block for the polynomial model;
     total_degree mode computes the truncated subcomplex and is labeled a
-    filtered approximation.
+    filtered approximation.  on_total, if given, is called with each
+    (label, total matrix) of assemble_total as it is ranked.
     """
     if method not in ("sparse", "oracle"):
         raise TruncationError(f"unknown method {method!r}")
-    reports = [_block_report(block, method)
+    reports = [_block_report(block, method, on_total)
                for block in _blocks_for(mp, truncation)]
     label = ("exact_weight_graded" if truncation.mode == "weight"
              else "filtered_approximation")

@@ -544,14 +544,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_part(self, d: int) -> "Poly":
-        return Poly(self.chart,
-                    {e: c for e, c in self.terms.items() if sum(e) == d})
-
     # ------------------------------------------------------------------
     # calculus
 

@@ -229,10 +229,6 @@ def poly_mat_scale(a, s):
     return [[entry.scale(s) for entry in row] for row in a]
 
 
-def poly_mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def poly_mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 

@@ -103,12 +103,6 @@ class EndoField:
             out[c] = acc
         return Form.from_components(self.chart, out)
 
-    def is_almost_complex(self) -> bool:
-        square = poly_mat_mul(self.matrix, self.matrix)
-        minus_one = poly_mat_scale(poly_identity(self.chart, self.chart.nvars),
-                                   GQ(-1))
-        return poly_mat_eq(square, minus_one)
-
 
 def standard_j(chart: Chart) -> EndoField:
     """The standard almost complex structure.

@@ -9,9 +9,14 @@ These deliberately take different routes from the library code:
 * ce_differential is the plain Chevalley-Eilenberg differential of a single
   algebroid; applied to the direct-sum algebroid of a matched pair it
   reproduces the double-complex operators by projection.
-* total_matrix_oracle builds a block's total matrix one basis vector at a
-  time through total_differential, instead of assembling the cell
-  matrices.
+* coboundary_reference is the double complex's A-direction coboundary
+  evaluated on frame arguments, component by component, through full
+  Poly products; partial_A_reference and partial_B_reference (the latter
+  on the swapped pair) apply it to a BiCochain.  It was the library's
+  route before the per-cell operator tables, and checks them.
+* cell_matrix_reference and total_matrix_oracle build a block's cell and
+  total matrices one basis vector at a time through the reference
+  coboundary, instead of reading the operator tables and assembling.
 * FractionGQ is the Gaussian rational as a pair of Fractions: the scalar
   the library used before its integer-triple GQ, frozen here, with
   format_fraction_gq, as the reference for the property tests.
@@ -20,8 +25,10 @@ These deliberately take different routes from the library code:
 from fractions import Fraction
 from itertools import combinations
 
-from holopoisson.cohomology import BiCochain, total_differential
+from holopoisson.cohomology import BiCochain
+from holopoisson.errors import TruncationError
 from holopoisson.exactalg import GQ, Poly
+from holopoisson.linalg import SparseMatrix
 from holopoisson.multivec import Form, Multivector, insert_index
 
 
@@ -195,7 +202,140 @@ def total_as_bicochain_parts(total_comps, mp, k, l):
 
 
 # ----------------------------------------------------------------------
-# total matrix of a truncation block, basis vector by basis vector
+# the double-complex coboundary, evaluated on frame arguments
+
+def _eval_with_replacement(comps, I, J, slot_pos, section):
+    """Sum of section[m] * alpha(I, J with slot slot_pos replaced by frame
+    m), expanded with antisymmetrization signs; alpha is given by comps."""
+    total = None
+    rest = J[:slot_pos] + J[slot_pos + 1:]
+    slot_sign = -1 if slot_pos % 2 else 1
+    for m, coeff in enumerate(section):
+        if coeff.is_zero():
+            continue
+        merged = insert_index(m, rest)
+        if merged is None:
+            continue
+        key, sign = merged
+        comp = comps.get((I, key))
+        if comp is None:
+            continue
+        term = coeff * comp
+        term = term if sign * slot_sign > 0 else -term
+        total = term if total is None else total + term
+    return total
+
+
+def _eval_with_first_insertion(comps, section, rest, J):
+    """Sum of section[m] * alpha((m, rest...), J), with the insertion sign
+    of m into rest; alpha is given by comps."""
+    total = None
+    for m, coeff in enumerate(section):
+        if coeff.is_zero():
+            continue
+        merged = insert_index(m, rest)
+        if merged is None:
+            continue
+        key, sign = merged
+        comp = comps.get((key, J))
+        if comp is None:
+            continue
+        term = coeff * comp
+        term = term if sign > 0 else -term
+        total = term if total is None else total + term
+    return total
+
+
+def coboundary_reference(mp, comps: dict, k: int, l: int) -> dict:
+    """The A-direction coboundary of the (k, l) cochain alpha whose nonzero
+    components comps are keyed (A-indices, B-indices); returns the
+    components of the (k + 1, l) image.
+
+    On frame arguments (A_0..A_k, B_1..B_l):
+    sum_i (-1)^i [ a(A_i) alpha(..hat A_i.., B..)
+                   - sum_j alpha(..hat A_i.., B_1, .., nabla_{A_i} B_j, ..) ]
+    + sum_{i<j} (-1)^{i+j} alpha([A_i,A_j], ..hat A_i..hat A_j.., B..).
+    """
+    a = mp.A
+    gamma = mp.nablaAB.gamma
+    chart = a.chart
+    out = {}
+    for I_out in combinations(range(a.rank), k + 1):
+        for J_out in combinations(range(mp.B.rank), l):
+            total = Poly.zero(chart)
+            for t, i in enumerate(I_out):
+                rest = I_out[:t] + I_out[t + 1:]
+                sign = -1 if t % 2 else 1
+                base = comps.get((rest, J_out))
+                if base is not None:
+                    term = a.anchor_apply(a.frame_section(i), base)
+                    total = total + (term if sign > 0 else -term)
+                for s, j in enumerate(J_out):
+                    term = _eval_with_replacement(comps, rest, J_out, s,
+                                                  gamma[i][j])
+                    if term is not None:
+                        total = total - (term if sign > 0 else -term)
+            for t in range(len(I_out)):
+                for u in range(t + 1, len(I_out)):
+                    rest = tuple(v for w, v in enumerate(I_out)
+                                 if w not in (t, u))
+                    sign = -1 if (t + u) % 2 else 1
+                    section = a.structure[I_out[t]][I_out[u]]
+                    term = _eval_with_first_insertion(comps, section,
+                                                      rest, J_out)
+                    if term is not None:
+                        total = total + (term if sign > 0 else -term)
+            if not total.is_zero():
+                out[(I_out, J_out)] = total
+    return out
+
+
+def partial_A_reference(cochain):
+    mp = cochain.mp
+    comps = coboundary_reference(mp, cochain.comps, cochain.k, cochain.l)
+    return BiCochain(mp, cochain.k + 1, cochain.l, comps)
+
+
+def partial_B_reference(cochain):
+    """partial_A_reference of the swapped pair, on the components with
+    their index tuples exchanged."""
+    mp = cochain.mp
+    transposed = {(J, I): poly for (I, J), poly in cochain.comps.items()}
+    image = coboundary_reference(mp.swapped(), transposed, cochain.l,
+                                 cochain.k)
+    comps = {(I, J): poly for (J, I), poly in image.items()}
+    return BiCochain(mp, cochain.k, cochain.l + 1, comps)
+
+
+# ----------------------------------------------------------------------
+# matrices of a truncation block, basis vector by basis vector
+
+def _basis_cochain(block, cell, key):
+    I, J, exps = key
+    return BiCochain(block.mp, cell[0], cell[1],
+                     {(I, J): Poly.monomial(block.mp.A.chart, exps)})
+
+
+def cell_matrix_reference(block, cell, direction):
+    """The matrix of block.cell_matrix(cell, direction), each column the
+    reference coboundary of one basis vector expanded in the target cell's
+    basis; raises TruncationError when an image leaves that basis."""
+    k, l = cell
+    target = (k + 1, l) if direction == "A" else (k, l + 1)
+    partial = partial_A_reference if direction == "A" else partial_B_reference
+    rows = {key: pos for pos, key in enumerate(block.basis.get(target, []))}
+    entries = {}
+    for col, key in enumerate(block.basis.get(cell, [])):
+        image = partial(_basis_cochain(block, cell, key))
+        for (I, J), poly in image.comps.items():
+            for exps, coeff in poly.terms.items():
+                if (I, J, exps) not in rows:
+                    raise TruncationError(
+                        "differential escapes the truncated basis; "
+                        "choose a compatible truncation")
+                entries[(rows[(I, J, exps)], col)] = coeff
+    return SparseMatrix(len(rows), len(block.basis.get(cell, [])), entries)
+
 
 def total_matrix_oracle(block, degree):
     """Entries {(row, col): GQ} and shape of the total differential from
@@ -212,13 +352,12 @@ def total_matrix_oracle(block, degree):
 
     col_offset, ncols = offsets(degree)
     row_offset, nrows = offsets(degree + 1)
-    chart = block.mp.A.chart
     entries = {}
     for (k, l), col_base in col_offset.items():
-        for col, (I, J, exps) in enumerate(block.basis[(k, l)]):
-            cochain = BiCochain(block.mp, k, l,
-                                {(I, J): Poly.monomial(chart, exps)})
-            for image in total_differential(cochain):
+        for col, key in enumerate(block.basis[(k, l)]):
+            cochain = _basis_cochain(block, (k, l), key)
+            db = partial_B_reference(cochain)
+            for image in (partial_A_reference(cochain), -db if k % 2 else db):
                 if image.is_zero():
                     continue
                 target = (image.k, image.l)

@@ -46,6 +46,7 @@ from holopoisson.poisson import (
     symplectic_inverse,
 )
 from holopoisson.algebroid import check_representation
+from holopoisson.cli import corpus_path, run_job
 
 from oracles import rand_poly
 
@@ -409,3 +410,32 @@ def test_criterion_10_cli_determinism(tmp_path):
         outputs.add(proc.stdout)
     conclude(10, "cohomology reports are byte-identical across three "
                  "repeated runs", codes == {0} and len(outputs) == 1)
+
+
+# ----------------------------------------------------------------------
+# 11. column collapse: the polynomial dbar-Poincare lemma
+
+def test_criterion_11_column_collapse():
+    """On the canonical pair the A direction is dbar on polynomial
+    coefficients, exact in every weight block above column 0: so
+    ker_A(k, l) = rank_A(k - 1, l) for every k >= 1, and the double
+    complex reduces to holomorphic polyvectors with d_pi."""
+    ok = True
+    for name, weight in (("sl2.json", 3), ("heisenberg.json", 3),
+                         ("quadratic.json", 3), ("zero.json", 3),
+                         ("constant_symplectic.json", 3),
+                         ("darboux_n2.json", 1)):
+        report, code = run_job({"command": "cohomology",
+                                "input_path": corpus_path(name),
+                                "options": {"weight": weight}})
+        blocks = report["data"]["blocks"]
+        ok = ok and code == 0 and len(blocks) == weight + 1
+        for block in blocks:
+            cells = {(c["k"], c["l"]): c for c in block["cells"]}
+            for (k, l), cell in cells.items():
+                if k >= 1 and cell["ker_A"] != cells[(k - 1, l)]["rank_A"]:
+                    ok = False
+    conclude(11, "the dbar columns are exact above k = 0 (ker_A(k, l) = "
+                 "rank_A(k - 1, l)) on sl2, Heisenberg, quadratic, zero and "
+                 "constant symplectic at weight <= 3 and darboux_n2 at "
+                 "weight <= 1", ok)

@@ -183,6 +183,47 @@ def test_cohomology_with_dump(tmp_path):
         assert 0 <= int(i) < rows and 0 <= int(j) < cols
 
 
+def test_dump_builds_each_cell_matrix_once(tmp_path, monkeypatch, capsys):
+    """--dump-matrices writes the total matrices that betti ranks, so it
+    builds no cell matrix twice."""
+    from holopoisson import cli, cohomology
+
+    calls = []
+    original = cohomology._Block.cell_matrix
+
+    def counting(self, cell, direction):
+        calls.append((self.weight, cell, direction))
+        return original(self, cell, direction)
+
+    monkeypatch.setattr(cohomology._Block, "cell_matrix", counting)
+    args = ["cohomology", corpus_path("sl2.json"), "--weight", "2"]
+    counts, outs = [], []
+    for extra in ([], ["--dump-matrices", str(tmp_path / "mats")]):
+        calls.clear()
+        assert cli.main(args + extra) == 0
+        outs.append(capsys.readouterr().out)
+        counts.append(list(calls))
+    assert counts[0] and counts[1] == counts[0]
+    assert outs[1] == outs[0]
+    assert sorted(p.name for p in (tmp_path / "mats").iterdir()) == [
+        f"w{w}_d{d}.txt" for w in range(3) for d in range(7)]
+
+
+def test_unsupported_truncation_is_input_error(tmp_path):
+    """A truncation the structure does not support is a bad request (exit
+    1, message kept), not a failed verification."""
+    code, out, err = run_cli(["cohomology", corpus_path("quadratic.json"),
+                              "--max-degree", "1"])
+    assert (code, out) == (1, "")
+    assert "input error: differential escapes the truncated basis" in err
+    inhomogeneous = write_doc(tmp_path, "pi.json", {
+        "chart": {"kind": "complex", "n": 2},
+        "pi": [{"frame": ["z1", "z2"], "coeff": "1 + z1"}]})
+    code, out, err = run_cli(["cohomology", inhomogeneous, "--weight", "1"])
+    assert (code, out) == (1, "")
+    assert "input error: weight mode requires homogeneous structure" in err
+
+
 def test_cohomology_requires_truncation(tmp_path):
     doc = write_doc(tmp_path, "pi.json", {
         "chart": {"kind": "complex", "n": 1}, "pi": []})

@@ -41,6 +41,9 @@ from holopoisson.serialize import parse_liealgebra
 from oracles import (
     bicochain_as_total,
     ce_differential,
+    cell_matrix_reference,
+    partial_A_reference,
+    partial_B_reference,
     rand_poly,
     total_as_bicochain_parts,
     total_matrix_oracle,
@@ -124,6 +127,82 @@ def test_partials_match_ce_differential_oracle():
             want_b = {key: (poly if sign > 0 else -poly)
                       for key, poly in part_b.items()}
             assert db.comps == want_b
+
+
+# ----------------------------------------------------------------------
+# the per-cell operator tables against the reference coboundary
+
+def table_route_pairs():
+    """Every pair the table route must handle: the corpus pairs, each also
+    swapped, and the unequal-rank pairs (which include their swaps)."""
+    return (corpus_pairs()
+            + [(f"{name} swapped", mp.swapped())
+               for name, mp in corpus_pairs()]
+            + unequal_rank_pairs())
+
+
+def route_outcome(build):
+    """A cell matrix as (shape, entries), or the TruncationError message."""
+    try:
+        matrix = build()
+    except TruncationError as exc:
+        return str(exc)
+    return (matrix.nrows, matrix.ncols), matrix.entries
+
+
+@pytest.mark.parametrize("truncation", [Truncation("total_degree", 2),
+                                        Truncation("weight", 3)],
+                         ids=["total_degree", "weight"])
+def test_cell_matrices_equal_reference_route(truncation):
+    escapes = set()
+    for name, mp in table_route_pairs():
+        weights = (range(truncation.bound + 1)
+                   if truncation.mode == "weight" else [None])
+        for block in (build_block(mp, truncation, weight=w)
+                      for w in weights):
+            for cell in block.cells():
+                for direction in "AB":
+                    got = route_outcome(
+                        lambda: block.cell_matrix(cell, direction))
+                    want = route_outcome(
+                        lambda: cell_matrix_reference(block, cell,
+                                                      direction))
+                    assert got == want, (name, block.weight, cell, direction)
+                    if isinstance(got, str):
+                        escapes.add(name)
+    if truncation.mode == "total_degree":
+        # pi = z1^2 d/dz1 ^ d/dz2 raises the degree: both routes escape
+        assert {"quadratic", "quadratic swapped"} <= escapes
+    else:
+        assert not escapes
+
+
+@st.composite
+def route_cochains(draw):
+    """A pair from table_route_pairs() and a random cochain on it with
+    Gaussian-integer coefficients."""
+    pairs = table_route_pairs()
+    name, mp = pairs[draw(st.integers(0, len(pairs) - 1))]
+    k = draw(st.integers(0, mp.A.rank))
+    l = draw(st.integers(0, mp.B.rank))
+    small = st.integers(-3, 3)
+    exps = st.tuples(*[st.integers(0, 2)] * mp.A.chart.nvars)
+    comps = {}
+    for I in combinations(range(mp.A.rank), k):
+        for J in combinations(range(mp.B.rank), l):
+            coeffs = draw(st.dictionaries(exps, st.tuples(small, small),
+                                          max_size=3))
+            comps[(I, J)] = Poly(mp.A.chart,
+                                 {e: GQ(re, im)
+                                  for e, (re, im) in coeffs.items()})
+    return BiCochain(mp, k, l, comps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(route_cochains())
+def test_partials_equal_reference_coboundary(c):
+    assert partial_A(c) == partial_A_reference(c)
+    assert partial_B(c) == partial_B_reference(c)
 
 
 def test_partial_a_on_functions_is_dbar():
@@ -280,7 +359,8 @@ def test_check_operators_do_not_use_the_coboundary(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a check operator ran the route it checks")
 
-    for name in ("_coboundary", "partial_A", "partial_B"):
+    for name in ("_coboundary_table", "_cell_table", "partial_A",
+                 "partial_B"):
         monkeypatch.setattr(cohomology, name, refuse)
     monkeypatch.setattr(MatchedPairData, "swapped", refuse)
     assert dbar_mixed(c) == want_a
