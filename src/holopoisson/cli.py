@@ -7,7 +7,8 @@ never into the report.
 
 Exit codes: 0 = structural success, 2 = a verification failed (a verdict
 is false or a structural precondition was rejected), 1 = input error,
-including a cohomology truncation the structure does not support.
+including a cohomology truncation the structure does not support and a
+report file (-o) that cannot be written.
 """
 
 from __future__ import annotations
@@ -427,19 +428,27 @@ def main(argv=None) -> int:
             job["options"][key] = value
     if args.command != "selftest":
         job["input_path"] = args.input
+    failure = None
     try:
         report, code = run_job(job)
     except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except VERIFY_ERRORS as exc:
-        emit({"command": args.command, "ok": False, "error": str(exc)},
-             getattr(args, "out", None))
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 2
-    emit(report, getattr(args, "out", None))
-    elapsed = time.monotonic() - started
-    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
+        report, code = {"command": args.command, "ok": False,
+                        "error": str(exc)}, 2
+        failure = f"verification failure: {exc}"
+    try:
+        emit(report, getattr(args, "out", None))
+    except OSError as exc:
+        # an unwritable -o path is an input error on either branch
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    else:
+        elapsed = time.monotonic() - started
+        print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return code
 
 

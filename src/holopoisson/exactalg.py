@@ -575,15 +575,6 @@ class Poly:
             terms[swapped] = coeff.conj()
         return Poly(self.chart, terms)
 
-    def conj_coefficients(self) -> "Poly":
-        """Conjugate the GQ coefficients only, leaving variables in place.
-
-        This is complex conjugation for objects on real charts, where the
-        variables themselves are real quantities.
-        """
-        return Poly(self.chart,
-                    {e: c.conj() for e, c in self.terms.items()})
-
     def is_holomorphic(self) -> bool:
         """True when no zb variable occurs (complex chart)."""
         if not self.chart.is_complex():

@@ -13,7 +13,7 @@ Two independent routes are kept deliberately separate:
 
 from __future__ import annotations
 
-from .exactalg import GQ
+from .exactalg import GQ, Poly
 
 
 class SparseMatrix:
@@ -190,12 +190,10 @@ def gq_mat_inverse(rows):
 # matrices of polynomials (used for endomorphism fields and anchors)
 
 def poly_zero_matrix(chart, nrows, ncols):
-    from .exactalg import Poly
     return [[Poly.zero(chart) for _ in range(ncols)] for _ in range(nrows)]
 
 
 def poly_identity(chart, m):
-    from .exactalg import Poly
     rows = poly_zero_matrix(chart, m, m)
     for k in range(m):
         rows[k][k] = Poly.one(chart)
@@ -203,7 +201,6 @@ def poly_identity(chart, m):
 
 
 def poly_mat_mul(a, b):
-    from .exactalg import Poly
     if not a or not b:
         return []
     chart = a[0][0].chart
@@ -218,6 +215,21 @@ def poly_mat_mul(a, b):
                     acc = acc + row[k] * b[k][j]
             new_row.append(acc)
         out.append(new_row)
+    return out
+
+
+def poly_mat_vec(a, v):
+    """The product a v of a polynomial matrix and a coefficient list."""
+    if not a:
+        return []
+    chart = a[0][0].chart
+    out = []
+    for row in a:
+        acc = Poly.zero(chart)
+        for entry, x in zip(row, v):
+            if not entry.is_zero() and not x.is_zero():
+                acc = acc + entry * x
+        out.append(acc)
     return out
 
 
@@ -238,6 +250,14 @@ def poly_mat_eq(a, b) -> bool:
         return False
     return all(len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
                for ra, rb in zip(a, b))
+
+
+def poly_mat_squares_to_minus_identity(a) -> bool:
+    """a a = -1 exactly; true for the empty matrix."""
+    if not a:
+        return True
+    minus_one = poly_mat_scale(poly_identity(a[0][0].chart, len(a)), GQ(-1))
+    return poly_mat_eq(poly_mat_mul(a, a), minus_one)
 
 
 def poly_mat_eval(a, point):

@@ -134,6 +134,26 @@ class _Alternating:
     def component(self, idx) -> Poly:
         return self.comps.get(tuple(idx), Poly.zero(self.chart))
 
+    @classmethod
+    def zero(cls, chart: Chart, degree: int = 0):
+        return cls(chart, degree, {})
+
+    @classmethod
+    def frame(cls, chart: Chart, index: int):
+        """The degree-1 frame element of slot index."""
+        return cls(chart, 1, {(index,): Poly.one(chart)})
+
+    @classmethod
+    def from_components(cls, chart: Chart, coeffs):
+        """Degree-1 object from a length-2n coefficient list."""
+        return cls(chart, 1, {(k,): c for k, c in enumerate(coeffs)})
+
+    def coefficients(self):
+        """Degree-1 object as a dense length-2n coefficient list."""
+        if self.degree != 1:
+            raise DegreeError("coefficients() needs degree 1")
+        return [self.component((k,)) for k in range(self.chart.nvars)]
+
     def wedge(self, other):
         self._require_same(other)
         degree = self.degree + other.degree
@@ -201,28 +221,8 @@ class Multivector(_Alternating):
         return "d/d"
 
     @staticmethod
-    def zero(chart: Chart, degree: int = 0) -> "Multivector":
-        return Multivector(chart, degree, {})
-
-    @staticmethod
     def function(f: Poly) -> "Multivector":
         return Multivector(f.chart, 0, {(): f})
-
-    @staticmethod
-    def frame(chart: Chart, index: int) -> "Multivector":
-        return Multivector(chart, 1, {(index,): Poly.one(chart)})
-
-    @staticmethod
-    def from_components(chart: Chart, coeffs) -> "Multivector":
-        """Degree-1 field from a length-2n coefficient list."""
-        comps = {(k,): c for k, c in enumerate(coeffs)}
-        return Multivector(chart, 1, comps)
-
-    def coefficients(self):
-        """Degree-1 field as a dense length-2n coefficient list."""
-        if self.degree != 1:
-            raise DegreeError("coefficients() needs a degree-1 field")
-        return [self.component((k,)) for k in range(self.chart.nvars)]
 
     def apply_to(self, f: Poly) -> Poly:
         """Directional derivative X(f) of a degree-1 field."""
@@ -235,56 +235,12 @@ class Multivector(_Alternating):
             out = out + coeff * f.diff(k)
         return out
 
-    def evaluate(self, forms) -> Poly:
-        """Full evaluation P(xi_1, ..., xi_p) as a determinant expansion."""
-        forms = list(forms)
-        if len(forms) != self.degree:
-            raise DegreeError("wrong number of form arguments")
-        out = Poly.zero(self.chart)
-        for idx, coeff in self.comps.items():
-            out = out + coeff * _det([[xi.component((k,)) for k in idx]
-                                      for xi in forms])
-        return out
-
 
 class Form(_Alternating):
     """Alternating covariant tensor with Poly coefficients."""
 
     def _frame_prefix(self):
         return "d"
-
-    @staticmethod
-    def zero(chart: Chart, degree: int = 0) -> "Form":
-        return Form(chart, degree, {})
-
-    @staticmethod
-    def frame(chart: Chart, index: int) -> "Form":
-        return Form(chart, 1, {(index,): Poly.one(chart)})
-
-    @staticmethod
-    def from_components(chart: Chart, coeffs) -> "Form":
-        comps = {(k,): c for k, c in enumerate(coeffs)}
-        return Form(chart, 1, comps)
-
-    def coefficients(self):
-        if self.degree != 1:
-            raise DegreeError("coefficients() needs a degree-1 form")
-        return [self.component((k,)) for k in range(self.chart.nvars)]
-
-
-def _det(rows) -> Poly:
-    m = len(rows)
-    if m == 0:
-        raise DegreeError("empty determinant")
-    chart = rows[0][0].chart
-    if m == 1:
-        return rows[0][0]
-    out = Poly.zero(chart)
-    for j in range(m):
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
 
 
 def pairing(xi: Form, x: Multivector) -> Poly:
@@ -307,6 +263,22 @@ def differential(f: Poly) -> Form:
     return Form(f.chart, 1, comps)
 
 
+def _contract_slots(one: dict, comps: dict) -> dict:
+    """Components of the contraction of a degree-1 object (components one)
+    into each slot of an alternating one (components comps), slot pos
+    carrying the sign (-1)^pos."""
+    out: dict = {}
+    for idx, coeff in comps.items():
+        for pos, k in enumerate(idx):
+            c = one.get((k,))
+            if c is None:
+                continue
+            poly = coeff * c
+            _accumulate(out, idx[:pos] + idx[pos + 1:],
+                        -poly if pos % 2 else poly)
+    return out
+
+
 def contract(xi: Form, P: Multivector) -> Multivector:
     """Interior product i_xi P, contracting the first slot of P."""
     if xi.degree != 1:
@@ -315,16 +287,8 @@ def contract(xi: Form, P: Multivector) -> Multivector:
         raise DegreeError("cannot contract a degree-0 multivector")
     if xi.chart != P.chart:
         raise ChartError("chart mismatch")
-    comps: dict = {}
-    for idx, coeff in P.comps.items():
-        for pos, k in enumerate(idx):
-            xic = xi.comps.get((k,))
-            if xic is None:
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            poly = coeff * xic
-            _accumulate(comps, rest, -poly if pos % 2 else poly)
-    return Multivector(P.chart, P.degree - 1, comps)
+    return Multivector(P.chart, P.degree - 1,
+                       _contract_slots(xi.comps, P.comps))
 
 
 def interior(x: Multivector, omega: Form) -> Form:
@@ -335,24 +299,16 @@ def interior(x: Multivector, omega: Form) -> Form:
         raise ChartError("chart mismatch")
     if omega.degree == 0:
         return Form.zero(omega.chart, 0)
-    comps: dict = {}
-    for idx, coeff in omega.comps.items():
-        for pos, k in enumerate(idx):
-            xc = x.comps.get((k,))
-            if xc is None:
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            poly = coeff * xc
-            _accumulate(comps, rest, -poly if pos % 2 else poly)
-    return Form(omega.chart, omega.degree - 1, comps)
+    return Form(omega.chart, omega.degree - 1,
+                _contract_slots(x.comps, omega.comps))
 
 
-def exterior_d(omega: Form) -> Form:
-    """De Rham differential on forms (all 2n chart variables)."""
-    chart = omega.chart
-    comps: dict = {}
+def _d_comps(omega: Form, split: int):
+    """The components of d omega as two dicts: the terms whose new slot is
+    < split, and the rest."""
+    parts = ({}, {})
     for idx, coeff in omega.comps.items():
-        for k in range(chart.nvars):
+        for k in range(omega.chart.nvars):
             dcoeff = coeff.diff(k)
             if dcoeff.is_zero():
                 continue
@@ -360,8 +316,15 @@ def exterior_d(omega: Form) -> Form:
             if merged is None:
                 continue
             new_idx, sign = merged
-            _accumulate(comps, new_idx, dcoeff if sign > 0 else -dcoeff)
-    return Form(chart, omega.degree + 1, comps)
+            _accumulate(parts[k >= split], new_idx,
+                        dcoeff if sign > 0 else -dcoeff)
+    return parts
+
+
+def exterior_d(omega: Form) -> Form:
+    """De Rham differential on forms (all 2n chart variables)."""
+    return Form(omega.chart, omega.degree + 1,
+                _d_comps(omega, omega.chart.nvars)[0])
 
 
 def derham_split(omega: Form):
@@ -371,22 +334,9 @@ def derham_split(omega: Form):
     """
     if not omega.chart.is_complex():
         raise ChartError("derham_split requires a complex chart")
-    chart = omega.chart
-    n = chart.n
-    parts = ({}, {})
-    for idx, coeff in omega.comps.items():
-        for k in range(chart.nvars):
-            dcoeff = coeff.diff(k)
-            if dcoeff.is_zero():
-                continue
-            merged = insert_index(k, idx)
-            if merged is None:
-                continue
-            new_idx, sign = merged
-            _accumulate(parts[0] if k < n else parts[1], new_idx,
-                        dcoeff if sign > 0 else -dcoeff)
-    return (Form(chart, omega.degree + 1, parts[0]),
-            Form(chart, omega.degree + 1, parts[1]))
+    dpart, dbar = _d_comps(omega, omega.chart.n)
+    return (Form(omega.chart, omega.degree + 1, dpart),
+            Form(omega.chart, omega.degree + 1, dbar))
 
 
 # ----------------------------------------------------------------------

@@ -18,13 +18,13 @@ from .linalg import (
     column_space_equal,
     dense_rank,
     gq_mat_inverse,
-    poly_identity,
     poly_mat_eq,
     poly_mat_eval,
     poly_mat_mul,
     poly_mat_scale,
     poly_mat_sub,
     poly_mat_transpose,
+    poly_mat_vec,
     poly_zero_matrix,
 )
 from .multivec import (
@@ -34,6 +34,7 @@ from .multivec import (
     differential,
     exterior_d,
     lie_derivative,
+    merge_indices,
     pairing,
     schouten,
     sharp,
@@ -77,31 +78,16 @@ class EndoField:
     def apply_vec(self, x: Multivector) -> Multivector:
         if x.degree != 1 or x.chart != self.chart:
             raise ShapeError("EndoField acts on degree-1 fields of its chart")
-        coeffs = x.coefficients()
-        m = self.chart.nvars
-        out = [Poly.zero(self.chart) for _ in range(m)]
-        for r in range(m):
-            acc = out[r]
-            for c in range(m):
-                if not self.matrix[r][c].is_zero() and not coeffs[c].is_zero():
-                    acc = acc + self.matrix[r][c] * coeffs[c]
-            out[r] = acc
-        return Multivector.from_components(self.chart, out)
+        return Multivector.from_components(
+            self.chart, poly_mat_vec(self.matrix, x.coefficients()))
 
     def apply_form(self, xi: Form) -> Form:
         """The transpose action N* on 1-forms: <N* xi, V> = <xi, N V>."""
         if xi.degree != 1 or xi.chart != self.chart:
             raise ShapeError("EndoField acts on degree-1 forms of its chart")
-        coeffs = xi.coefficients()
-        m = self.chart.nvars
-        out = [Poly.zero(self.chart) for _ in range(m)]
-        for c in range(m):
-            acc = out[c]
-            for r in range(m):
-                if not self.matrix[r][c].is_zero() and not coeffs[r].is_zero():
-                    acc = acc + self.matrix[r][c] * coeffs[r]
-            out[c] = acc
-        return Form.from_components(self.chart, out)
+        return Form.from_components(
+            self.chart,
+            poly_mat_vec(poly_mat_transpose(self.matrix), xi.coefficients()))
 
 
 def standard_j(chart: Chart) -> EndoField:
@@ -196,19 +182,6 @@ class GCSection:
         self.vec = vec
         self.form = form
 
-    def __eq__(self, other):
-        return (isinstance(other, GCSection)
-                and self.vec == other.vec and self.form == other.form)
-
-    def scale(self, value):
-        return GCSection(self.vec.scale(value), self.form.scale(value))
-
-    def __add__(self, other):
-        return GCSection(self.vec + other.vec, self.form + other.form)
-
-    def __sub__(self, other):
-        return GCSection(self.vec - other.vec, self.form - other.form)
-
 
 # ----------------------------------------------------------------------
 # basic verification
@@ -241,31 +214,13 @@ def multivector_conj(P: Multivector) -> Multivector:
     n = P.chart.n
     comps = {}
     for idx, coeff in P.comps.items():
-        swapped = tuple(k + n if k < n else k - n for k in idx)
-        order = sorted(range(len(swapped)), key=lambda t: swapped[t])
-        sign = _permutation_sign(order)
+        # the holomorphic run of idx becomes antiholomorphic and vice versa;
+        # merging the two swapped runs back into order gives the sign
+        swapped, sign = merge_indices(tuple(k + n for k in idx if k < n),
+                                      tuple(k - n for k in idx if k >= n))
         poly = coeff.conj()
-        if sign < 0:
-            poly = -poly
-        _accumulate(comps, tuple(sorted(swapped)), poly)
+        _accumulate(comps, swapped, poly if sign > 0 else -poly)
     return Multivector(P.chart, P.degree, comps)
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def decompose(pi: Multivector) -> PoissonPair:
@@ -278,13 +233,6 @@ def decompose(pi: Multivector) -> PoissonPair:
     pi_i = (pi - conj_pi).scale(GQ(0, -HALF))  # 1/(2i) = -i/2
     return PoissonPair(convert_alternating(pi_r, real_chart),
                        convert_alternating(pi_i, real_chart))
-
-
-def recompose(pair: PoissonPair) -> Multivector:
-    """pi_R + i pi_I back on the complex chart (includes the (0,2) part)."""
-    cx = Chart.complex(pair.pi_R.chart.n)
-    return (convert_alternating(pair.pi_R, cx)
-            + convert_alternating(pair.pi_I, cx).scale(GQ(0, 1)))
 
 
 # ----------------------------------------------------------------------
@@ -359,17 +307,6 @@ def bivector_from_matrix(chart: Chart, mat) -> Multivector:
     return Multivector(chart, 2, comps)
 
 
-def bivector_matrix(pi: Multivector):
-    """Component matrix mat[a][b] = pi(e^a, e^b)."""
-    chart = pi.chart
-    m = chart.nvars
-    mat = poly_zero_matrix(chart, m, m)
-    for (a, b), coeff in pi.comps.items():
-        mat[a][b] = coeff
-        mat[b][a] = -coeff
-    return mat
-
-
 def pn_check(pi_i: Multivector, n_field: EndoField,
              schouten_zero=None) -> PNReport:
     """Poisson-Nijenhuis check of (pi_I, N) on a real chart.
@@ -398,9 +335,11 @@ def pn_check(pi_i: Multivector, n_field: EndoField,
 
     torsion_zero = torsion_is_zero(nijenhuis_torsion(n_field))
 
-    # pi_N with pi_N# = pi# N*, i.e. component matrix N Pi, antisymmetrized
-    # so the check stays defined when the intertwine identity fails.
-    npi = poly_mat_mul(n_field.matrix, bivector_matrix(pi_i))
+    # pi_N with pi_N# = pi# N*, i.e. component matrix N Pi (Pi, with
+    # Pi[a][b] = pi(e^a, e^b), is the transpose of the sharp matrix),
+    # antisymmetrized so the check stays defined when the intertwine
+    # identity fails.
+    npi = poly_mat_mul(n_field.matrix, poly_mat_transpose(msharp))
     anti = poly_mat_scale(poly_mat_sub(npi, poly_mat_transpose(npi)),
                           GQ(HALF))
     pi_n = bivector_from_matrix(chart, anti)
@@ -443,11 +382,19 @@ def pn_check_complex(pi: Multivector) -> PNReport:
 # ----------------------------------------------------------------------
 # generalized complex structure
 
-def gc_endomorphism(pi: Multivector, scale4: bool = False):
-    """Block matrix [[J, pi_I#], [0, -J*]] over the real chart frame of
-    TX + T*X.  With scale4=True the top-right block uses 4 pi_I#, the
-    convention whose -i eigenbundle is the Dirac structure of the split
-    sections (X01 + pi# xi10, xi10)."""
+def gc_endomorphism(pi: Multivector):
+    """Block matrix [[J, 4 pi_I#], [0, -J*]] over the real chart frame of
+    TX + T*X.
+
+    The factor 4 makes the -i eigenbundle the Dirac structure that phi
+    maps the bowtie algebroid onto, the sections (X01 + pi# xi10, xi10).
+    The frame conversion d/dz = (d/dx - i d/dy)/2 puts a factor 1/4 into
+    pi_R and pi_I (criterion 1: omega_R^-1 = 4 pi_R), and for a (1,0)-form
+    pi# xi = 2i pi_I# xi.  With J = i on T^{1,0} and -i on T^{0,1}, the
+    top row J X + 4 pi_I# xi = -i X then holds for X = X01 + pi# xi.  The
+    unscaled block [[J, pi_I#], [0, -J*]] squares to -1 as well, but its
+    -i eigenbundle is not phi's image.
+    """
     report = is_holomorphic_poisson(pi)
     if not report.holomorphic_poisson:
         raise StructureError(
@@ -455,9 +402,7 @@ def gc_endomorphism(pi: Multivector, scale4: bool = False):
     n = pi.chart.n
     real_chart = Chart.real(n)
     pair = decompose(pi)
-    msharp = sharp_matrix(pair.pi_I)
-    if scale4:
-        msharp = poly_mat_scale(msharp, GQ(4))
+    msharp = poly_mat_scale(sharp_matrix(pair.pi_I), GQ(4))
     j = standard_j(real_chart).matrix
     minus_jt = poly_mat_scale(poly_mat_transpose(j), GQ(-1))
     m = 2 * n
@@ -470,60 +415,19 @@ def gc_endomorphism(pi: Multivector, scale4: bool = False):
     return rows
 
 
-def gc_apply(matrix, section: GCSection) -> GCSection:
-    """Apply a 4n x 4n generalized-complex matrix to a real-chart section."""
-    chart = section.vec.chart
-    m = chart.nvars
-    coeffs = section.vec.coefficients() + section.form.coefficients()
-    out = []
-    for r in range(2 * m):
-        acc = Poly.zero(chart)
-        for c in range(2 * m):
-            if not matrix[r][c].is_zero() and not coeffs[c].is_zero():
-                acc = acc + matrix[r][c] * coeffs[c]
-        out.append(acc)
-    return GCSection(Multivector.from_components(chart, out[:m]),
-                     Form.from_components(chart, out[m:]))
-
-
-def gc_squares_to_minus_identity(matrix) -> bool:
-    if not matrix:
-        return True
-    chart = matrix[0][0].chart
-    square = poly_mat_mul(matrix, matrix)
-    minus_one = poly_mat_scale(poly_identity(chart, len(matrix)), GQ(-1))
-    return poly_mat_eq(square, minus_one)
-
-
-def dirac_membership(pi: Multivector, section: GCSection) -> bool:
-    """Structural membership of (X, xi) in the -i eigenbundle of the
-    scaled endomorphism: xi is a (1,0)-form and pr10(X) = pi# xi."""
-    _require_20(pi)
-    chart = pi.chart
-    if section.vec.chart != chart:
-        raise ChartError("section must live on the bivector's chart")
-    n = chart.n
-    if any(k >= n for (k,) in section.form.comps):
-        return False
-    pr10 = Multivector(chart, 1, {idx: c for idx, c in section.vec.comps.items()
-                                  if idx[0] < n})
-    return pr10 == sharp(pi, section.form)
-
-
 def gc_eigensection_check(pi: Multivector, section: GCSection) -> bool:
-    """Matrix route: the transported section is a -i eigenvector of the
-    scale4 endomorphism on the real chart."""
+    """The section, transported to the real chart, is a -i eigenvector of
+    gc_endomorphism(pi): it lies in the Dirac structure of J_pi."""
     real_chart = Chart.real(pi.chart.n)
-    matrix = gc_endomorphism(pi, scale4=True)
-    transported = GCSection(convert_alternating(section.vec, real_chart),
-                            convert_alternating(section.form, real_chart))
-    image = gc_apply(matrix, transported)
-    return image == transported.scale(GQ(0, -1))
+    coeffs = (convert_alternating(section.vec, real_chart).coefficients()
+              + convert_alternating(section.form, real_chart).coefficients())
+    image = poly_mat_vec(gc_endomorphism(pi), coeffs)
+    return image == [c.scale(GQ(0, -1)) for c in coeffs]
 
 
-def gc_eigenspace_dimension(pi: Multivector, point, scale4: bool = True) -> int:
-    """Dimension of the -i eigenspace of the endomorphism at a point."""
-    matrix = gc_endomorphism(pi, scale4=scale4)
+def gc_eigenspace_dimension(pi: Multivector, point) -> int:
+    """Dimension of the -i eigenspace of gc_endomorphism(pi) at a point."""
+    matrix = gc_endomorphism(pi)
     values = poly_mat_eval(matrix, point)
     m = len(values)
     shifted = [[values[r][c] + (GQ(0, 1) if r == c else GQ(0))

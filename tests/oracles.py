@@ -20,16 +20,37 @@ These deliberately take different routes from the library code:
 * FractionGQ is the Gaussian rational as a pair of Fractions: the scalar
   the library used before its integer-triple GQ, frozen here, with
   format_fraction_gq, as the reference for the property tests.
+* multivector_conj_reference and _permutation_sign are the library's
+  conjugation before it took its sign from merge_indices, frozen here as
+  the reference for the property test of that sign.
+
+Fixtures and references that no command needs, moved out of the library:
+
+* tangent_algebroid (identity anchor, commuting frame) and
+  lie_algebra_algebroid (a Lie algebra as an algebroid over a point);
+* recompose, pi_R + i pi_I back on the complex chart, the inverse that
+  checks decompose;
+* realified_cotangent, the underlying real algebroid of the cotangent
+  algebroid, and conjugate_by_signs, which changes the signs of frame
+  sections: acceptance criterion 9 and tests/test_algebroid.py compare
+  them with the Koszul algebroids of 4 pi_R and 4 pi_I.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from holopoisson.algebroid import AlgebroidChart, cotangent_algebroid
 from holopoisson.cohomology import BiCochain
-from holopoisson.errors import TruncationError
-from holopoisson.exactalg import GQ, Poly
-from holopoisson.linalg import SparseMatrix
-from holopoisson.multivec import Form, Multivector, insert_index
+from holopoisson.errors import ChartError, TruncationError
+from holopoisson.exactalg import GQ, Chart, Poly, _accumulate, convert_chart
+from holopoisson.linalg import SparseMatrix, poly_identity
+from holopoisson.multivec import (
+    Form,
+    Multivector,
+    convert_alternating,
+    insert_index,
+)
+from holopoisson.poisson import multivector_conj
 
 
 def sgn(x: int) -> int:
@@ -468,3 +489,121 @@ def format_fraction_gq(c: FractionGQ) -> str:
     else:
         tail = f"{c.im}i"
     return f"({c.re}{tail})"
+
+
+# ----------------------------------------------------------------------
+# conjugation of multivectors, as it was before the merge_indices sign
+
+def multivector_conj_reference(P: Multivector) -> Multivector:
+    """Conjugate multivector: swap z/zb frame slots, conjugate coefficients."""
+    if not P.chart.is_complex():
+        raise ChartError("conjugation requires a complex chart")
+    n = P.chart.n
+    comps = {}
+    for idx, coeff in P.comps.items():
+        swapped = tuple(k + n if k < n else k - n for k in idx)
+        order = sorted(range(len(swapped)), key=lambda t: swapped[t])
+        sign = _permutation_sign(order)
+        poly = coeff.conj()
+        if sign < 0:
+            poly = -poly
+        _accumulate(comps, tuple(sorted(swapped)), poly)
+    return Multivector(P.chart, P.degree, comps)
+
+
+def _permutation_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+# ----------------------------------------------------------------------
+# fixtures and references moved out of the library
+
+def tangent_algebroid(chart: Chart) -> AlgebroidChart:
+    """The tangent algebroid: identity anchor, commuting coordinate frame."""
+    m = chart.nvars
+    anchor = poly_identity(chart, m)
+    zero = [Poly.zero(chart) for _ in range(m)]
+    structure = [[list(zero) for _ in range(m)] for _ in range(m)]
+    return AlgebroidChart(chart, m, anchor, structure)
+
+
+def lie_algebra_algebroid(g) -> AlgebroidChart:
+    """A LieAlgebraData as the algebroid with zero anchor on the point
+    chart real(0)."""
+    chart = Chart.real(0)
+    anchor = [[] for _ in range(g.rank)]
+    structure = [[[Poly.const(chart, v) for v in vec] for vec in row]
+                 for row in g.c]
+    return AlgebroidChart(chart, g.rank, anchor, structure)
+
+
+def recompose(pair) -> Multivector:
+    """pi_R + i pi_I back on the complex chart (includes the (0,2) part)."""
+    cx = Chart.complex(pair.pi_R.chart.n)
+    return (convert_alternating(pair.pi_R, cx)
+            + convert_alternating(pair.pi_I, cx).scale(GQ(0, 1)))
+
+
+def realified_cotangent(pi):
+    """The underlying real Lie algebroid of the cotangent algebroid,
+    on the doubled frame (dz_k, i dz_k), transported to the real chart
+    coframe by Re: dz_k -> dx_k, i dz_k -> -dy_k."""
+    n = pi.chart.n
+    real = Chart.real(n)
+    b = cotangent_algebroid(pi)
+    half = GQ(Fraction(1, 2))
+
+    def re_part(poly):
+        return convert_chart((poly + poly.conj()).scale(half), real)
+
+    def im_part(poly):
+        return convert_chart((poly - poly.conj()).scale(GQ(0, Fraction(-1, 2))),
+                             real)
+
+    def real_field(v):
+        # 2 Re(v) of a complex tangent field, on the real chart
+        return convert_alternating(v + multivector_conj(v), real)
+
+    anchor = []
+    for k in range(n):
+        v = b.anchor_field(b.frame_section(k))
+        anchor.append(real_field(v).coefficients())
+    for k in range(n):
+        v = b.anchor_field(b.frame_section(k)).scale(GQ.i())
+        anchor.append(real_field(v).coefficients())
+
+    def bracket_fn(s, t):
+        i, j = s % n, t % n
+        factor_i = (s >= n) + (t >= n)
+        scaled = [p.scale(GQ.i() if factor_i == 1 else
+                          GQ(-1) if factor_i == 2 else GQ(1))
+                  for p in b.structure[i][j]]
+        out = [Poly.zero(real) for _ in range(2 * n)]
+        for k in range(n):
+            out[k] = re_part(scaled[k])
+            out[n + k] = im_part(scaled[k])
+        return out
+
+    return AlgebroidChart.from_frame_brackets(real, 2 * n, anchor, bracket_fn)
+
+
+def conjugate_by_signs(a, signs):
+    """The algebroid a in the frame (signs[s] e_s)."""
+    anchor = [[p.scale(signs[s]) for p in a.anchor[s]] for s in range(a.rank)]
+    structure = [[[a.structure[s][t][r].scale(signs[s] * signs[t] * signs[r])
+                   for r in range(a.rank)] for t in range(a.rank)]
+                 for s in range(a.rank)]
+    return AlgebroidChart(a.chart, a.rank, anchor, structure)

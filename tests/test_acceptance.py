@@ -12,11 +12,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from holopoisson.algebroid import (
+    EndoOnAlgebroid,
     LieAlgebraData,
     MatchedPairData,
     RepData,
     bowtie,
     canonical_matched_pair,
+    deform_by,
+    koszul_algebroid,
     lie_poisson,
     matched_pair_tensors,
     nijenhuis_torsion_algebroid,
@@ -24,6 +27,7 @@ from holopoisson.algebroid import (
     realparts_liealgebra_check,
     verify_algebroid,
     yao_isomorphism_check,
+    yao_phi,
 )
 from holopoisson.cohomology import (
     BiCochain,
@@ -35,10 +39,18 @@ from holopoisson.cohomology import (
     total_differential,
 )
 from holopoisson.exactalg import GQ, Chart, Poly
-from holopoisson.linalg import poly_mat_eq, poly_mat_mul, poly_mat_transpose
+from holopoisson.linalg import (
+    poly_mat_eq,
+    poly_mat_mul,
+    poly_mat_squares_to_minus_identity,
+    poly_mat_transpose,
+)
 from holopoisson.multivec import Form, Multivector
 from holopoisson.poisson import (
     decompose,
+    gc_eigensection_check,
+    gc_eigenspace_dimension,
+    gc_endomorphism,
     is_holomorphic_poisson,
     pn_check,
     sharp_matrix,
@@ -48,7 +60,7 @@ from holopoisson.poisson import (
 from holopoisson.algebroid import check_representation
 from holopoisson.cli import corpus_path, run_job
 
-from oracles import rand_poly
+from oracles import conjugate_by_signs, rand_poly, realified_cotangent
 
 C1 = Chart.complex(1)
 C2 = Chart.complex(2)
@@ -314,12 +326,23 @@ def test_criterion_7_dirac_isomorphism():
     cases.append(("z3-linear-on-C3",
                   frame_bivector(C3, 0, 1, Poly.var(C3, 2))))
     for name, pi in cases:
-        report = yao_isomorphism_check(pi)
-        if not report.all_ok:
+        n = pi.chart.n
+        d = bowtie(canonical_matched_pair(pi))
+        point = [GQ(k + 1, 0) for k in range(2 * n)]
+        checks = [
+            yao_isomorphism_check(pi).all_ok,
+            poly_mat_squares_to_minus_identity(gc_endomorphism(pi)),
+            all(gc_eigensection_check(pi, yao_phi(pi, d.frame_section(s)))
+                for s in range(d.rank)),
+            gc_eigenspace_dimension(pi, point) == 2 * n,
+        ]
+        if not all(checks):
             ok = False
     conclude(7, "phi intertwines the direct-sum bracket with the Courant "
-                "bracket on all frame-generator pairs for every corpus "
-                "bivector", ok)
+                "bracket on all frame-generator pairs; J_pi squares to -1, "
+                "phi of every direct-sum frame section is a -i eigenvector "
+                "of J_pi and the -i eigenspace at a point has dimension 2n, "
+                "for every corpus bivector", ok)
 
 
 # ----------------------------------------------------------------------
@@ -381,11 +404,33 @@ def test_criterion_9_algebroid_factors():
         realified = realify_liealgebra(g)
         if nijenhuis_torsion_algebroid(realified.algebroid, realified.j):
             ok = False
-        if not realified.j.squares_to_minus_identity():
+        if not poly_mat_squares_to_minus_identity(realified.j.matrix):
+            ok = False
+    # the cotangent factor identities: the underlying real algebroid of
+    # (T*X)_pi, in the frame (dz_k -> dx_k, i dz_k -> -dy_k), is the
+    # Koszul algebroid of 4 pi_R, and its deformation by the fiber
+    # complex structure J^T is the Koszul algebroid of 4 pi_I
+    for pi in (frame_bivector(C2, 0, 1, Poly.const(C2, -1)),
+               lie_poisson(sl2())):
+        n = pi.chart.n
+        real = Chart.real(n)
+        pair = decompose(pi)
+        signs = [GQ(1)] * n + [GQ(-1)] * n
+        a_r = realified_cotangent(pi)
+        a_i = deform_by(a_r, EndoOnAlgebroid(
+            a_r, poly_mat_transpose(standard_j(real).matrix)))
+        if (conjugate_by_signs(a_r, signs)
+                != koszul_algebroid(pair.pi_R.scale(GQ(4)))):
+            ok = False
+        if (conjugate_by_signs(a_i, signs)
+                != koszul_algebroid(pair.pi_I.scale(GQ(4)))):
             ok = False
     conclude(9, "quarter-factor identities for sl2 and the Heisenberg "
                 "algebra; the realified fiberwise complex structures are "
-                "torsion-free", ok)
+                "torsion-free; for the constant and sl2 structures the "
+                "underlying real cotangent algebroid is the Koszul "
+                "algebroid of 4 pi_R and its j-deformation that of "
+                "4 pi_I", ok)
 
 
 # ----------------------------------------------------------------------

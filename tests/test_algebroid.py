@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -20,29 +19,35 @@ from holopoisson.algebroid import (
     lie_poisson,
     matched_pair_F,
     matched_pair_S,
-    matched_pair_T,
     matched_pair_tensors,
     nijenhuis_torsion_algebroid,
     realify_liealgebra,
     realparts_liealgebra_check,
-    split_complexified,
-    tangent_algebroid,
     verify_algebroid,
     yao_isomorphism_check,
 )
 from holopoisson.errors import StructureError
-from holopoisson.exactalg import GQ, Chart, Poly, convert_chart
-from holopoisson.multivec import Form, Multivector, convert_alternating
+from holopoisson.exactalg import GQ, Chart, Poly
+from holopoisson.linalg import (
+    poly_mat_squares_to_minus_identity,
+    poly_mat_transpose,
+)
+from holopoisson.multivec import Form, Multivector
 from holopoisson.poisson import (
     decompose,
     is_holomorphic_poisson,
     koszul_bracket,
-    multivector_conj,
     poisson_bracket,
     standard_j,
 )
 
-from oracles import rand_poly
+from oracles import (
+    conjugate_by_signs,
+    lie_algebra_algebroid,
+    rand_poly,
+    realified_cotangent,
+    tangent_algebroid,
+)
 
 C2 = Chart.complex(2)
 C3 = Chart.complex(3)
@@ -76,7 +81,7 @@ def test_tangent_algebroid_verifies():
 
 
 def test_sl2_constants_verify():
-    rep = verify_algebroid(sl2().as_algebroid())
+    rep = verify_algebroid(lie_algebra_algebroid(sl2()))
     assert rep.jacobi and rep.anchor_morphism
 
 
@@ -85,7 +90,7 @@ def test_perturbed_sl2_fails_jacobi():
         3, [(1, 2, 2, GQ(2)), (1, 3, 3, GQ(-2)), (2, 3, 1, GQ(1)),
             (1, 2, 1, GQ(1))])
     assert not bad.jacobi_ok()
-    rep = verify_algebroid(bad.as_algebroid())
+    rep = verify_algebroid(lie_algebra_algebroid(bad))
     assert not rep.jacobi and rep.anchor_morphism
 
 
@@ -117,7 +122,7 @@ def test_realified_j_torsion_vanishes():
     for g in (sl2(), heisenberg()):
         real = realify_liealgebra(g)
         assert nijenhuis_torsion_algebroid(real.algebroid, real.j) == {}
-        assert real.j.squares_to_minus_identity()
+        assert poly_mat_squares_to_minus_identity(real.j.matrix)
 
 
 def test_torsion_nonzero_on_random_endo():
@@ -181,45 +186,6 @@ def test_double_deformation_negates():
         for b in range(6):
             want = [-p for p in real.algebroid.structure[a][b]]
             assert twice.structure[a][b] == want
-
-
-# ----------------------------------------------------------------------
-# split
-
-def test_split_complexified_tangent():
-    t = tangent_algebroid(R2)
-    j = EndoOnAlgebroid(t, standard_j(R2).matrix)
-    a10, a01 = split_complexified(t, j)
-    assert verify_algebroid(a10).all_ok and verify_algebroid(a01).all_ok
-    # the (1,0) anchor image of the x-frame is the holomorphic frame
-    dz1 = convert_alternating(Multivector.frame(C2, 0), R2)
-    dzb1 = convert_alternating(Multivector.frame(C2, 2), R2)
-    assert a10.anchor_field(a10.frame_section(0)) == dz1
-    assert a01.anchor_field(a01.frame_section(0)) == dzb1
-    assert a01 == a10.conj()
-
-
-def test_split_complexified_abelian():
-    g = LieAlgebraData.from_triples(2, [])
-    real = realify_liealgebra(g)
-    a10, a01 = split_complexified(real.algebroid, real.j)
-    assert all(a10.section_is_zero(a10.structure[i][j])
-               for i in range(4) for j in range(4))
-    assert a10 == a01  # zero anchors, identical brackets
-
-
-def test_split_complexified_sl2():
-    real = realify_liealgebra(sl2())
-    a10, a01 = split_complexified(real.algebroid, real.j)
-    assert verify_algebroid(a10).all_ok
-    # C-linear case: the eigen-bracket formula collapses to the original
-    assert a10.structure == real.algebroid.structure
-    assert a01 == a10.conj()
-    with pytest.raises(StructureError):
-        t = tangent_algebroid(R2)
-        not_j = EndoOnAlgebroid(t, [[Poly.const(R2, 1 if i == j else 0)
-                                     for j in range(4)] for i in range(4)])
-        split_complexified(t, not_j)
 
 
 # ----------------------------------------------------------------------
@@ -328,8 +294,6 @@ def test_realify_abelian():
 def test_realify_sl2_jacobi_and_recovery():
     real = realify_liealgebra(sl2())
     assert verify_algebroid(real.algebroid).all_ok
-    a10, _ = split_complexified(real.algebroid, real.j)
-    assert a10.structure == real.algebroid.structure
 
 
 def test_realparts_identities():
@@ -374,7 +338,7 @@ def test_complex_presentation_roundtrip_through_realified_data():
 
 def test_zero_connection_on_abelian_pair():
     chart = Chart.real(0)
-    abelian = LieAlgebraData.from_triples(2, []).as_algebroid()
+    abelian = lie_algebra_algebroid(LieAlgebraData.from_triples(2, []))
     gamma = [[abelian.zero_section() for _ in range(2)] for _ in range(2)]
     rep = RepData(abelian, abelian, gamma)
     out = check_representation(rep)
@@ -447,18 +411,20 @@ def test_tensoriality_with_correction_terms():
         rhs = [f * p + correction * q
                for p, q in zip(matched_pair_S(mp, x, y, y2), y)]
         assert lhs == rhs
+        # T(Y; X1, X2) is S(Y; X1, X2) of the swapped pair
+        swapped = mp.swapped()
         # T(fY; X1, X2) = f T(...)
-        lhs = matched_pair_T(mp, fy, x, x)
+        lhs = matched_pair_S(swapped, fy, x, x)
         assert all(p.is_zero() for p in lhs)  # antisymmetry in last slots
         x2 = [rand_poly(rng, chart, deg=1) for _ in range(3)]
-        lhs = matched_pair_T(mp, fy, x, x2)
-        rhs = [f * p for p in matched_pair_T(mp, y, x, x2)]
+        lhs = matched_pair_S(swapped, fy, x, x2)
+        rhs = [f * p for p in matched_pair_S(swapped, y, x, x2)]
         assert lhs == rhs
         # T(Y; fX1, X2) = f T(Y;X1,X2) - F(X2;Y)(f) X1
-        lhs = matched_pair_T(mp, y, fx, x2)
+        lhs = matched_pair_S(swapped, y, fx, x2)
         correction = matched_pair_F(mp, x2, y).apply_to(f)
         rhs = [f * p - correction * q
-               for p, q in zip(matched_pair_T(mp, y, x, x2), x)]
+               for p, q in zip(matched_pair_S(swapped, y, x, x2), x)]
         assert lhs == rhs
 
 
@@ -530,58 +496,6 @@ def test_yao_rejects_non_poisson():
 # ----------------------------------------------------------------------
 # underlying real algebroid of the cotangent algebroid (factor 4)
 
-def realified_cotangent(pi):
-    """The underlying real Lie algebroid of the cotangent algebroid,
-    on the doubled frame (dz_k, i dz_k), transported to the real chart
-    coframe by Re: dz_k -> dx_k, i dz_k -> -dy_k."""
-    n = pi.chart.n
-    real = Chart.real(n)
-    b = cotangent_algebroid(pi)
-    half = GQ(Fraction(1, 2))
-
-    def re_part(poly):
-        return convert_chart((poly + poly.conj()).scale(half), real)
-
-    def im_part(poly):
-        return convert_chart((poly - poly.conj()).scale(GQ(0, Fraction(-1, 2))),
-                             real)
-
-    def real_field(v):
-        # 2 Re(v) of a complex tangent field, on the real chart
-        return convert_alternating(v + multivector_conj(v), real)
-
-    anchor = []
-    for k in range(n):
-        v = b.anchor_field(b.frame_section(k))
-        anchor.append(real_field(v).coefficients())
-    for k in range(n):
-        v = b.anchor_field(b.frame_section(k)).scale(GQ.i())
-        anchor.append(real_field(v).coefficients())
-
-    def bracket_fn(s, t):
-        i, j = s % n, t % n
-        c = [Poly(C2 if n == 2 else pi.chart, p.terms) for p in
-             b.structure[i][j]]
-        factor_i = (s >= n) + (t >= n)
-        scaled = [p.scale(GQ.i() if factor_i == 1 else
-                          GQ(-1) if factor_i == 2 else GQ(1)) for p in c]
-        out = [Poly.zero(real) for _ in range(2 * n)]
-        for k in range(n):
-            out[k] = re_part(scaled[k])
-            out[n + k] = im_part(scaled[k])
-        return out
-
-    return AlgebroidChart.from_frame_brackets(real, 2 * n, anchor, bracket_fn)
-
-
-def conjugate_by_signs(a, signs):
-    anchor = [[p.scale(signs[s]) for p in a.anchor[s]] for s in range(a.rank)]
-    structure = [[[a.structure[s][t][r].scale(signs[s] * signs[t] * signs[r])
-                   for r in range(a.rank)] for t in range(a.rank)]
-                 for s in range(a.rank)]
-    return AlgebroidChart(a.chart, a.rank, anchor, structure)
-
-
 @pytest.mark.parametrize("which", ["constant", "linear"])
 def test_underlying_real_cotangent_is_four_pi_r(which):
     if which == "constant":
@@ -610,7 +524,6 @@ def test_imaginary_part_deformation_is_four_pi_i(which):
     n = pi.chart.n
     real = Chart.real(n)
     a_r = realified_cotangent(pi)
-    from holopoisson.linalg import poly_mat_transpose
     jt = poly_mat_transpose(standard_j(real).matrix)
     a_i = deform_by(a_r, EndoOnAlgebroid(a_r, jt))
     pair = decompose(pi)

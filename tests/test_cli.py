@@ -362,6 +362,25 @@ def test_output_file_matches_stdout(tmp_path):
     assert out_path.read_text() == stdout
 
 
+@pytest.mark.parametrize("command, coeff, branch", [
+    ("check-poisson", "1", "report"),
+    ("cotangent", "zb1", "verification failure"),
+])
+def test_unwritable_output_file_is_input_error(tmp_path, command, coeff,
+                                               branch):
+    """-o into a missing directory, after a report and after a
+    verification failure: exit 1 with a message, no traceback."""
+    doc = write_doc(tmp_path, "pi.json", {
+        "chart": {"kind": "complex", "n": 2},
+        "pi": [{"frame": ["z1", "z2"], "coeff": coeff}]})
+    out_path = tmp_path / "missing" / "report.json"
+    code, stdout, stderr = run_cli([command, doc, "-o", str(out_path)])
+    assert code == 1, branch
+    assert stderr.startswith("input error: "), stderr
+    assert "Traceback" not in stderr and stdout == ""
+    assert not out_path.exists()
+
+
 # ----------------------------------------------------------------------
 # corpus and selftest
 

@@ -16,7 +16,10 @@ from holopoisson.linalg import (
     poly_mat_eq,
     poly_mat_mul,
     poly_mat_transpose,
+    poly_mat_vec,
 )
+from holopoisson.multivec import Form, Multivector, pairing
+from holopoisson.poisson import EndoField
 
 
 def rand_gq(rng):
@@ -157,3 +160,60 @@ def test_sparse_rank_equals_dense_oracle(case):
                for j, v in enumerate(row) if not v.is_zero()}
     matrix = SparseMatrix(nrows, ncols, entries)
     assert matrix.rank("sparse") == dense_rank(rows)
+
+
+# ----------------------------------------------------------------------
+# property: the matrix-vector product is the one-column matrix product
+
+SMALL_CHARTS = [Chart.real(1), Chart.complex(1), Chart.real(2)]
+
+
+@st.composite
+def gaussian_integer_polys(draw, chart):
+    """A Poly on chart with Gaussian-integer coefficients, zero about a
+    third of the time."""
+    if draw(st.integers(0, 2)) == 0:
+        return Poly.zero(chart)
+    small = st.integers(-3, 3)
+    exps = st.tuples(*[st.integers(0, 2)] * chart.nvars)
+    terms = draw(st.dictionaries(exps, st.tuples(small, small),
+                                 max_size=3))
+    return Poly(chart, {e: GQ(re, im) for e, (re, im) in terms.items()})
+
+
+@st.composite
+def matrix_vector_cases(draw):
+    chart = draw(st.sampled_from(SMALL_CHARTS))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    poly = gaussian_integer_polys(chart)
+    rows = [[draw(poly) for _ in range(ncols)] for _ in range(nrows)]
+    return rows, [draw(poly) for _ in range(ncols)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_vector_cases())
+def test_poly_mat_vec_is_one_column_product(case):
+    rows, vec = case
+    column = poly_mat_mul(rows, [[x] for x in vec])
+    assert poly_mat_vec(rows, vec) == [row[0] for row in column]
+
+
+@st.composite
+def endo_cases(draw):
+    chart = draw(st.sampled_from(SMALL_CHARTS))
+    m = chart.nvars
+    poly = gaussian_integer_polys(chart)
+    endo = EndoField(chart, [[draw(poly) for _ in range(m)]
+                             for _ in range(m)])
+    vec = Multivector.from_components(chart, [draw(poly) for _ in range(m)])
+    form = Form.from_components(chart, [draw(poly) for _ in range(m)])
+    return endo, vec, form
+
+
+@settings(max_examples=60, deadline=None)
+@given(endo_cases())
+def test_endo_field_transpose_action_is_adjoint(case):
+    """<N* xi, V> = <xi, N V>: apply_form is the transpose of apply_vec."""
+    endo, vec, form = case
+    assert (pairing(endo.apply_form(form), vec)
+            == pairing(form, endo.apply_vec(vec)))
