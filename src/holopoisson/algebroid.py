@@ -251,44 +251,44 @@ def verify_algebroid(a: AlgebroidChart) -> AlgebroidReport:
 # ----------------------------------------------------------------------
 # Nijenhuis deformation
 
-def nijenhuis_torsion_algebroid(a: AlgebroidChart, n: EndoOnAlgebroid):
-    """Torsion of N over the algebroid bracket, on frame pairs (i < j)."""
+def _deformation(a: AlgebroidChart, n: EndoOnAlgebroid):
+    """N on the frame, the deformed brackets [e_i, e_j]_N = [N e_i, e_j]
+    + [e_i, N e_j] - N[e_i, e_j] and the Nijenhuis torsion
+    [N e_i, N e_j] - N[e_i, e_j]_N, on frame pairs (i < j); the torsion
+    keeps only its nonzero values."""
     if n.base is not a and n.base != a:
         raise ShapeError("endomorphism is not over this algebroid")
-    out = {}
+    images = [n.apply(a.frame_section(i)) for i in range(a.rank)]
+    brackets = {}
+    torsion = {}
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             ei, ej = a.frame_section(i), a.frame_section(j)
-            nei, nej = n.apply(ei), n.apply(ej)
-            inner = [x + y - z for x, y, z in zip(
-                a.bracket(nei, ej), a.bracket(ei, nej),
+            deformed = [x + y - z for x, y, z in zip(
+                a.bracket(images[i], ej), a.bracket(ei, images[j]),
                 n.apply(a.bracket(ei, ej)))]
-            value = [x - y for x, y in zip(a.bracket(nei, nej),
-                                           n.apply(inner))]
+            brackets[(i, j)] = deformed
+            value = [x - y for x, y in zip(a.bracket(images[i], images[j]),
+                                           n.apply(deformed))]
             if not a.section_is_zero(value):
-                out[(i, j)] = value
-    return out
+                torsion[(i, j)] = value
+    return images, brackets, torsion
+
+
+def nijenhuis_torsion_algebroid(a: AlgebroidChart, n: EndoOnAlgebroid):
+    """Torsion of N over the algebroid bracket, on frame pairs (i < j)."""
+    return _deformation(a, n)[2]
 
 
 def deform_by(a: AlgebroidChart, n: EndoOnAlgebroid) -> AlgebroidChart:
     """Deformed algebroid (rho o N, [., .]_N); requires vanishing torsion."""
-    torsion = nijenhuis_torsion_algebroid(a, n)
+    images, brackets, torsion = _deformation(a, n)
     if torsion:
         raise StructureError("nonzero Nijenhuis torsion: deformation "
                              "does not yield a Lie algebroid")
-    anchor = []
-    for i in range(a.rank):
-        anchor.append(a.anchor_field(n.apply(a.frame_section(i))).coefficients())
-
-    def bracket_fn(i, j):
-        ei, ej = a.frame_section(i), a.frame_section(j)
-        nei, nej = n.apply(ei), n.apply(ej)
-        return [x + y - z for x, y, z in zip(
-            a.bracket(nei, ej), a.bracket(ei, nej),
-            n.apply(a.bracket(ei, ej)))]
-
-    return AlgebroidChart.from_frame_brackets(a.chart, a.rank, anchor,
-                                              bracket_fn)
+    anchor = [a.anchor_field(image).coefficients() for image in images]
+    return AlgebroidChart.from_frame_brackets(
+        a.chart, a.rank, anchor, lambda i, j: brackets[(i, j)])
 
 
 # ----------------------------------------------------------------------

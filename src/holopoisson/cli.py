@@ -7,8 +7,8 @@ never into the report.
 
 Exit codes: 0 = structural success, 2 = a verification failed (a verdict
 is false or a structural precondition was rejected), 1 = input error,
-including a cohomology truncation the structure does not support and a
-report file (-o) that cannot be written.
+including a missing document key, a cohomology truncation the structure
+does not support and a report file (-o) that cannot be written.
 """
 
 from __future__ import annotations
@@ -64,6 +64,13 @@ def _load(path: str) -> dict:
     return doc
 
 
+def _field(doc, key, context):
+    """doc[key]; a missing key is an input error, never read as zero."""
+    if key not in doc:
+        raise ParseError(f"{context}: missing field {key!r}")
+    return doc[key]
+
+
 def _doc_chart_pi(doc, context):
     """Load a bivector document: either {chart, pi} or a lie_algebra whose
     fiberwise-linear dual Poisson structure is taken."""
@@ -72,8 +79,8 @@ def _doc_chart_pi(doc, context):
         g = parse_liealgebra(doc["lie_algebra"])
         pi = alg.lie_poisson(alg.complex_presentation(g))
         return pi.chart, pi
-    chart = parse_chart(doc.get("chart", {}))
-    pi = parse_bivector(chart, doc.get("pi", []))
+    chart = parse_chart(_field(doc, "chart", context))
+    pi = parse_bivector(chart, _field(doc, "pi", context))
     return chart, pi
 
 
@@ -106,9 +113,10 @@ def cmd_decompose(doc, options):
 
 
 def cmd_pn_check(doc, options):
-    require_keys(doc, {"chart", "pi", "endo", "expected"}, "pn-check input")
-    chart = parse_chart(doc.get("chart", {}))
-    pi = parse_bivector(chart, doc.get("pi", []))
+    context = "pn-check input"
+    require_keys(doc, {"chart", "pi", "endo", "expected"}, context)
+    chart = parse_chart(_field(doc, "chart", context))
+    pi = parse_bivector(chart, _field(doc, "pi", context))
     if chart.is_complex():
         report = poi.pn_check_complex(pi)
         chart = Chart.real(chart.n)
@@ -133,7 +141,7 @@ def cmd_torsion(doc, options):
         return {"verdicts": {"torsion_zero": not torsion},
                 "data": {"rank": realified.algebroid.rank,
                          "nonzero": entries}}, True
-    chart = parse_chart(doc.get("chart", {}))
+    chart = parse_chart(_field(doc, "chart", "torsion input"))
     endo = parse_endo(chart, doc.get("endo"))
     torsion = poi.nijenhuis_torsion(endo)
     entries = []
@@ -145,12 +153,12 @@ def cmd_torsion(doc, options):
 
 
 def cmd_koszul(doc, options):
-    require_keys(doc, {"chart", "pi", "alpha", "beta", "expected"},
-                 "koszul input")
-    chart = parse_chart(doc.get("chart", {}))
-    pi = parse_bivector(chart, doc.get("pi", []))
-    alpha = parse_alternating(chart, doc.get("alpha", []), 1, "form")
-    beta = parse_alternating(chart, doc.get("beta", []), 1, "form")
+    context = "koszul input"
+    require_keys(doc, {"chart", "pi", "alpha", "beta", "expected"}, context)
+    chart = parse_chart(_field(doc, "chart", context))
+    pi = parse_bivector(chart, _field(doc, "pi", context))
+    alpha = parse_alternating(chart, _field(doc, "alpha", context), 1, "form")
+    beta = parse_alternating(chart, _field(doc, "beta", context), 1, "form")
     value = poi.koszul_bracket(pi, alpha, beta)
     return {"verdicts": {},
             "data": {"bracket": alternating_dict(value)}}, True

@@ -538,31 +538,20 @@ def build_block(mp: MatchedPairData, truncation: Truncation, weight=None,
     table cache to share with the pair's other blocks (a new one if
     None)."""
     nvars = mp.A.chart.nvars
-    basis = {}
     if truncation.mode == "total_degree":
+        weight = None
         monos = monomials_up_to_degree(nvars, truncation.bound)
-        for cell in _canonical_cells(mp):
-            items = []
-            for I in combinations(range(mp.A.rank), cell[0]):
-                for J in combinations(range(mp.B.rank), cell[1]):
-                    for exps in monos:
-                        items.append((I, J, exps))
-            basis[cell] = items
-        return _Block(mp, None, basis, tables)
-    c_a, c_b = weight_exponents(mp)
-    for cell in _canonical_cells(mp):
-        k, l = cell
-        degree = weight - c_a * k - c_b * l
-        if degree < 0:
-            basis[cell] = []
-            continue
-        monos = monomials_of_degree(nvars, degree)
-        items = []
-        for I in combinations(range(mp.A.rank), k):
-            for J in combinations(range(mp.B.rank), l):
-                for exps in monos:
-                    items.append((I, J, exps))
-        basis[cell] = items
+    else:
+        c_a, c_b = weight_exponents(mp)
+    basis = {}
+    for k, l in _canonical_cells(mp):
+        if weight is not None:
+            degree = weight - c_a * k - c_b * l
+            monos = monomials_of_degree(nvars, degree) if degree >= 0 else []
+        basis[(k, l)] = [(I, J, exps)
+                         for I in combinations(range(mp.A.rank), k)
+                         for J in combinations(range(mp.B.rank), l)
+                         for exps in monos]
     return _Block(mp, weight, basis, tables)
 
 

@@ -597,15 +597,11 @@ class Poly:
             total = total + v
         return total
 
-    def substitute(self, images: list, target: Chart = None) -> "Poly":
-        """Ring map sending chart variable k to images[k]; the target
-        chart is read off the images (or given explicitly for n = 0)."""
+    def substitute(self, images: list, target: Chart) -> "Poly":
+        """Ring map onto the target chart sending chart variable k to
+        images[k]."""
         if len(images) != self.chart.nvars:
             raise ChartError("wrong number of substitution images")
-        if images:
-            target = images[0].chart
-        elif target is None:
-            target = self.chart
         out = Poly.zero(target)
         powers: dict = {}
         for exps, coeff in self.terms.items():
@@ -776,11 +772,28 @@ def _parse_factor(factor: str, chart: Chart) -> Poly:
 # ----------------------------------------------------------------------
 # chart conversion
 
-def convert_chart(f: Poly, target: Chart) -> Poly:
-    """Ring isomorphism between real(n) and complex(n) polynomial charts.
+def _coordinate_images(source: Chart, target: Chart) -> list:
+    """The variables of source written on target, the chart of the other
+    kind: z_k = x_k + i y_k and zb_k = x_k - i y_k; inversely
+    x_k = (z_k + zb_k)/2 and y_k = (z_k - zb_k)/2i.  The one place that
+    fixes the identification; the frame changes follow from it."""
+    n = target.n
+    first = [Poly.var(target, k) for k in range(n)]
+    second = [Poly.var(target, n + k) for k in range(n)]
+    if source.is_complex():
+        # z_k -> x_k + i y_k ; zb_k -> x_k - i y_k
+        return ([x + y.scale(GQ.i()) for x, y in zip(first, second)]
+                + [x - y.scale(GQ.i()) for x, y in zip(first, second)])
+    # x_k -> (z_k + zb_k)/2 ; y_k -> (z_k - zb_k)/2i = -i/2 (z_k - zb_k)
+    half = GQ(Fraction(1, 2))
+    half_i = GQ(0, Fraction(1, 2))
+    return ([(z + zb).scale(half) for z, zb in zip(first, second)]
+            + [(zb - z).scale(half_i) for z, zb in zip(first, second)])
 
-    z_k = x_k + i y_k and zb_k = x_k - i y_k; inversely x_k = (z_k + zb_k)/2
-    and y_k = (z_k - zb_k)/2i.  Converting to the chart already underfoot is
+
+def convert_chart(f: Poly, target: Chart) -> Poly:
+    """Ring isomorphism between real(n) and complex(n) polynomial charts
+    (see _coordinate_images).  Converting to the chart already underfoot is
     the identity.
     """
     if f.chart.n != target.n:
@@ -788,27 +801,7 @@ def convert_chart(f: Poly, target: Chart) -> Poly:
             f"dimension mismatch: {f.chart} cannot convert to {target}")
     if f.chart == target:
         return f
-    n = target.n
-    half = GQ(Fraction(1, 2))
-    half_i = GQ(0, Fraction(1, 2))
-    images = []
-    if f.chart.is_complex():
-        # z_k -> x_k + i y_k ; zb_k -> x_k - i y_k
-        for k in range(n):
-            images.append(Poly.var(target, k)
-                          + Poly.var(target, n + k).scale(GQ.i()))
-        for k in range(n):
-            images.append(Poly.var(target, k)
-                          - Poly.var(target, n + k).scale(GQ.i()))
-    else:
-        # x_k -> (z_k + zb_k)/2 ; y_k -> (z_k - zb_k)/2i = -i/2 (z_k - zb_k)
-        for k in range(n):
-            images.append((Poly.var(target, k)
-                           + Poly.var(target, n + k)).scale(half))
-        for k in range(n):
-            images.append((Poly.var(target, n + k)
-                           - Poly.var(target, k)).scale(half_i))
-    return f.substitute(images, target)
+    return f.substitute(_coordinate_images(f.chart, target), target)
 
 
 def is_conj_fixed(f: Poly) -> bool:

@@ -1,6 +1,7 @@
 """Exterior calculus on a chart: multivector fields, differential forms,
 wedge, contraction, Lie derivative, the Schouten-Nijenhuis bracket, de Rham
-d with its (dpart, dbar) splitting and the sharp map of a bivector.
+d, the sharp map of a bivector and the change of frames between the real
+and complex charts, derived from exactalg's one coordinate change.
 
 Frame bookkeeping: on a chart of dimension n both the tangent and cotangent
 frames carry 2n slots.  On complex charts slot k < n is the holomorphic
@@ -19,7 +20,14 @@ antisymmetry [P, Q] = -(-1)^((p-1)(q-1)) [Q, P].  These force
 from __future__ import annotations
 
 from .errors import ChartError, DegreeError
-from .exactalg import GQ, Chart, Poly, _accumulate, convert_chart
+from .exactalg import (
+    GQ,
+    Chart,
+    Poly,
+    _accumulate,
+    _coordinate_images,
+    convert_chart,
+)
 
 
 def merge_indices(left, right):
@@ -172,14 +180,6 @@ class _Alternating:
         out.comps = comps
         return out
 
-    def map_coefficients(self, fn):
-        comps = {}
-        for idx, poly in self.comps.items():
-            image = fn(poly)
-            if not image.is_zero():
-                comps[idx] = image
-        return self._raw(comps)
-
     def bidegree(self):
         """(k, l) split across the holomorphic block, or None if mixed."""
         n = self.chart.n
@@ -219,10 +219,6 @@ class Multivector(_Alternating):
 
     def _frame_prefix(self):
         return "d/d"
-
-    @staticmethod
-    def function(f: Poly) -> "Multivector":
-        return Multivector(f.chart, 0, {(): f})
 
     def apply_to(self, f: Poly) -> Poly:
         """Directional derivative X(f) of a degree-1 field."""
@@ -303,10 +299,9 @@ def interior(x: Multivector, omega: Form) -> Form:
                 _contract_slots(x.comps, omega.comps))
 
 
-def _d_comps(omega: Form, split: int):
-    """The components of d omega as two dicts: the terms whose new slot is
-    < split, and the rest."""
-    parts = ({}, {})
+def exterior_d(omega: Form) -> Form:
+    """De Rham differential on forms (all 2n chart variables)."""
+    comps: dict = {}
     for idx, coeff in omega.comps.items():
         for k in range(omega.chart.nvars):
             dcoeff = coeff.diff(k)
@@ -316,27 +311,8 @@ def _d_comps(omega: Form, split: int):
             if merged is None:
                 continue
             new_idx, sign = merged
-            _accumulate(parts[k >= split], new_idx,
-                        dcoeff if sign > 0 else -dcoeff)
-    return parts
-
-
-def exterior_d(omega: Form) -> Form:
-    """De Rham differential on forms (all 2n chart variables)."""
-    return Form(omega.chart, omega.degree + 1,
-                _d_comps(omega, omega.chart.nvars)[0])
-
-
-def derham_split(omega: Form):
-    """Split d = dpart + dbar on a complex chart.
-
-    dpart inserts holomorphic frame slots (dz), dbar antiholomorphic ones.
-    """
-    if not omega.chart.is_complex():
-        raise ChartError("derham_split requires a complex chart")
-    dpart, dbar = _d_comps(omega, omega.chart.n)
-    return (Form(omega.chart, omega.degree + 1, dpart),
-            Form(omega.chart, omega.degree + 1, dbar))
+            _accumulate(comps, new_idx, dcoeff if sign > 0 else -dcoeff)
+    return Form(omega.chart, omega.degree + 1, comps)
 
 
 # ----------------------------------------------------------------------
@@ -414,78 +390,30 @@ def sharp_matrix(pi: Multivector):
 # ----------------------------------------------------------------------
 # chart conversion of frames
 
-def _tangent_images(source: Chart, target: Chart):
-    n = source.n
-    half = GQ(1, 0) / GQ(2, 0)
-    out = []
-    if source.is_complex():
-        # d/dz_k = (d/dx_k - i d/dy_k)/2 ; d/dzb_k = (d/dx_k + i d/dy_k)/2
-        for k in range(n):
-            out.append(Multivector(target, 1, {
-                (k,): Poly.const(target, half),
-                (n + k,): Poly.const(target, GQ(0, 1) * half * -1)}))
-        for k in range(n):
-            out.append(Multivector(target, 1, {
-                (k,): Poly.const(target, half),
-                (n + k,): Poly.const(target, GQ(0, 1) * half)}))
-    else:
-        # d/dx_k = d/dz_k + d/dzb_k ; d/dy_k = i (d/dz_k - d/dzb_k)
-        for k in range(n):
-            out.append(Multivector(target, 1, {
-                (k,): Poly.one(target), (n + k,): Poly.one(target)}))
-        for k in range(n):
-            out.append(Multivector(target, 1, {
-                (k,): Poly.const(target, GQ(0, 1)),
-                (n + k,): Poly.const(target, GQ(0, -1))}))
-    return out
-
-
-def _cotangent_images(source: Chart, target: Chart):
-    n = source.n
-    half = GQ(1, 0) / GQ(2, 0)
-    out = []
-    if source.is_complex():
-        # dz_k = dx_k + i dy_k ; dzb_k = dx_k - i dy_k
-        for k in range(n):
-            out.append(Form(target, 1, {
-                (k,): Poly.one(target),
-                (n + k,): Poly.const(target, GQ(0, 1))}))
-        for k in range(n):
-            out.append(Form(target, 1, {
-                (k,): Poly.one(target),
-                (n + k,): Poly.const(target, GQ(0, -1))}))
-    else:
-        # dx_k = (dz_k + dzb_k)/2 ; dy_k = (dz_k - dzb_k)/2i
-        minus_half_i = GQ(0, 1) * half * -1
-        for k in range(n):
-            out.append(Form(target, 1, {
-                (k,): Poly.const(target, half),
-                (n + k,): Poly.const(target, half)}))
-        for k in range(n):
-            out.append(Form(target, 1, {
-                (k,): Poly.const(target, minus_half_i),
-                (n + k,): Poly.const(target, minus_half_i * -1)}))
-    return out
-
-
 def convert_alternating(obj, target: Chart):
-    """Transport a Multivector or Form across the real/complex chart pair."""
-    if obj.chart == target:
+    """Transport a Multivector or Form across the real/complex chart pair.
+
+    The image of the source coframe element dx_k is the differential of
+    coordinate k's image; the image of d/dx_k is column k of the Jacobian
+    of the inverse change, whose entries are constants.
+    """
+    source = obj.chart
+    if source == target:
         return obj
-    if obj.chart.n != target.n:
+    if source.n != target.n:
         raise ChartError("dimension mismatch in chart conversion")
     if isinstance(obj, Multivector):
-        images = _tangent_images(obj.chart, target)
-        unit: _Alternating = Multivector(target, 0, {(): Poly.one(target)})
+        inverse = _coordinate_images(target, source)
+        images = [Multivector.from_components(
+            target, [Poly(target, g.diff(k).terms) for g in inverse])
+            for k in range(source.nvars)]
     else:
-        images = _cotangent_images(obj.chart, target)
-        unit = Form(target, 0, {(): Poly.one(target)})
-    total = type(unit)(target, obj.degree, {})
+        images = [differential(f)
+                  for f in _coordinate_images(source, target)]
+    total = type(obj).zero(target, obj.degree)
     for idx, coeff in obj.comps.items():
-        term = unit.map_coefficients(
-            lambda p, c=coeff: p * convert_chart(c, target))
+        term = type(obj)(target, 0, {(): convert_chart(coeff, target)})
         for k in idx:
             term = term.wedge(images[k])
         total = total + term
     return total
-

@@ -91,22 +91,15 @@ class EndoField:
 
 
 def standard_j(chart: Chart) -> EndoField:
-    """The standard almost complex structure.
-
-    On real(n): J dx_k = dy_k, J dy_k = -dx_k (as actions on the frame).
-    On complex(n): multiplication by i on the z-block and by -i on the
-    zb-block of the complexified frame.
-    """
+    """The standard almost complex structure on a real chart: J dx_k = dy_k,
+    J dy_k = -dx_k (as actions on the frame)."""
+    if chart.is_complex():
+        raise ChartError("standard_j is defined on a real chart")
     n = chart.n
     rows = poly_zero_matrix(chart, 2 * n, 2 * n)
-    if chart.is_complex():
-        for k in range(n):
-            rows[k][k] = Poly.const(chart, GQ(0, 1))
-            rows[n + k][n + k] = Poly.const(chart, GQ(0, -1))
-    else:
-        for k in range(n):
-            rows[n + k][k] = Poly.one(chart)
-            rows[k][n + k] = Poly.const(chart, -1)
+    for k in range(n):
+        rows[n + k][k] = Poly.one(chart)
+        rows[k][n + k] = Poly.const(chart, -1)
     return EndoField(chart, rows)
 
 

@@ -20,6 +20,11 @@ These deliberately take different routes from the library code:
 * FractionGQ is the Gaussian rational as a pair of Fractions: the scalar
   the library used before its integer-triple GQ, frozen here, with
   format_fraction_gq, as the reference for the property tests.
+* tangent_images_reference and cotangent_images_reference are the
+  hand-typed tables of the frame changes between the complex and real
+  charts (d/dz_k = (d/dx_k - i d/dy_k)/2, dz_k = dx_k + i dy_k and their
+  inverses) that the library used before it derived them from the one
+  coordinate change, frozen here as the reference for that derivation.
 * multivector_conj_reference and _permutation_sign are the library's
   conjugation before it took its sign from merge_indices, frozen here as
   the reference for the property test of that sign.
@@ -110,7 +115,7 @@ def schouten_oracle(P: Multivector, Q: Multivector) -> Multivector:
             out = Poly.zero(chart)
             for (k,), coeff in P.comps.items():
                 out = out + coeff * f.diff(k)
-            return Multivector.function(out)
+            return Multivector(chart, 0, {(): out})
         if p == 0 and q == 1:
             # [f, X] = -(-1)^{(0-1)(1-1)} [X, f] = -X(f)
             return schouten_oracle(Q, P).scale(-1)
@@ -607,3 +612,60 @@ def conjugate_by_signs(a, signs):
                    for r in range(a.rank)] for t in range(a.rank)]
                  for s in range(a.rank)]
     return AlgebroidChart(a.chart, a.rank, anchor, structure)
+
+
+# ----------------------------------------------------------------------
+# frame changes between the complex and real charts (hand-typed tables)
+
+def tangent_images_reference(source: Chart, target: Chart):
+    n = source.n
+    half = GQ(1, 0) / GQ(2, 0)
+    out = []
+    if source.is_complex():
+        # d/dz_k = (d/dx_k - i d/dy_k)/2 ; d/dzb_k = (d/dx_k + i d/dy_k)/2
+        for k in range(n):
+            out.append(Multivector(target, 1, {
+                (k,): Poly.const(target, half),
+                (n + k,): Poly.const(target, GQ(0, 1) * half * -1)}))
+        for k in range(n):
+            out.append(Multivector(target, 1, {
+                (k,): Poly.const(target, half),
+                (n + k,): Poly.const(target, GQ(0, 1) * half)}))
+    else:
+        # d/dx_k = d/dz_k + d/dzb_k ; d/dy_k = i (d/dz_k - d/dzb_k)
+        for k in range(n):
+            out.append(Multivector(target, 1, {
+                (k,): Poly.one(target), (n + k,): Poly.one(target)}))
+        for k in range(n):
+            out.append(Multivector(target, 1, {
+                (k,): Poly.const(target, GQ(0, 1)),
+                (n + k,): Poly.const(target, GQ(0, -1))}))
+    return out
+
+
+def cotangent_images_reference(source: Chart, target: Chart):
+    n = source.n
+    half = GQ(1, 0) / GQ(2, 0)
+    out = []
+    if source.is_complex():
+        # dz_k = dx_k + i dy_k ; dzb_k = dx_k - i dy_k
+        for k in range(n):
+            out.append(Form(target, 1, {
+                (k,): Poly.one(target),
+                (n + k,): Poly.const(target, GQ(0, 1))}))
+        for k in range(n):
+            out.append(Form(target, 1, {
+                (k,): Poly.one(target),
+                (n + k,): Poly.const(target, GQ(0, -1))}))
+    else:
+        # dx_k = (dz_k + dzb_k)/2 ; dy_k = (dz_k - dzb_k)/2i
+        minus_half_i = GQ(0, 1) * half * -1
+        for k in range(n):
+            out.append(Form(target, 1, {
+                (k,): Poly.const(target, half),
+                (n + k,): Poly.const(target, half)}))
+        for k in range(n):
+            out.append(Form(target, 1, {
+                (k,): Poly.const(target, minus_half_i),
+                (n + k,): Poly.const(target, minus_half_i * -1)}))
+    return out

@@ -280,6 +280,30 @@ def test_malformed_input_is_input_error(tmp_path, command, doc, options):
     assert "Traceback" not in err
 
 
+C1 = {"kind": "complex", "n": 1}
+ONE_FORM = [{"frame": ["z1"], "coeff": "1"}]
+MISSING_KEY = [
+    ("koszul", {"chart": C1, "pi": [], "alpha": ONE_FORM}, "beta"),
+    ("koszul", {"chart": C1, "pi": [], "beta": ONE_FORM}, "alpha"),
+    ("koszul", {"chart": C1, "alpha": ONE_FORM, "beta": ONE_FORM}, "pi"),
+    ("check-poisson", {"chart": C1}, "pi"),
+    ("pn-check", {"chart": {"kind": "real", "n": 1},
+                  "endo": [["0", "-1"], ["1", "0"]]}, "pi"),
+]
+
+
+@pytest.mark.parametrize("command, doc, key", MISSING_KEY,
+                         ids=[f"{c}-{k}" for c, _, k in MISSING_KEY])
+def test_missing_key_is_input_error(tmp_path, command, doc, key):
+    """A missing pi, alpha or beta is an input error, not the zero
+    bivector or form."""
+    code, out, err = run_cli([command, write_doc(tmp_path, "doc.json", doc)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error:")
+    assert f"missing field {key!r}" in err
+
+
 def test_pn_check_of_non_poisson_bivector_fails(tmp_path):
     doc = write_doc(tmp_path, "pi.json", {
         "chart": {"kind": "complex", "n": 3},

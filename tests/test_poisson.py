@@ -258,6 +258,8 @@ def test_torsion_identity_and_standard_j():
                           for j in range(4)] for i in range(4)])
     assert nijenhuis_torsion(eye) == {}
     assert nijenhuis_torsion(standard_j(R2)) == {}
+    with pytest.raises(ChartError, match="defined on a real chart"):
+        standard_j(C2)
 
 
 def test_torsion_shear_matches_direct_evaluation():
@@ -339,8 +341,10 @@ def test_pn_check_complex_schouten_matches_real_chart():
 
 
 def test_pn_check_requires_real_chart():
-    with pytest.raises(ChartError):
-        pn_check(frame_bivector(C2, 0, 1), standard_j(C2))
+    eye = EndoField(C2, [[1 if i == j else 0 for j in range(4)]
+                         for i in range(4)])
+    with pytest.raises(ChartError, match="pn_check runs on the real chart"):
+        pn_check(frame_bivector(C2, 0, 1), eye)
 
 
 def test_pngc_equivalence_small_sample():
