@@ -18,10 +18,9 @@ the Koszul algebroids of 4 pi_R and 4 pi_I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ChartError, DegreeError, ShapeError, StructureError
+from .errors import ChartError, DegreeError, Record, ShapeError, StructureError
 from .exactalg import GQ, Chart, Poly
 from .linalg import dense_rank, poly_mat_vec
 from .multivec import Form, Multivector, lie_derivative, schouten, sharp
@@ -196,10 +195,8 @@ class EndoOnAlgebroid:
 # ----------------------------------------------------------------------
 # verification
 
-@dataclass(frozen=True)
-class AlgebroidReport:
-    jacobi: bool
-    anchor_morphism: bool
+class AlgebroidReport(Record):
+    __slots__ = ("jacobi", "anchor_morphism")
 
     @property
     def all_ok(self) -> bool:
@@ -461,10 +458,8 @@ def lie_poisson(g: LieAlgebraData) -> Multivector:
     return Multivector(chart, 2, comps)
 
 
-@dataclass(frozen=True)
-class RealifiedLieAlgebra:
-    algebroid: AlgebroidChart
-    j: EndoOnAlgebroid
+class RealifiedLieAlgebra(Record):
+    __slots__ = ("algebroid", "j")
 
 
 def realify_liealgebra(g: LieAlgebraData) -> RealifiedLieAlgebra:
@@ -580,10 +575,8 @@ def complex_presentation(g: LieAlgebraData) -> LieAlgebraData:
     return LieAlgebraData(r2, c)
 
 
-@dataclass(frozen=True)
-class RealPartsReport:
-    factor_re: bool
-    factor_im: bool
+class RealPartsReport(Record):
+    __slots__ = ("factor_re", "factor_im")
 
     @property
     def all_ok(self) -> bool:
@@ -693,10 +686,8 @@ class RepData:
         return out
 
 
-@dataclass(frozen=True)
-class RepReport:
-    leibniz: bool
-    flat: bool
+class RepReport(Record):
+    __slots__ = ("leibniz", "flat")
 
     @property
     def all_ok(self) -> bool:
@@ -705,18 +696,20 @@ class RepReport:
 
 def check_representation(rep: RepData) -> RepReport:
     """Flatness nabla_[ei,ej] = [nabla_ei, nabla_ej] and the Leibniz rule,
-    exactly on frames (with every chart variable as the test function)."""
+    exactly on frames (with every chart variable as the test function).
+    Both read the frame table nabla_{e_i} e_m, built once."""
     a, b = rep.acting, rep.module
+    frames = [b.frame_section(m) for m in range(b.rank)]
+    table = [[rep.apply(a.frame_section(i), em) for em in frames]
+             for i in range(a.rank)]
     flat = True
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             ei, ej = a.frame_section(i), a.frame_section(j)
             for m in range(b.rank):
-                em = b.frame_section(m)
-                lhs = rep.apply(a.structure[i][j], em)
-                rhs = [x - y for x, y in zip(
-                    rep.apply(ei, rep.apply(ej, em)),
-                    rep.apply(ej, rep.apply(ei, em)))]
+                lhs = rep.apply(a.structure[i][j], frames[m])
+                rhs = [x - y for x, y in zip(rep.apply(ei, table[j][m]),
+                                             rep.apply(ej, table[i][m]))]
                 if any(x != y for x, y in zip(lhs, rhs)):
                     flat = False
                     break
@@ -731,13 +724,11 @@ def check_representation(rep: RepData) -> RepReport:
         f = Poly.var(chart, var)
         for i in range(a.rank):
             ei = a.frame_section(i)
+            derivative = a.anchor_apply(ei, f)
             for m in range(b.rank):
-                em = b.frame_section(m)
-                scaled = [f * p for p in em]
-                lhs = rep.apply(ei, scaled)
-                base = rep.apply(ei, em)
-                rhs = [f * p for p in base]
-                rhs[m] = rhs[m] + a.anchor_apply(ei, f)
+                lhs = rep.apply(ei, [f * p for p in frames[m]])
+                rhs = [f * p for p in table[i][m]]
+                rhs[m] = rhs[m] + derivative
                 if any(x != y for x, y in zip(lhs, rhs)):
                     leibniz = False
                     break
@@ -797,18 +788,6 @@ def matched_pair_F(mp: MatchedPairData, x, y) -> Multivector:
             - mp.B.anchor_field(mp.nablaAB.apply(x, y)))
 
 
-def matched_pair_S(mp: MatchedPairData, x, y1, y2):
-    """S(X;Y1,Y2) = [nabla_X Y1, Y2] + [Y1, nabla_X Y2] - nabla_X [Y1,Y2]
-    + nabla_{nabla_{Y2} X} Y1 - nabla_{nabla_{Y1} X} Y2 (a B-section)."""
-    b = mp.B
-    t1 = b.bracket(mp.nablaAB.apply(x, y1), y2)
-    t2 = b.bracket(y1, mp.nablaAB.apply(x, y2))
-    t3 = mp.nablaAB.apply(x, b.bracket(y1, y2))
-    t4 = mp.nablaAB.apply(mp.nablaBA.apply(y2, x), y1)
-    t5 = mp.nablaAB.apply(mp.nablaBA.apply(y1, x), y2)
-    return [a + bb - c + d - e for a, bb, c, d, e in zip(t1, t2, t3, t4, t5)]
-
-
 def matched_pair_tensors(mp: MatchedPairData) -> MatchedPairTensors:
     """Evaluate F, S, T on all frame combinations; a matched pair is
     exactly the case F = S = T = 0."""
@@ -828,15 +807,28 @@ def matched_pair_tensors(mp: MatchedPairData) -> MatchedPairTensors:
 
 def _s_tensor(mp: MatchedPairData) -> dict:
     """The nonzero values of S on frames, keyed (i, j1, j2) with j1 < j2;
-    on the swapped pair these are the values of T."""
+    on the swapped pair these are the values of T.  S(X;Y1,Y2) is
+    [nabla_X Y1, Y2] + [Y1, nabla_X Y2] - nabla_X [Y1,Y2]
+    + nabla_{nabla_{Y2} X} Y1 - nabla_{nabla_{Y1} X} Y2, a B-section; the
+    frame tables of both connections are built once."""
+    a, b = mp.A, mp.B
+    a_frames = [a.frame_section(i) for i in range(a.rank)]
+    b_frames = [b.frame_section(j) for j in range(b.rank)]
+    ab = [[mp.nablaAB.apply(x, y) for y in b_frames] for x in a_frames]
+    ba = [[mp.nablaBA.apply(y, x) for x in a_frames] for y in b_frames]
     S = {}
-    for i in range(mp.A.rank):
-        for j1 in range(mp.B.rank):
-            for j2 in range(j1 + 1, mp.B.rank):
-                value = matched_pair_S(mp, mp.A.frame_section(i),
-                                       mp.B.frame_section(j1),
-                                       mp.B.frame_section(j2))
-                if not mp.B.section_is_zero(value):
+    for i, x in enumerate(a_frames):
+        for j1, y1 in enumerate(b_frames):
+            for j2 in range(j1 + 1, b.rank):
+                y2 = b_frames[j2]
+                t1 = b.bracket(ab[i][j1], y2)
+                t2 = b.bracket(y1, ab[i][j2])
+                t3 = mp.nablaAB.apply(x, b.bracket(y1, y2))
+                t4 = mp.nablaAB.apply(ba[j2][i], y1)
+                t5 = mp.nablaAB.apply(ba[j1][i], y2)
+                value = [p + q - r + s - t
+                         for p, q, r, s, t in zip(t1, t2, t3, t4, t5)]
+                if not b.section_is_zero(value):
                     S[(i, j1, j2)] = value
     return S
 
@@ -930,12 +922,8 @@ def canonical_matched_pair(pi: Multivector) -> MatchedPairData:
     return MatchedPairData(a, b, nabla_ab, nabla_ba)
 
 
-@dataclass(frozen=True)
-class YaoReport:
-    anchors: bool
-    vector_vector: bool
-    form_form: bool
-    mixed: bool
+class YaoReport(Record):
+    __slots__ = ("anchors", "vector_vector", "form_form", "mixed")
 
     @property
     def all_ok(self) -> bool:

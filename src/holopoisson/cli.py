@@ -43,6 +43,7 @@ from .serialize import (
     parse_chart,
     parse_endo,
     parse_liealgebra,
+    require_field,
     require_keys,
 )
 
@@ -64,13 +65,6 @@ def _load(path: str) -> dict:
     return doc
 
 
-def _field(doc, key, context):
-    """doc[key]; a missing key is an input error, never read as zero."""
-    if key not in doc:
-        raise ParseError(f"{context}: missing field {key!r}")
-    return doc[key]
-
-
 def _doc_chart_pi(doc, context):
     """Load a bivector document: either {chart, pi} or a lie_algebra whose
     fiberwise-linear dual Poisson structure is taken."""
@@ -79,8 +73,8 @@ def _doc_chart_pi(doc, context):
         g = parse_liealgebra(doc["lie_algebra"])
         pi = alg.lie_poisson(alg.complex_presentation(g))
         return pi.chart, pi
-    chart = parse_chart(_field(doc, "chart", context))
-    pi = parse_bivector(chart, _field(doc, "pi", context))
+    chart = parse_chart(require_field(doc, "chart", context))
+    pi = parse_bivector(chart, require_field(doc, "pi", context))
     return chart, pi
 
 
@@ -115,8 +109,8 @@ def cmd_decompose(doc, options):
 def cmd_pn_check(doc, options):
     context = "pn-check input"
     require_keys(doc, {"chart", "pi", "endo", "expected"}, context)
-    chart = parse_chart(_field(doc, "chart", context))
-    pi = parse_bivector(chart, _field(doc, "pi", context))
+    chart = parse_chart(require_field(doc, "chart", context))
+    pi = parse_bivector(chart, require_field(doc, "pi", context))
     if chart.is_complex():
         report = poi.pn_check_complex(pi)
         chart = Chart.real(chart.n)
@@ -141,8 +135,8 @@ def cmd_torsion(doc, options):
         return {"verdicts": {"torsion_zero": not torsion},
                 "data": {"rank": realified.algebroid.rank,
                          "nonzero": entries}}, True
-    chart = parse_chart(_field(doc, "chart", "torsion input"))
-    endo = parse_endo(chart, doc.get("endo"))
+    chart = parse_chart(require_field(doc, "chart", "torsion input"))
+    endo = parse_endo(chart, require_field(doc, "endo", "torsion input"))
     torsion = poi.nijenhuis_torsion(endo)
     entries = []
     for (a, b), field in sorted(torsion.items()):
@@ -155,10 +149,12 @@ def cmd_torsion(doc, options):
 def cmd_koszul(doc, options):
     context = "koszul input"
     require_keys(doc, {"chart", "pi", "alpha", "beta", "expected"}, context)
-    chart = parse_chart(_field(doc, "chart", context))
-    pi = parse_bivector(chart, _field(doc, "pi", context))
-    alpha = parse_alternating(chart, _field(doc, "alpha", context), 1, "form")
-    beta = parse_alternating(chart, _field(doc, "beta", context), 1, "form")
+    chart = parse_chart(require_field(doc, "chart", context))
+    pi = parse_bivector(chart, require_field(doc, "pi", context))
+    alpha = parse_alternating(chart, require_field(doc, "alpha", context),
+                              1, "form")
+    beta = parse_alternating(chart, require_field(doc, "beta", context),
+                             1, "form")
     value = poi.koszul_bracket(pi, alpha, beta)
     return {"verdicts": {},
             "data": {"bracket": alternating_dict(value)}}, True
@@ -202,7 +198,8 @@ def cmd_yao_check(doc, options):
 
 def cmd_lie_poisson(doc, options):
     require_keys(doc, {"lie_algebra", "expected"}, "lie-poisson input")
-    g = parse_liealgebra(doc.get("lie_algebra", {}))
+    g = parse_liealgebra(require_field(doc, "lie_algebra",
+                                       "lie-poisson input"))
     pi = alg.lie_poisson(alg.complex_presentation(g))
     report = poi.is_holomorphic_poisson(pi)
     return {"verdicts": report.as_dict(),
@@ -212,7 +209,8 @@ def cmd_lie_poisson(doc, options):
 
 def cmd_realparts_check(doc, options):
     require_keys(doc, {"lie_algebra", "expected"}, "realparts-check input")
-    g = parse_liealgebra(doc.get("lie_algebra", {}))
+    g = parse_liealgebra(require_field(doc, "lie_algebra",
+                                       "realparts-check input"))
     report = alg.realparts_liealgebra_check(g)
     return {"verdicts": report.as_dict(), "data": {}}, report.all_ok
 

@@ -35,12 +35,17 @@ elimination (method "oracle").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 
 from .algebroid import MatchedPairData
-from .errors import ChartError, DegreeError, StructureError, TruncationError
+from .errors import (
+    ChartError,
+    DegreeError,
+    Record,
+    StructureError,
+    TruncationError,
+)
 from .exactalg import GQ, Poly, _accumulate
 from .linalg import SparseMatrix
 from .multivec import Form, Multivector, insert_index, schouten, sharp
@@ -299,16 +304,15 @@ def d_pi(c: BiCochain, pi: Multivector) -> BiCochain:
 # ----------------------------------------------------------------------
 # truncation and basis enumeration
 
-@dataclass(frozen=True)
-class Truncation:
-    mode: str  # "total_degree" or "weight"
-    bound: int
+class Truncation(Record):
+    __slots__ = ("mode", "bound")  # mode is "total_degree" or "weight"
 
-    def __post_init__(self):
-        if self.mode not in ("total_degree", "weight"):
-            raise TruncationError(f"unknown truncation mode {self.mode!r}")
-        if self.bound < 0:
+    def __init__(self, mode: str, bound: int):
+        if mode not in ("total_degree", "weight"):
+            raise TruncationError(f"unknown truncation mode {mode!r}")
+        if bound < 0:
             raise TruncationError("truncation bound must be >= 0")
+        super().__init__(mode, bound)
 
 
 def _homogeneous_degree(poly: Poly):
@@ -385,15 +389,8 @@ def monomials_up_to_degree(nvars: int, bound: int):
     return out
 
 
-@dataclass(frozen=True)
-class CellReport:
-    k: int
-    l: int
-    dim: int
-    ker_A: int
-    rank_A: int
-    ker_B: int
-    rank_B: int
+class CellReport(Record):
+    __slots__ = ("k", "l", "dim", "ker_A", "rank_A", "ker_B", "rank_B")
 
     def as_dict(self):
         return {"k": self.k, "l": self.l, "dim": self.dim,
@@ -401,12 +398,8 @@ class CellReport:
                 "ker_B": self.ker_B, "rank_B": self.rank_B}
 
 
-@dataclass(frozen=True)
-class BlockReport:
-    weight: int | None
-    cells: tuple
-    total_dims: tuple
-    total_betti: tuple
+class BlockReport(Record):
+    __slots__ = ("weight", "cells", "total_dims", "total_betti")
 
     def as_dict(self):
         return {"weight": self.weight,
@@ -415,13 +408,8 @@ class BlockReport:
                 "total_betti": list(self.total_betti)}
 
 
-@dataclass(frozen=True)
-class BettiReport:
-    mode: str
-    bound: int
-    method: str
-    label: str
-    blocks: tuple
+class BettiReport(Record):
+    __slots__ = ("mode", "bound", "method", "label", "blocks")
 
     def as_dict(self):
         return {"mode": self.mode, "bound": self.bound, "method": self.method,

@@ -1,4 +1,38 @@
-"""Exception types shared by all holopoisson modules."""
+"""Exception types and the report-record base shared by all holopoisson
+modules."""
+
+
+class Record:
+    """Base of the small result records (reports, truncations): the
+    fields are the subclass's __slots__, set positionally by __init__,
+    with value equality, hashing and repr over them.  They are plain
+    slotted classes so that importing the package, which every command
+    pays for, generates and compiles no code."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes "
+                            f"{len(self.__slots__)} values, not {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class HoloPoissonError(Exception):

@@ -9,10 +9,9 @@ constant symplectic forms and pointwise foliation ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ChartError, DegreeError, ShapeError, StructureError
+from .errors import ChartError, DegreeError, Record, ShapeError, StructureError
 from .exactalg import GQ, Chart, Poly, _accumulate
 from .linalg import (
     column_space_equal,
@@ -106,10 +105,8 @@ def standard_j(chart: Chart) -> EndoField:
 # ----------------------------------------------------------------------
 # reports and small containers
 
-@dataclass(frozen=True)
-class HoloPoissonReport:
-    dbar_zero: bool
-    schouten_zero: bool
+class HoloPoissonReport(Record):
+    __slots__ = ("dbar_zero", "schouten_zero")
 
     @property
     def holomorphic_poisson(self) -> bool:
@@ -121,12 +118,9 @@ class HoloPoissonReport:
                 "holomorphic_poisson": self.holomorphic_poisson}
 
 
-@dataclass(frozen=True)
-class PNReport:
-    schouten_zero: bool
-    sharp_intertwine: bool
-    koszul_compat: bool
-    torsion_zero: bool
+class PNReport(Record):
+    __slots__ = ("schouten_zero", "sharp_intertwine", "koszul_compat",
+                 "torsion_zero")
 
     @property
     def all_ok(self) -> bool:
@@ -141,11 +135,8 @@ class PNReport:
                 "poisson_nijenhuis": self.all_ok}
 
 
-@dataclass(frozen=True)
-class FoliationReport:
-    rank_R: int
-    rank_I: int
-    images_equal: bool
+class FoliationReport(Record):
+    __slots__ = ("rank_R", "rank_I", "images_equal")
 
     def as_dict(self):
         return {"rank_R": self.rank_R, "rank_I": self.rank_I,

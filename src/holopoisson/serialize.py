@@ -22,6 +22,14 @@ def require_keys(obj: dict, allowed, context: str):
         raise ParseError(f"{context}: unknown fields {sorted(unknown)}")
 
 
+def require_field(doc: dict, key: str, context: str):
+    """doc[key]; a missing key is an input error, never read as zero or
+    as empty."""
+    if key not in doc:
+        raise ParseError(f"{context}: missing field {key!r}")
+    return doc[key]
+
+
 def is_int(value) -> bool:
     """True for a JSON integer: bool is an int subclass, but not one."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -29,11 +37,8 @@ def is_int(value) -> bool:
 
 def parse_chart(doc) -> Chart:
     require_keys(doc, {"kind", "n"}, "chart")
-    try:
-        kind = doc["kind"]
-        n = doc["n"]
-    except KeyError as exc:
-        raise ParseError(f"chart: missing field {exc}") from exc
+    kind = require_field(doc, "kind", "chart")
+    n = require_field(doc, "n", "chart")
     if not is_int(n):
         raise ParseError("chart: n must be an integer")
     if kind not in ("complex", "real"):
@@ -107,7 +112,7 @@ def parse_liealgebra(doc) -> LieAlgebraData:
     rank = doc.get("rank")
     if not is_int(rank) or rank < 0:
         raise ParseError("lie_algebra: rank must be a nonnegative integer")
-    brackets = doc.get("brackets", [])
+    brackets = require_field(doc, "brackets", "lie_algebra")
     if not isinstance(brackets, list):
         raise ParseError("lie_algebra: brackets must be a list")
     triples = []

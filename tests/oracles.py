@@ -28,6 +28,12 @@ These deliberately take different routes from the library code:
 * multivector_conj_reference and _permutation_sign are the library's
   conjugation before it took its sign from merge_indices, frozen here as
   the reference for the property test of that sign.
+* check_representation_reference and s_tensor_reference are the
+  library's flatness/Leibniz check and frame S loop before they read the
+  frame tables of the covariant derivatives: every nabla is recomputed
+  where it is used, and S goes through matched_pair_S on frame sections.
+  matched_pair_S, S(X;Y1,Y2) on arbitrary sections, is also the reference
+  for the tensoriality tests of S and T.
 
 Fixtures and references that no command needs, moved out of the library:
 
@@ -44,7 +50,11 @@ Fixtures and references that no command needs, moved out of the library:
 from fractions import Fraction
 from itertools import combinations
 
-from holopoisson.algebroid import AlgebroidChart, cotangent_algebroid
+from holopoisson.algebroid import (
+    AlgebroidChart,
+    RepReport,
+    cotangent_algebroid,
+)
 from holopoisson.cohomology import BiCochain
 from holopoisson.errors import ChartError, TruncationError
 from holopoisson.exactalg import GQ, Chart, Poly, _accumulate, convert_chart
@@ -669,3 +679,78 @@ def cotangent_images_reference(source: Chart, target: Chart):
                 (k,): Poly.const(target, minus_half_i),
                 (n + k,): Poly.const(target, minus_half_i * -1)}))
     return out
+
+
+# ----------------------------------------------------------------------
+# representation checks before the frame tables
+
+def check_representation_reference(rep) -> RepReport:
+    """Flatness nabla_[ei,ej] = [nabla_ei, nabla_ej] and the Leibniz rule,
+    exactly on frames (with every chart variable as the test function)."""
+    a, b = rep.acting, rep.module
+    flat = True
+    for i in range(a.rank):
+        for j in range(i + 1, a.rank):
+            ei, ej = a.frame_section(i), a.frame_section(j)
+            for m in range(b.rank):
+                em = b.frame_section(m)
+                lhs = rep.apply(a.structure[i][j], em)
+                rhs = [x - y for x, y in zip(
+                    rep.apply(ei, rep.apply(ej, em)),
+                    rep.apply(ej, rep.apply(ei, em)))]
+                if any(x != y for x, y in zip(lhs, rhs)):
+                    flat = False
+                    break
+            if not flat:
+                break
+        if not flat:
+            break
+
+    leibniz = True
+    chart = a.chart
+    for var in range(chart.nvars):
+        f = Poly.var(chart, var)
+        for i in range(a.rank):
+            ei = a.frame_section(i)
+            for m in range(b.rank):
+                em = b.frame_section(m)
+                scaled = [f * p for p in em]
+                lhs = rep.apply(ei, scaled)
+                base = rep.apply(ei, em)
+                rhs = [f * p for p in base]
+                rhs[m] = rhs[m] + a.anchor_apply(ei, f)
+                if any(x != y for x, y in zip(lhs, rhs)):
+                    leibniz = False
+                    break
+            if not leibniz:
+                break
+        if not leibniz:
+            break
+    return RepReport(leibniz, flat)
+
+
+def matched_pair_S(mp, x, y1, y2):
+    """S(X;Y1,Y2) = [nabla_X Y1, Y2] + [Y1, nabla_X Y2] - nabla_X [Y1,Y2]
+    + nabla_{nabla_{Y2} X} Y1 - nabla_{nabla_{Y1} X} Y2 (a B-section)."""
+    b = mp.B
+    t1 = b.bracket(mp.nablaAB.apply(x, y1), y2)
+    t2 = b.bracket(y1, mp.nablaAB.apply(x, y2))
+    t3 = mp.nablaAB.apply(x, b.bracket(y1, y2))
+    t4 = mp.nablaAB.apply(mp.nablaBA.apply(y2, x), y1)
+    t5 = mp.nablaAB.apply(mp.nablaBA.apply(y1, x), y2)
+    return [a + bb - c + d - e for a, bb, c, d, e in zip(t1, t2, t3, t4, t5)]
+
+
+def s_tensor_reference(mp) -> dict:
+    """The nonzero values of S on frames, keyed (i, j1, j2) with j1 < j2;
+    on the swapped pair these are the values of T."""
+    S = {}
+    for i in range(mp.A.rank):
+        for j1 in range(mp.B.rank):
+            for j2 in range(j1 + 1, mp.B.rank):
+                value = matched_pair_S(mp, mp.A.frame_section(i),
+                                       mp.B.frame_section(j1),
+                                       mp.B.frame_section(j2))
+                if not mp.B.section_is_zero(value):
+                    S[(i, j1, j2)] = value
+    return S

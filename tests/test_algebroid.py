@@ -1,6 +1,9 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holopoisson.algebroid import (
     AlgebroidChart,
@@ -8,6 +11,7 @@ from holopoisson.algebroid import (
     LieAlgebraData,
     MatchedPairData,
     RepData,
+    _s_tensor,
     antiholomorphic_tangent,
     bowtie,
     canonical_matched_pair,
@@ -18,7 +22,6 @@ from holopoisson.algebroid import (
     koszul_algebroid,
     lie_poisson,
     matched_pair_F,
-    matched_pair_S,
     matched_pair_tensors,
     nijenhuis_torsion_algebroid,
     realify_liealgebra,
@@ -26,6 +29,7 @@ from holopoisson.algebroid import (
     verify_algebroid,
     yao_isomorphism_check,
 )
+from holopoisson.cli import _doc_chart_pi, _load, corpus, corpus_path
 from holopoisson.errors import StructureError
 from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.linalg import (
@@ -42,10 +46,13 @@ from holopoisson.poisson import (
 )
 
 from oracles import (
+    check_representation_reference,
     conjugate_by_signs,
     lie_algebra_algebroid,
+    matched_pair_S,
     rand_poly,
     realified_cotangent,
+    s_tensor_reference,
     tangent_algebroid,
 )
 
@@ -384,6 +391,63 @@ def test_perturbed_nabla_gives_nonzero_tensor():
     assert not tensors.all_zero
     with pytest.raises(StructureError):
         bowtie(perturbed)
+
+
+@lru_cache(maxsize=None)
+def corpus_matched_pairs():
+    """The canonical matched pair of every corpus bivector that is
+    holomorphic Poisson (a Lie algebra through its Lie-Poisson
+    structure)."""
+    pairs = []
+    for name in corpus():
+        _, pi = _doc_chart_pi(_load(corpus_path(name)), name)
+        if is_holomorphic_poisson(pi).holomorphic_poisson:
+            pairs.append((name, canonical_matched_pair(pi)))
+    return tuple(pairs)
+
+
+@st.composite
+def random_connections(draw):
+    """A corpus pair whose two connections, and a connection of B on
+    itself that starts from B's structure functions, get random
+    Gaussian-integer polynomials added to a few entries.  With no entry
+    changed the pair's connections are flat; a changed entry mostly
+    breaks flatness and the vanishing of S and T."""
+    name, mp = draw(st.sampled_from(corpus_matched_pairs()))
+    chart = mp.A.chart
+    small = st.integers(-3, 3)
+    exps = st.tuples(*[st.integers(0, 1)] * chart.nvars)
+
+    def perturbed(acting, module, gamma):
+        gamma = [[list(vec) for vec in row] for row in gamma]
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, acting.rank - 1))
+            j = draw(st.integers(0, module.rank - 1))
+            k = draw(st.integers(0, module.rank - 1))
+            re, im = draw(st.tuples(small, small))
+            gamma[i][j][k] = gamma[i][j][k] + Poly.monomial(
+                chart, draw(exps), GQ(re, im))
+        return RepData(acting, module, gamma)
+
+    pair = MatchedPairData(
+        mp.A, mp.B, perturbed(mp.A, mp.B, mp.nablaAB.gamma),
+        perturbed(mp.B, mp.A, mp.nablaBA.gamma))
+    return name, pair, perturbed(mp.B, mp.B, mp.B.structure)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_connections())
+def test_frame_tables_match_reference(case):
+    """check_representation and the S/T loop read frame tables of the
+    covariant derivatives; the reference copies recompute every nabla
+    where it is used.  Verdicts and the S/T values must agree."""
+    name, mp, self_action = case
+    for rep in (mp.nablaAB, mp.nablaBA, self_action):
+        assert check_representation(rep) == \
+            check_representation_reference(rep), name
+    assert _s_tensor(mp) == s_tensor_reference(mp), name
+    swapped = mp.swapped()
+    assert _s_tensor(swapped) == s_tensor_reference(swapped), name
 
 
 def test_tensoriality_with_correction_terms():

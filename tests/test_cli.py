@@ -289,19 +289,36 @@ MISSING_KEY = [
     ("check-poisson", {"chart": C1}, "pi"),
     ("pn-check", {"chart": {"kind": "real", "n": 1},
                   "endo": [["0", "-1"], ["1", "0"]]}, "pi"),
+    ("lie-poisson", {"lie_algebra": {"rank": 2}}, "brackets"),
+    ("torsion", {"lie_algebra": {"rank": 2}}, "brackets"),
+    ("lie-poisson", {}, "lie_algebra"),
+    ("realparts-check", {}, "lie_algebra"),
+    ("torsion", {"chart": {"kind": "real", "n": 1}}, "endo"),
 ]
 
 
 @pytest.mark.parametrize("command, doc, key", MISSING_KEY,
                          ids=[f"{c}-{k}" for c, _, k in MISSING_KEY])
 def test_missing_key_is_input_error(tmp_path, command, doc, key):
-    """A missing pi, alpha or beta is an input error, not the zero
-    bivector or form."""
+    """A missing pi, alpha, beta, endo, lie_algebra or brackets is an
+    input error, not the zero bivector or form or the abelian algebra."""
     code, out, err = run_cli([command, write_doc(tmp_path, "doc.json", doc)])
     assert code == 1
     assert out == ""
     assert err.startswith("input error:")
     assert f"missing field {key!r}" in err
+
+
+def test_empty_brackets_are_the_abelian_algebra(tmp_path):
+    """An explicit "brackets": [] stays valid input."""
+    doc = write_doc(tmp_path, "abelian.json",
+                    {"lie_algebra": {"rank": 2, "brackets": []}})
+    code, out, _ = run_cli(["lie-poisson", doc])
+    assert code == 0
+    assert json.loads(out)["data"]["pi"] == []
+    code, out, _ = run_cli(["torsion", doc])
+    assert code == 0
+    assert json.loads(out)["verdicts"]["torsion_zero"] is True
 
 
 def test_pn_check_of_non_poisson_bivector_fails(tmp_path):

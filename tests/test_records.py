@@ -1,0 +1,68 @@
+"""The report records and the start-up they keep cheap.
+
+Every command is a fresh process, so the package's import is paid on each
+one; the records are plain slotted classes on errors.Record, and the
+package imports no dataclasses machinery (which would pull in inspect,
+ast, dis and tokenize and compile code for each class)."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import holopoisson
+from holopoisson.algebroid import RepReport
+from holopoisson.cohomology import (
+    BettiReport,
+    BlockReport,
+    CellReport,
+    Truncation,
+)
+from holopoisson.poisson import FoliationReport, PNReport
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    package = os.path.dirname(os.path.abspath(holopoisson.__file__))
+    probe = ("import sys, holopoisson.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_records_compare_and_hash_by_value():
+    a = PNReport(True, False, True, True)
+    b = PNReport(True, False, True, True)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != PNReport(True, True, True, True)
+    # records of different types never compare equal, even with equal fields
+    assert RepReport(True, True) != FoliationReport(True, True, True)
+    assert RepReport(True, False) != (True, False)
+    cell = CellReport(0, 1, 3, 2, 1, 3, 0)
+    block = BlockReport(2, (cell,), (3,), (2,))
+    report = BettiReport("weight", 2, "sparse", "exact", (block,))
+    again = BettiReport("weight", 2, "sparse", "exact",
+                        (BlockReport(2, (CellReport(0, 1, 3, 2, 1, 3, 0),),
+                                     (3,), (2,)),))
+    assert report == again and hash(report) == hash(again)
+    assert report.block(2) is block
+
+
+def test_records_repr_names_every_field():
+    assert repr(PNReport(True, False, True, True)) == (
+        "PNReport(schouten_zero=True, sharp_intertwine=False, "
+        "koszul_compat=True, torsion_zero=True)")
+    assert repr(Truncation("weight", 3)) == (
+        "Truncation(mode='weight', bound=3)")
+
+
+def test_records_take_exactly_their_fields():
+    with pytest.raises(TypeError):
+        RepReport(True)
+    with pytest.raises(TypeError):
+        RepReport(True, True, True)
+    with pytest.raises(AttributeError):
+        RepReport(True, True).extra = 1
+
