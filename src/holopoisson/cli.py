@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from importlib import resources
 
 from . import algebroid as alg
 from . import cohomology as coho
@@ -327,14 +326,21 @@ def run_job(job: dict):
 # ----------------------------------------------------------------------
 # corpus and selftest
 
+# importlib.resources (with typing, pathlib and tempfile) is imported only
+# here, so the commands that never read the corpus do not pay for it
+
 def corpus():
     """Names of the bundled example documents."""
+    from importlib import resources
+
     root = resources.files("holopoisson") / "corpus"
     return sorted(entry.name for entry in root.iterdir()
                   if entry.name.endswith(".json"))
 
 
 def corpus_path(name: str) -> str:
+    from importlib import resources
+
     return str(resources.files("holopoisson") / "corpus" / name)
 
 

@@ -29,8 +29,9 @@ time: the partial_A and partial_B matrices of that degree's cells are built
 once, ranked for the cell reports and assembled into the total matrix.
 The blocks of one truncation share the cells' tables.
 Ranks come from two independent elimination routes over GQ: sparse
-Markowitz elimination (method "sparse") and dense naive Gaussian
-elimination (method "oracle").
+elimination (method "sparse"), each pivot taken from column-count buckets
+(a column of least count, its shortest row) with no scan of the remaining
+nonzeros, and dense naive Gaussian elimination (method "oracle").
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import re
 from fractions import Fraction
 from math import gcd
 from operator import add
-from typing import Iterable
 
 from .errors import ChartError, ParseError
 
@@ -582,7 +581,7 @@ class Poly:
         n = self.chart.n
         return all(all(e == 0 for e in exps[n:]) for exps in self.terms)
 
-    def evaluate(self, point: Iterable) -> GQ:
+    def evaluate(self, point) -> GQ:
         values = [GQ.of(v) for v in point]
         if len(values) != self.chart.nvars:
             raise ChartError(

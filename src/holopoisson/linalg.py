@@ -3,9 +3,11 @@
 Two independent routes are kept deliberately separate:
 
 * ``markowitz_rank``: sparse Gaussian elimination straight over GQ, rows
-  stored as dicts with a column -> rows index; each pivot is the entry of
-  least Markowitz cost (r - 1)(c - 1), ties by (row, col), and only the
-  rows with a nonzero in the pivot column are updated.  Deterministic.
+  stored as dicts with a column -> rows index and the columns kept in
+  buckets by nonzero count; each pivot is in a column of least count, on
+  its shortest row (ties to the smaller row index), found with no scan of
+  the remaining nonzeros, and only the rows with a nonzero in the pivot
+  column are updated.  Deterministic.
 * ``dense_rank``: naive dense Gaussian elimination straight over GQ with
   first-nonzero pivoting and no heuristics of any kind.  This is the
   cross-validation oracle and must stay simple.
@@ -90,41 +92,63 @@ def dense_rank(rows) -> int:
 
 
 # ----------------------------------------------------------------------
-# sparse elimination over GQ with Markowitz pivoting
+# sparse elimination over GQ, pivots from column-count buckets
 
 def markowitz_rank(matrix: SparseMatrix) -> int:
     """Rank of a sparse GQ matrix by Gaussian elimination over GQ.
 
-    Rows are dicts ``col -> value`` with a ``col -> rows`` index.  Each
-    step pivots on the entry with the smallest Markowitz cost
-    ``(r - 1)(c - 1)`` (r, c: nonzeros in its row and column), ties broken
-    by the smaller (row, col), and updates only the rows with a nonzero in
-    the pivot column.
+    Rows are dicts ``col -> value`` with a ``col -> rows`` index (a dict
+    used as an insertion-ordered set, smaller than a set).  The columns
+    sit in count buckets, stacks of the columns pushed at each nonzero
+    count, with a pointer at the lowest non-empty count.  Each step pivots
+    in a column of that least count (a column of count 1 at once, with no
+    search and nothing to eliminate), on its shortest row, ties to the
+    smaller row index (the one-column case of Zlatev's limited Markowitz
+    search, 1980), and updates only the rows with a nonzero in the pivot
+    column.  Only the pivot row's columns change count; each is pushed
+    onto the bucket of its new count, and a column whose count reaches 0
+    leaves the index.  An entry whose column has left or whose count has
+    changed since its push is stale and is dropped when popped.  No step
+    scans the remaining nonzeros, and the pivot order depends on the
+    input alone.
     """
     rows: dict = {}
     cols: dict = {}
-    # rows are only ever deleted, so the dict keeps ascending row order
-    for i, j in sorted(matrix.entries):
-        rows.setdefault(i, {})[j] = matrix.entries[(i, j)]
-        cols.setdefault(j, set()).add(i)
+    for (i, j), value in matrix.entries.items():
+        rows.setdefault(i, {})[j] = value
+        cols.setdefault(j, {})[i] = None
+    buckets: dict = {}
+    for j, col in cols.items():
+        buckets.setdefault(len(col), []).append(j)
+    low = 1
     rank = 0
-    while rows:
-        best = pr = pc = None
-        for i, row in rows.items():
-            r1 = len(row) - 1
-            for j in row:
-                cost = r1 * (len(cols[j]) - 1)
-                if (best is None or cost < best
-                        or cost == best and i == pr and j < pc):
-                    best, pr, pc = cost, i, j
-            if best == 0:
-                break  # later rows lose the tie on the row index
-        pivot_row = rows.pop(pr)
-        neg_inv = GQ(-1) / pivot_row.pop(pc)
-        below = cols.pop(pc)
-        below.discard(pr)
+    while buckets:
+        while low not in buckets:
+            low += 1
+        bucket = buckets[low]
+        pc = bucket.pop()
+        if not bucket:
+            del buckets[low]
+        below = cols.get(pc)
+        if below is None or len(below) != low:
+            continue  # stale
+        del cols[pc]
+        if low == 1:
+            pr = below.popitem()[0]
+            pivot_row = rows.pop(pr)
+            del pivot_row[pc]
+        else:
+            best = None
+            for i in below:
+                length = len(rows[i])
+                if best is None or length < best or length == best and i < pr:
+                    best, pr = length, i
+            del below[pr]
+            pivot_row = rows.pop(pr)
+            neg_inv = GQ(-1) / pivot_row.pop(pc)
+        counts = [len(cols[j]) for j in pivot_row]
         for j in pivot_row:
-            cols[j].discard(pr)
+            del cols[j][pr]
         for i in below:
             row = rows[i]
             factor = row.pop(pc) * neg_inv
@@ -132,16 +156,24 @@ def markowitz_rank(matrix: SparseMatrix) -> int:
                 old = row.get(j)
                 if old is None:
                     row[j] = factor * value
-                    cols[j].add(i)
+                    cols[j][i] = None
                 else:
                     new = old + factor * value
                     if new.is_zero():
                         del row[j]
-                        cols[j].discard(i)
+                        del cols[j][i]
                     else:
                         row[j] = new
             if not row:
                 del rows[i]
+        for j, count in zip(pivot_row, counts):
+            new = len(cols[j])
+            if not new:
+                del cols[j]
+            elif new != count:
+                buckets.setdefault(new, []).append(j)
+                if new < low:
+                    low = new
         rank += 1
     return rank
 

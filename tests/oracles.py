@@ -17,6 +17,10 @@ These deliberately take different routes from the library code:
 * cell_matrix_reference and total_matrix_oracle build a block's cell and
   total matrices one basis vector at a time through the reference
   coboundary, instead of reading the operator tables and assembling.
+* markowitz_rank_reference is the library's sparse rank before it took
+  its pivots from column-count buckets: every step scans all remaining
+  nonzeros for the least Markowitz cost (r - 1)(c - 1), frozen here as a
+  second route for the property test of the bucket search.
 * FractionGQ is the Gaussian rational as a pair of Fractions: the scalar
   the library used before its integer-triple GQ, frozen here, with
   format_fraction_gq, as the reference for the property tests.
@@ -341,6 +345,63 @@ def partial_B_reference(cochain):
                                  cochain.k)
     comps = {(I, J): poly for (J, I), poly in image.items()}
     return BiCochain(mp, cochain.k, cochain.l + 1, comps)
+
+
+# ----------------------------------------------------------------------
+# sparse rank by the full Markowitz scan
+
+def markowitz_rank_reference(matrix: SparseMatrix) -> int:
+    """Rank of a sparse GQ matrix by Gaussian elimination over GQ.
+
+    Rows are dicts ``col -> value`` with a ``col -> rows`` index.  Each
+    step pivots on the entry with the smallest Markowitz cost
+    ``(r - 1)(c - 1)`` (r, c: nonzeros in its row and column), ties broken
+    by the smaller (row, col), and updates only the rows with a nonzero in
+    the pivot column.
+    """
+    rows: dict = {}
+    cols: dict = {}
+    # rows are only ever deleted, so the dict keeps ascending row order
+    for i, j in sorted(matrix.entries):
+        rows.setdefault(i, {})[j] = matrix.entries[(i, j)]
+        cols.setdefault(j, set()).add(i)
+    rank = 0
+    while rows:
+        best = pr = pc = None
+        for i, row in rows.items():
+            r1 = len(row) - 1
+            for j in row:
+                cost = r1 * (len(cols[j]) - 1)
+                if (best is None or cost < best
+                        or cost == best and i == pr and j < pc):
+                    best, pr, pc = cost, i, j
+            if best == 0:
+                break  # later rows lose the tie on the row index
+        pivot_row = rows.pop(pr)
+        neg_inv = GQ(-1) / pivot_row.pop(pc)
+        below = cols.pop(pc)
+        below.discard(pr)
+        for j in pivot_row:
+            cols[j].discard(pr)
+        for i in below:
+            row = rows[i]
+            factor = row.pop(pc) * neg_inv
+            for j, value in pivot_row.items():
+                old = row.get(j)
+                if old is None:
+                    row[j] = factor * value
+                    cols[j].add(i)
+                else:
+                    new = old + factor * value
+                    if new.is_zero():
+                        del row[j]
+                        cols[j].discard(i)
+                    else:
+                        row[j] = new
+            if not row:
+                del rows[i]
+        rank += 1
+    return rank
 
 
 # ----------------------------------------------------------------------

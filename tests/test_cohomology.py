@@ -541,6 +541,19 @@ def test_betti_sl2_weight_two_casimir_line():
     assert report.block(1).total_betti[0] == 0
 
 
+def test_betti_sl2_weight_five_is_whitehead():
+    """H(sl2, S(sl2)) = H*(sl2) (x) Casimirs (Whitehead's lemma on each
+    S^d(sl2)): the block of weight w carries (1, 0, 0, 1) when w is even
+    and nothing when it is odd.  Sparse route only; at this size the
+    dense oracle is far too slow."""
+    with open(corpus_path("sl2.json"), encoding="utf-8") as handle:
+        sl2 = lie_poisson(parse_liealgebra(json.load(handle)["lie_algebra"]))
+    report = betti(canonical_matched_pair(sl2), Truncation("weight", 5))
+    for weight in range(6):
+        want = (1, 0, 0, 1, 0, 0, 0) if weight % 2 == 0 else (0,) * 7
+        assert tuple(report.block(weight).total_betti) == want
+
+
 def test_betti_constructs_no_fraction(monkeypatch):
     """The scalar is integer-only: once the input is parsed, the whole
     cohomology route builds no Fraction."""

@@ -21,6 +21,8 @@ from holopoisson.linalg import (
 from holopoisson.multivec import Form, Multivector, pairing
 from holopoisson.poisson import EndoField
 
+from oracles import markowitz_rank_reference
+
 
 def rand_gq(rng):
     return GQ(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
@@ -97,8 +99,10 @@ def test_sparse_rank_empty_and_zero():
 
 
 def test_sparse_rank_keeps_fill_in():
-    # every pivot has Markowitz cost 1; the first one fills (1, 1), and
-    # only with that fill does the last row cancel (rank 2, not 3)
+    # every column has count 2 and every row length 2; the first pivot,
+    # (1, 2) (the column pushed last onto the count-2 stack, on the
+    # smaller of its two rows), fills (2, 0), and only with that fill does
+    # the last row cancel (rank 2, not 3)
     one = GQ(1)
     matrix = SparseMatrix(3, 3, {(0, 0): one, (0, 1): one,
                                  (1, 0): one, (1, 2): one,
@@ -160,6 +164,72 @@ def test_sparse_rank_equals_dense_oracle(case):
                for j, v in enumerate(row) if not v.is_zero()}
     matrix = SparseMatrix(nrows, ncols, entries)
     assert matrix.rank("sparse") == dense_rank(rows)
+
+
+@st.composite
+def structured_matrices(draw):
+    """Q(i) matrices up to 25 x 25 shaped to reach every branch of the
+    bucket pivot search: a sparse base (random, or of planted low rank),
+    a circulant band whose elimination fills in and raises a column's
+    count before it falls, then rows that repeat, negate or scale earlier
+    ones (so that columns empty by cancellation partway through the
+    elimination) and singleton columns (count 1, pivoted with no search).
+    Rows are shuffled last, so no structure sits at the low indices."""
+    zero = GQ(0)
+    scalar = gaussian_rationals(draw(st.sampled_from([3, 2 ** 64]))).filter(
+        lambda v: not v.is_zero())
+    density = draw(st.sampled_from([0.08, 0.2, 0.4]))
+    mask = st.floats(0, 1)
+
+    def sparse(n, m):
+        return [[draw(scalar) if draw(mask) < density else zero
+                 for _ in range(m)] for _ in range(n)]
+
+    ncols = draw(st.integers(1, 25))
+    nbase = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, 5))
+        left, right = sparse(nbase, inner), sparse(inner, ncols)
+        rows = [[sum((left[i][t] * right[t][j] for t in range(inner)), zero)
+                 for j in range(ncols)] for i in range(nbase)]
+    else:
+        rows = sparse(nbase, ncols)
+    if ncols >= 4 and draw(st.booleans()):
+        # a circulant band, row t on band columns t, t+1, t+2 (mod k): on
+        # its own every band column has count 3, and eliminating one fills
+        # the pivot row's other columns into two rows that lack them
+        band = draw(st.permutations(range(ncols)))[:draw(
+            st.integers(4, min(ncols, 8)))]
+        for t in range(len(band)):
+            row = [zero] * ncols
+            for u in range(3):
+                row[band[(t + u) % len(band)]] = draw(scalar)
+            rows.append(row)
+    factors = st.sampled_from([GQ(1), GQ(-1), GQ(0, 1)]) | scalar
+    for _ in range(draw(st.integers(0, 5))):
+        source = rows[draw(st.integers(0, len(rows) - 1))]
+        factor = draw(factors)
+        rows.append([factor * v for v in source])
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=4)):
+        keep = draw(st.integers(0, len(rows) - 1))
+        for i, row in enumerate(rows):
+            row[j] = draw(scalar) if i == keep else zero
+    rows = draw(st.permutations(rows))
+    return len(rows), ncols, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(structured_matrices())
+def test_bucket_pivots_agree_with_full_scan_and_dense_oracle(case):
+    """The bucket pivot search against two independent routes: the full
+    Markowitz scan it replaced and dense elimination."""
+    nrows, ncols, rows = case
+    entries = {(i, j): v for i, row in enumerate(rows)
+               for j, v in enumerate(row) if not v.is_zero()}
+    matrix = SparseMatrix(nrows, ncols, entries)
+    rank = dense_rank(rows)
+    assert matrix.rank("sparse") == rank
+    assert markowitz_rank_reference(matrix) == rank
 
 
 # ----------------------------------------------------------------------

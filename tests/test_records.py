@@ -22,14 +22,27 @@ from holopoisson.cohomology import (
 from holopoisson.poisson import FoliationReport, PNReport
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
+def loaded_by_cli_import(names):
+    """Which of names a bare ``python -S`` process has imported after
+    ``import holopoisson.cli`` (no site module, so nothing preloads them)."""
     package = os.path.dirname(os.path.abspath(holopoisson.__file__))
     probe = ("import sys, holopoisson.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             f"print(sorted({set(names)!r} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
     result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    assert loaded_by_cli_import({"dataclasses", "inspect"}) == "[]"
+
+
+def test_cli_import_loads_no_corpus_machinery():
+    """importlib.resources, and the typing, pathlib and tempfile it pulls
+    in, are imported only by the commands that read the corpus."""
+    assert loaded_by_cli_import({"importlib.resources", "pathlib",
+                                 "tempfile", "typing"}) == "[]"
 
 
 def test_records_compare_and_hash_by_value():
