@@ -434,7 +434,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     job = {"command": args.command, "options": {}}
-    for key in ("point", "weight", "max_degree", "method", "dump_matrices"):
+    for key in sorted(JOB_OPTION_KEYS):
         value = getattr(args, key, None)
         if value is not None:
             job["options"][key] = value

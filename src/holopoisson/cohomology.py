@@ -144,8 +144,10 @@ def _coboundary_table(mp: MatchedPairData, k: int, l: int) -> dict:
                     others = J_out[:s] + J_out[s + 1:]
                     slot_sign = -1 if s % 2 else 1
                     for m, c in enumerate(gamma[i][j]):
+                        if c.is_zero():
+                            continue
                         merged = insert_index(m, others)
-                        if merged is None or c.is_zero():
+                        if merged is None:
                             continue
                         key, ins = merged
                         _accumulate(parts, ((rest, key), target, None),
@@ -157,8 +159,10 @@ def _coboundary_table(mp: MatchedPairData, k: int, l: int) -> dict:
                     sign = -1 if (t + u) % 2 else 1
                     section = a.structure[I_out[t]][I_out[u]]
                     for m, c in enumerate(section):
+                        if c.is_zero():
+                            continue
                         merged = insert_index(m, rest)
-                        if merged is None or c.is_zero():
+                        if merged is None:
                             continue
                         key, ins = merged
                         _accumulate(parts, ((key, J_out), target, None),

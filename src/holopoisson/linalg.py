@@ -15,6 +15,7 @@ Two independent routes are kept deliberately separate:
 
 from __future__ import annotations
 
+from .errors import SingularError
 from .exactalg import GQ, Poly
 
 
@@ -193,8 +194,6 @@ def gq_mat_inverse(rows):
 
     Raises SingularError on degenerate input.
     """
-    from .errors import SingularError
-
     m = len(rows)
     a = [list(map(GQ.of, row)) + [GQ(1) if i == j else GQ(0)
                                   for j in range(m)]

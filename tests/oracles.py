@@ -37,12 +37,21 @@ These deliberately take different routes from the library code:
   frame tables of the covariant derivatives: every nabla is recomputed
   where it is used, and S goes through matched_pair_S on frame sections.
   matched_pair_S, S(X;Y1,Y2) on arbitrary sections, is also the reference
-  for the tensoriality tests of S and T.
+  for the tensoriality tests of S and T.  The library's check keeps only
+  flatness; the Leibniz half, which cannot fail, lives on here (with its
+  RepReport record) as the subject of the property that shows why.
+* canonical_matched_pair_reference is the canonical matched pair as the
+  library computed it before it used zero connections on the holomorphic
+  frame: the Lie derivative (Cartan formula) for T^{0,1} acting on the
+  coframe, and pr^{0,1} of a Schouten bracket for the action back.
 
 Fixtures and references that no command needs, moved out of the library:
 
 * tangent_algebroid (identity anchor, commuting frame) and
   lie_algebra_algebroid (a Lie algebra as an algebroid over a point);
+* holomorphic_tangent_algebroid (T^{1,0}C^n) and linear_action_algebroid
+  (g acting linearly on C^n): with the Lie algebra over a point, the
+  holomorphic algebroids other than T*X of acceptance criterion 12;
 * recompose, pi_R + i pi_I back on the complex chart, the inverse that
   checks decompose;
 * realified_cotangent, the underlying real algebroid of the cotangent
@@ -56,11 +65,18 @@ from itertools import combinations
 
 from holopoisson.algebroid import (
     AlgebroidChart,
-    RepReport,
+    MatchedPairData,
+    RepData,
+    antiholomorphic_tangent,
     cotangent_algebroid,
 )
 from holopoisson.cohomology import BiCochain
-from holopoisson.errors import ChartError, TruncationError
+from holopoisson.errors import (
+    ChartError,
+    Record,
+    StructureError,
+    TruncationError,
+)
 from holopoisson.exactalg import GQ, Chart, Poly, _accumulate, convert_chart
 from holopoisson.linalg import SparseMatrix, poly_identity
 from holopoisson.multivec import (
@@ -68,6 +84,8 @@ from holopoisson.multivec import (
     Multivector,
     convert_alternating,
     insert_index,
+    lie_derivative,
+    schouten,
 )
 from holopoisson.poisson import multivector_conj
 
@@ -618,9 +636,39 @@ def tangent_algebroid(chart: Chart) -> AlgebroidChart:
 
 def lie_algebra_algebroid(g) -> AlgebroidChart:
     """A LieAlgebraData as the algebroid with zero anchor on the point
-    chart real(0)."""
-    chart = Chart.real(0)
+    chart complex(0), whose matched pair is (0, g)."""
+    chart = Chart.complex(0)
     anchor = [[] for _ in range(g.rank)]
+    structure = [[[Poly.const(chart, v) for v in vec] for vec in row]
+                 for row in g.c]
+    return AlgebroidChart(chart, g.rank, anchor, structure)
+
+
+def holomorphic_tangent_algebroid(chart: Chart) -> AlgebroidChart:
+    """T^{1,0} of a complex chart: frame d/dz_k, commuting."""
+    n = chart.n
+    anchor = poly_identity(chart, chart.nvars)[:n]
+    zero = [Poly.zero(chart) for _ in range(n)]
+    structure = [[list(zero) for _ in range(n)] for _ in range(n)]
+    return AlgebroidChart(chart, n, anchor, structure)
+
+
+def linear_action_algebroid(g, matrices) -> AlgebroidChart:
+    """The action algebroid g x C^n of a linear representation, given by
+    the matrices M_i of the basis e_i of g: anchor
+    X_{M_i} = -sum_a (M_i z)_a d/dz_a and constant structure functions
+    c_ij^k.  The sign makes e -> X_M a bracket morphism, as
+    [V_M, V_N] = -V_[M,N] for the linear field V_M = sum_a (M z)_a d/dz_a."""
+    n = len(matrices[0])
+    chart = Chart.complex(n)
+    anchor = []
+    for m in matrices:
+        row = [Poly.zero(chart) for _ in range(chart.nvars)]
+        for a in range(n):
+            for b in range(n):
+                if m[a][b]:
+                    row[a] = row[a] - Poly.var(chart, b).scale(GQ.of(m[a][b]))
+        anchor.append(row)
     structure = [[[Poly.const(chart, v) for v in vec] for vec in row]
                  for row in g.c]
     return AlgebroidChart(chart, g.rank, anchor, structure)
@@ -745,6 +793,10 @@ def cotangent_images_reference(source: Chart, target: Chart):
 # ----------------------------------------------------------------------
 # representation checks before the frame tables
 
+class RepReport(Record):
+    __slots__ = ("leibniz", "flat")
+
+
 def check_representation_reference(rep) -> RepReport:
     """Flatness nabla_[ei,ej] = [nabla_ei, nabla_ej] and the Leibniz rule,
     exactly on frames (with every chart variable as the test function)."""
@@ -815,3 +867,45 @@ def s_tensor_reference(mp) -> dict:
                 if not mp.B.section_is_zero(value):
                     S[(i, j1, j2)] = value
     return S
+
+
+# ----------------------------------------------------------------------
+# the canonical matched pair, computed from the Lie derivative and the
+# Schouten bracket
+
+def canonical_matched_pair_reference(pi: Multivector) -> MatchedPairData:
+    """(T^{0,1}X, (T^{1,0}X)*_pi): the antiholomorphic tangent algebroid
+    acting on the cotangent algebroid by the Lie derivative and the
+    cotangent algebroid acting back through pr^{0,1} of the bracket with
+    the anchor image."""
+    chart = pi.chart
+    n = chart.n
+    a = antiholomorphic_tangent(chart)
+    b = cotangent_algebroid(pi)
+
+    gamma_ab = []
+    for i in range(n):
+        row = []
+        xbar = Multivector.frame(chart, n + i)
+        for j in range(n):
+            value = lie_derivative(xbar, Form.frame(chart, j))
+            coeffs = value.coefficients()
+            if any(not p.is_zero() for p in coeffs[n:]):
+                raise StructureError("Lie-derivative action left the "
+                                     "(1,0) coframe")
+            row.append(coeffs[:n])
+        gamma_ab.append(row)
+    nabla_ab = RepData(a, b, gamma_ab)
+
+    gamma_ba = []
+    for j in range(n):
+        row = []
+        rho_j = b.anchor_field(b.frame_section(j))
+        for i in range(n):
+            value = schouten(rho_j, Multivector.frame(chart, n + i))
+            coeffs = value.coefficients()
+            row.append(coeffs[n:])
+        gamma_ba.append(row)
+    nabla_ba = RepData(b, a, gamma_ba)
+
+    return MatchedPairData(a, b, nabla_ab, nabla_ba)

@@ -19,6 +19,7 @@ from holopoisson.algebroid import (
     bowtie,
     canonical_matched_pair,
     deform_by,
+    holomorphic_matched_pair,
     koszul_algebroid,
     lie_poisson,
     matched_pair_tensors,
@@ -60,7 +61,14 @@ from holopoisson.poisson import (
 from holopoisson.algebroid import check_representation
 from holopoisson.cli import corpus_path, run_job
 
-from oracles import conjugate_by_signs, rand_poly, realified_cotangent
+from oracles import (
+    conjugate_by_signs,
+    holomorphic_tangent_algebroid,
+    lie_algebra_algebroid,
+    linear_action_algebroid,
+    rand_poly,
+    realified_cotangent,
+)
 
 C1 = Chart.complex(1)
 C2 = Chart.complex(2)
@@ -225,8 +233,8 @@ def test_criterion_4_matched_pairs():
                                 mp.A, mp.B, mp.nablaAB,
                                 RepData(mp.B, mp.A, gamma))
                         checked += 1
-                        flat_ab = check_representation(cand.nablaAB).all_ok
-                        flat_ba = check_representation(cand.nablaBA).all_ok
+                        flat_ab = check_representation(cand.nablaAB)
+                        flat_ba = check_representation(cand.nablaBA)
                         if not (flat_ab and flat_ba):
                             continue  # detected through the precondition
                         if not matched_pair_tensors(cand).all_zero:
@@ -484,3 +492,39 @@ def test_criterion_11_column_collapse():
                  "rank_A(k - 1, l)) on sl2, Heisenberg, quadratic, zero and "
                  "constant symplectic at weight <= 3 and darboux_n2 at "
                  "weight <= 1", ok)
+
+
+# ----------------------------------------------------------------------
+# 12. holomorphic Lie algebroids other than T*X as matched pairs
+
+SL2_ON_C2 = ([[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]])
+
+
+def test_criterion_12_holomorphic_algebroids():
+    """A holomorphic Lie algebroid A is the matched pair (T^{0,1}X,
+    A^{1,0}), and H(A) is the cohomology of its direct sum.  For
+    T^{1,0}C^2 that is the holomorphic Poincare lemma; for sl2 acting on
+    C^2 it is Whitehead's lemmas with S(C^2)^{sl2} = C; over a point it is
+    the Lie algebra cohomology of sl2."""
+    cases = (
+        ("T^{1,0}C^2", holomorphic_tangent_algebroid(C2), 4,
+         (1, 0, 0, 0, 0)),
+        ("sl2 acting on C^2", linear_action_algebroid(sl2(), SL2_ON_C2), 4,
+         (1, 0, 0, 1, 0, 0)),
+        ("sl2 over a point", lie_algebra_algebroid(sl2()), 0,
+         (1, 0, 0, 1)),
+    )
+    for name, b, bound, weight0 in cases:
+        mp = holomorphic_matched_pair(b)
+        report = betti(mp, Truncation("weight", bound))
+        got = [block.total_betti for block in report.blocks]
+        want = [weight0] + [(0,) * len(weight0)] * bound
+        ok = (verify_algebroid(b).all_ok
+              and matched_pair_tensors(mp).all_zero
+              and verify_algebroid(bowtie(mp)).all_ok
+              and got == want)
+        higher = f" and zero at weights 1..{bound}" if bound else ""
+        conclude(12, f"{name}: a Lie algebroid, F = S = T = 0 for the "
+                     f"zero actions on its holomorphic frame, the direct sum "
+                     f"is a Lie algebroid, and total_betti is {weight0} at "
+                     f"weight 0{higher}", ok)

@@ -19,6 +19,7 @@ from holopoisson.algebroid import (
     complex_presentation,
     cotangent_algebroid,
     deform_by,
+    holomorphic_matched_pair,
     koszul_algebroid,
     lie_poisson,
     matched_pair_F,
@@ -30,7 +31,7 @@ from holopoisson.algebroid import (
     yao_isomorphism_check,
 )
 from holopoisson.cli import _doc_chart_pi, _load, corpus, corpus_path
-from holopoisson.errors import StructureError
+from holopoisson.errors import ChartError, StructureError
 from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.linalg import (
     poly_mat_squares_to_minus_identity,
@@ -46,6 +47,7 @@ from holopoisson.poisson import (
 )
 
 from oracles import (
+    canonical_matched_pair_reference,
     check_representation_reference,
     conjugate_by_signs,
     lie_algebra_algebroid,
@@ -344,19 +346,17 @@ def test_complex_presentation_roundtrip_through_realified_data():
 # representations
 
 def test_zero_connection_on_abelian_pair():
-    chart = Chart.real(0)
     abelian = lie_algebra_algebroid(LieAlgebraData.from_triples(2, []))
     gamma = [[abelian.zero_section() for _ in range(2)] for _ in range(2)]
     rep = RepData(abelian, abelian, gamma)
-    out = check_representation(rep)
-    assert out.leibniz and out.flat
+    assert check_representation(rep) is True
 
 
 def test_canonical_reps_are_flat():
     pi = frame_bivector(C2, 0, 1)
     mp = canonical_matched_pair(pi)
-    assert check_representation(mp.nablaAB).all_ok
-    assert check_representation(mp.nablaBA).all_ok
+    assert check_representation(mp.nablaAB) is True
+    assert check_representation(mp.nablaBA) is True
 
 
 def test_perturbed_gamma_breaks_flatness():
@@ -365,8 +365,7 @@ def test_perturbed_gamma_breaks_flatness():
     gamma = [[list(vec) for vec in row] for row in mp.nablaBA.gamma]
     gamma[0][1][2] = gamma[0][1][2] + Poly.var(C3, 0)
     rep = RepData(mp.B, mp.A, gamma)
-    out = check_representation(rep)
-    assert not out.flat
+    assert check_representation(rep) is False
 
 
 # ----------------------------------------------------------------------
@@ -394,16 +393,22 @@ def test_perturbed_nabla_gives_nonzero_tensor():
 
 
 @lru_cache(maxsize=None)
-def corpus_matched_pairs():
-    """The canonical matched pair of every corpus bivector that is
-    holomorphic Poisson (a Lie algebra through its Lie-Poisson
-    structure)."""
-    pairs = []
+def corpus_poisson_bivectors():
+    """Every corpus bivector that is holomorphic Poisson (a Lie algebra
+    through its Lie-Poisson structure)."""
+    out = []
     for name in corpus():
         _, pi = _doc_chart_pi(_load(corpus_path(name)), name)
         if is_holomorphic_poisson(pi).holomorphic_poisson:
-            pairs.append((name, canonical_matched_pair(pi)))
-    return tuple(pairs)
+            out.append((name, pi))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def corpus_matched_pairs():
+    """The canonical matched pair of every corpus Poisson bivector."""
+    return tuple((name, canonical_matched_pair(pi))
+                 for name, pi in corpus_poisson_bivectors())
 
 
 @st.composite
@@ -444,10 +449,47 @@ def test_frame_tables_match_reference(case):
     name, mp, self_action = case
     for rep in (mp.nablaAB, mp.nablaBA, self_action):
         assert check_representation(rep) == \
-            check_representation_reference(rep), name
+            check_representation_reference(rep).flat, name
     assert _s_tensor(mp) == s_tensor_reference(mp), name
     swapped = mp.swapped()
     assert _s_tensor(swapped) == s_tensor_reference(swapped), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_connections())
+def test_leibniz_holds_for_every_connection(case):
+    """RepData.apply is the Leibniz extension of gamma, so the reference's
+    Leibniz check holds for any gamma, flat or not; this is why
+    check_representation tests flatness alone."""
+    name, mp, self_action = case
+    for rep in (mp.nablaAB, mp.nablaBA, self_action):
+        assert check_representation_reference(rep).leibniz, name
+
+
+def test_canonical_pair_equals_lie_derivative_reference():
+    """Zero connections on the holomorphic frame are the tables the Lie
+    derivative and the Schouten bracket give, on every corpus bivector and
+    on 20 random ones from criterion 3's generator with holomorphic
+    coefficients (on C^2 every holomorphic f d/dz1 ^ d/dz2 is Poisson)."""
+    rng = random.Random(303)
+    cases = list(corpus_poisson_bivectors())
+    cases += [(f"random {t}", frame_bivector(
+        C2, 0, 1, rand_poly(rng, C2, deg=2, holomorphic=True)))
+        for t in range(20)]
+    for name, pi in cases:
+        mp = canonical_matched_pair(pi)
+        ref = canonical_matched_pair_reference(pi)
+        assert mp.A == ref.A and mp.B == ref.B, name
+        assert mp.nablaAB.gamma == ref.nablaAB.gamma, name
+        assert mp.nablaBA.gamma == ref.nablaBA.gamma, name
+
+
+def test_holomorphic_matched_pair_needs_a_holomorphic_frame():
+    with pytest.raises(ChartError):
+        holomorphic_matched_pair(tangent_algebroid(R2))
+    # the identity anchor of the complexified tangent has d/dzb entries
+    with pytest.raises(StructureError):
+        holomorphic_matched_pair(tangent_algebroid(C2))
 
 
 def test_tensoriality_with_correction_terms():

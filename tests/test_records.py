@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import holopoisson
-from holopoisson.algebroid import RepReport
+from holopoisson.algebroid import RealPartsReport
 from holopoisson.cohomology import (
     BettiReport,
     BlockReport,
@@ -51,8 +51,8 @@ def test_records_compare_and_hash_by_value():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != PNReport(True, True, True, True)
     # records of different types never compare equal, even with equal fields
-    assert RepReport(True, True) != FoliationReport(True, True, True)
-    assert RepReport(True, False) != (True, False)
+    assert RealPartsReport(True, True) != FoliationReport(True, True, True)
+    assert RealPartsReport(True, False) != (True, False)
     cell = CellReport(0, 1, 3, 2, 1, 3, 0)
     block = BlockReport(2, (cell,), (3,), (2,))
     report = BettiReport("weight", 2, "sparse", "exact", (block,))
@@ -73,9 +73,9 @@ def test_records_repr_names_every_field():
 
 def test_records_take_exactly_their_fields():
     with pytest.raises(TypeError):
-        RepReport(True)
+        RealPartsReport(True)
     with pytest.raises(TypeError):
-        RepReport(True, True, True)
+        RealPartsReport(True, True, True)
     with pytest.raises(AttributeError):
-        RepReport(True, True).extra = 1
+        RealPartsReport(True, True).extra = 1
 
