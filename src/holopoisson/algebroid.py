@@ -17,6 +17,17 @@ case A = (T*X)_pi.  A connection is flat or not (check_representation);
 the Leibniz rule holds by construction, as RepData.apply extends gamma by
 it.
 
+The structural checks evaluate each frame-level quantity once, into a
+table, and read it through identities the definitions satisfy.  The
+flatness and F/S/T checks read the frame table nabla_{e_i} e_m of each
+connection: apply is tensorial in its acting argument, so nabla along a
+combination of frames is the same combination of table rows, and the
+derivative of a section with constant coefficients is a combination of
+table entries (Leibniz, with a zero derivative term).
+realparts_liealgebra_check evaluates the antisymmetric identities on the
+pairs s < t only, with the Hamiltonian fields of the basis tabled, and
+yao_isomorphism_check takes yao_phi of each bowtie frame once.
+
 The tangent algebroid and a Lie algebra as an algebroid over a point are
 test fixtures, in tests/oracles.py; so is the underlying real algebroid
 of the cotangent algebroid, which acceptance criterion 9 compares with
@@ -30,14 +41,13 @@ from fractions import Fraction
 from .errors import ChartError, DegreeError, Record, ShapeError, StructureError
 from .exactalg import GQ, Chart, Poly
 from .linalg import dense_rank, gq_mat_inverse, poly_mat_vec
-from .multivec import Form, Multivector, schouten, sharp
+from .multivec import Form, Multivector, differential, pairing, schouten, sharp
 from .poisson import (
     GCSection,
     courant_bracket,
     decompose,
     is_holomorphic_poisson,
     koszul_bracket,
-    poisson_bracket,
 )
 
 QUARTER = GQ(Fraction(1, 4))
@@ -596,7 +606,14 @@ def realparts_liealgebra_check(g: LieAlgebraData) -> RealPartsReport:
     """Verify the quarter-factor identities relating the real and imaginary
     parts of the Lie-Poisson structure to the realified bracket:
     {l'_V, l'_W}_Re = l'_{[V,W]/4} and {l'_V, l'_W}_Im = l'_{-[V,W]_j/4},
-    for all pairs of doubled basis vectors."""
+    for all pairs of doubled basis vectors.
+
+    Only the pairs s < t are evaluated: both sides are antisymmetric in
+    (V, W), the Poisson brackets because pi_R and pi_I are bivectors and
+    the right-hand sides because AlgebroidChart enforces a zero diagonal
+    and antisymmetric structure functions.  d l'(e_s) and the Hamiltonian
+    fields pi_R# d l'(e_s), pi_I# d l'(e_s) are tabled once per s, so each left-hand side is one pairing
+    {f, g} = <dg, pi# df>, poisson_bracket's formula."""
     gc = complex_presentation(g)
     pi = lie_poisson(gc)
     pair = decompose(pi)
@@ -619,22 +636,22 @@ def realparts_liealgebra_check(g: LieAlgebraData) -> RealPartsReport:
     def constant_section(vals):
         return [p.terms.get((), GQ(0)) for p in vals]
 
+    frames = [doubled.frame_section(s) for s in range(2 * r)]
+    dl = [differential(lprime(constant_section(es))) for es in frames]
+    ham_re = [sharp(pair.pi_R, d) for d in dl]
+    ham_im = [sharp(pair.pi_I, d) for d in dl]
     ok_re = True
     ok_im = True
     for s in range(2 * r):
-        for t in range(2 * r):
-            es = doubled.frame_section(s)
-            et = doubled.frame_section(t)
-            bracket = constant_section(doubled.bracket(es, et))
-            jbracket = constant_section(
-                realified.j.apply(doubled.bracket(es, et)))
-            fs = lprime(constant_section(es))
-            ft = lprime(constant_section(et))
-            lhs_re = poisson_bracket(pair.pi_R, fs, ft)
+        for t in range(s + 1, 2 * r):
+            value = doubled.bracket(frames[s], frames[t])
+            bracket = constant_section(value)
+            jbracket = constant_section(realified.j.apply(value))
+            lhs_re = pairing(dl[t], ham_re[s])
             rhs_re = lprime([v * QUARTER for v in bracket])
             if lhs_re != rhs_re:
                 ok_re = False
-            lhs_im = poisson_bracket(pair.pi_I, fs, ft)
+            lhs_im = pairing(dl[t], ham_im[s])
             rhs_im = lprime([v * QUARTER * GQ(-1) for v in jbracket])
             if lhs_im != rhs_im:
                 ok_im = False
@@ -672,15 +689,15 @@ class RepData:
         u = self.acting.coerce_section(u)
         s = self.module.coerce_section(s)
         out = self.module.zero_section()
-        for j in range(self.module.rank):
-            if not s[j].is_zero():
-                out[j] = out[j] + self.acting.anchor_apply(u, s[j])
+        support = [j for j in range(self.module.rank) if not s[j].is_zero()]
+        if not support:
+            return out
+        for j in support:
+            out[j] = out[j] + self.acting.anchor_apply(u, s[j])
         for i in range(self.acting.rank):
             if u[i].is_zero():
                 continue
-            for j in range(self.module.rank):
-                if s[j].is_zero():
-                    continue
+            for j in support:
                 factor = u[i] * s[j]
                 if factor.is_zero():
                     continue
@@ -690,24 +707,55 @@ class RepData:
         return out
 
 
+def _frame_table(rep: RepData):
+    """nabla_{e_i} e_m for every acting frame e_i and module frame e_m."""
+    frames = [rep.module.frame_section(m) for m in range(rep.module.rank)]
+    return [[rep.apply(rep.acting.frame_section(i), em) for em in frames]
+            for i in range(rep.acting.rank)]
+
+
+def _combine(coeffs, rows, out):
+    """out + sum_k coeffs[k] rows[k], for module sections rows[k]."""
+    for c, row in zip(coeffs, rows):
+        if c.is_zero():
+            continue
+        out = [x + c * y if not y.is_zero() else x for x, y in zip(out, row)]
+    return out
+
+
+def _nabla_frame(rep: RepData, table, i, s):
+    """nabla_{e_i} s.  A section with constant coefficients s_k is read
+    from the table as sum_k s_k nabla_{e_i} e_k (the Leibniz rule with
+    rho(e_i)(s_k) = 0); any other section goes through apply."""
+    if all(p.degree() <= 0 for p in s):
+        return _combine(s, table[i], rep.module.zero_section())
+    return rep.apply(rep.acting.frame_section(i), s)
+
+
+def _is_flat(rep: RepData, table) -> bool:
+    """nabla_[ei,ej] e_m = nabla_ei nabla_ej e_m - nabla_ej nabla_ei e_m on
+    all frames, read from the frame table: apply is tensorial in its first
+    argument, so nabla_[ei,ej] e_m = sum_k c_ij^k nabla_{e_k} e_m."""
+    a, b = rep.acting, rep.module
+    columns = [[row[m] for row in table] for m in range(b.rank)]
+    for i in range(a.rank):
+        for j in range(i + 1, a.rank):
+            for m in range(b.rank):
+                lhs = _combine(a.structure[i][j], columns[m],
+                               b.zero_section())
+                rhs = [x - y for x, y in zip(
+                    _nabla_frame(rep, table, i, table[j][m]),
+                    _nabla_frame(rep, table, j, table[i][m]))]
+                if any(x != y for x, y in zip(lhs, rhs)):
+                    return False
+    return True
+
+
 def check_representation(rep: RepData) -> bool:
     """Flatness nabla_[ei,ej] = [nabla_ei, nabla_ej], exactly on frames,
     reading the frame table nabla_{e_i} e_m, built once.  The Leibniz rule
     needs no check: apply is the Leibniz extension of gamma."""
-    a, b = rep.acting, rep.module
-    frames = [b.frame_section(m) for m in range(b.rank)]
-    table = [[rep.apply(a.frame_section(i), em) for em in frames]
-             for i in range(a.rank)]
-    for i in range(a.rank):
-        for j in range(i + 1, a.rank):
-            ei, ej = a.frame_section(i), a.frame_section(j)
-            for m in range(b.rank):
-                lhs = rep.apply(a.structure[i][j], frames[m])
-                rhs = [x - y for x, y in zip(rep.apply(ei, table[j][m]),
-                                             rep.apply(ej, table[i][m]))]
-                if any(x != y for x, y in zip(lhs, rhs)):
-                    return False
-    return True
+    return _is_flat(rep, _frame_table(rep))
 
 
 class MatchedPairData:
@@ -761,43 +809,63 @@ def matched_pair_F(mp: MatchedPairData, x, y) -> Multivector:
 
 def matched_pair_tensors(mp: MatchedPairData) -> MatchedPairTensors:
     """Evaluate F, S, T on all frame combinations; a matched pair is
-    exactly the case F = S = T = 0."""
-    if not (check_representation(mp.nablaAB)
-            and check_representation(mp.nablaBA)):
+    exactly the case F = S = T = 0.  The frame tables of both connections
+    are built once and read by the flatness checks and by F, S and T."""
+    ab = _frame_table(mp.nablaAB)
+    ba = _frame_table(mp.nablaBA)
+    if not (_is_flat(mp.nablaAB, ab) and _is_flat(mp.nablaBA, ba)):
         raise StructureError("matched-pair data: representations are not flat")
+    return MatchedPairTensors(_f_tensor(mp, ab, ba), _s_tensor(mp, ab, ba),
+                              _s_tensor(mp.swapped(), ba, ab))
+
+
+def _f_tensor(mp: MatchedPairData, ab, ba) -> dict:
+    """The nonzero values of F on frames, keyed (i, j): matched_pair_F's
+    formula on the anchor fields of the frames, each taken once, and the
+    frame tables ab = nabla_{e_i} f_j and ba = nabla_{f_j} e_i; a zero
+    table entry drops its anchor term."""
+    a, b = mp.A, mp.B
+    a_fields = [a.anchor_field(a.frame_section(i)) for i in range(a.rank)]
+    b_fields = [b.anchor_field(b.frame_section(j)) for j in range(b.rank)]
     F = {}
-    for i in range(mp.A.rank):
-        for j in range(mp.B.rank):
-            value = matched_pair_F(mp, mp.A.frame_section(i),
-                                   mp.B.frame_section(j))
+    for i in range(a.rank):
+        for j in range(b.rank):
+            value = schouten(a_fields[i], b_fields[j])
+            if not a.section_is_zero(ba[j][i]):
+                value = value + a.anchor_field(ba[j][i])
+            if not b.section_is_zero(ab[i][j]):
+                value = value - b.anchor_field(ab[i][j])
             if not value.is_zero():
                 F[(i, j)] = value
-    return MatchedPairTensors(F, _s_tensor(mp), _s_tensor(mp.swapped()))
+    return F
 
 
-def _s_tensor(mp: MatchedPairData) -> dict:
+def _s_tensor(mp: MatchedPairData, ab, ba) -> dict:
     """The nonzero values of S on frames, keyed (i, j1, j2) with j1 < j2;
     on the swapped pair these are the values of T.  S(X;Y1,Y2) is
     [nabla_X Y1, Y2] + [Y1, nabla_X Y2] - nabla_X [Y1,Y2]
-    + nabla_{nabla_{Y2} X} Y1 - nabla_{nabla_{Y1} X} Y2, a B-section; the
-    frame tables of both connections are built once."""
+    + nabla_{nabla_{Y2} X} Y1 - nabla_{nabla_{Y1} X} Y2, a B-section, read
+    from the frame tables as in _f_tensor.  By tensoriality in the acting
+    argument, nabla_{nabla_{Y} X} Y' = sum_m (nabla_Y X)_m nabla_{e_m} Y';
+    a zero table entry drops its bracket term."""
     a, b = mp.A, mp.B
-    a_frames = [a.frame_section(i) for i in range(a.rank)]
     b_frames = [b.frame_section(j) for j in range(b.rank)]
-    ab = [[mp.nablaAB.apply(x, y) for y in b_frames] for x in a_frames]
-    ba = [[mp.nablaBA.apply(y, x) for x in a_frames] for y in b_frames]
+    columns = [[row[j] for row in ab] for j in range(b.rank)]
     S = {}
-    for i, x in enumerate(a_frames):
+    for i in range(a.rank):
         for j1, y1 in enumerate(b_frames):
             for j2 in range(j1 + 1, b.rank):
                 y2 = b_frames[j2]
-                t1 = b.bracket(ab[i][j1], y2)
-                t2 = b.bracket(y1, ab[i][j2])
-                t3 = mp.nablaAB.apply(x, b.bracket(y1, y2))
-                t4 = mp.nablaAB.apply(ba[j2][i], y1)
-                t5 = mp.nablaAB.apply(ba[j1][i], y2)
-                value = [p + q - r + s - t
-                         for p, q, r, s, t in zip(t1, t2, t3, t4, t5)]
+                value = [-p for p in _nabla_frame(mp.nablaAB, ab, i,
+                                                  b.structure[j1][j2])]
+                if not b.section_is_zero(ab[i][j1]):
+                    value = [p + q for p, q in
+                             zip(value, b.bracket(ab[i][j1], y2))]
+                if not b.section_is_zero(ab[i][j2]):
+                    value = [p + q for p, q in
+                             zip(value, b.bracket(y1, ab[i][j2]))]
+                value = _combine(ba[j2][i], columns[j1], value)
+                value = _combine([-p for p in ba[j1][i]], columns[j2], value)
                 if not b.section_is_zero(value):
                     S[(i, j1, j2)] = value
     return S
@@ -915,22 +983,21 @@ def yao_phi(pi: Multivector, section) -> GCSection:
 def yao_isomorphism_check(pi: Multivector) -> YaoReport:
     """yao_phi intertwines the bowtie bracket of the canonical matched
     pair with the Courant bracket, checked exactly on all frame-generator
-    pairs."""
+    pairs.  yao_phi of each bowtie frame is taken once, into a table."""
     n = pi.chart.n
     mp = canonical_matched_pair(pi)
     d = bowtie(mp)
+    images = [yao_phi(pi, d.frame_section(s)) for s in range(2 * n)]
     anchors_ok = True
     for s in range(2 * n):
-        section = d.frame_section(s)
-        if d.anchor_field(section) != yao_phi(pi, section).vec:
+        if d.anchor_field(d.frame_section(s)) != images[s].vec:
             anchors_ok = False
             break
 
     results = {"vv": True, "ff": True, "mx": True}
     for s in range(2 * n):
         for t in range(s + 1, 2 * n):
-            lhs = courant_bracket(yao_phi(pi, d.frame_section(s)),
-                                  yao_phi(pi, d.frame_section(t)))
+            lhs = courant_bracket(images[s], images[t])
             rhs = yao_phi(pi, d.structure[s][t])
             ok = (lhs.vec == rhs.vec and lhs.form == rhs.form)
             if s < n and t < n:

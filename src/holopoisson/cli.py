@@ -226,6 +226,10 @@ def cmd_foliation_rank(doc, options):
 
 
 def cmd_cohomology(doc, options):
+    if (options.get("weight") is not None
+            and options.get("max_degree") is not None):
+        raise ParseError("cohomology takes --weight or --max-degree, "
+                         "not both")
     chart, pi = _doc_chart_pi(doc, "cohomology input")
     mp = alg.canonical_matched_pair(pi)
     if options.get("weight") is not None:

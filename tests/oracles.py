@@ -44,6 +44,14 @@ These deliberately take different routes from the library code:
   library computed it before it used zero connections on the holomorphic
   frame: the Lie derivative (Cartan formula) for T^{0,1} acting on the
   coframe, and pr^{0,1} of a Schouten bracket for the action back.
+* koszul_bracket_reference, pn_check_reference,
+  realparts_liealgebra_check_reference and yao_isomorphism_check_reference
+  are the library's Koszul bracket (two Lie derivatives by the Cartan
+  formula and d(pi(alpha, beta))) and its three structural checks before
+  they read frame tables: every Koszul bracket, Poisson bracket, bowtie
+  bracket and yao_phi image is recomputed where it is used, for every
+  pair (ordered pairs in realparts).  pn_check_reference calls
+  koszul_bracket_reference, so it shares no Koszul code with the library.
 
 Fixtures and references that no command needs, moved out of the library:
 
@@ -64,30 +72,62 @@ from fractions import Fraction
 from itertools import combinations
 
 from holopoisson.algebroid import (
+    QUARTER,
     AlgebroidChart,
     MatchedPairData,
+    RealPartsReport,
     RepData,
+    YaoReport,
     antiholomorphic_tangent,
+    bowtie,
+    canonical_matched_pair,
+    complex_presentation,
     cotangent_algebroid,
+    lie_poisson,
+    realify_liealgebra,
+    yao_phi,
 )
 from holopoisson.cohomology import BiCochain
 from holopoisson.errors import (
     ChartError,
+    DegreeError,
     Record,
     StructureError,
     TruncationError,
 )
 from holopoisson.exactalg import GQ, Chart, Poly, _accumulate, convert_chart
-from holopoisson.linalg import SparseMatrix, poly_identity
+from holopoisson.linalg import (
+    SparseMatrix,
+    poly_identity,
+    poly_mat_eq,
+    poly_mat_mul,
+    poly_mat_scale,
+    poly_mat_sub,
+    poly_mat_transpose,
+)
 from holopoisson.multivec import (
     Form,
     Multivector,
     convert_alternating,
+    exterior_d,
     insert_index,
     lie_derivative,
+    pairing,
     schouten,
+    sharp,
+    sharp_matrix,
 )
-from holopoisson.poisson import multivector_conj
+from holopoisson.poisson import (
+    HALF,
+    PNReport,
+    bivector_from_matrix,
+    courant_bracket,
+    decompose,
+    multivector_conj,
+    nijenhuis_torsion,
+    poisson_bracket,
+    torsion_is_zero,
+)
 
 
 def sgn(x: int) -> int:
@@ -909,3 +949,159 @@ def canonical_matched_pair_reference(pi: Multivector) -> MatchedPairData:
     nabla_ba = RepData(b, a, gamma_ba)
 
     return MatchedPairData(a, b, nabla_ab, nabla_ba)
+
+
+# ----------------------------------------------------------------------
+# structural checks before the frame tables
+
+def koszul_bracket_reference(pihat: Multivector, alpha: Form,
+                             beta: Form) -> Form:
+    """[alpha, beta]_pihat = L_{pihat# alpha} beta - L_{pihat# beta} alpha
+    - d(pihat(alpha, beta))."""
+    if pihat.degree != 2:
+        raise DegreeError("koszul_bracket needs a bivector")
+    if alpha.degree != 1 or beta.degree != 1:
+        raise DegreeError("koszul_bracket needs 1-forms")
+    if alpha.chart != pihat.chart or beta.chart != pihat.chart:
+        raise ChartError("chart mismatch")
+    sa = sharp(pihat, alpha)
+    sb = sharp(pihat, beta)
+    return (lie_derivative(sa, beta) - lie_derivative(sb, alpha)
+            - exterior_d(Form(pihat.chart, 0, {(): pairing(beta, sa)})))
+
+
+def pn_check_reference(pi_i: Multivector, n_field,
+                       schouten_zero=None) -> PNReport:
+    """Poisson-Nijenhuis check of (pi_I, N) on a real chart.
+
+    Checks [pi_I, pi_I] = 0 (unless the caller passes that verdict as
+    schouten_zero, see pn_check_complex), N pi# = pi# N* as an exact
+    matrix identity, the Koszul compatibility on all coordinate coframe
+    pairs (sufficient by tensoriality), and vanishing of the Nijenhuis
+    torsion of N.
+    """
+    if pi_i.chart.is_complex():
+        raise ChartError("pn_check runs on the real chart")
+    if pi_i.degree != 2:
+        raise DegreeError("pn_check needs a bivector")
+    if n_field.chart != pi_i.chart:
+        raise ChartError("chart mismatch")
+    chart = pi_i.chart
+    m = chart.nvars
+    if schouten_zero is None:
+        schouten_zero = schouten(pi_i, pi_i).is_zero()
+
+    msharp = sharp_matrix(pi_i)
+    lhs = poly_mat_mul(n_field.matrix, msharp)
+    rhs = poly_mat_mul(msharp, poly_mat_transpose(n_field.matrix))
+    sharp_intertwine = poly_mat_eq(lhs, rhs)
+
+    torsion_zero = torsion_is_zero(nijenhuis_torsion(n_field))
+
+    # pi_N with pi_N# = pi# N*, i.e. component matrix N Pi (Pi, with
+    # Pi[a][b] = pi(e^a, e^b), is the transpose of the sharp matrix),
+    # antisymmetrized so the check stays defined when the intertwine
+    # identity fails.
+    npi = poly_mat_mul(n_field.matrix, poly_mat_transpose(msharp))
+    anti = poly_mat_scale(poly_mat_sub(npi, poly_mat_transpose(npi)),
+                          GQ(HALF))
+    pi_n = bivector_from_matrix(chart, anti)
+
+    koszul_bracket = koszul_bracket_reference
+    koszul_compat = True
+    coframe = [Form.frame(chart, k) for k in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            alpha, beta = coframe[a], coframe[b]
+            lhs_form = koszul_bracket(pi_n, alpha, beta)
+            rhs_form = (koszul_bracket(pi_i, n_field.apply_form(alpha), beta)
+                        + koszul_bracket(pi_i, alpha, n_field.apply_form(beta))
+                        - n_field.apply_form(koszul_bracket(pi_i, alpha, beta)))
+            if lhs_form != rhs_form:
+                koszul_compat = False
+                break
+        if not koszul_compat:
+            break
+    return PNReport(schouten_zero, sharp_intertwine, koszul_compat,
+                    torsion_zero)
+
+
+def realparts_liealgebra_check_reference(g) -> RealPartsReport:
+    """Verify the quarter-factor identities relating the real and imaginary
+    parts of the Lie-Poisson structure to the realified bracket:
+    {l'_V, l'_W}_Re = l'_{[V,W]/4} and {l'_V, l'_W}_Im = l'_{-[V,W]_j/4},
+    for all pairs of doubled basis vectors."""
+    gc = complex_presentation(g)
+    pi = lie_poisson(gc)
+    pair = decompose(pi)
+    real_chart = pair.pi_R.chart
+    r = gc.rank
+
+    def lprime(section):
+        # e_a -> x_a ; je_a -> -y_a on the transported dual chart
+        out = Poly.zero(real_chart)
+        for a in range(r):
+            if not section[a].is_zero():
+                out = out + Poly.var(real_chart, a).scale(section[a])
+            if not section[r + a].is_zero():
+                out = out - Poly.var(real_chart, r + a).scale(section[r + a])
+        return out
+
+    realified = realify_liealgebra(gc)
+    doubled = realified.algebroid
+
+    def constant_section(vals):
+        return [p.terms.get((), GQ(0)) for p in vals]
+
+    ok_re = True
+    ok_im = True
+    for s in range(2 * r):
+        for t in range(2 * r):
+            es = doubled.frame_section(s)
+            et = doubled.frame_section(t)
+            bracket = constant_section(doubled.bracket(es, et))
+            jbracket = constant_section(
+                realified.j.apply(doubled.bracket(es, et)))
+            fs = lprime(constant_section(es))
+            ft = lprime(constant_section(et))
+            lhs_re = poisson_bracket(pair.pi_R, fs, ft)
+            rhs_re = lprime([v * QUARTER for v in bracket])
+            if lhs_re != rhs_re:
+                ok_re = False
+            lhs_im = poisson_bracket(pair.pi_I, fs, ft)
+            rhs_im = lprime([v * QUARTER * GQ(-1) for v in jbracket])
+            if lhs_im != rhs_im:
+                ok_im = False
+        if not (ok_re or ok_im):
+            break
+    return RealPartsReport(ok_re, ok_im)
+
+
+def yao_isomorphism_check_reference(pi: Multivector) -> YaoReport:
+    """yao_phi intertwines the bowtie bracket of the canonical matched
+    pair with the Courant bracket, checked exactly on all frame-generator
+    pairs."""
+    n = pi.chart.n
+    mp = canonical_matched_pair(pi)
+    d = bowtie(mp)
+    anchors_ok = True
+    for s in range(2 * n):
+        section = d.frame_section(s)
+        if d.anchor_field(section) != yao_phi(pi, section).vec:
+            anchors_ok = False
+            break
+
+    results = {"vv": True, "ff": True, "mx": True}
+    for s in range(2 * n):
+        for t in range(s + 1, 2 * n):
+            lhs = courant_bracket(yao_phi(pi, d.frame_section(s)),
+                                  yao_phi(pi, d.frame_section(t)))
+            rhs = yao_phi(pi, d.structure[s][t])
+            ok = (lhs.vec == rhs.vec and lhs.form == rhs.form)
+            if s < n and t < n:
+                results["vv"] = results["vv"] and ok
+            elif s >= n and t >= n:
+                results["ff"] = results["ff"] and ok
+            else:
+                results["mx"] = results["mx"] and ok
+    return YaoReport(anchors_ok, results["vv"], results["ff"], results["mx"])

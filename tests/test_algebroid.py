@@ -2,7 +2,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from holopoisson.algebroid import (
@@ -11,6 +11,8 @@ from holopoisson.algebroid import (
     LieAlgebraData,
     MatchedPairData,
     RepData,
+    _f_tensor,
+    _frame_table,
     _s_tensor,
     antiholomorphic_tangent,
     bowtie,
@@ -54,8 +56,10 @@ from oracles import (
     matched_pair_S,
     rand_poly,
     realified_cotangent,
+    realparts_liealgebra_check_reference,
     s_tensor_reference,
     tangent_algebroid,
+    yao_isomorphism_check_reference,
 )
 
 C2 = Chart.complex(2)
@@ -342,6 +346,58 @@ def test_complex_presentation_roundtrip_through_realified_data():
     assert realparts_liealgebra_check(doubled).all_ok
 
 
+LIE_BASES = {"sl2": (3, [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)]),
+              "heisenberg": (3, [(1, 2, 3, 1)]),
+              "affine": (2, [(1, 2, 2, 1)]),
+              "abelian": (1, [])}
+
+
+@st.composite
+def jacobi_constants(draw):
+    """A direct sum of one or two small Lie algebras, its brackets scaled
+    by a nonzero Gaussian integer and its basis changed by a random
+    unimodular integer matrix: the Jacobi identity holds by
+    construction."""
+    names = draw(st.lists(st.sampled_from(sorted(LIE_BASES)), min_size=1,
+                          max_size=2))
+    triples, rank = [], 0
+    for name in names:
+        size, base = LIE_BASES[name]
+        triples += [(i + rank, j + rank, k + rank, v) for i, j, k, v in base]
+        rank += size
+    c = LieAlgebraData.from_triples(rank, triples).c
+    scale = GQ(draw(st.integers(1, 3)), draw(st.integers(-2, 2)))
+    # f_b = sum_a p[a][b] e_a; each step adds k f_a to f_b
+    p = [[GQ(int(a == b)) for b in range(rank)] for a in range(rank)]
+    q = [row[:] for row in p]  # the inverse of p
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+        k = GQ(draw(st.integers(-2, 2)))
+        if a == b:
+            continue
+        for row in p:
+            row[b] = row[b] + k * row[a]
+        q[a] = [x - k * y for x, y in zip(q[a], q[b])]
+    new = [[[sum((q[t][k] * c[i][j][k] * p[i][a] * p[j][b]
+                  for i in range(rank) for j in range(rank)
+                  for k in range(rank)), GQ(0)) * scale
+             for t in range(rank)] for b in range(rank)]
+           for a in range(rank)]
+    return LieAlgebraData(rank, new)
+
+
+@settings(max_examples=30, deadline=None)
+@given(jacobi_constants())
+def test_realparts_matches_reference(g):
+    """realparts_liealgebra_check takes the pairs s < t once each, with
+    tabled Hamiltonian fields; the reference takes every ordered pair
+    through poisson_bracket."""
+    assert g.jacobi_ok()
+    report = realparts_liealgebra_check(g)
+    assert report == realparts_liealgebra_check_reference(g)
+    assert report.all_ok
+
+
 # ----------------------------------------------------------------------
 # representations
 
@@ -450,9 +506,47 @@ def test_frame_tables_match_reference(case):
     for rep in (mp.nablaAB, mp.nablaBA, self_action):
         assert check_representation(rep) == \
             check_representation_reference(rep).flat, name
-    assert _s_tensor(mp) == s_tensor_reference(mp), name
+    ab, ba = _frame_table(mp.nablaAB), _frame_table(mp.nablaBA)
+    assert _s_tensor(mp, ab, ba) == s_tensor_reference(mp), name
     swapped = mp.swapped()
-    assert _s_tensor(swapped) == s_tensor_reference(swapped), name
+    assert _s_tensor(swapped, ba, ab) == s_tensor_reference(swapped), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_connections())
+def test_f_table_matches_matched_pair_F(case):
+    """F on frames, read from the frame tables and the tabled anchor
+    fields, is matched_pair_F on frame sections, flat or not."""
+    name, mp, _ = case
+    want = {}
+    for i in range(mp.A.rank):
+        for j in range(mp.B.rank):
+            value = matched_pair_F(mp, mp.A.frame_section(i),
+                                   mp.B.frame_section(j))
+            if not value.is_zero():
+                want[(i, j)] = value
+    ab, ba = _frame_table(mp.nablaAB), _frame_table(mp.nablaBA)
+    assert _f_tensor(mp, ab, ba) == want, name
+
+
+def test_check_representation_builds_one_frame_table(monkeypatch):
+    """On a holomorphic matched pair both frame tables are zero, so the
+    flatness check reads everything from them: one apply per entry of
+    the table, rank(A) * rank(B) in all."""
+    calls = []
+    original = RepData.apply
+
+    def counting(self, u, s):
+        calls.append(1)
+        return original(self, u, s)
+
+    monkeypatch.setattr(RepData, "apply", counting)
+    for pi in (sl2_pi(), frame_bivector(C2, 0, 1)):
+        mp = canonical_matched_pair(pi)
+        for rep in (mp.nablaAB, mp.nablaBA):
+            calls.clear()
+            assert check_representation(rep)
+            assert len(calls) == rep.acting.rank * rep.module.rank
 
 
 @settings(max_examples=40, deadline=None)
@@ -592,6 +686,65 @@ def test_yao_isomorphism_corpus():
     for pi in cases:
         rep = yao_isomorphism_check(pi)
         assert rep.all_ok
+
+
+@st.composite
+def holomorphic_poisson_bivectors(draw):
+    """f d/dz1 ^ d/dz2 on C^2, or the Jacobian structure
+    {z_i, z_j} = h eps_ijk dC/dz_k on C^3, with random holomorphic f, h
+    and C: Poisson for every choice."""
+    n = draw(st.integers(2, 3))
+    chart = Chart.complex(n)
+
+    def holomorphic(max_exp, max_terms):
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, max_exp)] * n),
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+            min_size=1, max_size=max_terms))
+        return Poly(chart, {e + (0,) * n: GQ(re, im)
+                            for e, (re, im) in terms.items()})
+
+    if n == 2:
+        pi = frame_bivector(chart, 0, 1, holomorphic(2, 3))
+    else:
+        h, c = holomorphic(1, 2), holomorphic(2, 3)
+        pi = Multivector(chart, 2, {(0, 1): h * c.diff(2),
+                                    (0, 2): -(h * c.diff(1)),
+                                    (1, 2): h * c.diff(0)})
+    assume(not pi.is_zero())
+    return pi
+
+
+@settings(max_examples=25, deadline=None)
+@given(holomorphic_poisson_bivectors())
+def test_yao_matches_reference(pi):
+    """yao_isomorphism_check takes yao_phi of each bowtie frame once; the
+    reference recomputes both images for every pair."""
+    assert is_holomorphic_poisson(pi).holomorphic_poisson
+    report = yao_isomorphism_check(pi)
+    assert report == yao_isomorphism_check_reference(pi)
+    assert report.all_ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_yao_takes_each_frame_image_once(monkeypatch, n):
+    """yao_phi runs once per bowtie frame (2n) and once per bracket of a
+    pair of frames (n(2n - 1))."""
+    from holopoisson import algebroid
+
+    calls = []
+    original = algebroid.yao_phi
+
+    def counting(pi, section):
+        calls.append(1)
+        return original(pi, section)
+
+    monkeypatch.setattr(algebroid, "yao_phi", counting)
+    chart = Chart.complex(n)
+    pi = (Multivector.zero(chart, 2) if n == 1
+          else frame_bivector(chart, 0, 1, Poly.var(chart, n - 1)))
+    assert yao_isomorphism_check(pi).all_ok
+    assert len(calls) == 2 * n + n * (2 * n - 1)
 
 
 def test_yao_rejects_non_poisson():

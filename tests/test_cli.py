@@ -251,33 +251,47 @@ MALFORMED = [
     ("lie-poisson", {"lie_algebra": {"rank": 2,
                                      "brackets": [[True, 2, 1, "1"]]}}),
 ]
+# both truncations at once, as JobSpec options and as flags
+BOTH_TRUNCATIONS = {"weight": 1, "max_degree": 1}
+BOTH_TRUNCATION_FLAGS = ["--weight", "1", "--max-degree", "1"]
 MALFORMED_JOB_OPTIONS = [{"weight": 1.9}, {"weight": True},
                          {"max_degree": [1]},
                          {"weight": 0, "dump_matrices": 5},
-                         {"weight": 0, "out": "report.json"}]
+                         {"weight": 0, "out": "report.json"},
+                         BOTH_TRUNCATIONS]
+MALFORMED_FLAGS = [("cohomology", {"chart": {"kind": "complex", "n": 1},
+                                   "pi": []}, BOTH_TRUNCATION_FLAGS)]
 
 
 @pytest.mark.parametrize("command, doc, options",
                          [(c, d, None) for c, d in MALFORMED]
                          + [("cohomology", None, o)
-                            for o in MALFORMED_JOB_OPTIONS])
+                            for o in MALFORMED_JOB_OPTIONS]
+                         + MALFORMED_FLAGS)
 def test_malformed_input_is_input_error(tmp_path, command, doc, options):
     """Non-list brackets or j rows, bools and floats where an integer is
     due, a dump directory that is not a path, a JobSpec ``out`` that
-    nothing would write: exit 1 with an input error, never a traceback.
-    JobSpec options have no command-line route, so those cases check for
-    the ParseError that main() reports as an input error."""
-    if options is not None:
-        with pytest.raises(ParseError):
+    nothing would write, both --weight and --max-degree: exit 1 with an
+    input error, never a traceback.  JobSpec options (a dict) have no
+    command-line route, so those cases check for the ParseError that
+    main() reports as an input error; a list of options is flags."""
+    if isinstance(options, dict):
+        with pytest.raises(ParseError) as info:
             run_job({"command": command, "options": options,
                      "input": {"chart": {"kind": "complex", "n": 1},
                                "pi": []}})
-        return
-    code, out, err = run_cli([command, write_doc(tmp_path, "bad.json", doc)])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("input error:")
-    assert "Traceback" not in err
+        message = str(info.value)
+    else:
+        code, out, err = run_cli([command,
+                                  write_doc(tmp_path, "bad.json", doc)]
+                                 + (options or []))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+        message = err
+    if options in (BOTH_TRUNCATIONS, BOTH_TRUNCATION_FLAGS):
+        assert "--weight" in message and "--max-degree" in message
 
 
 C1 = {"kind": "complex", "n": 1}

@@ -44,7 +44,9 @@ from holopoisson.poisson import (
 )
 
 from oracles import (
+    koszul_bracket_reference,
     multivector_conj_reference,
+    pn_check_reference,
     rand_form,
     rand_multivector,
     rand_poly,
@@ -345,6 +347,88 @@ def test_pn_check_requires_real_chart():
                          for i in range(4)])
     with pytest.raises(ChartError, match="pn_check runs on the real chart"):
         pn_check(frame_bivector(C2, 0, 1), eye)
+
+
+def real_polys(chart, max_terms=2):
+    """Polynomials on a real chart with small integer coefficients and
+    exponents at most 1 in each variable."""
+    exps = st.tuples(*[st.integers(0, 1)] * chart.nvars)
+    return st.dictionaries(exps, st.integers(-3, 3), max_size=max_terms).map(
+        lambda terms: Poly(chart, terms))
+
+
+@st.composite
+def pn_cases(draw):
+    """A bivector with polynomial coefficients on R^2 or R^4 and an
+    endomorphism field f Id + E, with f a polynomial and E a few random
+    polynomial entries, or J with the pi_I of a holomorphic (2,0)
+    bivector on C^2.  On R^2 every (pi, f Id) is Poisson-Nijenhuis, so
+    with E = 0 the verdicts hold and the Leibniz term of the Koszul check
+    is nonzero; a nonzero E mostly breaks them."""
+    if draw(st.booleans()):
+        coeff = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 1)] * 2),
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=2))
+        pi = frame_bivector(C2, 0, 1, Poly(C2, {e + (0, 0): GQ(re, im)
+                                               for e, (re, im) in
+                                               coeff.items()}))
+        return decompose(pi).pi_I, standard_j(Chart.real(2))
+    chart = Chart.real(draw(st.integers(1, 2)))
+    m = chart.nvars
+    polys = real_polys(chart)
+    pi = Multivector(chart, 2, {(a, b): draw(polys) for a in range(m)
+                                for b in range(a + 1, m)})
+    f = draw(polys)
+    matrix = [[f if r == c else Poly.zero(chart) for c in range(m)]
+              for r in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        r, c = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        matrix[r][c] = matrix[r][c] + draw(polys)
+    return pi, EndoField(chart, matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pn_cases())
+def test_pn_check_matches_reference(case):
+    """pn_check reads the Koszul brackets of N* e^a from a table of the
+    coframe brackets by the Leibniz rule and antisymmetry; the reference
+    takes every bracket anew.  The reports agree, true or false."""
+    pi, endo = case
+    assert pn_check(pi, endo) == pn_check_reference(pi, endo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_koszul_bracket_matches_reference(rng, real):
+    """koszul_bracket's i_{pi# a} d b - i_{pi# b} d a + d pi(a, b) is the
+    Cartan-formula bracket of the reference, on random 1-forms."""
+    chart = R2 if real else C2
+    pi = rand_multivector(rng, chart, 2)
+    alpha = rand_form(rng, chart, 1)
+    beta = rand_form(rng, chart, 1)
+    assert koszul_bracket(pi, alpha, beta) == koszul_bracket_reference(
+        pi, alpha, beta)
+
+
+def test_pn_check_takes_each_koszul_bracket_once(monkeypatch):
+    """On R^6, pn_check takes 15 Koszul brackets of pi_I (one per coframe
+    pair) and 15 of pi_N: 30 in all."""
+    from holopoisson import poisson
+
+    calls = []
+    original = poisson.koszul_bracket
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poisson, "koszul_bracket", counting)
+    c3 = Chart.complex(3)
+    pi = Multivector(c3, 2, {(0, 1): Poly.var(c3, 1).scale(GQ(2)),
+                             (0, 2): Poly.var(c3, 2).scale(GQ(-2)),
+                             (1, 2): Poly.var(c3, 0)})
+    assert pn_check_complex(pi).all_ok
+    assert len(calls) == 30
 
 
 def test_pngc_equivalence_small_sample():
