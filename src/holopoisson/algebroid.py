@@ -21,9 +21,8 @@ The structural checks evaluate each frame-level quantity once, into a
 table, and read it through identities the definitions satisfy.  The
 flatness and F/S/T checks read the frame table nabla_{e_i} e_m of each
 connection: apply is tensorial in its acting argument, so nabla along a
-combination of frames is the same combination of table rows, and the
-derivative of a section with constant coefficients is a combination of
-table entries (Leibniz, with a zero derivative term).
+combination of frames is the same combination of table rows; nabla of
+any other section goes through apply.
 realparts_liealgebra_check evaluates the antisymmetric identities on the
 pairs s < t only, with the Hamiltonian fields of the basis tabled, and
 yao_isomorphism_check takes yao_phi of each bowtie frame once.
@@ -690,8 +689,6 @@ class RepData:
         s = self.module.coerce_section(s)
         out = self.module.zero_section()
         support = [j for j in range(self.module.rank) if not s[j].is_zero()]
-        if not support:
-            return out
         for j in support:
             out[j] = out[j] + self.acting.anchor_apply(u, s[j])
         for i in range(self.acting.rank):
@@ -723,29 +720,20 @@ def _combine(coeffs, rows, out):
     return out
 
 
-def _nabla_frame(rep: RepData, table, i, s):
-    """nabla_{e_i} s.  A section with constant coefficients s_k is read
-    from the table as sum_k s_k nabla_{e_i} e_k (the Leibniz rule with
-    rho(e_i)(s_k) = 0); any other section goes through apply."""
-    if all(p.degree() <= 0 for p in s):
-        return _combine(s, table[i], rep.module.zero_section())
-    return rep.apply(rep.acting.frame_section(i), s)
-
-
 def _is_flat(rep: RepData, table) -> bool:
     """nabla_[ei,ej] e_m = nabla_ei nabla_ej e_m - nabla_ej nabla_ei e_m on
     all frames, read from the frame table: apply is tensorial in its first
     argument, so nabla_[ei,ej] e_m = sum_k c_ij^k nabla_{e_k} e_m."""
     a, b = rep.acting, rep.module
+    frames = [a.frame_section(i) for i in range(a.rank)]
     columns = [[row[m] for row in table] for m in range(b.rank)]
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             for m in range(b.rank):
                 lhs = _combine(a.structure[i][j], columns[m],
                                b.zero_section())
-                rhs = [x - y for x, y in zip(
-                    _nabla_frame(rep, table, i, table[j][m]),
-                    _nabla_frame(rep, table, j, table[i][m]))]
+                rhs = [x - y for x, y in zip(rep.apply(frames[i], table[j][m]),
+                                             rep.apply(frames[j], table[i][m]))]
                 if any(x != y for x, y in zip(lhs, rhs)):
                     return False
     return True
@@ -798,15 +786,6 @@ class MatchedPairTensors:
         return not self.F and not self.S and not self.T
 
 
-def matched_pair_F(mp: MatchedPairData, x, y) -> Multivector:
-    """F(X;Y) = [a(X), b(Y)] + a(nabla_Y X) - b(nabla_X Y)."""
-    ax = mp.A.anchor_field(x)
-    by = mp.B.anchor_field(y)
-    return (schouten(ax, by)
-            + mp.A.anchor_field(mp.nablaBA.apply(y, x))
-            - mp.B.anchor_field(mp.nablaAB.apply(x, y)))
-
-
 def matched_pair_tensors(mp: MatchedPairData) -> MatchedPairTensors:
     """Evaluate F, S, T on all frame combinations; a matched pair is
     exactly the case F = S = T = 0.  The frame tables of both connections
@@ -820,10 +799,10 @@ def matched_pair_tensors(mp: MatchedPairData) -> MatchedPairTensors:
 
 
 def _f_tensor(mp: MatchedPairData, ab, ba) -> dict:
-    """The nonzero values of F on frames, keyed (i, j): matched_pair_F's
-    formula on the anchor fields of the frames, each taken once, and the
-    frame tables ab = nabla_{e_i} f_j and ba = nabla_{f_j} e_i; a zero
-    table entry drops its anchor term."""
+    """The nonzero values of F(X;Y) = [a(X), b(Y)] + a(nabla_Y X)
+    - b(nabla_X Y) on frames, keyed (i, j), from the anchor fields of the
+    frames, each taken once, and the frame tables ab = nabla_{e_i} f_j and
+    ba = nabla_{f_j} e_i; a zero table entry drops its anchor term."""
     a, b = mp.A, mp.B
     a_fields = [a.anchor_field(a.frame_section(i)) for i in range(a.rank)]
     b_fields = [b.anchor_field(b.frame_section(j)) for j in range(b.rank)]
@@ -849,15 +828,15 @@ def _s_tensor(mp: MatchedPairData, ab, ba) -> dict:
     argument, nabla_{nabla_{Y} X} Y' = sum_m (nabla_Y X)_m nabla_{e_m} Y';
     a zero table entry drops its bracket term."""
     a, b = mp.A, mp.B
+    a_frames = [a.frame_section(i) for i in range(a.rank)]
     b_frames = [b.frame_section(j) for j in range(b.rank)]
     columns = [[row[j] for row in ab] for j in range(b.rank)]
     S = {}
-    for i in range(a.rank):
+    for i, x in enumerate(a_frames):
         for j1, y1 in enumerate(b_frames):
             for j2 in range(j1 + 1, b.rank):
                 y2 = b_frames[j2]
-                value = [-p for p in _nabla_frame(mp.nablaAB, ab, i,
-                                                  b.structure[j1][j2])]
+                value = [-p for p in mp.nablaAB.apply(x, b.structure[j1][j2])]
                 if not b.section_is_zero(ab[i][j1]):
                     value = [p + q for p, q in
                              zip(value, b.bracket(ab[i][j1], y2))]

@@ -40,6 +40,8 @@ These deliberately take different routes from the library code:
   for the tensoriality tests of S and T.  The library's check keeps only
   flatness; the Leibniz half, which cannot fail, lives on here (with its
   RepReport record) as the subject of the property that shows why.
+  matched_pair_F, F(X;Y) on arbitrary sections, is likewise the reference
+  for the library's frame F table and for the tensoriality tests of F.
 * canonical_matched_pair_reference is the canonical matched pair as the
   library computed it before it used zero connections on the holomorphic
   frame: the Lie derivative (Cartan formula) for T^{0,1} acting on the
@@ -880,6 +882,15 @@ def check_representation_reference(rep) -> RepReport:
         if not leibniz:
             break
     return RepReport(leibniz, flat)
+
+
+def matched_pair_F(mp, x, y) -> Multivector:
+    """F(X;Y) = [a(X), b(Y)] + a(nabla_Y X) - b(nabla_X Y)."""
+    ax = mp.A.anchor_field(x)
+    by = mp.B.anchor_field(y)
+    return (schouten(ax, by)
+            + mp.A.anchor_field(mp.nablaBA.apply(y, x))
+            - mp.B.anchor_field(mp.nablaAB.apply(x, y)))
 
 
 def matched_pair_S(mp, x, y1, y2):

@@ -24,7 +24,6 @@ from holopoisson.algebroid import (
     holomorphic_matched_pair,
     koszul_algebroid,
     lie_poisson,
-    matched_pair_F,
     matched_pair_tensors,
     nijenhuis_torsion_algebroid,
     realify_liealgebra,
@@ -53,6 +52,7 @@ from oracles import (
     check_representation_reference,
     conjugate_by_signs,
     lie_algebra_algebroid,
+    matched_pair_F,
     matched_pair_S,
     rand_poly,
     realified_cotangent,
@@ -530,9 +530,11 @@ def test_f_table_matches_matched_pair_F(case):
 
 
 def test_check_representation_builds_one_frame_table(monkeypatch):
-    """On a holomorphic matched pair both frame tables are zero, so the
-    flatness check reads everything from them: one apply per entry of
-    the table, rank(A) * rank(B) in all."""
+    """The flatness check builds the frame table once, rank(A) * rank(B)
+    applies, reads nabla_[ei,ej] e_m from it, and takes two more applies
+    per pair i < j and module frame m: rank(A)^2 * rank(B) in all.
+    Applying nabla_[ei,ej] to each e_m as well would add
+    C(rank(A), 2) rank(B)."""
     calls = []
     original = RepData.apply
 
@@ -546,7 +548,7 @@ def test_check_representation_builds_one_frame_table(monkeypatch):
         for rep in (mp.nablaAB, mp.nablaBA):
             calls.clear()
             assert check_representation(rep)
-            assert len(calls) == rep.acting.rank * rep.module.rank
+            assert len(calls) == rep.acting.rank ** 2 * rep.module.rank
 
 
 @settings(max_examples=40, deadline=None)
