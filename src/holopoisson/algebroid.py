@@ -17,15 +17,15 @@ case A = (T*X)_pi.  A connection is flat or not (check_representation);
 the Leibniz rule holds by construction, as RepData.apply extends gamma by
 it.
 
-The structural checks evaluate each frame-level quantity once, into a
-table, and read it through identities the definitions satisfy.  The
-flatness and F/S/T checks read the frame table nabla_{e_i} e_m of each
-connection: apply is tensorial in its acting argument, so nabla along a
-combination of frames is the same combination of table rows; nabla of
-any other section goes through apply.
-realparts_liealgebra_check evaluates the antisymmetric identities on the
-pairs s < t only, with the Hamiltonian fields of the basis tabled, and
-yao_isomorphism_check takes yao_phi of each bowtie frame once.
+The structural checks read a frame bracket that is in the data (two
+frames: their structure vector; two coordinate coframes: d pi^{ij}) and
+evaluate every other frame-level quantity once, into a table.  The
+flatness and F/S/T checks and bowtie read the frame table nabla_{e_i} e_m
+of each connection: apply is tensorial in its acting argument, so nabla
+along a combination of frames is the same combination of table rows.
+realparts_liealgebra_check takes the antisymmetric identities on the
+pairs s < t only, and yao_isomorphism_check takes yao_phi of each bowtie
+frame once.
 
 The tangent algebroid and a Lie algebra as an algebroid over a point are
 test fixtures, in tests/oracles.py; so is the underlying real algebroid
@@ -46,7 +46,6 @@ from .poisson import (
     courant_bracket,
     decompose,
     is_holomorphic_poisson,
-    koszul_bracket,
 )
 
 QUARTER = GQ(Fraction(1, 4))
@@ -228,14 +227,15 @@ def verify_algebroid(a: AlgebroidChart) -> AlgebroidReport:
 
     The Leibniz rule holds by construction of the extended bracket, so the
     testable content is the anchor being a bracket morphism and the Jacobi
-    identity.
+    identity; the bracket of frames e_i, e_j is read as c[i][j].
     """
+    frames = [a.frame_section(i) for i in range(a.rank)]
+    fields = [a.anchor_field(e) for e in frames]
     anchor_ok = True
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             lhs = a.anchor_field(a.structure[i][j])
-            rhs = schouten(a.anchor_field(a.frame_section(i)),
-                           a.anchor_field(a.frame_section(j)))
+            rhs = schouten(fields[i], fields[j])
             if lhs != rhs:
                 anchor_ok = False
                 break
@@ -246,10 +246,9 @@ def verify_algebroid(a: AlgebroidChart) -> AlgebroidReport:
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             for k in range(j + 1, a.rank):
-                ei, ej, ek = (a.frame_section(t) for t in (i, j, k))
-                total = a.bracket(a.bracket(ei, ej), ek)
-                cyc2 = a.bracket(a.bracket(ej, ek), ei)
-                cyc3 = a.bracket(a.bracket(ek, ei), ej)
+                total = a.bracket(a.structure[i][j], frames[k])
+                cyc2 = a.bracket(a.structure[j][k], frames[i])
+                cyc3 = a.bracket(a.structure[k][i], frames[j])
                 summed = [x + y + z for x, y, z in zip(total, cyc2, cyc3)]
                 if not a.section_is_zero(summed):
                     jacobi_ok = False
@@ -279,7 +278,7 @@ def _deformation(a: AlgebroidChart, n: EndoOnAlgebroid):
             ei, ej = a.frame_section(i), a.frame_section(j)
             deformed = [x + y - z for x, y, z in zip(
                 a.bracket(images[i], ej), a.bracket(ei, images[j]),
-                n.apply(a.bracket(ei, ej)))]
+                n.apply(a.structure[i][j]))]
             brackets[(i, j)] = deformed
             value = [x - y for x, y in zip(a.bracket(images[i], images[j]),
                                            n.apply(deformed))]
@@ -311,24 +310,13 @@ def cotangent_algebroid(pi: Multivector) -> AlgebroidChart:
     """The complex Lie algebroid on the holomorphic coframe dz_1..dz_n:
     anchor pi_sharp, bracket the Koszul bracket [xi, eta] = L_{pi# xi} eta
     - L_{pi# eta} xi - d(pi(xi, eta)), where d = dpart as pi(xi, eta) is
-    holomorphic."""
+    holomorphic: [dz_i, dz_j] is the dz-part of d pi^{ij}."""
     report = is_holomorphic_poisson(pi)
     if not report.holomorphic_poisson:
         raise StructureError(
             f"cotangent algebroid needs a holomorphic Poisson bivector: "
             f"{report.as_dict()}")
-    chart = pi.chart
-    n = chart.n
-    anchor = [sharp(pi, Form.frame(chart, i)).coefficients() for i in range(n)]
-
-    def bracket_fn(i, j):
-        value = koszul_bracket(pi, Form.frame(chart, i), Form.frame(chart, j))
-        coeffs = value.coefficients()
-        if any(not p.is_zero() for p in coeffs[n:]):
-            raise StructureError("cotangent bracket left the (1,0) coframe")
-        return coeffs[:n]
-
-    return AlgebroidChart.from_frame_brackets(chart, n, anchor, bracket_fn)
+    return _coframe_algebroid(pi, pi.chart.n)
 
 
 def koszul_algebroid(pihat: Multivector) -> AlgebroidChart:
@@ -336,17 +324,18 @@ def koszul_algebroid(pihat: Multivector) -> AlgebroidChart:
     coframe: anchor pihat_sharp, bracket the Koszul bracket."""
     if pihat.degree != 2:
         raise DegreeError("koszul_algebroid needs a bivector")
-    chart = pihat.chart
-    m = chart.nvars
-    anchor = [sharp(pihat, Form.frame(chart, i)).coefficients()
-              for i in range(m)]
+    return _coframe_algebroid(pihat, pihat.chart.nvars)
 
-    def bracket_fn(i, j):
-        value = koszul_bracket(pihat, Form.frame(chart, i),
-                               Form.frame(chart, j))
-        return value.coefficients()
 
-    return AlgebroidChart.from_frame_brackets(chart, m, anchor, bracket_fn)
+def _coframe_algebroid(pi: Multivector, rank: int) -> AlgebroidChart:
+    """Anchor pi# and Koszul bracket on the first rank coordinate
+    coframes, where [e^i, e^j] = d pi^{ij} (see koszul_bracket)."""
+    chart = pi.chart
+    anchor = [sharp(pi, Form.frame(chart, i)).coefficients()
+              for i in range(rank)]
+    return AlgebroidChart.from_frame_brackets(
+        chart, rank, anchor,
+        lambda i, j: differential(pi.component((i, j))).coefficients()[:rank])
 
 
 # ----------------------------------------------------------------------
@@ -611,8 +600,9 @@ def realparts_liealgebra_check(g: LieAlgebraData) -> RealPartsReport:
     (V, W), the Poisson brackets because pi_R and pi_I are bivectors and
     the right-hand sides because AlgebroidChart enforces a zero diagonal
     and antisymmetric structure functions.  d l'(e_s) and the Hamiltonian
-    fields pi_R# d l'(e_s), pi_I# d l'(e_s) are tabled once per s, so each left-hand side is one pairing
-    {f, g} = <dg, pi# df>, poisson_bracket's formula."""
+    fields pi_R# d l'(e_s), pi_I# d l'(e_s) are tabled once per s, so each
+    left-hand side is one pairing {f, g} = <dg, pi# df>, poisson_bracket's
+    formula."""
     gc = complex_presentation(g)
     pi = lie_poisson(gc)
     pair = decompose(pi)
@@ -643,7 +633,7 @@ def realparts_liealgebra_check(g: LieAlgebraData) -> RealPartsReport:
     ok_im = True
     for s in range(2 * r):
         for t in range(s + 1, 2 * r):
-            value = doubled.bracket(frames[s], frames[t])
+            value = doubled.structure[s][t]
             bracket = constant_section(value)
             jbracket = constant_section(realified.j.apply(value))
             lhs_re = pairing(dl[t], ham_re[s])
@@ -790,12 +780,18 @@ def matched_pair_tensors(mp: MatchedPairData) -> MatchedPairTensors:
     """Evaluate F, S, T on all frame combinations; a matched pair is
     exactly the case F = S = T = 0.  The frame tables of both connections
     are built once and read by the flatness checks and by F, S and T."""
+    return _tensors_and_tables(mp)[0]
+
+
+def _tensors_and_tables(mp: MatchedPairData):
+    """matched_pair_tensors and the frame tables ab and ba it read."""
     ab = _frame_table(mp.nablaAB)
     ba = _frame_table(mp.nablaBA)
     if not (_is_flat(mp.nablaAB, ab) and _is_flat(mp.nablaBA, ba)):
         raise StructureError("matched-pair data: representations are not flat")
-    return MatchedPairTensors(_f_tensor(mp, ab, ba), _s_tensor(mp, ab, ba),
-                              _s_tensor(mp.swapped(), ba, ab))
+    tensors = MatchedPairTensors(_f_tensor(mp, ab, ba), _s_tensor(mp, ab, ba),
+                                 _s_tensor(mp.swapped(), ba, ab))
+    return tensors, ab, ba
 
 
 def _f_tensor(mp: MatchedPairData, ab, ba) -> dict:
@@ -853,34 +849,22 @@ def _s_tensor(mp: MatchedPairData, ab, ba) -> dict:
 def bowtie(mp: MatchedPairData) -> AlgebroidChart:
     """The direct-sum algebroid of a matched pair: anchor a(X) + b(Y) and
     bracket ([X1,X2] + nabla_{Y1}X2 - nabla_{Y2}X1) + ([Y1,Y2]
-    + nabla_{X1}Y2 - nabla_{X2}Y1)."""
-    tensors = matched_pair_tensors(mp)
+    + nabla_{X1}Y2 - nabla_{X2}Y1), on frames (A first) read from A's and
+    B's data and the frame tables of the F/S/T check."""
+    tensors, ab, ba = _tensors_and_tables(mp)
     if not tensors.all_zero:
         raise StructureError("not a matched pair: F/S/T do not vanish")
-    ra, rb = mp.A.rank, mp.B.rank
-    chart = mp.A.chart
-    anchor = []
-    for i in range(ra):
-        anchor.append(mp.A.anchor_field(mp.A.frame_section(i)).coefficients())
-    for j in range(rb):
-        anchor.append(mp.B.anchor_field(mp.B.frame_section(j)).coefficients())
+    ra = mp.A.rank
 
     def bracket_fn(s, t):
-        if s < ra and t < ra:
-            a_part = mp.A.structure[s][t]
-            b_part = mp.B.zero_section()
-        elif s >= ra and t >= ra:
-            a_part = mp.A.zero_section()
-            b_part = mp.B.structure[s - ra][t - ra]
-        else:
-            x = mp.A.frame_section(s)
-            y = mp.B.frame_section(t - ra)
-            a_part = [-p for p in mp.nablaBA.apply(y, x)]
-            b_part = mp.nablaAB.apply(x, y)
-        return list(a_part) + list(b_part)
+        if t < ra:
+            return mp.A.structure[s][t] + mp.B.zero_section()
+        if s >= ra:
+            return mp.A.zero_section() + mp.B.structure[s - ra][t - ra]
+        return [-p for p in ba[t - ra][s]] + ab[s][t - ra]
 
-    return AlgebroidChart.from_frame_brackets(chart, ra + rb, anchor,
-                                              bracket_fn)
+    return AlgebroidChart.from_frame_brackets(
+        mp.A.chart, ra + mp.B.rank, mp.A.anchor + mp.B.anchor, bracket_fn)
 
 
 # ----------------------------------------------------------------------

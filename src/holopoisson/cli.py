@@ -64,11 +64,20 @@ def _load(path: str) -> dict:
     return doc
 
 
+def _lie_algebra_document(doc, keys, context):
+    """True for a lie_algebra document, which takes none of keys."""
+    clash = [key for key in keys if key in doc]
+    if "lie_algebra" in doc and clash:
+        raise ParseError(f"{context}: 'lie_algebra' and {clash[0]!r} both "
+                         "given")
+    return "lie_algebra" in doc
+
+
 def _doc_chart_pi(doc, context):
     """Load a bivector document: either {chart, pi} or a lie_algebra whose
     fiberwise-linear dual Poisson structure is taken."""
     require_keys(doc, {"chart", "pi", "lie_algebra", "expected"}, context)
-    if "lie_algebra" in doc:
+    if _lie_algebra_document(doc, ("chart", "pi"), context):
         g = parse_liealgebra(doc["lie_algebra"])
         pi = alg.lie_poisson(alg.complex_presentation(g))
         return pi.chart, pi
@@ -111,6 +120,9 @@ def cmd_pn_check(doc, options):
     chart = parse_chart(require_field(doc, "chart", context))
     pi = parse_bivector(chart, require_field(doc, "pi", context))
     if chart.is_complex():
+        if "endo" in doc:
+            raise ParseError("pn-check on a complex chart takes no endo "
+                             "matrix: it checks the standard J")
         report = poi.pn_check_complex(pi)
         chart = Chart.real(chart.n)
     else:
@@ -124,7 +136,7 @@ def cmd_pn_check(doc, options):
 def cmd_torsion(doc, options):
     require_keys(doc, {"chart", "endo", "lie_algebra", "expected"},
                  "torsion input")
-    if "lie_algebra" in doc:
+    if _lie_algebra_document(doc, ("chart", "endo"), "torsion input"):
         g = parse_liealgebra(doc["lie_algebra"])
         realified = alg.realify_liealgebra(alg.complex_presentation(g))
         torsion = alg.nijenhuis_torsion_algebroid(realified.algebroid,

@@ -68,7 +68,8 @@ def parse_alternating(chart: Chart, entries, degree, kind) -> "Multivector|Form"
                              "increasing in the canonical order")
         if degree is not None and len(idx) != degree:
             raise ParseError(f"component frame {names} has wrong degree")
-        poly = parse_poly(str(entry.get("coeff", "0")), chart)
+        poly = parse_poly(str(require_field(entry, "coeff", "component")),
+                          chart)
         if idx in comps:
             raise ParseError(f"duplicate component {names}")
         comps[idx] = poly

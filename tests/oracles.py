@@ -53,7 +53,9 @@ These deliberately take different routes from the library code:
   they read frame tables: every Koszul bracket, Poisson bracket, bowtie
   bracket and yao_phi image is recomputed where it is used, for every
   pair (ordered pairs in realparts).  pn_check_reference calls
-  koszul_bracket_reference, so it shares no Koszul code with the library.
+  koszul_bracket_reference, so it shares no Koszul code with the library,
+  and builds pi_N as a bivector with bivector_from_matrix, which left the
+  library when pn_check came to keep pi_N as a matrix.
 
 Fixtures and references that no command needs, moved out of the library:
 
@@ -122,7 +124,6 @@ from holopoisson.multivec import (
 from holopoisson.poisson import (
     HALF,
     PNReport,
-    bivector_from_matrix,
     courant_bracket,
     decompose,
     multivector_conj,
@@ -979,6 +980,17 @@ def koszul_bracket_reference(pihat: Multivector, alpha: Form,
     sb = sharp(pihat, beta)
     return (lie_derivative(sa, beta) - lie_derivative(sb, alpha)
             - exterior_d(Form(pihat.chart, 0, {(): pairing(beta, sa)})))
+
+
+def bivector_from_matrix(chart: Chart, mat) -> Multivector:
+    """Bivector with pi(e^a, e^b) = mat[a][b]; mat must be antisymmetric."""
+    comps = {}
+    m = chart.nvars
+    for a in range(m):
+        for b in range(a + 1, m):
+            if not mat[a][b].is_zero():
+                comps[(a, b)] = mat[a][b]
+    return Multivector(chart, 2, comps)
 
 
 def pn_check_reference(pi_i: Multivector, n_field,

@@ -676,6 +676,61 @@ def test_bowtie_t01_t10_is_complexified_tangent():
     assert anchors == want
 
 
+def diagonal_action_pair():
+    """Abelian A = <e1, e2> acting on abelian B = <f1, f2> over a point,
+    e1 by diag(1, 2) and e2 by diag(3, -1), with B acting on A by zero:
+    a matched pair whose bowtie brackets [e_i, f_j] are nonzero."""
+    point = Chart.real(0)
+    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    a = AlgebroidChart(point, 2, [[], []], zero)
+    b = AlgebroidChart(point, 2, [[], []], zero)
+    weights = [[1, 2], [3, -1]]
+    gamma_ab = [[[w[j] if k == j else 0 for k in range(2)] for j in range(2)]
+                for w in weights]
+    return MatchedPairData(a, b, RepData(a, b, gamma_ab),
+                           RepData(b, a, zero))
+
+
+def test_bowtie_applies_no_connection_beyond_matched_pair_tensors(
+        monkeypatch):
+    """bowtie reads its mixed brackets [e_i, f_j] = -nabla_{f_j} e_i
+    + nabla_{e_i} f_j from the frame tables of its F/S/T check: it makes
+    exactly the RepData.apply calls matched_pair_tensors makes, and the
+    brackets agree with apply's."""
+    calls = []
+    original = RepData.apply
+
+    def counting(self, u, s):
+        calls.append((u, s))
+        return original(self, u, s)
+
+    for mp in (canonical_matched_pair(sl2_pi()), diagonal_action_pair()):
+        monkeypatch.setattr(RepData, "apply", counting)
+        calls.clear()
+        matched_pair_tensors(mp)
+        tensors_calls = len(calls)
+        calls.clear()
+        d = bowtie(mp)
+        assert len(calls) == tensors_calls
+        monkeypatch.setattr(RepData, "apply", original)
+        assert verify_algebroid(d).all_ok
+        ra = mp.A.rank
+        for i in range(ra):
+            x = mp.A.frame_section(i)
+            for j in range(mp.B.rank):
+                y = mp.B.frame_section(j)
+                want = ([-p for p in mp.nablaBA.apply(y, x)]
+                        + mp.nablaAB.apply(x, y))
+                assert d.structure[i][ra + j] == want
+                assert d.structure[ra + j][i] == [-p for p in want]
+    # the diagonal action's mixed brackets are its weights
+    d = bowtie(diagonal_action_pair())
+    mixed = [[[str(p) for p in d.structure[i][2 + j]] for j in range(2)]
+             for i in range(2)]
+    assert mixed == [[["0", "0", "1", "0"], ["0", "0", "0", "2"]],
+                     [["0", "0", "3", "0"], ["0", "0", "0", "-1"]]]
+
+
 # ----------------------------------------------------------------------
 # Theorem: bowtie vs Courant through phi
 

@@ -251,6 +251,18 @@ MALFORMED = [
     ("lie-poisson", {"lie_algebra": {"rank": 2,
                                      "brackets": [[True, 2, 1, "1"]]}}),
 ]
+# pn-check on a complex chart checks the standard J and takes no endo; a
+# lie_algebra next to the chart-based keys would leave one of them unread
+ABELIAN = {"rank": 2, "brackets": []}
+UNREAD_KEYS = [
+    ("pn-check", {"chart": {"kind": "complex", "n": 1}, "pi": [],
+                  "endo": "garbage"}),
+    ("check-poisson", {"chart": {"kind": "complex", "n": 2},
+                       "pi": [{"frame": ["z1", "z2"], "coeff": "zb1"}],
+                       "lie_algebra": ABELIAN}),
+    ("torsion", {"chart": {"kind": "real", "n": 1},
+                 "endo": [["0", "-1"], ["1", "0"]], "lie_algebra": ABELIAN}),
+]
 # both truncations at once, as JobSpec options and as flags
 BOTH_TRUNCATIONS = {"weight": 1, "max_degree": 1}
 BOTH_TRUNCATION_FLAGS = ["--weight", "1", "--max-degree", "1"]
@@ -267,14 +279,17 @@ MALFORMED_FLAGS = [("cohomology", {"chart": {"kind": "complex", "n": 1},
                          [(c, d, None) for c, d in MALFORMED]
                          + [("cohomology", None, o)
                             for o in MALFORMED_JOB_OPTIONS]
-                         + MALFORMED_FLAGS)
+                         + MALFORMED_FLAGS
+                         + [(c, d, None) for c, d in UNREAD_KEYS])
 def test_malformed_input_is_input_error(tmp_path, command, doc, options):
     """Non-list brackets or j rows, bools and floats where an integer is
-    due, a dump directory that is not a path, a JobSpec ``out`` that
-    nothing would write, both --weight and --max-degree: exit 1 with an
-    input error, never a traceback.  JobSpec options (a dict) have no
-    command-line route, so those cases check for the ParseError that
-    main() reports as an input error; a list of options is flags."""
+    due, an endo matrix for pn-check on a complex chart (which checks the
+    standard J), a lie_algebra next to a chart, a dump directory that is
+    not a path, a JobSpec ``out`` that nothing would write, both --weight
+    and --max-degree: exit 1 with an input error, never a traceback.
+    JobSpec options (a dict) have no command-line route, so those cases
+    check for the ParseError that main() reports as an input error; a
+    list of options is flags."""
     if isinstance(options, dict):
         with pytest.raises(ParseError) as info:
             run_job({"command": command, "options": options,
@@ -292,6 +307,8 @@ def test_malformed_input_is_input_error(tmp_path, command, doc, options):
         message = err
     if options in (BOTH_TRUNCATIONS, BOTH_TRUNCATION_FLAGS):
         assert "--weight" in message and "--max-degree" in message
+    if doc is not None and "lie_algebra" in doc and "chart" in doc:
+        assert "'lie_algebra'" in message and "'chart'" in message
 
 
 C1 = {"kind": "complex", "n": 1}
@@ -301,6 +318,8 @@ MISSING_KEY = [
     ("koszul", {"chart": C1, "pi": [], "beta": ONE_FORM}, "alpha"),
     ("koszul", {"chart": C1, "alpha": ONE_FORM, "beta": ONE_FORM}, "pi"),
     ("check-poisson", {"chart": C1}, "pi"),
+    ("check-poisson", {"chart": {"kind": "complex", "n": 2},
+                       "pi": [{"frame": ["z1", "z2"]}]}, "coeff"),
     ("pn-check", {"chart": {"kind": "real", "n": 1},
                   "endo": [["0", "-1"], ["1", "0"]]}, "pi"),
     ("lie-poisson", {"lie_algebra": {"rank": 2}}, "brackets"),
@@ -314,8 +333,9 @@ MISSING_KEY = [
 @pytest.mark.parametrize("command, doc, key", MISSING_KEY,
                          ids=[f"{c}-{k}" for c, _, k in MISSING_KEY])
 def test_missing_key_is_input_error(tmp_path, command, doc, key):
-    """A missing pi, alpha, beta, endo, lie_algebra or brackets is an
-    input error, not the zero bivector or form or the abelian algebra."""
+    """A missing pi, alpha, beta, endo, lie_algebra, brackets or component
+    coeff is an input error, not the zero bivector, form or coefficient or
+    the abelian algebra."""
     code, out, err = run_cli([command, write_doc(tmp_path, "doc.json", doc)])
     assert code == 1
     assert out == ""

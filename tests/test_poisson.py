@@ -410,10 +410,34 @@ def test_koszul_bracket_matches_reference(rng, real):
         pi, alpha, beta)
 
 
-def test_pn_check_takes_each_koszul_bracket_once(monkeypatch):
-    """On R^6, pn_check takes 15 Koszul brackets of pi_I (one per coframe
-    pair) and 15 of pi_N: 30 in all."""
-    from holopoisson import poisson
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from(["real", "complex", "holomorphic"]))
+def test_koszul_bracket_of_coframes_is_differential(rng, kind):
+    """[e^a, e^b]_pi = d(pi^{ab}) on every ordered pair of coordinate
+    coframes, the identity pn_check, cotangent_algebroid and
+    koszul_algebroid read in place of the bracket: random bivectors on
+    R^2 and C^2, mostly not Poisson, and holomorphic (2,0) bivectors on
+    C^2, which are."""
+    if kind == "holomorphic":
+        chart = C2
+        pi = rand_bivector_20(rng, C2, holomorphic=True)
+        assert is_holomorphic_poisson(pi).holomorphic_poisson
+    else:
+        chart = R2 if kind == "real" else C2
+        pi = rand_multivector(rng, chart, 2)
+    coframe = [Form.frame(chart, k) for k in range(chart.nvars)]
+    for a, alpha in enumerate(coframe):
+        for b, beta in enumerate(coframe):
+            component = (pi.component((a, b)) if a < b
+                         else -pi.component((b, a)))
+            assert koszul_bracket(pi, alpha, beta) == differential(component)
+
+
+def test_structural_checks_take_no_koszul_bracket(monkeypatch):
+    """pn_check, cotangent_algebroid and koszul_algebroid read each
+    coframe bracket as d(pi^{ab}) and call koszul_bracket not once."""
+    from holopoisson import algebroid, poisson
 
     calls = []
     original = poisson.koszul_bracket
@@ -423,12 +447,15 @@ def test_pn_check_takes_each_koszul_bracket_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(poisson, "koszul_bracket", counting)
+    monkeypatch.setattr(algebroid, "koszul_bracket", counting, raising=False)
     c3 = Chart.complex(3)
     pi = Multivector(c3, 2, {(0, 1): Poly.var(c3, 1).scale(GQ(2)),
                              (0, 2): Poly.var(c3, 2).scale(GQ(-2)),
                              (1, 2): Poly.var(c3, 0)})
     assert pn_check_complex(pi).all_ok
-    assert len(calls) == 30
+    algebroid.cotangent_algebroid(pi)
+    algebroid.koszul_algebroid(decompose(pi).pi_I)
+    assert calls == []
 
 
 def test_pngc_equivalence_small_sample():
