@@ -35,10 +35,8 @@ the Koszul algebroids of 4 pi_R and 4 pi_I.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ChartError, DegreeError, Record, ShapeError, StructureError
-from .exactalg import GQ, Chart, Poly
+from .exactalg import GQ, Chart, Poly, is_scalar
 from .linalg import dense_rank, gq_mat_inverse, poly_mat_vec
 from .multivec import Form, Multivector, differential, pairing, schouten, sharp
 from .poisson import (
@@ -48,7 +46,7 @@ from .poisson import (
     is_holomorphic_poisson,
 )
 
-QUARTER = GQ(Fraction(1, 4))
+QUARTER = GQ(1) / 4
 
 
 class AlgebroidChart:
@@ -93,7 +91,7 @@ class AlgebroidChart:
 
     @staticmethod
     def _coerce(chart, p):
-        if type(p) is not Poly and isinstance(p, (int, GQ, Fraction)):
+        if type(p) is not Poly and is_scalar(p):
             return Poly.const(chart, p)
         if p.chart != chart:
             raise ChartError("algebroid data on wrong chart")
@@ -485,8 +483,8 @@ def realify_liealgebra(g: LieAlgebraData) -> RealifiedLieAlgebra:
         # a complex combination sum c_k e_k as a real section of the doubling
         out = [Poly.zero(chart)] * rank
         for k, v in enumerate(complex_vec):
-            out[k] = Poly.const(chart, GQ(v.re))
-            out[r + k] = Poly.const(chart, GQ(v.im))
+            out[k] = Poly.const(chart, GQ(v.a) / v.d)
+            out[r + k] = Poly.const(chart, GQ(v.b) / v.d)
         return out
 
     zero = [Poly.zero(chart)] * rank
@@ -713,17 +711,25 @@ def _combine(coeffs, rows, out):
 def _is_flat(rep: RepData, table) -> bool:
     """nabla_[ei,ej] e_m = nabla_ei nabla_ej e_m - nabla_ej nabla_ei e_m on
     all frames, read from the frame table: apply is tensorial in its first
-    argument, so nabla_[ei,ej] e_m = sum_k c_ij^k nabla_{e_k} e_m."""
+    argument, so nabla_[ei,ej] e_m = sum_k c_ij^k nabla_{e_k} e_m.  A zero
+    table entry is not applied to, since nabla_u 0 = 0."""
     a, b = rep.acting, rep.module
     frames = [a.frame_section(i) for i in range(a.rank)]
     columns = [[row[m] for row in table] for m in range(b.rank)]
+    zero = b.zero_section()
+
+    def nabla(i, s):
+        # nabla_{e_i} s for a table entry s
+        if all(x.is_zero() for x in s):
+            return zero
+        return rep.apply(frames[i], s)
+
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             for m in range(b.rank):
-                lhs = _combine(a.structure[i][j], columns[m],
-                               b.zero_section())
-                rhs = [x - y for x, y in zip(rep.apply(frames[i], table[j][m]),
-                                             rep.apply(frames[j], table[i][m]))]
+                lhs = _combine(a.structure[i][j], columns[m], zero)
+                rhs = [x - y for x, y in zip(nabla(i, table[j][m]),
+                                             nabla(j, table[i][m]))]
                 if any(x != y for x, y in zip(lhs, rhs)):
                     return False
     return True

@@ -1,19 +1,28 @@
 """Command-line surface: one command per public capability.
 
+    holopoisson COMMAND [INPUT.json] [FLAGS]     (--help lists them)
+
 Input documents are UTF-8 JSON with exact scalars as strings; reports are
 canonical JSON (sorted keys, two-space indent, trailing newline) so that a
 fixed input always produces byte-identical output.  Timing goes to stderr,
 never into the report.
 
+The command line is read by a small table-driven reader, not argparse:
+every command is one cold process, and argparse with its gettext lookups
+would cost more start-up than most commands take.  Each command's flags
+are its JobSpec options (COMMAND_OPTIONS; option max_degree is the flag
+--max-degree) plus -o/--out, given as ``--flag value`` or
+``--flag=value``; names are matched exactly, never as prefixes.
+
 Exit codes: 0 = structural success, 2 = a verification failed (a verdict
 is false or a structural precondition was rejected), 1 = input error,
-including a missing document key, a cohomology truncation the structure
-does not support and a report file (-o) that cannot be written.
+including a malformed command line, a missing document key, a cohomology
+truncation the structure does not support and a report file (-o) that
+cannot be written.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -310,8 +319,15 @@ COMMANDS = {
     "cohomology": cmd_cohomology,
 }
 
-JOB_OPTION_KEYS = {"point", "weight", "max_degree", "method",
-                   "dump_matrices"}
+# the JobSpec options each command reads; on the command line, option
+# max_degree is the flag --max-degree, and every command also takes -o/--out
+COMMAND_OPTIONS = {
+    "foliation-rank": ("point",),
+    "cohomology": ("weight", "max_degree", "method", "dump_matrices"),
+}
+JOB_OPTION_KEYS = {key for keys in COMMAND_OPTIONS.values() for key in keys}
+# options whose flag value is read as an integer
+INT_OPTIONS = ("weight", "max_degree")
 
 
 def run_job(job: dict):
@@ -417,57 +433,96 @@ def run_selftest(options):
 
 
 # ----------------------------------------------------------------------
-# argument parsing
+# the command line
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="holopoisson",
-        description="Exact calculus of holomorphic Poisson structures and "
-                    "Lie algebroids on polynomial charts.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("input", help="JSON input document")
-        p.add_argument("-o", "--out", help="write the report to a file")
-        if name == "foliation-rank":
-            p.add_argument("--point", help="comma-separated rational "
-                                           "coordinates")
-        if name == "cohomology":
-            p.add_argument("--weight", type=int,
-                           help="weight-graded truncation bound")
-            p.add_argument("--max-degree", type=int, dest="max_degree",
-                           help="total-degree truncation bound")
-            p.add_argument("--method", choices=("sparse", "oracle"),
-                           default="sparse")
-            p.add_argument("--dump-matrices", dest="dump_matrices",
-                           help="directory for sparse matrix dumps")
-    p = sub.add_parser("selftest")
-    p.add_argument("-o", "--out", help="write the report to a file")
-    return parser
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def usage() -> str:
+    """The --help listing: every command with its flags."""
+    lines = ["usage: holopoisson COMMAND [INPUT.json] [FLAGS]", "",
+             "commands:"]
+    for command in [*COMMANDS, "selftest"]:
+        words = [command]
+        if command != "selftest":
+            words.append("INPUT.json")
+        words += [f"[{_flag(key)} {key.upper()}]"
+                  for key in COMMAND_OPTIONS.get(command, ())]
+        lines.append("  " + " ".join(words + ["[-o OUT]"]))
+    lines += ["", "Exit codes: 0 ok, 2 a verification failed, 1 input "
+                  "error."]
+    return "\n".join(lines) + "\n"
+
+
+def read_argv(argv):
+    """(JobSpec, -o path or None) of a command line.  A flag takes its
+    value as the next word or after '='; the next word is a value unless
+    it is one of the command's flags, so "--weight -1" reads -1.  A
+    malformed command line raises ParseError."""
+    if not argv:
+        raise ParseError("no command given (see --help)")
+    command, words = argv[0], argv[1:]
+    if command not in COMMANDS and command != "selftest":
+        raise ParseError(f"unknown command {command!r} (see --help)")
+    flags = {"-o": "out", "--out": "out"}
+    flags.update((_flag(key), key)
+                 for key in COMMAND_OPTIONS.get(command, ()))
+    values, paths = {}, []
+    k = 0
+    while k < len(words):
+        word = words[k]
+        k += 1
+        if not word.startswith("-"):
+            paths.append(word)
+            continue
+        name, equals, value = word.partition("=")
+        if name not in flags:
+            raise ParseError(f"{command} takes no flag {name!r} "
+                             "(see --help)")
+        if not equals:
+            if k == len(words) or words[k] in flags:
+                raise ParseError(f"{name} needs a value")
+            value = words[k]
+            k += 1
+        values[flags[name]] = value
+    want = 0 if command == "selftest" else 1
+    if len(paths) != want:
+        count = "one input path" if want else "no input path"
+        raise ParseError(f"{command} takes {count}, got {len(paths)}")
+    out_path = values.pop("out", None)
+    for key in INT_OPTIONS:
+        if key in values:
+            try:
+                values[key] = int(values[key])
+            except ValueError:
+                raise ParseError(f"{_flag(key)} must be an integer, got "
+                                 f"{values[key]!r}") from None
+    job = {"command": command, "options": values}
+    if paths:
+        job["input_path"] = paths[0]
+    return job, out_path
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    started = time.monotonic()
-    job = {"command": args.command, "options": {}}
-    for key in sorted(JOB_OPTION_KEYS):
-        value = getattr(args, key, None)
-        if value is not None:
-            job["options"][key] = value
-    if args.command != "selftest":
-        job["input_path"] = args.input
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(usage())
+        return 0
     failure = None
     try:
+        job, out_path = read_argv(argv)
+        started = time.monotonic()
         report, code = run_job(job)
     except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except VERIFY_ERRORS as exc:
-        report, code = {"command": args.command, "ok": False,
+        report, code = {"command": job["command"], "ok": False,
                         "error": str(exc)}, 2
         failure = f"verification failure: {exc}"
     try:
-        emit(report, getattr(args, "out", None))
+        emit(report, out_path)
     except OSError as exc:
         # an unwritable -o path is an input error on either branch
         print(f"input error: {exc}", file=sys.stderr)

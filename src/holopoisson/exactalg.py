@@ -12,7 +12,7 @@ operation returns a canonical form.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+import sys
 from math import gcd
 from operator import add
 
@@ -31,7 +31,9 @@ class GQ:
     triple and zero is (0, 0, 1).  ``re`` and ``im`` are derived
     ``Fraction``s.  ``GQ(re, im)`` takes ints, ``Fraction``s or strings of
     the scalar grammar ``[+-]digits(/digits)?``; a float is a TypeError.
-    A real GQ hashes like the int or Fraction it equals.
+    A real GQ hashes like the int or Fraction it equals.  The arithmetic
+    builds no Fraction: ``fractions`` is imported only by ``re`` and
+    ``im``, so a command that never asks for them does not load it.
     """
 
     __slots__ = ("a", "b", "d")
@@ -61,11 +63,15 @@ class GQ:
         return GQ(0, 1)
 
     @property
-    def re(self) -> Fraction:
+    def re(self):
+        from fractions import Fraction
+
         return Fraction(self.a, self.d)
 
     @property
-    def im(self) -> Fraction:
+    def im(self):
+        from fractions import Fraction
+
         return Fraction(self.b, self.d)
 
     def __add__(self, other):
@@ -190,7 +196,7 @@ class GQ:
                     and self.d == other.d)
         if isinstance(other, int):
             return self.b == 0 and self.d == 1 and self.a == other
-        if isinstance(other, Fraction):
+        if _is_fraction(other):
             return (self.b == 0 and self.a == other.numerator
                     and self.d == other.denominator)
         return NotImplemented
@@ -201,7 +207,7 @@ class GQ:
             return hash((self.a, self.b, self.d))
         if self.d == 1:
             return hash(self.a)
-        return hash(Fraction(self.a, self.d))
+        return _rational_hash(self.a, self.d)
 
     def __repr__(self):
         return f"GQ({self.re!r}, {self.im!r})"
@@ -225,9 +231,36 @@ def _normal(a: int, b: int, d: int) -> GQ:
     return z
 
 
+def _is_fraction(value) -> bool:
+    """True for a Fraction.  None exists unless ``fractions`` is loaded, so
+    the test imports nothing."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
+def is_scalar(value) -> bool:
+    """True for the values Poly.const takes: an int, a GQ or a Fraction."""
+    return isinstance(value, (int, GQ)) or _is_fraction(value)
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for coprime n and d > 1, without building it:
+    Python's numeric hash, n * d^-1 modulo sys.hash_info.modulus."""
+    modulus = sys.hash_info.modulus
+    try:
+        inverse = pow(d, -1, modulus)
+    except ValueError:
+        # d is a multiple of the modulus
+        value = sys.hash_info.inf
+    else:
+        value = hash(hash(abs(n)) * inverse)
+    value = value if n >= 0 else -value
+    return -2 if value == -1 else value
+
+
 def _operand(value):
     """An int or Fraction operand as a GQ; None for any other type."""
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int) or _is_fraction(value):
         return GQ(value)
     return None
 
@@ -236,7 +269,7 @@ def _rational(value):
     """(numerator, denominator > 0) of one part of GQ(re, im)."""
     if isinstance(value, int):
         return value, 1
-    if isinstance(value, Fraction):
+    if _is_fraction(value):
         return value.numerator, value.denominator
     if isinstance(value, str):
         return _parse_ratio(value, value)
@@ -245,25 +278,29 @@ def _rational(value):
 
 
 def format_gq(c: GQ) -> str:
-    """Canonical string form: '3', '-1/2', 'i', '-i', '3i', '(1/2-3i)'."""
-    real, imag = c.re, c.im
-    if imag == 0:
-        return str(real)
-    if real == 0:
-        if imag == 1:
-            return "i"
-        if imag == -1:
-            return "-i"
-        return f"{imag}i"
-    if imag == 1:
-        tail = "+i"
-    elif imag == -1:
-        tail = "-i"
-    elif imag > 0:
-        tail = f"+{imag}i"
+    """Canonical string form: '3', '-1/2', 'i', '-i', '3i', '(1/2-3i)'.
+    Each part is a/d or b/d in lowest terms."""
+    a, b, d = c.a, c.b, c.d
+    if b == 0:
+        return _ratio_text(a, d)
+    if b == d:
+        imag = "i"
+    elif b == -d:
+        imag = "-i"
     else:
-        tail = f"{imag}i"
-    return f"({real}{tail})"
+        imag = f"{_ratio_text(b, d)}i"
+    if a == 0:
+        return imag
+    sign = "+" if b > 0 else ""
+    return f"({_ratio_text(a, d)}{sign}{imag})"
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms as str(Fraction(n, d)) prints it."""
+    g = gcd(n, d)
+    n //= g
+    d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def parse_gq(text: str) -> GQ:
@@ -453,7 +490,7 @@ class Poly:
                 f"chart mismatch: {self.chart} vs {other.chart}")
 
     def __add__(self, other):
-        if type(other) is not Poly and isinstance(other, (int, Fraction, GQ)):
+        if type(other) is not Poly and is_scalar(other):
             other = Poly.const(self.chart, other)
         self._require_same_chart(other)
         terms = dict(self.terms)
@@ -478,12 +515,12 @@ class Poly:
         return out
 
     def __sub__(self, other):
-        if type(other) is not Poly and isinstance(other, (int, Fraction, GQ)):
+        if type(other) is not Poly and is_scalar(other):
             other = Poly.const(self.chart, other)
         return self.__add__(other.__neg__())
 
     def __mul__(self, other):
-        if type(other) is not Poly and isinstance(other, (int, Fraction, GQ)):
+        if type(other) is not Poly and is_scalar(other):
             return self.scale(other)
         self._require_same_chart(other)
         terms: dict = {}
@@ -528,7 +565,7 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if type(other) is not Poly and isinstance(other, (int, Fraction, GQ)):
+        if type(other) is not Poly and is_scalar(other):
             other = Poly.const(self.chart, other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -784,8 +821,8 @@ def _coordinate_images(source: Chart, target: Chart) -> list:
         return ([x + y.scale(GQ.i()) for x, y in zip(first, second)]
                 + [x - y.scale(GQ.i()) for x, y in zip(first, second)])
     # x_k -> (z_k + zb_k)/2 ; y_k -> (z_k - zb_k)/2i = -i/2 (z_k - zb_k)
-    half = GQ(Fraction(1, 2))
-    half_i = GQ(0, Fraction(1, 2))
+    half = _normal(1, 0, 2)
+    half_i = _normal(0, 1, 2)
     return ([(z + zb).scale(half) for z, zb in zip(first, second)]
             + [(zb - z).scale(half_i) for z, zb in zip(first, second)])
 

@@ -26,7 +26,6 @@ from .exactalg import (
     Poly,
     _accumulate,
     _coordinate_images,
-    convert_chart,
 )
 
 
@@ -402,17 +401,18 @@ def convert_alternating(obj, target: Chart):
         return obj
     if source.n != target.n:
         raise ChartError("dimension mismatch in chart conversion")
+    coordinates = _coordinate_images(source, target)
     if isinstance(obj, Multivector):
         inverse = _coordinate_images(target, source)
         images = [Multivector.from_components(
             target, [Poly(target, g.diff(k).terms) for g in inverse])
             for k in range(source.nvars)]
     else:
-        images = [differential(f)
-                  for f in _coordinate_images(source, target)]
+        images = [differential(f) for f in coordinates]
     total = type(obj).zero(target, obj.degree)
     for idx, coeff in obj.comps.items():
-        term = type(obj)(target, 0, {(): convert_chart(coeff, target)})
+        term = type(obj)(target, 0,
+                         {(): coeff.substitute(coordinates, target)})
         for k in idx:
             term = term.wedge(images[k])
         total = total + term

@@ -9,10 +9,8 @@ constant symplectic forms and pointwise foliation ranks.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ChartError, DegreeError, Record, ShapeError, StructureError
-from .exactalg import GQ, Chart, Poly, _accumulate
+from .exactalg import GQ, Chart, Poly, _accumulate, is_scalar
 from .linalg import (
     column_space_equal,
     dense_rank,
@@ -41,7 +39,7 @@ from .multivec import (
     sharp_matrix,
 )
 
-HALF = Fraction(1, 2)
+HALF = GQ(1) / 2
 
 
 # ----------------------------------------------------------------------
@@ -65,8 +63,7 @@ class EndoField:
         for row in matrix:
             new_row = []
             for entry in row:
-                if (type(entry) is not Poly
-                        and isinstance(entry, (int, GQ, Fraction))):
+                if type(entry) is not Poly and is_scalar(entry):
                     entry = Poly.const(chart, entry)
                 if entry.chart != chart:
                     raise ChartError("matrix entry on wrong chart")
@@ -214,8 +211,8 @@ def decompose(pi: Multivector) -> PoissonPair:
     _require_20(pi)
     real_chart = Chart.real(pi.chart.n)
     conj_pi = multivector_conj(pi)
-    pi_r = (pi + conj_pi).scale(GQ(HALF))
-    pi_i = (pi - conj_pi).scale(GQ(0, -HALF))  # 1/(2i) = -i/2
+    pi_r = (pi + conj_pi).scale(HALF)
+    pi_i = (pi - conj_pi).scale(GQ(0, -1) / 2)  # 1/(2i) = -i/2
     return PoissonPair(convert_alternating(pi_r, real_chart),
                        convert_alternating(pi_i, real_chart))
 
@@ -325,8 +322,7 @@ def pn_check(pi_i: Multivector, n_field: EndoField,
     # antisymmetrized so the check stays defined when the intertwine
     # identity fails.
     npi = poly_mat_mul(n_field.matrix, poly_mat_transpose(msharp))
-    pi_n = poly_mat_scale(poly_mat_sub(npi, poly_mat_transpose(npi)),
-                          GQ(HALF))
+    pi_n = poly_mat_scale(poly_mat_sub(npi, poly_mat_transpose(npi)), HALF)
     del npi
 
     # The brackets of pi_I are read from a table of the coframe brackets
@@ -458,7 +454,7 @@ def courant_bracket(e1: GCSection, e2: GCSection) -> GCSection:
     vec = schouten(x, y)
     mixed = pairing(xi, y) - pairing(eta, x)
     form = (lie_derivative(x, eta) - lie_derivative(y, xi)
-            + exterior_d(Form(chart, 0, {(): mixed.scale(GQ(HALF))})))
+            + exterior_d(Form(chart, 0, {(): mixed.scale(HALF)})))
     return GCSection(vec, form)
 
 

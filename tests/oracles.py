@@ -76,7 +76,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from holopoisson.algebroid import (
-    QUARTER,
     AlgebroidChart,
     MatchedPairData,
     RealPartsReport,
@@ -122,7 +121,6 @@ from holopoisson.multivec import (
     sharp_matrix,
 )
 from holopoisson.poisson import (
-    HALF,
     PNReport,
     courant_bracket,
     decompose,
@@ -131,6 +129,10 @@ from holopoisson.poisson import (
     poisson_bracket,
     torsion_is_zero,
 )
+
+# the references' own scalars, shared with no library route they check
+HALF = Fraction(1, 2)
+QUARTER = Fraction(1, 4)
 
 
 def sgn(x: int) -> int:

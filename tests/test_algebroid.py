@@ -531,10 +531,11 @@ def test_f_table_matches_matched_pair_F(case):
 
 def test_check_representation_builds_one_frame_table(monkeypatch):
     """The flatness check builds the frame table once, rank(A) * rank(B)
-    applies, reads nabla_[ei,ej] e_m from it, and takes two more applies
-    per pair i < j and module frame m: rank(A)^2 * rank(B) in all.
-    Applying nabla_[ei,ej] to each e_m as well would add
-    C(rank(A), 2) rank(B)."""
+    applies, reads nabla_[ei,ej] e_m from it, and applies nabla_{e_i} to
+    each nonzero entry nabla_{e_j} e_m, j != i, once; a zero entry needs
+    no apply (nabla_u 0 = 0).  The canonical pairs' tables are all zero,
+    so they take the table's applies alone; the adjoint action of sl2 on
+    itself has a zero entry only on the diagonal."""
     calls = []
     original = RepData.apply
 
@@ -542,13 +543,18 @@ def test_check_representation_builds_one_frame_table(monkeypatch):
         calls.append(1)
         return original(self, u, s)
 
-    monkeypatch.setattr(RepData, "apply", counting)
+    g = lie_algebra_algebroid(sl2())
+    adjoint = RepData(g, g, g.structure)
+    cases = [(adjoint, 9 + 3 * 2 * 2)]
     for pi in (sl2_pi(), frame_bivector(C2, 0, 1)):
         mp = canonical_matched_pair(pi)
-        for rep in (mp.nablaAB, mp.nablaBA):
-            calls.clear()
-            assert check_representation(rep)
-            assert len(calls) == rep.acting.rank ** 2 * rep.module.rank
+        cases += [(rep, rep.acting.rank * rep.module.rank)
+                  for rep in (mp.nablaAB, mp.nablaBA)]
+    monkeypatch.setattr(RepData, "apply", counting)
+    for rep, applies in cases:
+        calls.clear()
+        assert check_representation(rep)
+        assert len(calls) == applies
 
 
 @settings(max_examples=40, deadline=None)

@@ -99,6 +99,77 @@ def test_missing_point_flag(tmp_path):
     assert "--point" in err
 
 
+# a malformed command line is an input error: exit 1 with one message,
+# not a usage dump and exit 2 (the verification-failure class); flags are
+# matched exactly, so a prefix such as --max is not read as --max-degree
+MALFORMED_COMMAND_LINES = [
+    (["cohomology", "DOC", "--weight", "abc"],
+     "--weight must be an integer, got 'abc'"),
+    (["cohomology", "DOC", "--max", "2"],
+     "cohomology takes no flag '--max'"),
+    (["check-poisson", "DOC", "--weight", "1"],
+     "check-poisson takes no flag '--weight'"),
+    (["no-such-command", "DOC"], "unknown command 'no-such-command'"),
+    ([], "no command given"),
+    (["check-poisson"], "check-poisson takes one input path, got 0"),
+    (["check-poisson", "DOC", "DOC"],
+     "check-poisson takes one input path, got 2"),
+    (["selftest", "DOC"], "selftest takes no input path, got 1"),
+    (["cohomology", "DOC", "--weight"], "--weight needs a value"),
+    (["cohomology", "DOC", "--dump-matrices", "--weight", "1"],
+     "--dump-matrices needs a value"),
+]
+
+
+@pytest.mark.parametrize("args, message", MALFORMED_COMMAND_LINES,
+                         ids=[" ".join(a) or "empty"
+                              for a, _ in MALFORMED_COMMAND_LINES])
+def test_malformed_command_line_is_input_error(tmp_path, capsys, args,
+                                               message):
+    from holopoisson import cli
+
+    doc = write_doc(tmp_path, "pi.json", {
+        "chart": {"kind": "complex", "n": 1}, "pi": []})
+    assert cli.main([doc if a == "DOC" else a for a in args]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_flag_forms_and_order_give_one_report(tmp_path, capsys):
+    """--flag value, --flag=value and flags before the input path all read
+    the same command line; the last of a repeated flag counts."""
+    from holopoisson import cli
+
+    doc = corpus_path("sl2.json")
+    outs = []
+    for args in (["cohomology", doc, "--weight", "1"],
+                 ["cohomology", doc, "--weight=1"],
+                 ["cohomology", "--weight", "1", doc],
+                 ["cohomology", doc, "--weight", "0", "--weight=1",
+                  "--method", "sparse"]):
+        assert cli.main(args) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] and outs.count(outs[0]) == len(outs)
+
+
+def test_help_lists_every_command_and_flag(capsys):
+    from holopoisson import cli
+
+    for args in (["--help"], ["-h"], ["cohomology", "--help"]):
+        assert cli.main(args) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: holopoisson COMMAND")
+        commands = [line.split()[0] for line in out.splitlines()
+                    if line.startswith("  ")]
+        assert commands == [*cli.COMMANDS, "selftest"]
+        for flag in ("--point POINT", "--weight WEIGHT",
+                     "--max-degree MAX_DEGREE", "--method METHOD",
+                     "--dump-matrices DUMP_MATRICES", "-o OUT"):
+            assert flag in out
+
+
 # ----------------------------------------------------------------------
 # individual commands
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -65,6 +66,10 @@ def test_gq_hash_agrees_with_equality():
     assert len({GQ(2, 0), GQ(Fraction(4, 2)), 2, Fraction(2)}) == 1
     assert GQ(0, 1) != 0 and GQ(1, 1) != 1
     assert len({GQ(1, 1), GQ(Fraction(2, 2), 1)}) == 1
+    # a denominator with no inverse modulo the hash modulus hashes as inf
+    p = sys.hash_info.modulus
+    for value in (Fraction(-3, 2), Fraction(1, p), Fraction(-5, 2 * p)):
+        assert hash(GQ(value)) == hash(value)
 
 
 def test_gq_constructor_follows_the_scalar_grammar():

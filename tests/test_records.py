@@ -13,6 +13,7 @@ import pytest
 
 import holopoisson
 from holopoisson.algebroid import RealPartsReport
+from holopoisson.cli import corpus_path
 from holopoisson.cohomology import (
     BettiReport,
     BlockReport,
@@ -22,11 +23,15 @@ from holopoisson.cohomology import (
 from holopoisson.poisson import FoliationReport, PNReport
 
 
-def loaded_by_cli_import(names):
+def loaded_by_cli_import(names, runs=()):
     """Which of names a bare ``python -S`` process has imported after
-    ``import holopoisson.cli`` (no site module, so nothing preloads them)."""
+    ``import holopoisson.cli`` and a successful ``cli.main`` on each
+    command line of runs, each writing its report to os.devnull (no site
+    module, so nothing preloads them)."""
     package = os.path.dirname(os.path.abspath(holopoisson.__file__))
-    probe = ("import sys, holopoisson.cli; "
+    probe = ("import os, sys, holopoisson.cli; "
+             "assert not any(holopoisson.cli.main(args + ['-o', os.devnull])"
+             f" for args in {list(runs)!r}); "
              f"print(sorted({set(names)!r} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
     result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
@@ -43,6 +48,24 @@ def test_cli_import_loads_no_corpus_machinery():
     in, are imported only by the commands that read the corpus."""
     assert loaded_by_cli_import({"importlib.resources", "pathlib",
                                  "tempfile", "typing"}) == "[]"
+
+
+# argparse with its gettext and locale, and fractions with decimal, cost
+# more start-up than most commands take
+STARTUP_EXTRAS = {"argparse", "gettext", "locale", "fractions", "decimal"}
+
+
+def test_cli_import_loads_no_argparse_or_fractions():
+    assert loaded_by_cli_import(STARTUP_EXTRAS) == "[]"
+
+
+def test_commands_load_no_argparse_or_fractions():
+    """Reading the command line, formatting scalars and realifying a Lie
+    algebra import none of them either."""
+    runs = [["check-poisson", corpus_path("quadratic.json")],
+            ["realparts-check", corpus_path("sl2.json")],
+            ["cohomology", corpus_path("sl2.json"), "--weight", "2"]]
+    assert loaded_by_cli_import(STARTUP_EXTRAS, runs) == "[]"
 
 
 def test_records_compare_and_hash_by_value():
