@@ -18,7 +18,9 @@ Exit codes: 0 = structural success, 2 = a verification failed (a verdict
 is false or a structural precondition was rejected), 1 = input error,
 including a malformed command line, a missing document key, a cohomology
 truncation the structure does not support and a report file (-o) that
-cannot be written.
+cannot be written.  The process entry, run(), flushes stdout and stderr
+once main() has returned and ends with os._exit, skipping interpreter
+teardown; code that embeds the CLI calls main() and is not affected.
 """
 
 from __future__ import annotations
@@ -505,12 +507,14 @@ def read_argv(argv):
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.  It never ends the
+    process, so code that embeds the CLI calls it (run() is the entry)."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "-h" in argv or "--help" in argv:
-        sys.stdout.write(usage())
-        return 0
     failure = None
     try:
+        if "-h" in argv or "--help" in argv:
+            sys.stdout.write(usage())
+            return 0
         job, out_path = read_argv(argv)
         started = time.monotonic()
         report, code = run_job(job)
@@ -535,5 +539,22 @@ def main(argv=None) -> int:
     return code
 
 
+def run():
+    """The process entry (``python -m holopoisson.cli`` and the
+    ``holopoisson`` script): main(), then flush both streams and end the
+    process with os._exit, skipping interpreter teardown.  Every file a
+    command writes is closed by its with block before main returns, and
+    the package registers no atexit hook or finaliser and starts no
+    thread.  A flush that fails (stdout a closed pipe) leaves the exit to
+    sys.exit, so its code and message are those of a plain return."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,9 +1,12 @@
 import json
+import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import holopoisson
 from holopoisson.cli import (
     INPUT_ERRORS,
     VERIFY_ERRORS,
@@ -525,6 +528,147 @@ def test_unwritable_output_file_is_input_error(tmp_path, command, coeff,
     assert stderr.startswith("input error: "), stderr
     assert "Traceback" not in stderr and stdout == ""
     assert not out_path.exists()
+
+
+# ----------------------------------------------------------------------
+# the process entry: run() ends the process with os._exit once main() has
+# returned, so a process must give exactly what main() gives in process
+
+ELAPSED = re.compile(r"^elapsed: \d+\.\d+s$", re.M)
+ROUTES = {
+    "run": "from holopoisson.cli import run; run()",
+    "sys.exit(main())": ("import sys; from holopoisson.cli import main; "
+                         "sys.exit(main())"),
+}
+
+
+def entry_env(unbuffered=None):
+    """The environment of a CLI process that may run in any directory:
+    the package's parent on PYTHONPATH as an absolute path, and, unless
+    unbuffered is None, PYTHONUNBUFFERED set or removed."""
+    package = os.path.dirname(os.path.abspath(holopoisson.__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def files_under(root):
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def in_process(args, capsys):
+    from holopoisson import cli
+
+    code = cli.main(args)
+    out, err = capsys.readouterr()
+    return code, out.encode("utf-8"), err
+
+
+def as_a_process(entry, args, cwd):
+    proc = subprocess.run([sys.executable, *entry, *args], cwd=cwd,
+                          env=entry_env(), capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr.decode("utf-8")
+
+
+def into_closed_pipe(argv, unbuffered):
+    """(exit code, stderr) of argv with stdout a pipe whose read end is
+    closed; the elapsed figure is masked."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE,
+                              env=entry_env(unbuffered))
+    finally:
+        os.close(write)
+    return proc.returncode, ELAPSED.sub("elapsed", proc.stderr.decode())
+
+
+NON_POISSON = {"chart": {"kind": "complex", "n": 3},
+               "pi": [{"frame": ["z1", "z2"], "coeff": "z1"},
+                      {"frame": ["z1", "z3"], "coeff": "z2"}]}
+# (command line, the input document IN or None, exit code); paths of the
+# files a command writes are relative, so each side writes into its own
+# working directory
+PROCESS_ENTRY_CASES = {
+    "ok": (["check-poisson", corpus_path("quadratic.json")], None, 0),
+    "malformed": (["check-poisson", "IN"], '{"chart": ', 1),
+    "not-poisson": (["check-poisson", "IN"], json.dumps(NON_POISSON), 2),
+    "help": (["--help"], None, 0),
+    "out-file": (["cohomology", corpus_path("sl2.json"), "--weight", "2",
+                  "-o", "report.json"], None, 0),
+    "dump": (["cohomology", corpus_path("sl2.json"), "--weight", "1",
+              "--dump-matrices", "mats"], None, 0),
+}
+
+
+@pytest.mark.parametrize("case", PROCESS_ENTRY_CASES)
+def test_process_entry_matches_main_in_process(tmp_path, monkeypatch,
+                                               capsys, case):
+    """python -m holopoisson.cli gives main()'s exit code, stdout bytes,
+    stderr (up to the elapsed figure) and written files, and every file
+    it writes is complete."""
+    args, text, want = PROCESS_ENTRY_CASES[case]
+    if text is not None:
+        (tmp_path / "in.json").write_text(text, encoding="utf-8")
+    args = [str(tmp_path / "in.json") if a == "IN" else a for a in args]
+    process_dir, main_dir = tmp_path / "process", tmp_path / "main"
+    process_dir.mkdir()
+    main_dir.mkdir()
+    process = as_a_process(["-m", "holopoisson.cli"], args, process_dir)
+    monkeypatch.chdir(main_dir)
+    main = in_process(args, capsys)
+    assert process[0] == main[0] == want
+    assert process[1] == main[1]
+    assert ELAPSED.sub("elapsed", process[2]) == \
+        ELAPSED.sub("elapsed", main[2])
+    files = files_under(process_dir)
+    assert files == files_under(main_dir)
+    if case == "out-file":
+        assert json.loads(files["report.json"])["ok"] is True
+        assert files["report.json"].endswith(b"}\n")
+    if case == "dump":
+        assert files and all(name.startswith("mats") for name in files)
+        for name, data in files.items():
+            lines = data.decode().splitlines()
+            assert data.endswith(b"\n")
+            assert len(lines) == 1 + int(lines[0].split()[2]), name
+
+
+def test_console_script_target_matches_main_in_process(tmp_path, capsys):
+    """The holopoisson script's target, cli.run, gives what main() gives."""
+    args = ["realparts-check", corpus_path("sl2.json")]
+    code, out, err = as_a_process(["-c", ROUTES["run"]], args, tmp_path)
+    assert (code, out) == in_process(args, capsys)[:2]
+    assert code == 0 and err.startswith("elapsed: ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [
+    ["check-poisson", corpus_path("quadratic.json")],
+    ["cohomology", corpus_path("sl2.json"), "--weight", "2"],
+], ids=["short-report", "long-report"])
+def test_closed_stdout_ends_as_main_returning(args, unbuffered):
+    """With stdout a closed pipe run()'s flush fails and it leaves the exit
+    to sys.exit: exit code and stderr equal those of sys.exit(main())."""
+    ends = {route: into_closed_pipe([sys.executable, "-c", code, *args],
+                                    unbuffered)
+            for route, code in ROUTES.items()}
+    assert ends["run"] == ends["sys.exit(main())"]
+    assert "Traceback" not in ends["run"][1]
+
+
+def test_help_into_closed_stdout_is_input_error():
+    """--help whose write fails is an input error like a report's: one
+    line on stderr, exit 1, no traceback."""
+    code, err = into_closed_pipe(
+        [sys.executable, "-m", "holopoisson.cli", "--help"], True)
+    assert code == 1
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
 # ----------------------------------------------------------------------

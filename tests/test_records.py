@@ -23,20 +23,28 @@ from holopoisson.cohomology import (
 from holopoisson.poisson import FoliationReport, PNReport
 
 
-def loaded_by_cli_import(names, runs=()):
-    """Which of names a bare ``python -S`` process has imported after
-    ``import holopoisson.cli`` and a successful ``cli.main`` on each
-    command line of runs, each writing its report to os.devnull (no site
-    module, so nothing preloads them)."""
+def probe_cli_process(value, runs=()):
+    """The repr of the expression value in a bare ``python -S`` process
+    (no site module, so nothing preloads modules) at three points: before
+    ``import holopoisson.cli``, after it, and after a successful
+    ``cli.main`` on each command line of runs, each writing its report to
+    os.devnull."""
     package = os.path.dirname(os.path.abspath(holopoisson.__file__))
-    probe = ("import os, sys, holopoisson.cli; "
+    probe = (f"import atexit, os, sys; before = {value}; "
+             f"import holopoisson.cli; imported = {value}; "
              "assert not any(holopoisson.cli.main(args + ['-o', os.devnull])"
              f" for args in {list(runs)!r}); "
-             f"print(sorted({set(names)!r} & set(sys.modules)))")
+             f"print(before, imported, {value}, sep='\\n')")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
     result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    return result.stdout.strip()
+    return result.stdout.splitlines()
+
+
+def loaded_by_cli_import(names, runs=()):
+    """Which of names are imported after the CLI import and runs."""
+    return probe_cli_process(f"sorted({set(names)!r} & set(sys.modules))",
+                             runs)[-1]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
@@ -53,6 +61,10 @@ def test_cli_import_loads_no_corpus_machinery():
 # argparse with its gettext and locale, and fractions with decimal, cost
 # more start-up than most commands take
 STARTUP_EXTRAS = {"argparse", "gettext", "locale", "fractions", "decimal"}
+# the command lines the probes run after the import
+COMMAND_RUNS = [["check-poisson", corpus_path("quadratic.json")],
+                ["realparts-check", corpus_path("sl2.json")],
+                ["cohomology", corpus_path("sl2.json"), "--weight", "2"]]
 
 
 def test_cli_import_loads_no_argparse_or_fractions():
@@ -62,10 +74,21 @@ def test_cli_import_loads_no_argparse_or_fractions():
 def test_commands_load_no_argparse_or_fractions():
     """Reading the command line, formatting scalars and realifying a Lie
     algebra import none of them either."""
-    runs = [["check-poisson", corpus_path("quadratic.json")],
-            ["realparts-check", corpus_path("sl2.json")],
-            ["cohomology", corpus_path("sl2.json"), "--weight", "2"]]
-    assert loaded_by_cli_import(STARTUP_EXTRAS, runs) == "[]"
+    assert loaded_by_cli_import(STARTUP_EXTRAS, COMMAND_RUNS) == "[]"
+
+
+# the atexit callbacks and the threading module's threads: os._exit, which
+# ends every CLI process (cli.run), runs no atexit hook (weakref.finalize
+# registers one too) and joins no thread
+TEARDOWN_STATE = ("(atexit._ncallbacks(), sys.modules['threading']"
+                  ".active_count() if 'threading' in sys.modules else 1)")
+
+
+def test_cli_leaves_nothing_for_teardown():
+    """Importing the CLI and running commands registers no atexit hook and
+    starts no thread, so skipping interpreter teardown loses nothing."""
+    before, imported, ran = probe_cli_process(TEARDOWN_STATE, COMMAND_RUNS)
+    assert before == imported == ran
 
 
 def test_records_compare_and_hash_by_value():
