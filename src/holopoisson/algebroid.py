@@ -210,14 +210,7 @@ class EndoOnAlgebroid:
 
 class AlgebroidReport(Record):
     __slots__ = ("jacobi", "anchor_morphism")
-
-    @property
-    def all_ok(self) -> bool:
-        return self.jacobi and self.anchor_morphism
-
-    def as_dict(self):
-        return {"jacobi": self.jacobi, "anchor_morphism": self.anchor_morphism,
-                "lie_algebroid": self.all_ok}
+    VERDICT = "lie_algebroid"
 
 
 def verify_algebroid(a: AlgebroidChart) -> AlgebroidReport:
@@ -310,7 +303,7 @@ def cotangent_algebroid(pi: Multivector) -> AlgebroidChart:
     - L_{pi# eta} xi - d(pi(xi, eta)), where d = dpart as pi(xi, eta) is
     holomorphic: [dz_i, dz_j] is the dz-part of d pi^{ij}."""
     report = is_holomorphic_poisson(pi)
-    if not report.holomorphic_poisson:
+    if not report.all_ok:
         raise StructureError(
             f"cotangent algebroid needs a holomorphic Poisson bivector: "
             f"{report.as_dict()}")
@@ -578,14 +571,7 @@ def complex_presentation(g: LieAlgebraData) -> LieAlgebraData:
 
 class RealPartsReport(Record):
     __slots__ = ("factor_re", "factor_im")
-
-    @property
-    def all_ok(self) -> bool:
-        return self.factor_re and self.factor_im
-
-    def as_dict(self):
-        return {"factor_re": self.factor_re, "factor_im": self.factor_im,
-                "realparts": self.all_ok}
+    VERDICT = "realparts"
 
 
 def realparts_liealgebra_check(g: LieAlgebraData) -> RealPartsReport:
@@ -767,15 +753,10 @@ class MatchedPairData:
         return MatchedPairData(self.B, self.A, self.nablaBA, self.nablaAB)
 
 
-class MatchedPairTensors:
+class MatchedPairTensors(Record):
     """The F/S/T obstruction tensors evaluated on frames."""
 
     __slots__ = ("F", "S", "T")
-
-    def __init__(self, F, S, T):
-        self.F = F
-        self.S = S
-        self.T = T
 
     @property
     def all_zero(self) -> bool:
@@ -925,15 +906,7 @@ def canonical_matched_pair(pi: Multivector) -> MatchedPairData:
 
 class YaoReport(Record):
     __slots__ = ("anchors", "vector_vector", "form_form", "mixed")
-
-    @property
-    def all_ok(self) -> bool:
-        return self.anchors and self.vector_vector and self.form_form and self.mixed
-
-    def as_dict(self):
-        return {"anchors": self.anchors, "vector_vector": self.vector_vector,
-                "form_form": self.form_form, "mixed": self.mixed,
-                "yao_isomorphism": self.all_ok}
+    VERDICT = "yao_isomorphism"
 
 
 def yao_phi(pi: Multivector, section) -> GCSection:

@@ -114,7 +114,7 @@ def cmd_check_poisson(doc, options):
     report = poi.is_holomorphic_poisson(pi)
     return {"verdicts": report.as_dict(),
             "data": {"chart": chart_dict(chart),
-                     "pi": alternating_dict(pi)}}, report.holomorphic_poisson
+                     "pi": alternating_dict(pi)}}, report.all_ok
 
 
 def cmd_decompose(doc, options):
@@ -226,7 +226,7 @@ def cmd_lie_poisson(doc, options):
     report = poi.is_holomorphic_poisson(pi)
     return {"verdicts": report.as_dict(),
             "data": {"chart": chart_dict(pi.chart),
-                     "pi": alternating_dict(pi)}}, report.holomorphic_poisson
+                     "pi": alternating_dict(pi)}}, report.all_ok
 
 
 def cmd_realparts_check(doc, options):

@@ -279,7 +279,7 @@ def d_pi(c: BiCochain, pi: Multivector) -> BiCochain:
     cell omega (x) P it is
     omega (x) [pi, P] + sum_i (i_{pi#(dz^i)} d omega) (x) (e_i ^ P)."""
     report = is_holomorphic_poisson(pi)
-    if not report.holomorphic_poisson:
+    if not report.all_ok:
         raise StructureError("d_pi needs a holomorphic Poisson bivector")
     chart = pi.chart
     if c.mp.A.chart != chart:
@@ -397,29 +397,13 @@ def monomials_up_to_degree(nvars: int, bound: int):
 class CellReport(Record):
     __slots__ = ("k", "l", "dim", "ker_A", "rank_A", "ker_B", "rank_B")
 
-    def as_dict(self):
-        return {"k": self.k, "l": self.l, "dim": self.dim,
-                "ker_A": self.ker_A, "rank_A": self.rank_A,
-                "ker_B": self.ker_B, "rank_B": self.rank_B}
-
 
 class BlockReport(Record):
     __slots__ = ("weight", "cells", "total_dims", "total_betti")
 
-    def as_dict(self):
-        return {"weight": self.weight,
-                "cells": [c.as_dict() for c in self.cells],
-                "total_dims": list(self.total_dims),
-                "total_betti": list(self.total_betti)}
-
 
 class BettiReport(Record):
     __slots__ = ("mode", "bound", "method", "label", "blocks")
-
-    def as_dict(self):
-        return {"mode": self.mode, "bound": self.bound, "method": self.method,
-                "label": self.label,
-                "blocks": [b.as_dict() for b in self.blocks]}
 
     def block(self, weight):
         for b in self.blocks:

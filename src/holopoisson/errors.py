@@ -1,5 +1,8 @@
-"""Exception types and the report-record base shared by all holopoisson
-modules."""
+"""Exception types and the record base shared by all holopoisson modules.
+
+Every report is a Record and renders itself: as_dict gives its fields in
+__slots__ order, then, on a record that names a VERDICT key, that key with
+all_ok, the conjunction of the fields."""
 
 
 class Record:
@@ -10,6 +13,7 @@ class Record:
     pays for, generates and compiles no code."""
 
     __slots__ = ()
+    VERDICT = None
 
     def __init__(self, *values):
         if len(values) != len(self.__slots__):
@@ -20,6 +24,19 @@ class Record:
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    @property
+    def all_ok(self) -> bool:
+        """The conjunction of the fields."""
+        return all(self._values())
+
+    def as_dict(self):
+        """The fields in __slots__ order (a nested record as its dict, a
+        tuple as a list), then the VERDICT key with all_ok, if named."""
+        out = {name: _plain(getattr(self, name)) for name in self.__slots__}
+        if self.VERDICT is not None:
+            out[self.VERDICT] = self.all_ok
+        return out
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -33,6 +50,15 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _plain(value):
+    """value as a JSON value: records as dicts, tuples and lists as lists."""
+    if isinstance(value, Record):
+        return value.as_dict()
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    return value
 
 
 class HoloPoissonError(Exception):

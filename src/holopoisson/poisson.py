@@ -105,50 +105,23 @@ def standard_j(chart: Chart) -> EndoField:
 
 class HoloPoissonReport(Record):
     __slots__ = ("dbar_zero", "schouten_zero")
-
-    @property
-    def holomorphic_poisson(self) -> bool:
-        return self.dbar_zero and self.schouten_zero
-
-    def as_dict(self):
-        return {"dbar_zero": self.dbar_zero,
-                "schouten_zero": self.schouten_zero,
-                "holomorphic_poisson": self.holomorphic_poisson}
+    VERDICT = "holomorphic_poisson"
 
 
 class PNReport(Record):
     __slots__ = ("schouten_zero", "sharp_intertwine", "koszul_compat",
                  "torsion_zero")
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.schouten_zero and self.sharp_intertwine
-                and self.koszul_compat and self.torsion_zero)
-
-    def as_dict(self):
-        return {"schouten_zero": self.schouten_zero,
-                "sharp_intertwine": self.sharp_intertwine,
-                "koszul_compat": self.koszul_compat,
-                "torsion_zero": self.torsion_zero,
-                "poisson_nijenhuis": self.all_ok}
+    VERDICT = "poisson_nijenhuis"
 
 
 class FoliationReport(Record):
     __slots__ = ("rank_R", "rank_I", "images_equal")
 
-    def as_dict(self):
-        return {"rank_R": self.rank_R, "rank_I": self.rank_I,
-                "images_equal": self.images_equal}
 
-
-class PoissonPair:
+class PoissonPair(Record):
     """Real and imaginary parts of a (2,0) bivector, on the real chart."""
 
     __slots__ = ("pi_R", "pi_I")
-
-    def __init__(self, pi_R: Multivector, pi_I: Multivector):
-        self.pi_R = pi_R
-        self.pi_I = pi_I
 
 
 class GCSection:
@@ -401,7 +374,7 @@ def gc_endomorphism(pi: Multivector):
     -i eigenbundle is not phi's image.
     """
     report = is_holomorphic_poisson(pi)
-    if not report.holomorphic_poisson:
+    if not report.all_ok:
         raise StructureError(
             f"gc_endomorphism needs a holomorphic Poisson bivector: {report}")
     n = pi.chart.n

@@ -252,7 +252,7 @@ def test_lie_poisson_abelian_and_examples():
     abelian = LieAlgebraData.from_triples(2, [])
     assert lie_poisson(abelian).is_zero()
     pi = sl2_pi()
-    assert is_holomorphic_poisson(pi).holomorphic_poisson
+    assert is_holomorphic_poisson(pi).all_ok
     z = [Poly.var(C3, k) for k in range(3)]
     assert poisson_bracket(pi, z[0], z[1]) == z[1].scale(2)
     assert poisson_bracket(pi, z[0], z[2]) == z[2].scale(-2)
@@ -455,7 +455,7 @@ def corpus_poisson_bivectors():
     out = []
     for name in corpus():
         _, pi = _doc_chart_pi(_load(corpus_path(name)), name)
-        if is_holomorphic_poisson(pi).holomorphic_poisson:
+        if is_holomorphic_poisson(pi).all_ok:
             out.append((name, pi))
     return tuple(out)
 
@@ -744,7 +744,7 @@ def test_yao_isomorphism_corpus():
     cases = [Multivector.zero(C2, 2), frame_bivector(C2, 0, 1), sl2_pi(),
              frame_bivector(C2, 0, 1, Poly.var(C2, 0) * Poly.var(C2, 0))]
     pi3 = frame_bivector(C3, 0, 1, Poly.var(C3, 2))
-    assert is_holomorphic_poisson(pi3).holomorphic_poisson
+    assert is_holomorphic_poisson(pi3).all_ok
     cases.append(pi3)
     for pi in cases:
         rep = yao_isomorphism_check(pi)
@@ -783,7 +783,7 @@ def holomorphic_poisson_bivectors(draw):
 def test_yao_matches_reference(pi):
     """yao_isomorphism_check takes yao_phi of each bowtie frame once; the
     reference recomputes both images for every pair."""
-    assert is_holomorphic_poisson(pi).holomorphic_poisson
+    assert is_holomorphic_poisson(pi).all_ok
     report = yao_isomorphism_check(pi)
     assert report == yao_isomorphism_check_reference(pi)
     assert report.all_ok

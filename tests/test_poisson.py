@@ -183,7 +183,7 @@ def test_decompose_jacobi_parts_when_holomorphic():
     pi = (frame_bivector(c3, 0, 1, z2.scale(2))
           + frame_bivector(c3, 0, 2, z3.scale(-2))
           + frame_bivector(c3, 1, 2, z1))
-    assert is_holomorphic_poisson(pi).holomorphic_poisson
+    assert is_holomorphic_poisson(pi).all_ok
     pair = decompose(pi)
     assert schouten(pair.pi_R, pair.pi_R).is_zero()
     assert schouten(pair.pi_I, pair.pi_I).is_zero()
@@ -422,7 +422,7 @@ def test_koszul_bracket_of_coframes_is_differential(rng, kind):
     if kind == "holomorphic":
         chart = C2
         pi = rand_bivector_20(rng, C2, holomorphic=True)
-        assert is_holomorphic_poisson(pi).holomorphic_poisson
+        assert is_holomorphic_poisson(pi).all_ok
     else:
         chart = R2 if kind == "real" else C2
         pi = rand_multivector(rng, chart, 2)
@@ -472,7 +472,7 @@ def test_pngc_equivalence_small_sample():
         sharp_rel = poly_mat_eq(sharp_matrix(pair.pi_R),
                                 poly_mat_mul(sharp_matrix(pair.pi_I), jt))
         assert sharp_rel  # automatic for (2,0) input (Lemma content)
-        assert rep.holomorphic_poisson == (pn.all_ok and sharp_rel)
+        assert rep.all_ok == (pn.all_ok and sharp_rel)
 
 
 def test_lemma_membership_sharp_relation():
@@ -527,7 +527,7 @@ def test_gc_eigen_sections():
     rng = random.Random(43)
     for pi in (Multivector.zero(C2, 2), frame_bivector(C2, 0, 1),
                frame_bivector(C2, 0, 1, Poly.var(C2, 0))):
-        if not is_holomorphic_poisson(pi).holomorphic_poisson:
+        if not is_holomorphic_poisson(pi).all_ok:
             continue
         # (X01, 0) is always a -i eigenvector
         x01 = Multivector(C2, 1, {(2,): rand_poly(rng, C2),
