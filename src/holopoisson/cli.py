@@ -99,7 +99,7 @@ def _doc_chart_pi(doc, context):
 
 def emit(report: dict, out_path=None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -253,6 +253,10 @@ def cmd_cohomology(doc, options):
             and options.get("max_degree") is not None):
         raise ParseError("cohomology takes --weight or --max-degree, "
                          "not both")
+    dump_dir = options.get("dump_matrices")
+    if dump_dir is not None and not (isinstance(dump_dir, str) and dump_dir):
+        raise ParseError("dump_matrices must be a directory path, "
+                         f"got {dump_dir!r}")
     chart, pi = _doc_chart_pi(doc, "cohomology input")
     mp = alg.canonical_matched_pair(pi)
     if options.get("weight") is not None:
@@ -271,9 +275,6 @@ def cmd_cohomology(doc, options):
         raise ParseError(f"unknown method {method!r}: options.method is "
                          "sparse or oracle")
     truncation = coho.Truncation(mode, bound)
-    dump_dir = options.get("dump_matrices")
-    if dump_dir is not None and not isinstance(dump_dir, str):
-        raise ParseError("dump_matrices must be a directory path")
     dumps = {}
 
     def keep(label, matrix):
@@ -321,13 +322,13 @@ COMMANDS = {
     "cohomology": cmd_cohomology,
 }
 
-# the JobSpec options each command reads; on the command line, option
-# max_degree is the flag --max-degree, and every command also takes -o/--out
+# the JobSpec options each command reads, and the only ones it takes; on
+# the command line, option max_degree is the flag --max-degree, and every
+# command also takes -o/--out
 COMMAND_OPTIONS = {
     "foliation-rank": ("point",),
     "cohomology": ("weight", "max_degree", "method", "dump_matrices"),
 }
-JOB_OPTION_KEYS = {key for keys in COMMAND_OPTIONS.values() for key in keys}
 # options whose flag value is read as an integer
 INT_OPTIONS = ("weight", "max_degree")
 
@@ -340,9 +341,10 @@ def run_job(job: dict):
     if command not in COMMANDS and command != "selftest":
         raise ParseError(f"unknown command {command!r}")
     options = job.get("options") or {}
-    require_keys(options, JOB_OPTION_KEYS, "job options")
+    require_keys(options, COMMAND_OPTIONS.get(command, ()),
+                 f"{command} options")
     if command == "selftest":
-        return run_selftest(options)
+        return run_selftest()
     if "input_path" in job:
         doc = _load(job["input_path"])
         source = os.path.basename(job["input_path"])
@@ -423,7 +425,7 @@ def _dig(report: dict, dotted: str):
     return node
 
 
-def run_selftest(options):
+def run_selftest():
     files = {}
     all_ok = True
     for name in corpus():
@@ -493,6 +495,8 @@ def read_argv(argv):
         count = "one input path" if want else "no input path"
         raise ParseError(f"{command} takes {count}, got {len(paths)}")
     out_path = values.pop("out", None)
+    if out_path == "":
+        raise ParseError("-o/--out must be a file path, got ''")
     for key in INT_OPTIONS:
         if key in values:
             try:

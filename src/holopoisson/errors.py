@@ -53,10 +53,10 @@ class Record:
 
 
 def _plain(value):
-    """value as a JSON value: records as dicts, tuples and lists as lists."""
+    """value as a JSON value: a record as its dict, a tuple as a list."""
     if isinstance(value, Record):
         return value.as_dict()
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):
         return [_plain(item) for item in value]
     return value
 

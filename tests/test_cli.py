@@ -104,7 +104,8 @@ def test_missing_point_flag(tmp_path):
 
 # a malformed command line is an input error: exit 1 with one message,
 # not a usage dump and exit 2 (the verification-failure class); flags are
-# matched exactly, so a prefix such as --max is not read as --max-degree
+# matched exactly, so a prefix such as --max is not read as --max-degree,
+# and an empty report or dump path is refused, not read as "none"
 MALFORMED_COMMAND_LINES = [
     (["cohomology", "DOC", "--weight", "abc"],
      "--weight must be an integer, got 'abc'"),
@@ -121,23 +122,29 @@ MALFORMED_COMMAND_LINES = [
     (["cohomology", "DOC", "--weight"], "--weight needs a value"),
     (["cohomology", "DOC", "--dump-matrices", "--weight", "1"],
      "--dump-matrices needs a value"),
+    (["check-poisson", "DOC", "-o", ""], "-o/--out must be a file path"),
+    (["check-poisson", "DOC", "--out="], "-o/--out must be a file path"),
+    (["cohomology", "DOC", "--weight", "1", "--dump-matrices="],
+     "dump_matrices must be a directory path, got ''"),
 ]
 
 
 @pytest.mark.parametrize("args, message", MALFORMED_COMMAND_LINES,
                          ids=[" ".join(a) or "empty"
                               for a, _ in MALFORMED_COMMAND_LINES])
-def test_malformed_command_line_is_input_error(tmp_path, capsys, args,
-                                               message):
+def test_malformed_command_line_is_input_error(tmp_path, capsys, monkeypatch,
+                                               args, message):
     from holopoisson import cli
 
     doc = write_doc(tmp_path, "pi.json", {
         "chart": {"kind": "complex", "n": 1}, "pi": []})
+    monkeypatch.chdir(tmp_path)
     assert cli.main([doc if a == "DOC" else a for a in args]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"input error: {message}")
     assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["pi.json"]
 
 
 def test_flag_forms_and_order_give_one_report(tmp_path, capsys):
@@ -347,6 +354,13 @@ MALFORMED_JOB_OPTIONS = [{"weight": 1.9}, {"weight": True},
                          BOTH_TRUNCATIONS]
 MALFORMED_FLAGS = [("cohomology", {"chart": {"kind": "complex", "n": 1},
                                    "pi": []}, BOTH_TRUNCATION_FLAGS)]
+# a JobSpec takes only the options its command reads (COMMAND_OPTIONS), as
+# the command line takes only its flags; and a dump path is never empty
+UNREAD_JOB_OPTIONS = [
+    ("check-poisson", {"weight": 2, "method": "bogus", "point": "x"}),
+    ("selftest", {"weight": 2}),
+    ("cohomology", {"weight": 0, "dump_matrices": ""}),
+]
 
 
 @pytest.mark.parametrize("command, doc, options",
@@ -354,13 +368,15 @@ MALFORMED_FLAGS = [("cohomology", {"chart": {"kind": "complex", "n": 1},
                          + [("cohomology", None, o)
                             for o in MALFORMED_JOB_OPTIONS]
                          + MALFORMED_FLAGS
-                         + [(c, d, None) for c, d in UNREAD_KEYS])
+                         + [(c, d, None) for c, d in UNREAD_KEYS]
+                         + [(c, None, o) for c, o in UNREAD_JOB_OPTIONS])
 def test_malformed_input_is_input_error(tmp_path, command, doc, options):
     """Non-list brackets or j rows, bools and floats where an integer is
     due, an endo matrix for pn-check on a complex chart (which checks the
     standard J), a lie_algebra next to a chart, a dump directory that is
-    not a path, a JobSpec ``out`` that nothing would write, both --weight
-    and --max-degree: exit 1 with an input error, never a traceback.
+    not a path or is empty, a JobSpec ``out`` that nothing would write, a
+    JobSpec option its command does not read, both --weight and
+    --max-degree: exit 1 with an input error, never a traceback.
     JobSpec options (a dict) have no command-line route, so those cases
     check for the ParseError that main() reports as an input error; a
     list of options is flags."""

@@ -5,6 +5,7 @@ one; the records are plain slotted classes on errors.Record, and the
 package imports no dataclasses machinery (which would pull in inspect,
 ast, dis and tokenize and compile code for each class)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 import holopoisson
-from holopoisson.algebroid import RealPartsReport
+from holopoisson.algebroid import AlgebroidReport, RealPartsReport, YaoReport
 from holopoisson.cli import corpus_path
 from holopoisson.cohomology import (
     BettiReport,
@@ -20,7 +21,7 @@ from holopoisson.cohomology import (
     CellReport,
     Truncation,
 )
-from holopoisson.poisson import FoliationReport, PNReport
+from holopoisson.poisson import FoliationReport, HoloPoissonReport, PNReport
 
 
 def probe_cli_process(value, runs=()):
@@ -125,3 +126,68 @@ def test_records_take_exactly_their_fields():
     with pytest.raises(AttributeError):
         RealPartsReport(True, True).extra = 1
 
+
+
+# every report record with the key of its verdict (None: it has no verdict)
+REPORTS = [(HoloPoissonReport, "holomorphic_poisson"),
+           (PNReport, "poisson_nijenhuis"), (AlgebroidReport, "lie_algebroid"),
+           (RealPartsReport, "realparts"), (YaoReport, "yao_isomorphism"),
+           (FoliationReport, None), (CellReport, None), (BlockReport, None),
+           (BettiReport, None)]
+VERDICT_REPORTS = [cls for cls, verdict in REPORTS if verdict]
+
+
+@pytest.mark.parametrize("cls, verdict", REPORTS,
+                         ids=[cls.__name__ for cls, _ in REPORTS])
+def test_as_dict_is_the_slots_in_order_then_the_verdict(cls, verdict):
+    record = cls(*range(1, len(cls.__slots__) + 1))
+    plain = record.as_dict()
+    assert list(plain) == list(cls.__slots__) + ([verdict] if verdict else [])
+    for name in cls.__slots__:
+        assert plain[name] == getattr(record, name)
+
+
+def test_verdict_text_keeps_its_key_order():
+    """The key order is part of the bytes: cotangent_algebroid puts this
+    dict into its error message, which reaches the JSON report."""
+    assert str(HoloPoissonReport(False, True).as_dict()) == (
+        "{'dbar_zero': False, 'schouten_zero': True, "
+        "'holomorphic_poisson': False}")
+
+
+def _plain_json(value):
+    """True when value holds only dicts, lists, str, int and bool."""
+    if isinstance(value, dict):
+        return all(type(key) is str and _plain_json(item)
+                   for key, item in value.items())
+    if isinstance(value, list):
+        return all(_plain_json(item) for item in value)
+    return type(value) in (str, int, bool)
+
+
+def test_nested_report_renders_as_plain_dicts_and_lists():
+    cell = CellReport(0, 1, 3, 2, 1, 3, 0)
+    report = BettiReport("weight", 2, "sparse", "exact_weight_graded",
+                         (BlockReport(2, (cell,), (3, 4), (2, 1)),))
+    plain = report.as_dict()
+    assert _plain_json(plain)
+    assert json.dumps(plain) == (
+        '{"mode": "weight", "bound": 2, "method": "sparse", '
+        '"label": "exact_weight_graded", "blocks": [{"weight": 2, '
+        '"cells": [{"k": 0, "l": 1, "dim": 3, "ker_A": 2, "rank_A": 1, '
+        '"ker_B": 3, "rank_B": 0}], "total_dims": [3, 4], '
+        '"total_betti": [2, 1]}]}')
+
+
+@pytest.mark.parametrize("cls", VERDICT_REPORTS,
+                         ids=[cls.__name__ for cls in VERDICT_REPORTS])
+def test_verdict_is_false_once_any_field_is(cls):
+    width = len(cls.__slots__)
+    record = cls(*[True] * width)
+    assert record.all_ok is True and record.as_dict()[cls.VERDICT] is True
+    for k in range(width):
+        values = [True] * width
+        values[k] = False
+        record = cls(*values)
+        assert record.all_ok is False
+        assert record.as_dict()[cls.VERDICT] is False
