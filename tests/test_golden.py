@@ -8,7 +8,8 @@ Regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-only when a report is meant to change, and say which pairs changed.
+only when a report is meant to change, and say which pairs changed: it
+prints each key it adds, removes or changes against the file it replaces.
 """
 
 import contextlib
@@ -56,6 +57,19 @@ def test_reports_match_golden():
 
 
 if __name__ == "__main__":
+    old = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN, encoding="utf-8") as handle:
+            old = json.load(handle)
+    new = current_outputs()
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            print(f"removed {key}")
+        elif key not in old:
+            print(f"added {key}: exit {new[key]['exit']}")
+        elif old[key] != new[key]:
+            print(f"changed {key}: exit {old[key]['exit']} -> "
+                  f"{new[key]['exit']}")
     with open(GOLDEN, "w", encoding="utf-8") as handle:
-        json.dump(current_outputs(), handle, sort_keys=True, indent=2)
+        json.dump(new, handle, sort_keys=True, indent=2)
         handle.write("\n")
