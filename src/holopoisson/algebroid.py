@@ -10,6 +10,11 @@ complex Lie algebras, matched pairs with their F/S/T obstruction tensors,
 the direct-sum algebroid of a matched pair, and the isomorphism onto the
 Dirac structure of the associated generalized complex structure.
 
+A complex Lie algebra is the algebroid with zero anchor over the point
+chart complex(0), whose structure functions are constants (lie_algebra);
+a complex structure j on it is an EndoOnAlgebroid, and LieAlgebra pairs
+the two, as a document gives them and as realify_liealgebra returns them.
+
 A holomorphic Lie algebroid A is the matched pair (T^{0,1}X, A^{1,0}):
 holomorphic_matched_pair builds it from A's data on a holomorphic frame,
 where both actions are zero on frames, and canonical_matched_pair is the
@@ -27,17 +32,21 @@ realparts_liealgebra_check takes the antisymmetric identities on the
 pairs s < t only, and yao_isomorphism_check takes yao_phi of each bowtie
 frame once.
 
-The tangent algebroid and a Lie algebra as an algebroid over a point are
-test fixtures, in tests/oracles.py; so is the underlying real algebroid
-of the cotangent algebroid, which acceptance criterion 9 compares with
-the Koszul algebroids of 4 pi_R and 4 pi_I.
+The tangent algebroid is a test fixture, in tests/oracles.py; so is the
+underlying real algebroid of the cotangent algebroid, which acceptance
+criterion 9 compares with the Koszul algebroids of 4 pi_R and 4 pi_I.
 """
 
 from __future__ import annotations
 
 from .errors import ChartError, DegreeError, Record, ShapeError, StructureError
 from .exactalg import GQ, Chart, Poly, is_scalar
-from .linalg import dense_rank, gq_mat_inverse, poly_mat_vec
+from .linalg import (
+    dense_rank,
+    gq_mat_inverse,
+    poly_mat_squares_to_minus_identity,
+    poly_mat_vec,
+)
 from .multivec import Form, Multivector, differential, pairing, schouten, sharp
 from .poisson import (
     GCSection,
@@ -233,7 +242,7 @@ def verify_algebroid(a: AlgebroidChart) -> AlgebroidReport:
         if not anchor_ok:
             break
 
-    jacobi_ok = True
+    jacobi = True
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             for k in range(j + 1, a.rank):
@@ -242,13 +251,13 @@ def verify_algebroid(a: AlgebroidChart) -> AlgebroidReport:
                 cyc3 = a.bracket(a.structure[k][i], frames[j])
                 summed = [x + y + z for x, y, z in zip(total, cyc2, cyc3)]
                 if not a.section_is_zero(summed):
-                    jacobi_ok = False
+                    jacobi = False
                     break
-            if not jacobi_ok:
+            if not jacobi:
                 break
-        if not jacobi_ok:
+        if not jacobi:
             break
-    return AlgebroidReport(jacobi_ok, anchor_ok)
+    return AlgebroidReport(jacobi, anchor_ok)
 
 
 # ----------------------------------------------------------------------
@@ -332,121 +341,48 @@ def _coframe_algebroid(pi: Multivector, rank: int) -> AlgebroidChart:
 # ----------------------------------------------------------------------
 # Lie algebras, Lie-Poisson duality, realification
 
-class LieAlgebraData:
-    """Finite-dimensional Lie algebra over GQ constants, with an optional
-    complex-structure matrix j."""
-
-    __slots__ = ("rank", "c", "j")
-
-    def __init__(self, rank: int, c, j=None):
-        self.rank = rank
-        table = [[[GQ.of(v) for v in vec] for vec in row] for row in c]
-        if len(table) != rank or any(len(row) != rank for row in table):
-            raise ShapeError("structure constant table must be rank x rank")
-        for i in range(rank):
-            for j_ in range(rank):
-                if len(table[i][j_]) != rank:
-                    raise ShapeError("structure constant vector too short")
-        for i in range(rank):
-            if any(not v.is_zero() for v in table[i][i]):
-                raise StructureError("c[i][i] must vanish")
-            for j_ in range(rank):
-                for k in range(rank):
-                    if not (table[i][j_][k] + table[j_][i][k]).is_zero():
-                        raise StructureError("structure constants not "
-                                             "antisymmetric")
-        self.c = table
-        self.j = None
-        if j is not None:
-            jm = [[GQ.of(v) for v in row] for row in j]
-            if len(jm) != rank or any(len(r) != rank for r in jm):
-                raise ShapeError("j matrix must be rank x rank")
-            self.j = jm
-
-    @staticmethod
-    def from_triples(rank: int, triples, j=None) -> "LieAlgebraData":
-        """Build from 1-based [i, j, k, coeff] entries giving c_ij^k."""
-        c = [[[GQ(0) for _ in range(rank)] for _ in range(rank)]
-             for _ in range(rank)]
-        for i, j_, k, coeff in triples:
-            value = coeff if isinstance(coeff, GQ) else GQ.of(coeff)
-            c[i - 1][j_ - 1][k - 1] = c[i - 1][j_ - 1][k - 1] + value
-            c[j_ - 1][i - 1][k - 1] = c[j_ - 1][i - 1][k - 1] - value
-        return LieAlgebraData(rank, c, j)
-
-    def bracket(self, u, v):
-        """Bilinear bracket of constant coefficient vectors."""
-        out = [GQ(0)] * self.rank
-        for i in range(self.rank):
-            if u[i].is_zero():
-                continue
-            for j_ in range(self.rank):
-                if v[j_].is_zero():
-                    continue
-                f = u[i] * v[j_]
-                for k in range(self.rank):
-                    ck = self.c[i][j_][k]
-                    if not ck.is_zero():
-                        out[k] = out[k] + f * ck
-        return out
-
-    def basis(self, i):
-        out = [GQ(0)] * self.rank
-        out[i] = GQ(1)
-        return out
-
-    def j_apply(self, u):
-        if self.j is None:
-            raise StructureError("no complex structure on this Lie algebra")
-        return [sum((self.j[r][c] * u[c] for c in range(self.rank)),
-                    GQ(0)) for r in range(self.rank)]
-
-    def jacobi_ok(self) -> bool:
-        for i in range(self.rank):
-            for j_ in range(i + 1, self.rank):
-                for k in range(j_ + 1, self.rank):
-                    total = [GQ(0)] * self.rank
-                    for u, v, w in ((i, j_, k), (j_, k, i), (k, i, j_)):
-                        inner = self.c[u][v]
-                        part = self.bracket(inner, self.basis(w))
-                        total = [x + y for x, y in zip(total, part)]
-                    if any(not v.is_zero() for v in total):
-                        return False
-        return True
-
-    def j_is_complex_structure(self) -> bool:
-        """j^2 = -1 and the bracket is C-linear for j."""
-        if self.j is None:
-            return False
-        r = self.rank
-        square = [[sum((self.j[a][t] * self.j[t][b] for t in range(r)), GQ(0))
-                   for b in range(r)] for a in range(r)]
-        for a in range(r):
-            for b in range(r):
-                want = GQ(-1) if a == b else GQ(0)
-                if square[a][b] != want:
-                    return False
-        for a in range(r):
-            for b in range(r):
-                lhs = self.bracket(self.j_apply(self.basis(a)), self.basis(b))
-                rhs = self.j_apply(self.c[a][b])
-                if any(x != y for x, y in zip(lhs, rhs)):
-                    return False
-        return True
+POINT = Chart.complex(0)
 
 
-def lie_poisson(g: LieAlgebraData) -> Multivector:
-    """Fiberwise-linear holomorphic Poisson structure on the dual chart:
-    {z_i, z_j} = sum_k c_ij^k z_k."""
-    if not g.jacobi_ok():
+def lie_algebra(rank: int, triples) -> AlgebroidChart:
+    """A complex Lie algebra: the algebroid with zero anchor over the
+    point chart, from 1-based [i, j, k, coeff] entries, each adding coeff
+    to c_ij^k and subtracting it from c_ji^k."""
+    c = [[[GQ(0)] * rank for _ in range(rank)] for _ in range(rank)]
+    for i, j, k, coeff in triples:
+        value = GQ.of(coeff)
+        c[i - 1][j - 1][k - 1] = c[i - 1][j - 1][k - 1] + value
+        c[j - 1][i - 1][k - 1] = c[j - 1][i - 1][k - 1] - value
+    return AlgebroidChart(POINT, rank, [[]] * rank, c)
+
+
+class LieAlgebra(Record):
+    """A Lie algebra over a point with its complex structure j, an
+    EndoOnAlgebroid, or None when it is the complex presentation."""
+
+    __slots__ = ("algebroid", "j")
+
+
+def _constants(section):
+    """The constant values of a section over a point."""
+    return [p.terms.get((), GQ(0)) for p in section]
+
+
+def _jacobi(a: AlgebroidChart):
+    if not verify_algebroid(a).jacobi:
         raise StructureError("structure constants fail the Jacobi identity")
-    chart = Chart.complex(g.rank)
+
+
+def lie_poisson(a: AlgebroidChart) -> Multivector:
+    """Fiberwise-linear holomorphic Poisson structure on the dual chart of
+    a Lie algebra: {z_i, z_j} = sum_k c_ij^k z_k."""
+    _jacobi(a)
+    chart = Chart.complex(a.rank)
     comps = {}
-    for i in range(g.rank):
-        for j in range(i + 1, g.rank):
+    for i in range(a.rank):
+        for j in range(i + 1, a.rank):
             coeff = Poly.zero(chart)
-            for k in range(g.rank):
-                v = g.c[i][j][k]
+            for k, v in enumerate(_constants(a.structure[i][j])):
                 if not v.is_zero():
                     coeff = coeff + Poly.var(chart, k).scale(v)
             if not coeff.is_zero():
@@ -454,21 +390,12 @@ def lie_poisson(g: LieAlgebraData) -> Multivector:
     return Multivector(chart, 2, comps)
 
 
-class RealifiedLieAlgebra(Record):
-    __slots__ = ("algebroid", "j")
-
-
-def realify_liealgebra(g: LieAlgebraData) -> RealifiedLieAlgebra:
-    """Formal realification of a complex Lie algebra given by GQ constants:
-    rank doubles, the basis becomes (e_1..e_r, je_1..je_r), the structure
-    constants become real, and the doubled j matrix is returned with it."""
-    if g.j is not None and not _is_scalar_i(g.j):
-        raise StructureError(
-            "realification expects the scalar complex structure; "
-            "provide the complex presentation")
-    if not g.jacobi_ok():
-        raise StructureError("structure constants fail the Jacobi identity")
-    r = g.rank
+def realify_liealgebra(a: AlgebroidChart) -> LieAlgebra:
+    """Formal realification of a complex Lie algebra: rank doubles, the
+    basis becomes (e_1..e_r, je_1..je_r), the structure constants become
+    real, and the doubled j matrix is returned with it."""
+    _jacobi(a)
+    r = a.rank
     chart = Chart.real(0)
     rank = 2 * r
 
@@ -482,91 +409,91 @@ def realify_liealgebra(g: LieAlgebraData) -> RealifiedLieAlgebra:
 
     zero = [Poly.zero(chart)] * rank
     structure = [[list(zero) for _ in range(rank)] for _ in range(rank)]
-    for a in range(r):
-        for b in range(r):
-            base = g.c[a][b]
-            # [e_a, e_b]
-            structure[a][b] = real_vec(base)
-            # [e_a, je_b] = j [e_a, e_b]
+    for x in range(r):
+        for y in range(r):
+            base = _constants(a.structure[x][y])
+            # [e_x, e_y]
+            structure[x][y] = real_vec(base)
+            # [e_x, je_y] = j [e_x, e_y]
             jbase = [GQ(0, 1) * v for v in base]
-            structure[a][r + b] = real_vec(jbase)
-            structure[r + a][b] = real_vec(jbase)
-            # [je_a, je_b] = -[e_a, e_b]
-            structure[r + a][r + b] = real_vec([-v for v in base])
+            structure[x][r + y] = real_vec(jbase)
+            structure[r + x][y] = real_vec(jbase)
+            # [je_x, je_y] = -[e_x, e_y]
+            structure[r + x][r + y] = real_vec([-v for v in base])
     anchor = [[] for _ in range(rank)]
     algebroid = AlgebroidChart(chart, rank, anchor, structure)
     jm = [[Poly.zero(chart) for _ in range(rank)] for _ in range(rank)]
     for k in range(r):
         jm[r + k][k] = Poly.one(chart)
         jm[k][r + k] = Poly.const(chart, -1)
-    return RealifiedLieAlgebra(algebroid, EndoOnAlgebroid(algebroid, jm))
+    return LieAlgebra(algebroid, EndoOnAlgebroid(algebroid, jm))
 
 
-def _is_scalar_i(jm) -> bool:
-    r = len(jm)
-    for a in range(r):
-        for b in range(r):
-            want = GQ(0, 1) if a == b else GQ(0)
-            if GQ.of(jm[a][b]) != want:
-                return False
-    return True
+def _is_complex_structure(g: LieAlgebra) -> bool:
+    """j^2 = -1 and the bracket is C-linear for j."""
+    a, j = g.algebroid, g.j
+    if not poly_mat_squares_to_minus_identity(j.matrix):
+        return False
+    frames = [a.frame_section(x) for x in range(a.rank)]
+    return all(a.bracket(j.apply(frames[x]), frames[y])
+               == j.apply(a.structure[x][y])
+               for x in range(a.rank) for y in range(a.rank))
 
 
-def complex_presentation(g: LieAlgebraData) -> LieAlgebraData:
+def complex_presentation(g: LieAlgebra) -> AlgebroidChart:
     """Recover a complex presentation from realified data with explicit j.
 
-    When g carries no j (or the scalar one), it already is the complex
-    presentation.  Otherwise j must square to -1 and the bracket must be
-    C-linear; a complex basis is extracted greedily and the structure
-    constants are rewritten over it.
+    When g carries no j (or the scalar one), its algebroid already is the
+    complex presentation.  Otherwise j must square to -1 and the bracket
+    must be C-linear; a complex basis is extracted greedily and the
+    structure constants are rewritten over it.
     """
-    if g.j is None or _is_scalar_i(g.j):
-        return LieAlgebraData(g.rank, g.c)
-    if not g.j_is_complex_structure():
+    a, j = g.algebroid, g.j
+    n = a.rank
+    if j is None or all(j.matrix[x][y] == (GQ(0, 1) if x == y else 0)
+                        for x in range(n) for y in range(n)):
+        return a
+    if not _is_complex_structure(g):
         raise StructureError(
             "bracket is not C-linear for the given j (or j^2 != -1)")
-    if g.rank % 2:
+    if n % 2:
         raise StructureError("realified data must have even rank")
-    r2 = g.rank // 2
+    r2 = n // 2
 
     # greedy complex basis: columns are real coordinate vectors
     chosen = []
-    span_rows: list = []
 
     def gq_rows(vectors):
-        return [[vec[a] for vec in vectors] for a in range(g.rank)]
+        return [[vec[x] for vec in vectors] for x in range(n)]
 
-    for cand_idx in range(g.rank):
-        cand = g.basis(cand_idx)
-        trial = chosen + [cand, g.j_apply(cand)]
+    for cand_idx in range(n):
+        cand = a.frame_section(cand_idx)
+        trial = chosen + [_constants(cand), _constants(j.apply(cand))]
         if dense_rank(gq_rows(trial)) == len(trial):
             chosen = trial
-        if len(chosen) == g.rank:
+        if len(chosen) == n:
             break
-    if len(chosen) != g.rank:
+    if len(chosen) != n:
         raise StructureError("could not extract a complex basis")
     basis_vectors = chosen  # [v1, j v1, v2, j v2, ...]
 
     change = gq_mat_inverse(gq_rows(basis_vectors))
 
     def in_complex_coords(real_vec):
-        # coefficients over (v_a, j v_a) pairs -> complex coefficients
-        coords = [sum((change[t][a] * real_vec[a] for a in range(g.rank)),
-                      GQ(0)) for t in range(g.rank)]
+        # coefficients over (v_x, j v_x) pairs -> complex coefficients
+        coords = [sum((change[t][x] * real_vec[x] for x in range(n)),
+                      GQ(0)) for t in range(n)]
         out = []
-        for a in range(r2):
-            alpha = coords[2 * a]
-            beta = coords[2 * a + 1]
+        for x in range(r2):
+            alpha = coords[2 * x]
+            beta = coords[2 * x + 1]
             out.append(alpha + GQ(0, 1) * beta)
         return out
 
-    c = [[[GQ(0)] * r2 for _ in range(r2)] for _ in range(r2)]
-    for a in range(r2):
-        for b in range(r2):
-            va = basis_vectors[2 * a]
-            vb = basis_vectors[2 * b]
-            c[a][b] = in_complex_coords(g.bracket(va, vb))
-    return LieAlgebraData(r2, c)
+    c = [[in_complex_coords(_constants(a.bracket(basis_vectors[2 * x],
+                                                 basis_vectors[2 * y])))
+          for y in range(r2)] for x in range(r2)]
+    return AlgebroidChart(POINT, r2, [[]] * r2, c)
 
 
 class RealPartsReport(Record):
@@ -574,7 +501,7 @@ class RealPartsReport(Record):
     VERDICT = "realparts"
 
 
-def realparts_liealgebra_check(g: LieAlgebraData) -> RealPartsReport:
+def realparts_liealgebra_check(g: LieAlgebra) -> RealPartsReport:
     """Verify the quarter-factor identities relating the real and imaginary
     parts of the Lie-Poisson structure to the realified bracket:
     {l'_V, l'_W}_Re = l'_{[V,W]/4} and {l'_V, l'_W}_Im = l'_{-[V,W]_j/4},
@@ -606,11 +533,8 @@ def realparts_liealgebra_check(g: LieAlgebraData) -> RealPartsReport:
     realified = realify_liealgebra(gc)
     doubled = realified.algebroid
 
-    def constant_section(vals):
-        return [p.terms.get((), GQ(0)) for p in vals]
-
     frames = [doubled.frame_section(s) for s in range(2 * r)]
-    dl = [differential(lprime(constant_section(es))) for es in frames]
+    dl = [differential(lprime(_constants(es))) for es in frames]
     ham_re = [sharp(pair.pi_R, d) for d in dl]
     ham_im = [sharp(pair.pi_I, d) for d in dl]
     ok_re = True
@@ -618,8 +542,8 @@ def realparts_liealgebra_check(g: LieAlgebraData) -> RealPartsReport:
     for s in range(2 * r):
         for t in range(s + 1, 2 * r):
             value = doubled.structure[s][t]
-            bracket = constant_section(value)
-            jbracket = constant_section(realified.j.apply(value))
+            bracket = _constants(value)
+            jbracket = _constants(realified.j.apply(value))
             lhs_re = pairing(dl[t], ham_re[s])
             rhs_re = lprime([v * QUARTER for v in bracket])
             if lhs_re != rhs_re:
@@ -843,7 +767,7 @@ def bowtie(mp: MatchedPairData) -> AlgebroidChart:
         raise StructureError("not a matched pair: F/S/T do not vanish")
     ra = mp.A.rank
 
-    def bracket_fn(s, t):
+    def frame_bracket(s, t):
         if t < ra:
             return mp.A.structure[s][t] + mp.B.zero_section()
         if s >= ra:
@@ -851,7 +775,7 @@ def bowtie(mp: MatchedPairData) -> AlgebroidChart:
         return [-p for p in ba[t - ra][s]] + ab[s][t - ra]
 
     return AlgebroidChart.from_frame_brackets(
-        mp.A.chart, ra + mp.B.rank, mp.A.anchor + mp.B.anchor, bracket_fn)
+        mp.A.chart, ra + mp.B.rank, mp.A.anchor + mp.B.anchor, frame_bracket)
 
 
 # ----------------------------------------------------------------------

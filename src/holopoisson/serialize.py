@@ -7,7 +7,12 @@ byte-stable.
 
 from __future__ import annotations
 
-from .algebroid import AlgebroidChart, LieAlgebraData
+from .algebroid import (
+    AlgebroidChart,
+    EndoOnAlgebroid,
+    LieAlgebra,
+    lie_algebra,
+)
 from .errors import ParseError
 from .exactalg import Chart, parse_gq, parse_poly
 from .multivec import Form, Multivector
@@ -108,7 +113,7 @@ def parse_endo(chart: Chart, doc) -> EndoField:
     return EndoField(chart, parse_matrix(chart, doc, chart.nvars, "endo"))
 
 
-def parse_liealgebra(doc) -> LieAlgebraData:
+def parse_liealgebra(doc) -> LieAlgebra:
     require_keys(doc, {"rank", "brackets", "j"}, "lie_algebra")
     rank = doc.get("rank")
     if not is_int(rank) or rank < 0:
@@ -134,7 +139,9 @@ def parse_liealgebra(doc) -> LieAlgebraData:
                        for row in rows)):
             raise ParseError("lie_algebra: j must be rank x rank")
         j_matrix = [[parse_gq(str(v)) for v in row] for row in rows]
-    return LieAlgebraData.from_triples(rank, triples, j_matrix)
+    algebra = lie_algebra(rank, triples)
+    j = None if j_matrix is None else EndoOnAlgebroid(algebra, j_matrix)
+    return LieAlgebra(algebra, j)
 
 
 def algebroid_dict(a: AlgebroidChart) -> dict:

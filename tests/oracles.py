@@ -59,11 +59,11 @@ These deliberately take different routes from the library code:
 
 Fixtures and references that no command needs, moved out of the library:
 
-* tangent_algebroid (identity anchor, commuting frame) and
-  lie_algebra_algebroid (a Lie algebra as an algebroid over a point);
+* tangent_algebroid (identity anchor, commuting frame);
 * holomorphic_tangent_algebroid (T^{1,0}C^n) and linear_action_algebroid
-  (g acting linearly on C^n): with the Lie algebra over a point, the
-  holomorphic algebroids other than T*X of acceptance criterion 12;
+  (g acting linearly on C^n): with a Lie algebra, which the library
+  presents as an algebroid over a point, the holomorphic algebroids
+  other than T*X of acceptance criterion 12;
 * recompose, pi_R + i pi_I back on the complex chart, the inverse that
   checks decompose;
 * realified_cotangent, the underlying real algebroid of the cotangent
@@ -679,16 +679,6 @@ def tangent_algebroid(chart: Chart) -> AlgebroidChart:
     return AlgebroidChart(chart, m, anchor, structure)
 
 
-def lie_algebra_algebroid(g) -> AlgebroidChart:
-    """A LieAlgebraData as the algebroid with zero anchor on the point
-    chart complex(0), whose matched pair is (0, g)."""
-    chart = Chart.complex(0)
-    anchor = [[] for _ in range(g.rank)]
-    structure = [[[Poly.const(chart, v) for v in vec] for vec in row]
-                 for row in g.c]
-    return AlgebroidChart(chart, g.rank, anchor, structure)
-
-
 def holomorphic_tangent_algebroid(chart: Chart) -> AlgebroidChart:
     """T^{1,0} of a complex chart: frame d/dz_k, commuting."""
     n = chart.n
@@ -714,8 +704,8 @@ def linear_action_algebroid(g, matrices) -> AlgebroidChart:
                 if m[a][b]:
                     row[a] = row[a] - Poly.var(chart, b).scale(GQ.of(m[a][b]))
         anchor.append(row)
-    structure = [[[Poly.const(chart, v) for v in vec] for vec in row]
-                 for row in g.c]
+    structure = [[[Poly.const(chart, p.evaluate(())) for p in vec]
+                  for vec in row] for row in g.structure]
     return AlgebroidChart(chart, g.rank, anchor, structure)
 
 

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from holopoisson.algebroid import (
     EndoOnAlgebroid,
-    LieAlgebraData,
+    LieAlgebra,
     MatchedPairData,
     RepData,
     bowtie,
@@ -21,6 +21,7 @@ from holopoisson.algebroid import (
     deform_by,
     holomorphic_matched_pair,
     koszul_algebroid,
+    lie_algebra,
     lie_poisson,
     matched_pair_tensors,
     nijenhuis_torsion_algebroid,
@@ -64,7 +65,6 @@ from holopoisson.cli import corpus_path, run_job
 from oracles import (
     conjugate_by_signs,
     holomorphic_tangent_algebroid,
-    lie_algebra_algebroid,
     linear_action_algebroid,
     rand_poly,
     realified_cotangent,
@@ -87,12 +87,12 @@ def frame_bivector(chart, a, b, coeff=None):
 
 
 def sl2():
-    return LieAlgebraData.from_triples(
-        3, [(1, 2, 2, GQ(2)), (1, 3, 3, GQ(-2)), (2, 3, 1, GQ(1))])
+    return lie_algebra(3, [(1, 2, 2, GQ(2)), (1, 3, 3, GQ(-2)),
+                           (2, 3, 1, GQ(1))])
 
 
 def heisenberg():
-    return LieAlgebraData.from_triples(3, [(1, 2, 3, GQ(1))])
+    return lie_algebra(3, [(1, 2, 3, GQ(1))])
 
 
 def corpus_bivectors():
@@ -407,7 +407,7 @@ def test_criterion_8_betti_oracle_equivalence():
 def test_criterion_9_algebroid_factors():
     ok = True
     for g in (sl2(), heisenberg()):
-        if not realparts_liealgebra_check(g).all_ok:
+        if not realparts_liealgebra_check(LieAlgebra(g, None)).all_ok:
             ok = False
         realified = realify_liealgebra(g)
         if nijenhuis_torsion_algebroid(realified.algebroid, realified.j):
@@ -511,7 +511,7 @@ def test_criterion_12_holomorphic_algebroids():
          (1, 0, 0, 0, 0)),
         ("sl2 acting on C^2", linear_action_algebroid(sl2(), SL2_ON_C2), 4,
          (1, 0, 0, 1, 0, 0)),
-        ("sl2 over a point", lie_algebra_algebroid(sl2()), 0,
+        ("sl2 over a point", sl2(), 0,
          (1, 0, 0, 1)),
     )
     for name, b, bound, weight0 in cases:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from holopoisson.algebroid import (
     AlgebroidChart,
     EndoOnAlgebroid,
-    LieAlgebraData,
+    LieAlgebra,
     MatchedPairData,
     RepData,
     _f_tensor,
@@ -23,6 +23,7 @@ from holopoisson.algebroid import (
     deform_by,
     holomorphic_matched_pair,
     koszul_algebroid,
+    lie_algebra,
     lie_poisson,
     matched_pair_tensors,
     nijenhuis_torsion_algebroid,
@@ -51,7 +52,6 @@ from oracles import (
     canonical_matched_pair_reference,
     check_representation_reference,
     conjugate_by_signs,
-    lie_algebra_algebroid,
     matched_pair_F,
     matched_pair_S,
     rand_poly,
@@ -68,12 +68,17 @@ R2 = Chart.real(2)
 
 
 def sl2():
-    return LieAlgebraData.from_triples(
-        3, [(1, 2, 2, GQ(2)), (1, 3, 3, GQ(-2)), (2, 3, 1, GQ(1))])
+    return lie_algebra(3, [(1, 2, 2, GQ(2)), (1, 3, 3, GQ(-2)),
+                           (2, 3, 1, GQ(1))])
 
 
 def heisenberg():
-    return LieAlgebraData.from_triples(3, [(1, 2, 3, GQ(1))])
+    return lie_algebra(3, [(1, 2, 3, GQ(1))])
+
+
+def constant(p):
+    """The value of a constant structure function over a point."""
+    return p.evaluate(())
 
 
 def sl2_pi():
@@ -94,16 +99,15 @@ def test_tangent_algebroid_verifies():
 
 
 def test_sl2_constants_verify():
-    rep = verify_algebroid(lie_algebra_algebroid(sl2()))
+    rep = verify_algebroid(sl2())
     assert rep.jacobi and rep.anchor_morphism
 
 
 def test_perturbed_sl2_fails_jacobi():
-    bad = LieAlgebraData.from_triples(
+    bad = lie_algebra(
         3, [(1, 2, 2, GQ(2)), (1, 3, 3, GQ(-2)), (2, 3, 1, GQ(1)),
             (1, 2, 1, GQ(1))])
-    assert not bad.jacobi_ok()
-    rep = verify_algebroid(lie_algebra_algebroid(bad))
+    rep = verify_algebroid(bad)
     assert not rep.jacobi and rep.anchor_morphism
 
 
@@ -113,8 +117,8 @@ def test_anchor_morphism_failure_detected():
     anchor = [[Poly.const(chart, 1 if i == j else 0) for j in range(4)]
               for i in range(3)]
     g = sl2()
-    structure = [[[Poly.const(chart, v) for v in vec] for vec in row]
-                 for row in g.c]
+    structure = [[[Poly.const(chart, constant(p)) for p in vec]
+                  for vec in row] for row in g.structure]
     a = AlgebroidChart(chart, 3, anchor, structure)
     rep = verify_algebroid(a)
     assert not rep.anchor_morphism
@@ -236,7 +240,8 @@ def test_cotangent_algebroid_sl2_reproduces_constants():
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert b.structure[i][j][k] == Poly.const(C3, g.c[i][j][k])
+                assert b.structure[i][j][k] == Poly.const(
+                    C3, constant(g.structure[i][j][k]))
     assert verify_algebroid(b).all_ok
 
 
@@ -249,7 +254,7 @@ def test_cotangent_rejects_non_poisson():
 # Lie-Poisson duality
 
 def test_lie_poisson_abelian_and_examples():
-    abelian = LieAlgebraData.from_triples(2, [])
+    abelian = lie_algebra(2, [])
     assert lie_poisson(abelian).is_zero()
     pi = sl2_pi()
     assert is_holomorphic_poisson(pi).all_ok
@@ -270,12 +275,12 @@ def test_lie_poisson_structure_constants_roundtrip():
         for j in range(3):
             want = Poly.zero(C3)
             for k in range(3):
-                want = want + z[k].scale(g.c[i][j][k])
+                want = want + z[k].scale(constant(g.structure[i][j][k]))
             assert poisson_bracket(pi, z[i], z[j]) == want
 
 
 def test_lie_poisson_rejects_non_jacobi():
-    bad = LieAlgebraData.from_triples(
+    bad = lie_algebra(
         3, [(1, 2, 2, GQ(2)), (1, 3, 3, GQ(-2)), (2, 3, 1, GQ(1)),
             (1, 2, 1, GQ(1))])
     with pytest.raises(StructureError):
@@ -290,15 +295,15 @@ def test_cotangent_of_lie_poisson_is_lie_poisson_duality():
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert b.structure[i][j][k] == Poly.const(C3, g.c[i][j][k])
+                assert b.structure[i][j][k] == Poly.const(
+                    C3, constant(g.structure[i][j][k]))
 
 
 # ----------------------------------------------------------------------
 # realification and the quarter-factor identities
 
 def test_realify_abelian():
-    g = LieAlgebraData.from_triples(1, [])
-    real = realify_liealgebra(g)
+    real = realify_liealgebra(lie_algebra(1, []))
     assert real.algebroid.rank == 2
     assert all(real.algebroid.section_is_zero(real.algebroid.structure[i][j])
                for i in range(2) for j in range(2))
@@ -310,40 +315,29 @@ def test_realify_sl2_jacobi_and_recovery():
 
 
 def test_realparts_identities():
-    assert realparts_liealgebra_check(sl2()).all_ok
-    assert realparts_liealgebra_check(heisenberg()).all_ok
-    assert realparts_liealgebra_check(LieAlgebraData.from_triples(2, [])).all_ok
+    for g in (sl2(), heisenberg(), lie_algebra(2, [])):
+        assert realparts_liealgebra_check(LieAlgebra(g, None)).all_ok
 
 
 def test_realparts_rejects_non_clinear_j():
     # so(3): the bracket is NOT C-linear for the "rotation" j in the
     # (e1, e2) plane, so the explicit-j precondition must reject it
-    so3 = LieAlgebraData.from_triples(
-        3, [(1, 2, 3, GQ(1)), (2, 3, 1, GQ(1)), (3, 1, 2, GQ(1))],
-        j=None)
+    so3 = lie_algebra(
+        3, [(1, 2, 3, GQ(1)), (2, 3, 1, GQ(1)), (3, 1, 2, GQ(1))])
     jm = [[GQ(0), GQ(-1), GQ(0)], [GQ(1), GQ(0), GQ(0)],
           [GQ(0), GQ(0), GQ(0)]]
-    with_j = LieAlgebraData(3, so3.c, jm)
+    with_j = LieAlgebra(so3, EndoOnAlgebroid(so3, jm))
     with pytest.raises(StructureError):
         realparts_liealgebra_check(with_j)
 
 
 def test_complex_presentation_roundtrip_through_realified_data():
-    g = sl2()
-    real = realify_liealgebra(g)
-    # rebuild LieAlgebraData from the realified algebroid constants
-    chart = real.algebroid.chart
-    c = [[[real.algebroid.structure[i][j][k].terms.get((), GQ(0))
-           for k in range(6)] for j in range(6)] for i in range(6)]
-    jm = [[real.j.matrix[r][s].terms.get((), GQ(0)) for s in range(6)]
-          for r in range(6)]
-    doubled = LieAlgebraData(6, c, jm)
-    gc = complex_presentation(doubled)
+    real = realify_liealgebra(sl2())
+    gc = complex_presentation(real)
     assert gc.rank == 3
-    # same Lie-Poisson brackets up to the extracted basis: verify Jacobi
-    # and that realparts still pass through the extraction path
-    assert gc.jacobi_ok()
-    assert realparts_liealgebra_check(doubled).all_ok
+    # realparts passes through the extraction path
+    assert verify_algebroid(gc).jacobi
+    assert realparts_liealgebra_check(real).all_ok
 
 
 LIE_BASES = {"sl2": (3, [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)]),
@@ -365,7 +359,8 @@ def jacobi_constants(draw):
         size, base = LIE_BASES[name]
         triples += [(i + rank, j + rank, k + rank, v) for i, j, k, v in base]
         rank += size
-    c = LieAlgebraData.from_triples(rank, triples).c
+    c = [[[constant(p) for p in vec] for vec in row]
+         for row in lie_algebra(rank, triples).structure]
     scale = GQ(draw(st.integers(1, 3)), draw(st.integers(-2, 2)))
     # f_b = sum_a p[a][b] e_a; each step adds k f_a to f_b
     p = [[GQ(int(a == b)) for b in range(rank)] for a in range(rank)]
@@ -383,7 +378,7 @@ def jacobi_constants(draw):
                   for k in range(rank)), GQ(0)) * scale
              for t in range(rank)] for b in range(rank)]
            for a in range(rank)]
-    return LieAlgebraData(rank, new)
+    return AlgebroidChart(Chart.complex(0), rank, [[]] * rank, new)
 
 
 @settings(max_examples=30, deadline=None)
@@ -392,17 +387,28 @@ def test_realparts_matches_reference(g):
     """realparts_liealgebra_check takes the pairs s < t once each, with
     tabled Hamiltonian fields; the reference takes every ordered pair
     through poisson_bracket."""
-    assert g.jacobi_ok()
-    report = realparts_liealgebra_check(g)
-    assert report == realparts_liealgebra_check_reference(g)
+    assert verify_algebroid(g).jacobi
+    report = realparts_liealgebra_check(LieAlgebra(g, None))
+    assert report == realparts_liealgebra_check_reference(LieAlgebra(g, None))
     assert report.all_ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(jacobi_constants())
+def test_complex_presentation_inverts_realification(g):
+    """The complex basis extracted from the realification is e_1..e_r
+    again, with j e_a the second vector of each pair, so the structure
+    constants come back exactly."""
+    back = complex_presentation(realify_liealgebra(g))
+    assert back.rank == g.rank
+    assert back.structure == g.structure
 
 
 # ----------------------------------------------------------------------
 # representations
 
 def test_zero_connection_on_abelian_pair():
-    abelian = lie_algebra_algebroid(LieAlgebraData.from_triples(2, []))
+    abelian = lie_algebra(2, [])
     gamma = [[abelian.zero_section() for _ in range(2)] for _ in range(2)]
     rep = RepData(abelian, abelian, gamma)
     assert check_representation(rep) is True
@@ -543,7 +549,7 @@ def test_check_representation_builds_one_frame_table(monkeypatch):
         calls.append(1)
         return original(self, u, s)
 
-    g = lie_algebra_algebroid(sl2())
+    g = sl2()
     adjoint = RepData(g, g, g.structure)
     cases = [(adjoint, 9 + 3 * 2 * 2)]
     for pi in (sl2_pi(), frame_bivector(C2, 0, 1)):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from holopoisson import cohomology
 from holopoisson.algebroid import (
     AlgebroidChart,
-    LieAlgebraData,
     MatchedPairData,
     RepData,
     antiholomorphic_tangent,
     canonical_matched_pair,
+    lie_algebra,
     lie_poisson,
 )
 from holopoisson.cli import corpus_path
@@ -55,7 +55,7 @@ C3 = Chart.complex(3)
 
 
 def sl2_pi():
-    g = LieAlgebraData.from_triples(
+    g = lie_algebra(
         3, [(1, 2, 2, GQ(2)), (1, 3, 3, GQ(-2)), (2, 3, 1, GQ(1))])
     return lie_poisson(g)
 
@@ -471,7 +471,7 @@ def test_assemble_total_composes_to_zero():
 
 
 def heisenberg_pi():
-    g = LieAlgebraData.from_triples(3, [(1, 2, 3, GQ(1))])
+    g = lie_algebra(3, [(1, 2, 3, GQ(1))])
     return lie_poisson(g)
 
 
@@ -547,7 +547,8 @@ def test_betti_sl2_weight_five_is_whitehead():
     and nothing when it is odd.  Sparse route only; at this size the
     dense oracle is far too slow."""
     with open(corpus_path("sl2.json"), encoding="utf-8") as handle:
-        sl2 = lie_poisson(parse_liealgebra(json.load(handle)["lie_algebra"]))
+        doc = json.load(handle)["lie_algebra"]
+    sl2 = lie_poisson(parse_liealgebra(doc).algebroid)
     report = betti(canonical_matched_pair(sl2), Truncation("weight", 5))
     for weight in range(6):
         want = (1, 0, 0, 1, 0, 0, 0) if weight % 2 == 0 else (0,) * 7
@@ -558,7 +559,8 @@ def test_betti_constructs_no_fraction(monkeypatch):
     """The scalar is integer-only: once the input is parsed, the whole
     cohomology route builds no Fraction."""
     with open(corpus_path("sl2.json"), encoding="utf-8") as handle:
-        sl2 = lie_poisson(parse_liealgebra(json.load(handle)["lie_algebra"]))
+        doc = json.load(handle)["lie_algebra"]
+    sl2 = lie_poisson(parse_liealgebra(doc).algebroid)
     built = []
     original = Fraction.__new__
 
