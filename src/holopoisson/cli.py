@@ -257,8 +257,6 @@ def cmd_cohomology(doc, options):
     if dump_dir is not None and not (isinstance(dump_dir, str) and dump_dir):
         raise ParseError("dump_matrices must be a directory path, "
                          f"got {dump_dir!r}")
-    chart, pi = _doc_chart_pi(doc, "cohomology input")
-    mp = alg.canonical_matched_pair(pi)
     if options.get("weight") is not None:
         mode, flag, key = "weight", "--weight", "weight"
     elif options.get("max_degree") is not None:
@@ -274,6 +272,8 @@ def cmd_cohomology(doc, options):
     if method not in ("sparse", "oracle"):
         raise ParseError(f"unknown method {method!r}: options.method is "
                          "sparse or oracle")
+    chart, pi = _doc_chart_pi(doc, "cohomology input")
+    mp = alg.canonical_matched_pair(pi)
     truncation = coho.Truncation(mode, bound)
     dumps = {}
 

@@ -361,6 +361,15 @@ UNREAD_JOB_OPTIONS = [
     ("selftest", {"weight": 2}),
     ("cohomology", {"weight": 0, "dump_matrices": ""}),
 ]
+# cohomology reads its options before the structure: a malformed request
+# on a bivector that is not holomorphic Poisson is an input error, not
+# the failed precondition of the cotangent algebroid
+ANTIHOLOMORPHIC = {"chart": {"kind": "complex", "n": 2},
+                   "pi": [{"frame": ["z1", "z2"], "coeff": "zb1"}]}
+OPTIONS_BEFORE_STRUCTURE = [
+    ("cohomology", ANTIHOLOMORPHIC, ["--weight", "-1"]),
+    ("cohomology", ANTIHOLOMORPHIC, ["--weight", "1", "--method", "bogus"]),
+]
 
 
 @pytest.mark.parametrize("command, doc, options",
@@ -369,14 +378,17 @@ UNREAD_JOB_OPTIONS = [
                             for o in MALFORMED_JOB_OPTIONS]
                          + MALFORMED_FLAGS
                          + [(c, d, None) for c, d in UNREAD_KEYS]
-                         + [(c, None, o) for c, o in UNREAD_JOB_OPTIONS])
+                         + [(c, None, o) for c, o in UNREAD_JOB_OPTIONS]
+                         + OPTIONS_BEFORE_STRUCTURE)
 def test_malformed_input_is_input_error(tmp_path, command, doc, options):
     """Non-list brackets or j rows, bools and floats where an integer is
     due, an endo matrix for pn-check on a complex chart (which checks the
     standard J), a lie_algebra next to a chart, a dump directory that is
     not a path or is empty, a JobSpec ``out`` that nothing would write, a
     JobSpec option its command does not read, both --weight and
-    --max-degree: exit 1 with an input error, never a traceback.
+    --max-degree, a malformed cohomology request on a structure that is
+    not holomorphic Poisson: exit 1 with an input error, never a
+    traceback.
     JobSpec options (a dict) have no command-line route, so those cases
     check for the ParseError that main() reports as an input error; a
     list of options is flags."""
