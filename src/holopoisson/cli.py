@@ -17,8 +17,8 @@ are its JobSpec options (COMMAND_OPTIONS; option max_degree is the flag
 Exit codes: 0 = structural success, 2 = a verification failed (a verdict
 is false or a structural precondition was rejected), 1 = input error,
 including a malformed command line, a missing document key, a cohomology
-truncation the structure does not support and a report file (-o) that
-cannot be written.  The process entry, run(), flushes stdout and stderr
+truncation the structure does not support and a report that cannot be
+written (an -o file, or stdout a closed pipe).  The process entry, run(), flushes stdout and stderr
 once main() has returned and ends with os._exit, skipping interpreter
 teardown; code that embeds the CLI calls main() and is not affected.
 """
@@ -103,7 +103,22 @@ def emit(report: dict, out_path=None) -> None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
+        _write_stdout(text)
+
+
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it.  If that fails (stdout a closed
+    pipe), fd 1 is pointed at os.devnull before the error goes up, so the
+    interpreter's last flush of what is still buffered cannot fail again
+    at exit (see the note on SIGPIPE in the signal module's docs)."""
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -517,7 +532,7 @@ def main(argv=None) -> int:
     failure = None
     try:
         if "-h" in argv or "--help" in argv:
-            sys.stdout.write(usage())
+            _write_stdout(usage())
             return 0
         job, out_path = read_argv(argv)
         started = time.monotonic()
@@ -549,8 +564,10 @@ def run():
     process with os._exit, skipping interpreter teardown.  Every file a
     command writes is closed by its with block before main returns, and
     the package registers no atexit hook or finaliser and starts no
-    thread.  A flush that fails (stdout a closed pipe) leaves the exit to
-    sys.exit, so its code and message are those of a plain return."""
+    thread.  main() has flushed stdout already (a report into a closed
+    pipe is an input error there); a flush that fails here leaves the
+    exit to sys.exit, so its code and message are those of a plain
+    return."""
     code = main()
     try:
         sys.stdout.flush()

@@ -681,13 +681,16 @@ def test_console_script_target_matches_main_in_process(tmp_path, capsys):
     ["cohomology", corpus_path("sl2.json"), "--weight", "2"],
 ], ids=["short-report", "long-report"])
 def test_closed_stdout_ends_as_main_returning(args, unbuffered):
-    """With stdout a closed pipe run()'s flush fails and it leaves the exit
-    to sys.exit: exit code and stderr equal those of sys.exit(main())."""
+    """A report into a closed pipe is an input error on both routes,
+    buffered or not, short or long: one line on stderr and exit 1, with
+    no failed flush at interpreter exit."""
     ends = {route: into_closed_pipe([sys.executable, "-c", code, *args],
                                     unbuffered)
             for route, code in ROUTES.items()}
     assert ends["run"] == ends["sys.exit(main())"]
-    assert "Traceback" not in ends["run"][1]
+    code, err = ends["run"]
+    assert code == 1
+    assert err == "input error: [Errno 32] Broken pipe\n", err
 
 
 def test_help_into_closed_stdout_is_input_error():
