@@ -35,6 +35,13 @@ def require_field(doc: dict, key: str, context: str):
     return doc[key]
 
 
+# input budgets, checked before any object is built: every command on a
+# chart of n = 16 or a Lie algebra of rank 16 finishes in about a second,
+# and the cost grows fast beyond (yao-check takes 10 s at n = 32)
+MAX_CHART_N = 16
+MAX_LIE_RANK = 16
+
+
 def is_int(value) -> bool:
     """True for a JSON integer: bool is an int subclass, but not one."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -46,6 +53,9 @@ def parse_chart(doc) -> Chart:
     n = require_field(doc, "n", "chart")
     if not is_int(n):
         raise ParseError("chart: n must be an integer")
+    if n > MAX_CHART_N:
+        raise ParseError(f"chart: n = {n} is over the budget of "
+                         f"{MAX_CHART_N}")
     if kind not in ("complex", "real"):
         raise ParseError(f"chart: unknown kind {kind!r}")
     return Chart(kind, n)
@@ -118,6 +128,9 @@ def parse_liealgebra(doc) -> LieAlgebra:
     rank = doc.get("rank")
     if not is_int(rank) or rank < 0:
         raise ParseError("lie_algebra: rank must be a nonnegative integer")
+    if rank > MAX_LIE_RANK:
+        raise ParseError(f"lie_algebra: rank {rank} is over the budget of "
+                         f"{MAX_LIE_RANK}")
     brackets = require_field(doc, "brackets", "lie_algebra")
     if not isinstance(brackets, list):
         raise ParseError("lie_algebra: brackets must be a list")

@@ -370,6 +370,17 @@ OPTIONS_BEFORE_STRUCTURE = [
     ("cohomology", ANTIHOLOMORPHIC, ["--weight", "-1"]),
     ("cohomology", ANTIHOLOMORPHIC, ["--weight", "1", "--method", "bogus"]),
 ]
+# a chart over n = 16 or a Lie algebra over rank 16 is refused before any
+# object is built: no OverflowError, MemoryError or minutes of work
+OVER_BUDGET = [
+    ("check-poisson", {"chart": {"kind": "complex", "n": 10 ** 40},
+                       "pi": []}),
+    ("yao-check", {"chart": {"kind": "complex", "n": 17}, "pi": []}),
+    ("pn-check", {"chart": {"kind": "real", "n": 17}, "pi": [],
+                  "endo": []}),
+    ("lie-poisson", {"lie_algebra": {"rank": 17, "brackets": []}}),
+    ("realparts-check", {"lie_algebra": {"rank": 400, "brackets": []}}),
+]
 
 
 @pytest.mark.parametrize("command, doc, options",
@@ -379,7 +390,8 @@ OPTIONS_BEFORE_STRUCTURE = [
                          + MALFORMED_FLAGS
                          + [(c, d, None) for c, d in UNREAD_KEYS]
                          + [(c, None, o) for c, o in UNREAD_JOB_OPTIONS]
-                         + OPTIONS_BEFORE_STRUCTURE)
+                         + OPTIONS_BEFORE_STRUCTURE
+                         + [(c, d, None) for c, d in OVER_BUDGET])
 def test_malformed_input_is_input_error(tmp_path, command, doc, options):
     """Non-list brackets or j rows, bools and floats where an integer is
     due, an endo matrix for pn-check on a complex chart (which checks the
@@ -387,8 +399,8 @@ def test_malformed_input_is_input_error(tmp_path, command, doc, options):
     not a path or is empty, a JobSpec ``out`` that nothing would write, a
     JobSpec option its command does not read, both --weight and
     --max-degree, a malformed cohomology request on a structure that is
-    not holomorphic Poisson: exit 1 with an input error, never a
-    traceback.
+    not holomorphic Poisson, a chart or Lie algebra over its budget: exit
+    1 with an input error, never a traceback.
     JobSpec options (a dict) have no command-line route, so those cases
     check for the ParseError that main() reports as an input error; a
     list of options is flags."""
@@ -411,6 +423,8 @@ def test_malformed_input_is_input_error(tmp_path, command, doc, options):
         assert "--weight" in message and "--max-degree" in message
     if doc is not None and "lie_algebra" in doc and "chart" in doc:
         assert "'lie_algebra'" in message and "'chart'" in message
+    if (command, doc) in OVER_BUDGET:
+        assert "over the budget of 16" in message
 
 
 C1 = {"kind": "complex", "n": 1}
