@@ -689,8 +689,9 @@ def holomorphic_tangent_algebroid(chart: Chart) -> AlgebroidChart:
 
 
 def linear_action_algebroid(g, matrices) -> AlgebroidChart:
-    """The action algebroid g x C^n of a linear representation, given by
-    the matrices M_i of the basis e_i of g: anchor
+    """The action algebroid g x C^n of a linear representation of a Lie
+    algebra g (an algebroid over a point), given by the matrices M_i of
+    the basis e_i of g: anchor
     X_{M_i} = -sum_a (M_i z)_a d/dz_a and constant structure functions
     c_ij^k.  The sign makes e -> X_M a bracket morphism, as
     [V_M, V_N] = -V_[M,N] for the linear field V_M = sum_a (M z)_a d/dz_a."""
