@@ -18,9 +18,10 @@ Exit codes: 0 = structural success, 2 = a verification failed (a verdict
 is false or a structural precondition was rejected), 1 = input error,
 including a malformed command line, a missing document key, a cohomology
 truncation the structure does not support and a report that cannot be
-written (an -o file, or stdout a closed pipe).  The process entry, run(), flushes stdout and stderr
-once main() has returned and ends with os._exit, skipping interpreter
-teardown; code that embeds the CLI calls main() and is not affected.
+written (an -o file, or stdout a closed pipe).  The process entry, run(),
+flushes stdout and stderr once main() has returned and ends with
+os._exit, skipping interpreter teardown; code that embeds the CLI calls
+main() and is not affected.
 """
 
 from __future__ import annotations

@@ -129,8 +129,8 @@ def parse_liealgebra(doc) -> LieAlgebra:
     if not is_int(rank) or rank < 0:
         raise ParseError("lie_algebra: rank must be a nonnegative integer")
     if rank > MAX_LIE_RANK:
-        raise ParseError(f"lie_algebra: rank {rank} is over the budget of "
-                         f"{MAX_LIE_RANK}")
+        raise ParseError(f"lie_algebra: rank = {rank} is over the budget "
+                         f"of {MAX_LIE_RANK}")
     brackets = require_field(doc, "brackets", "lie_algebra")
     if not isinstance(brackets, list):
         raise ParseError("lie_algebra: brackets must be a list")
@@ -144,16 +144,16 @@ def parse_liealgebra(doc) -> LieAlgebra:
             if not is_int(v) or not 1 <= v <= rank:
                 raise ParseError(f"lie_algebra: index {v!r} out of range")
         triples.append((i, j, k, parse_gq(str(coeff))))
-    j_matrix = None
+    algebra = lie_algebra(rank, triples)
+    j = None
     if doc.get("j") is not None:
         rows = doc["j"]
         if (not isinstance(rows, list) or len(rows) != rank
                 or any(not isinstance(row, list) or len(row) != rank
                        for row in rows)):
             raise ParseError("lie_algebra: j must be rank x rank")
-        j_matrix = [[parse_gq(str(v)) for v in row] for row in rows]
-    algebra = lie_algebra(rank, triples)
-    j = None if j_matrix is None else EndoOnAlgebroid(algebra, j_matrix)
+        j = EndoOnAlgebroid(algebra, [[parse_gq(str(v)) for v in row]
+                                      for row in rows])
     return LieAlgebra(algebra, j)
 
 
