@@ -111,6 +111,27 @@ class BiCochain:
                          {key: -p for key, p in self.comps.items()})
 
 
+def _signed(polys) -> list:
+    """The (index, poly, -poly) triples of the nonzero entries of a list."""
+    return [(m, p, -p) for m, p in enumerate(polys) if not p.is_zero()]
+
+
+def _anchor_terms(row) -> tuple:
+    """The anchor field sum_v row[v] d/dx_v as table terms, grouped by v:
+    (v, ((shift, c), ...)) with x^(shift + 1_v) = each term's monomial,
+    and the same for the negated field."""
+    plus, minus = [], []
+    for v, poly in enumerate(row):
+        if poly.is_zero():
+            continue
+        terms = tuple((tuple(e - 1 if w == v else e
+                             for w, e in enumerate(exps)), c)
+                      for exps, c in poly.terms.items())
+        plus.append((v, terms))
+        minus.append((v, tuple((shift, -c) for shift, c in terms)))
+    return tuple(plus), tuple(minus)
+
+
 def _coboundary_table(mp: MatchedPairData, k: int, l: int) -> dict:
     """The A-direction coboundary from cell (k, l) to (k + 1, l), read off
     the matched-pair data once.
@@ -123,61 +144,62 @@ def _coboundary_table(mp: MatchedPairData, k: int, l: int) -> dict:
     into one target pair (I', J'), either through the anchor (a vector
     field) or by multiplication with a polynomial.  The table maps each
     source pair to a tuple of entries (target, anchor, mult): anchor holds
-    the terms (v, shift, c) of the field sum c x^(shift + 1_v) d/dx_v,
-    and mult the terms (exponents, c) of the summed multiplier.
+    for each variable v the terms (shift, c) of its part of the field,
+    sum c x^(shift + 1_v) d/dx_v, and mult the terms (exponents, c) of the
+    summed multiplier.  A source and a target differ in one A-index, so
+    the anchor part of each pair is one frame's anchor field, signed; the
+    anchors, connections and structure vectors are read once, and the
+    structure terms, which do not depend on the B-indices, once per
+    A-index tuple.
     """
     a = mp.A
-    gamma = mp.nablaAB.gamma
-    # (source, target, v) -> coefficient of d/dx_v; v None: the multiplier
-    parts: dict = {}
+    anchors = [_anchor_terms(row) for row in a.anchor]
+    gamma = [[_signed(vec) for vec in row] for row in mp.nablaAB.gamma]
+    structure = [[_signed(vec) for vec in row] for row in a.structure]
+    fields: dict = {}  # (source, target) -> anchor terms
+    mults: dict = {}  # (source, target) -> multiplier
     for I_out in combinations(range(a.rank), k + 1):
+        brackets = []  # (source I, coefficient) of the structure terms
+        for t in range(k + 1):
+            for u in range(t + 1, k + 1):
+                rest = I_out[:t] + I_out[t + 1:u] + I_out[u + 1:]
+                sign = -1 if (t + u) % 2 else 1
+                for m, c, minus_c in structure[I_out[t]][I_out[u]]:
+                    merged = insert_index(m, rest)
+                    if merged is not None:
+                        key, ins = merged
+                        brackets.append((key, c if sign * ins > 0
+                                         else minus_c))
         for J_out in combinations(range(mp.B.rank), l):
             target = (I_out, J_out)
             for t, i in enumerate(I_out):
                 rest = I_out[:t] + I_out[t + 1:]
                 sign = -1 if t % 2 else 1
-                for v, c in enumerate(a.anchor[i]):
-                    if not c.is_zero():
-                        _accumulate(parts, ((rest, J_out), target, v),
-                                    c if sign > 0 else -c)
+                plus, minus = anchors[i]
+                if plus:
+                    fields[((rest, J_out), target)] = (
+                        plus if sign > 0 else minus)
                 for s, j in enumerate(J_out):
                     others = J_out[:s] + J_out[s + 1:]
                     slot_sign = -1 if s % 2 else 1
-                    for m, c in enumerate(gamma[i][j]):
-                        if c.is_zero():
-                            continue
+                    for m, c, minus_c in gamma[i][j]:
                         merged = insert_index(m, others)
                         if merged is None:
                             continue
                         key, ins = merged
-                        _accumulate(parts, ((rest, key), target, None),
-                                    -c if sign * slot_sign * ins > 0 else c)
-            for t in range(k + 1):
-                for u in range(t + 1, k + 1):
-                    rest = tuple(x for w, x in enumerate(I_out)
-                                 if w not in (t, u))
-                    sign = -1 if (t + u) % 2 else 1
-                    section = a.structure[I_out[t]][I_out[u]]
-                    for m, c in enumerate(section):
-                        if c.is_zero():
-                            continue
-                        merged = insert_index(m, rest)
-                        if merged is None:
-                            continue
-                        key, ins = merged
-                        _accumulate(parts, ((key, J_out), target, None),
-                                    c if sign * ins > 0 else -c)
+                        _accumulate(mults, ((rest, key), target),
+                                    minus_c if sign * slot_sign * ins > 0
+                                    else c)
+            for key, c in brackets:
+                _accumulate(mults, ((key, J_out), target), c)
     grouped: dict = {}
-    for (source, target, v), poly in parts.items():
-        anchor, mult = grouped.setdefault(source, {}).setdefault(
-            target, ([], []))
-        if v is None:
-            mult.extend(poly.terms.items())
-        else:
-            anchor.extend((v, tuple(e - 1 if w == v else e
-                                    for w, e in enumerate(exps)), c)
-                          for exps, c in poly.terms.items())
-    return {source: tuple((target, tuple(anchor), tuple(mult))
+    for (source, target), terms in fields.items():
+        grouped.setdefault(source, {})[target] = (terms, ())
+    for (source, target), poly in mults.items():
+        targets = grouped.setdefault(source, {})
+        terms = targets.get(target, ((), ()))[0]
+        targets[target] = (terms, tuple(poly.terms.items()))
+    return {source: tuple((target, anchor, mult)
                           for target, (anchor, mult) in targets.items())
             for source, targets in grouped.items()}
 
@@ -200,10 +222,12 @@ def _image(entries, exps) -> dict:
     table entries are given, as {(I', J', exponents): coefficient}."""
     out: dict = {}
     for (I, J), anchor, mult in entries:
-        for v, shift, c in anchor:
+        for v, terms in anchor:
             e = exps[v]
             if e:
-                _accumulate(out, (I, J, tuple(map(add, exps, shift))), c * e)
+                for shift, c in terms:
+                    _accumulate(out, (I, J, tuple(map(add, exps, shift))),
+                                c if e == 1 else c * e)
         for shift, c in mult:
             _accumulate(out, (I, J, tuple(map(add, exps, shift))), c)
     return out
@@ -443,13 +467,14 @@ class _Block:
 
     def cell_matrix(self, cell, direction):
         """Matrix of partial_A (direction 'A') or partial_B ('B') from one
-        cell to its neighbor, in the frozen basis order; an image outside
-        the target cell's basis is a TruncationError."""
+        cell to its neighbor, in the frozen basis order, its rows filled
+        column by column from the images; an image outside the target
+        cell's basis is a TruncationError."""
         k, l = cell
         target = (k + 1, l) if direction == "A" else (k, l + 1)
         table = self._table(cell, direction)
         index = self.index.get(target, {})
-        entries = {}
+        rows = {}
         for col, (I, J, exps) in enumerate(self.basis.get(cell, [])):
             for key, value in _image(table.get((I, J), ()), exps).items():
                 row = index.get(key)
@@ -457,9 +482,13 @@ class _Block:
                     raise TruncationError(
                         "differential escapes the truncated basis; "
                         "choose a compatible truncation")
-                entries[(row, col)] = value
-        return SparseMatrix(self.cell_dim(target), self.cell_dim(cell),
-                            entries)
+                entries = rows.get(row)
+                if entries is None:
+                    rows[row] = {col: value}
+                else:
+                    entries[col] = value
+        return SparseMatrix.from_rows(self.cell_dim(target),
+                                      self.cell_dim(cell), rows)
 
     def degree_cells(self, degree):
         return [c for c in self.cells() if c[0] + c[1] == degree]
@@ -473,17 +502,18 @@ class _Block:
     def total_matrix(self, degree, cell_matrices=None):
         """Matrix of the total differential from total degree n to n+1.
 
-        Assembled block by block from the cell matrices of degree n (built
-        here unless given): partial_A, and partial_B negated when k is odd.
+        Assembled block by block from the rows of the cell matrices of
+        degree n (built here unless given), offset to the cells' places:
+        partial_A, and partial_B negated when k is odd.
         """
         if cell_matrices is None:
             cell_matrices = self.cell_matrices(degree)
         row_offset = {}
-        rows = 0
+        nrows = 0
         for cell in self.degree_cells(degree + 1):
-            row_offset[cell] = rows
-            rows += self.cell_dim(cell)
-        entries = {}
+            row_offset[cell] = nrows
+            nrows += self.cell_dim(cell)
+        rows = {}
         cols = 0
         for cell in self.degree_cells(degree):
             k, l = cell
@@ -495,10 +525,18 @@ class _Block:
                     continue
                 negate = direction == "B" and k % 2
                 matrix = cell_matrices[(cell, direction)]
-                for (i, j), value in matrix.entries.items():
-                    entries[(base + i, cols + j)] = -value if negate else value
+                for i, row in matrix.row_dicts.items():
+                    if negate:
+                        shifted = {cols + j: -v for j, v in row.items()}
+                    else:
+                        shifted = {cols + j: v for j, v in row.items()}
+                    entries = rows.get(base + i)
+                    if entries is None:
+                        rows[base + i] = shifted
+                    else:
+                        entries.update(shifted)
             cols += self.cell_dim(cell)
-        return SparseMatrix(rows, cols, entries)
+        return SparseMatrix.from_rows(nrows, cols, rows)
 
     def max_total_degree(self):
         return max((c[0] + c[1] for c in self.cells()), default=-1)
@@ -538,24 +576,49 @@ def _total_label(block: _Block, degree: int) -> str:
     return f"w{block.weight}_d{degree}"
 
 
+def _restricted(matrix, pivot_rows):
+    """The matrix to rank for the rank of matrix: without the columns that
+    the previous differential's pivot rows account for, if there are
+    any."""
+    return matrix.without_columns(pivot_rows) if pivot_rows else matrix
+
+
 def _block_report(block: _Block, method: str, on_total=None) -> BlockReport:
+    """Ranks and Betti numbers of one block, one total degree at a time.
+
+    A rank goes through the complex: the pivot rows P of a differential
+    D_d (rank D_d independent rows) and im D_d together span C_{d+1}, and
+    D_{d+1} kills im D_d, so rank D_{d+1} is the rank of D_{d+1} on the
+    columns outside P.  The sparse route ranks each total matrix, each
+    partial_A at fixed l and each partial_B at fixed k that way, on the
+    pivot rows of the one before it; the oracle ranks every full matrix.
+    """
     cells = []
     dims = []
     ranks = []
+    pivots = {}  # (target cell, direction) or "total" -> pivot rows
     for degree in range(block.max_total_degree() + 1):
         matrices = block.cell_matrices(degree)
+        previous, pivots = pivots, {}
         for cell in block.degree_cells(degree):
+            k, l = cell
             dim = block.cell_dim(cell)
-            rank_a = matrices[(cell, "A")].rank(method)
-            rank_b = matrices[(cell, "B")].rank(method)
-            cells.append(CellReport(cell[0], cell[1], dim,
-                                    dim - rank_a, rank_a,
+            cell_ranks = []
+            for direction, target in (("A", (k + 1, l)), ("B", (k, l + 1))):
+                matrix = _restricted(matrices[(cell, direction)],
+                                     previous.get((cell, direction)))
+                cell_ranks.append(matrix.rank(method))
+                pivots[(target, direction)] = matrix.pivot_rows
+            rank_a, rank_b = cell_ranks
+            cells.append(CellReport(k, l, dim, dim - rank_a, rank_a,
                                     dim - rank_b, rank_b))
         total = block.total_matrix(degree, matrices)
         if on_total is not None:
             on_total(_total_label(block, degree), total)
         dims.append(total.ncols)
+        total = _restricted(total, previous.get("total"))
         ranks.append(total.rank(method))
+        pivots["total"] = total.pivot_rows
         del matrices, total  # keep one degree's matrices alive at a time
     cells.sort(key=lambda c: (c.k, c.l))
     betti = []

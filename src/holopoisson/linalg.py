@@ -1,13 +1,22 @@
 """Exact rank computation over the Gaussian rationals.
 
+A ``SparseMatrix`` holds its nonzero entries as rows, dicts
+``{row: {col: GQ}}``.  ``SparseMatrix(nrows, ncols, entries)`` checks and
+converts a dict ``{(row, col): value}``; ``SparseMatrix.from_rows`` takes
+row dicts as they are, for routes that build them nonzero and in range.
+``without_columns`` is a view of the same rows with some columns left
+out, so restricting a matrix copies nothing.
+
 Two independent routes are kept deliberately separate:
 
-* ``markowitz_rank``: sparse Gaussian elimination straight over GQ, rows
-  stored as dicts with a column -> rows index and the columns kept in
-  buckets by nonzero count; each pivot is in a column of least count, on
-  its shortest row (ties to the smaller row index), found with no scan of
-  the remaining nonzeros, and only the rows with a nonzero in the pivot
-  column are updated.  Deterministic.
+* ``markowitz_rank``: sparse Gaussian elimination straight over GQ, on
+  copies of the matrix's rows with a column -> rows index and the columns
+  kept in buckets by nonzero count; each pivot is in a column of least
+  count, on its shortest row (ties to the smaller row index), found with
+  no scan of the remaining nonzeros, and only the rows with a nonzero in
+  the pivot column are updated.  Deterministic.  Its pivot rows are
+  rank-many linearly independent rows of the matrix; ``rank("sparse")``
+  keeps them as ``pivot_rows``.
 * ``dense_rank``: naive dense Gaussian elimination straight over GQ with
   first-nonzero pivoting and no heuristics of any kind.  This is the
   cross-validation oracle and must stay simple.
@@ -18,16 +27,24 @@ from __future__ import annotations
 from .errors import SingularError
 from .exactalg import GQ, Poly
 
+_NO_COLUMNS = frozenset()
+_MINUS_ONE = GQ(-1)
+
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix of GQ entries."""
+    """Immutable-by-convention sparse matrix of GQ entries, held as rows.
 
-    __slots__ = ("nrows", "ncols", "entries")
+    ``row_dicts`` maps each row with a nonzero entry to its dict
+    ``{col: GQ}``; the columns in ``skip`` are left out of every reading
+    (``entries``, ``nnz``, ``rows()`` and ``rank``).  ``pivot_rows`` is
+    None until ``rank("sparse")`` sets it to the set of the elimination's
+    pivot rows.
+    """
+
+    __slots__ = ("nrows", "ncols", "row_dicts", "skip", "pivot_rows")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}
+        rows = {}
         if entries:
             for (i, j), value in entries.items():
                 value = GQ.of(value)
@@ -35,10 +52,44 @@ class SparseMatrix:
                     continue
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry ({i},{j}) outside matrix")
-                self.entries[(i, j)] = value
+                rows.setdefault(i, {})[j] = value
+        self.nrows = nrows
+        self.ncols = ncols
+        self.row_dicts = rows
+        self.skip = _NO_COLUMNS
+        self.pivot_rows = None
+
+    @classmethod
+    def from_rows(cls, nrows: int, ncols: int, row_dicts,
+                  skip=_NO_COLUMNS) -> "SparseMatrix":
+        """The matrix of the row dicts, unchecked and not copied: every
+        row and column in range, every row nonempty, every value a
+        nonzero GQ."""
+        matrix = cls.__new__(cls)
+        matrix.nrows = nrows
+        matrix.ncols = ncols
+        matrix.row_dicts = row_dicts
+        matrix.skip = skip
+        matrix.pivot_rows = None
+        return matrix
+
+    def without_columns(self, columns) -> "SparseMatrix":
+        """A view of this matrix with the given columns (a set) left out
+        as well; the shape and the rows are shared."""
+        return SparseMatrix.from_rows(self.nrows, self.ncols, self.row_dicts,
+                                      self.skip | columns)
+
+    @property
+    def entries(self) -> dict:
+        """The nonzero entries as a new dict ``{(row, col): GQ}``."""
+        skip = self.skip
+        return {(i, j): v for i, row in self.row_dicts.items()
+                for j, v in row.items() if j not in skip}
 
     @property
     def nnz(self) -> int:
+        if not self.skip:
+            return sum(map(len, self.row_dicts.values()))
         return len(self.entries)
 
     def rows(self):
@@ -51,7 +102,8 @@ class SparseMatrix:
 
     def rank(self, method: str = "sparse") -> int:
         if method == "sparse":
-            return markowitz_rank(self)
+            self.pivot_rows = set()
+            return markowitz_rank(self, self.pivot_rows)
         if method == "oracle":
             return dense_rank(self.rows())
         raise ValueError(f"unknown rank method {method!r}")
@@ -95,32 +147,50 @@ def dense_rank(rows) -> int:
 # ----------------------------------------------------------------------
 # sparse elimination over GQ, pivots from column-count buckets
 
-def markowitz_rank(matrix: SparseMatrix) -> int:
+def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     """Rank of a sparse GQ matrix by Gaussian elimination over GQ.
 
-    Rows are dicts ``col -> value`` with a ``col -> rows`` index (a dict
-    used as an insertion-ordered set, smaller than a set).  The columns
-    sit in count buckets, stacks of the columns pushed at each nonzero
-    count, with a pointer at the lowest non-empty count.  Each step pivots
-    in a column of that least count (a column of count 1 at once, with no
-    search and nothing to eliminate), on its shortest row, ties to the
-    smaller row index (the one-column case of Zlatev's limited Markowitz
-    search, 1980), and updates only the rows with a nonzero in the pivot
-    column.  Only the pivot row's columns change count; each is pushed
-    onto the bucket of its new count, and a column whose count reaches 0
-    leaves the index.  An entry whose column has left or whose count has
-    changed since its push is stale and is dropped when popped.  No step
-    scans the remaining nonzeros, and the pivot order depends on the
-    input alone.
+    Works on copies of the matrix's row dicts ``col -> value`` (the
+    skipped columns filtered out as they are copied) with a
+    ``col -> rows`` index (a dict used as an insertion-ordered set,
+    smaller than a set).  The columns sit in count buckets, stacks of the
+    columns pushed at each nonzero count (at the start in ascending column
+    order), with a pointer at the lowest non-empty count.  Each step
+    pivots in a column of that least count (a column of count 1 at once,
+    with no search and nothing to eliminate), on its shortest row, ties to
+    the smaller row index (the one-column case of Zlatev's limited
+    Markowitz search, 1980), and updates only the rows with a nonzero in
+    the pivot column.  Only the pivot row's columns change count; each is
+    pushed onto the bucket of its new count, and a column whose count
+    reaches 0 leaves the index.  An entry whose column has left or whose
+    count has changed since its push is stale and is dropped when popped.
+    No step scans the remaining nonzeros, and the pivot order depends on
+    the matrix alone.
+
+    Each pivot row is the original row plus multiples of earlier pivot
+    rows, so the pivot rows are rank-many linearly independent rows of
+    the matrix; pivot_rows, if given, is a set that receives them.
     """
     rows: dict = {}
     cols: dict = {}
-    for (i, j), value in matrix.entries.items():
-        rows.setdefault(i, {})[j] = value
-        cols.setdefault(j, {})[i] = None
+    skip = matrix.skip
+    for i, source in matrix.row_dicts.items():
+        if skip:
+            row = {j: v for j, v in source.items() if j not in skip}
+            if not row:
+                continue
+        else:
+            row = source.copy()
+        rows[i] = row
+        for j in row:
+            col = cols.get(j)
+            if col is None:
+                cols[j] = {i: None}
+            else:
+                col[i] = None
     buckets: dict = {}
-    for j, col in cols.items():
-        buckets.setdefault(len(col), []).append(j)
+    for j in sorted(cols):
+        buckets.setdefault(len(cols[j]), []).append(j)
     low = 1
     rank = 0
     while buckets:
@@ -146,7 +216,7 @@ def markowitz_rank(matrix: SparseMatrix) -> int:
                     best, pr = length, i
             del below[pr]
             pivot_row = rows.pop(pr)
-            neg_inv = GQ(-1) / pivot_row.pop(pc)
+            neg_inv = _MINUS_ONE / pivot_row.pop(pc)
         counts = [len(cols[j]) for j in pivot_row]
         for j in pivot_row:
             del cols[j][pr]
@@ -175,6 +245,8 @@ def markowitz_rank(matrix: SparseMatrix) -> int:
                 buckets.setdefault(new, []).append(j)
                 if new < low:
                     low = new
+        if pivot_rows is not None:
+            pivot_rows.add(pr)
         rank += 1
     return rank
 
