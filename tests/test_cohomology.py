@@ -533,6 +533,30 @@ def test_betti_equals_oracle_on_small_corpus():
         assert betti(mp, truncation).blocks == oracle.blocks
 
 
+@pytest.mark.parametrize("name", ["sl2", "heisenberg", "darboux_n1", "zero"])
+@pytest.mark.parametrize("options", [{"weight": 3}, {"max_degree": 2}],
+                         ids=["weight", "total_degree"])
+def test_sparse_route_through_the_complex_equals_oracle_on_corpus(
+        name, options):
+    """The sparse route ranks each matrix without the previous pivot
+    rows; the oracle ranks every full matrix.  Per-cell kernels and
+    ranks, total dimensions and Betti numbers agree in both modes."""
+    from holopoisson.cli import run_job
+
+    data = {}
+    for method in ("sparse", "oracle"):
+        report, code = run_job({"command": "cohomology",
+                                "input_path": corpus_path(f"{name}.json"),
+                                "input": None,
+                                "options": dict(options, method=method)})
+        assert code == 0
+        data[method] = report["data"]
+    assert data["sparse"]["blocks"] == data["oracle"]["blocks"]
+    assert any(cell["rank_A"] or cell["rank_B"]
+               for block in data["sparse"]["blocks"]
+               for cell in block["cells"])
+
+
 def test_betti_sl2_weight_two_casimir_line():
     mp = canonical_matched_pair(sl2_pi())
     report = betti(mp, Truncation("weight", 2))

@@ -12,6 +12,7 @@ from holopoisson.linalg import (
     column_space_equal,
     dense_rank,
     gq_mat_inverse,
+    markowitz_rank,
     poly_identity,
     poly_mat_eq,
     poly_mat_mul,
@@ -230,6 +231,88 @@ def test_bucket_pivots_agree_with_full_scan_and_dense_oracle(case):
     rank = dense_rank(rows)
     assert matrix.rank("sparse") == rank
     assert markowitz_rank_reference(matrix) == rank
+
+
+# ----------------------------------------------------------------------
+# property: a rank through the complex skips the previous pivot rows
+
+def left_null_space(rows, ncols):
+    """A basis of {y : y rows = 0} for a dense GQ matrix with ncols
+    columns, by Gauss-Jordan on the transpose."""
+    nrows = len(rows)
+    m = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
+    pivots = []
+    r = 0
+    for c in range(nrows):
+        p = next((i for i in range(r, ncols) if not m[i][c].is_zero()), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = GQ(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(ncols):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for free in (c for c in range(nrows) if c not in pivots):
+        y = [GQ(0)] * nrows
+        y[free] = GQ(1)
+        for i, c in enumerate(pivots):
+            y[c] = -m[i][free]
+        basis.append(y)
+    return basis
+
+
+@st.composite
+def exact_pairs(draw):
+    """(D1, D2) with D2 D1 = 0: D1 from structured_matrices, D2's rows
+    sparse combinations of a basis of D1's left null space, some of them
+    repeated or scaled."""
+    nrows, ncols, first = draw(structured_matrices())
+    zero = GQ(0)
+    basis = left_null_space(first, ncols)
+    scalar = gaussian_rationals(3).filter(lambda v: not v.is_zero())
+    second = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = [zero] * nrows
+        for y in basis:
+            if draw(st.integers(0, 2)) == 0:
+                factor = draw(scalar)
+                row = [a + factor * b for a, b in zip(row, y)]
+        second.append(row)
+    for _ in range(draw(st.integers(0, 3))):
+        factor = draw(st.sampled_from([GQ(1), GQ(-1), GQ(0, 1)]))
+        second.append([factor * v for v in
+                       second[draw(st.integers(0, len(second) - 1))]])
+    return first, second
+
+
+def as_sparse(rows, ncols):
+    return SparseMatrix(len(rows), ncols, {
+        (i, j): v for i, row in enumerate(rows)
+        for j, v in enumerate(row) if not v.is_zero()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_pairs())
+def test_rank_without_previous_pivot_rows_is_the_full_rank(pair):
+    """With D2 D1 = 0 the pivot rows of D1 (rank D1 independent rows) and
+    im D1 span D2's domain, so D2 without those columns keeps its rank."""
+    first, second = pair
+    d1 = as_sparse(first, len(first[0]))
+    d2 = as_sparse(second, len(first))
+    rank_d1 = d1.rank("sparse")
+    pivots = d1.pivot_rows
+    assert len(pivots) == rank_d1
+    assert dense_rank([first[i] for i in sorted(pivots)]) == rank_d1
+    restricted = d2.without_columns(pivots)
+    assert restricted.ncols == d2.ncols and restricted.row_dicts is d2.row_dicts
+    assert all(j not in pivots for _, j in restricted.entries)
+    rank = restricted.rank("sparse")
+    assert rank == markowitz_rank(d2) == dense_rank(second)
 
 
 # ----------------------------------------------------------------------
