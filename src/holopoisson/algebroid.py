@@ -162,8 +162,11 @@ class AlgebroidChart:
 
     def bracket(self, u, v):
         """Leibniz-extended bracket of two sections (coefficient lists)."""
-        u = self.coerce_section(u)
-        v = self.coerce_section(v)
+        return self._bracket(self.coerce_section(u), self.coerce_section(v))
+
+    def _bracket(self, u, v):
+        """bracket of two sections already coerced: Poly lists of the
+        rank on this chart (frames, structure vectors, images of them)."""
         out = self.zero_section()
         for j in range(self.rank):
             if not v[j].is_zero():
@@ -246,9 +249,9 @@ def verify_algebroid(a: AlgebroidChart) -> AlgebroidReport:
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             for k in range(j + 1, a.rank):
-                total = a.bracket(a.structure[i][j], frames[k])
-                cyc2 = a.bracket(a.structure[j][k], frames[i])
-                cyc3 = a.bracket(a.structure[k][i], frames[j])
+                total = a._bracket(a.structure[i][j], frames[k])
+                cyc2 = a._bracket(a.structure[j][k], frames[i])
+                cyc3 = a._bracket(a.structure[k][i], frames[j])
                 summed = [x + y + z for x, y, z in zip(total, cyc2, cyc3)]
                 if not a.section_is_zero(summed):
                     jacobi = False
@@ -277,10 +280,10 @@ def _deformation(a: AlgebroidChart, n: EndoOnAlgebroid):
         for j in range(i + 1, a.rank):
             ei, ej = a.frame_section(i), a.frame_section(j)
             deformed = [x + y - z for x, y, z in zip(
-                a.bracket(images[i], ej), a.bracket(ei, images[j]),
+                a._bracket(images[i], ej), a._bracket(ei, images[j]),
                 n.apply(a.structure[i][j]))]
             brackets[(i, j)] = deformed
-            value = [x - y for x, y in zip(a.bracket(images[i], images[j]),
+            value = [x - y for x, y in zip(a._bracket(images[i], images[j]),
                                            n.apply(deformed))]
             if not a.section_is_zero(value):
                 torsion[(i, j)] = value
@@ -377,6 +380,11 @@ def lie_poisson(a: AlgebroidChart) -> Multivector:
     """Fiberwise-linear holomorphic Poisson structure on the dual chart of
     a Lie algebra: {z_i, z_j} = sum_k c_ij^k z_k."""
     _jacobi(a)
+    return _lie_poisson(a)
+
+
+def _lie_poisson(a: AlgebroidChart) -> Multivector:
+    """lie_poisson of an algebra whose Jacobi identity is checked."""
     chart = Chart.complex(a.rank)
     comps = {}
     for i in range(a.rank):
@@ -395,6 +403,12 @@ def realify_liealgebra(a: AlgebroidChart) -> LieAlgebra:
     basis becomes (e_1..e_r, je_1..je_r), the structure constants become
     real, and the doubled j matrix is returned with it."""
     _jacobi(a)
+    return _realify(a)
+
+
+def _realify(a: AlgebroidChart) -> LieAlgebra:
+    """realify_liealgebra of an algebra whose Jacobi identity is
+    checked."""
     r = a.rank
     chart = Chart.real(0)
     rank = 2 * r
@@ -435,7 +449,7 @@ def _is_complex_structure(g: LieAlgebra) -> bool:
     if not poly_mat_squares_to_minus_identity(j.matrix):
         return False
     frames = [a.frame_section(x) for x in range(a.rank)]
-    return all(a.bracket(j.apply(frames[x]), frames[y])
+    return all(a._bracket(j.apply(frames[x]), frames[y])
                == j.apply(a.structure[x][y])
                for x in range(a.rank) for y in range(a.rank))
 
@@ -490,8 +504,9 @@ def complex_presentation(g: LieAlgebra) -> AlgebroidChart:
             out.append(alpha + GQ(0, 1) * beta)
         return out
 
-    c = [[in_complex_coords(_constants(a.bracket(basis_vectors[2 * x],
-                                                 basis_vectors[2 * y])))
+    sections = [a.coerce_section(vec) for vec in basis_vectors]
+    c = [[in_complex_coords(_constants(a._bracket(sections[2 * x],
+                                                  sections[2 * y])))
           for y in range(r2)] for x in range(r2)]
     return AlgebroidChart(POINT, r2, [[]] * r2, c)
 
@@ -515,7 +530,8 @@ def realparts_liealgebra_check(g: LieAlgebra) -> RealPartsReport:
     left-hand side is one pairing {f, g} = <dg, pi# df>, poisson_bracket's
     formula."""
     gc = complex_presentation(g)
-    pi = lie_poisson(gc)
+    _jacobi(gc)
+    pi = _lie_poisson(gc)
     pair = decompose(pi)
     real_chart = pair.pi_R.chart
     r = gc.rank
@@ -530,7 +546,7 @@ def realparts_liealgebra_check(g: LieAlgebra) -> RealPartsReport:
                 out = out - Poly.var(real_chart, r + a).scale(section[r + a])
         return out
 
-    realified = realify_liealgebra(gc)
+    realified = _realify(gc)
     doubled = realified.algebroid
 
     frames = [doubled.frame_section(s) for s in range(2 * r)]
@@ -746,10 +762,10 @@ def _s_tensor(mp: MatchedPairData, ab, ba) -> dict:
                 value = [-p for p in mp.nablaAB.apply(x, b.structure[j1][j2])]
                 if not b.section_is_zero(ab[i][j1]):
                     value = [p + q for p, q in
-                             zip(value, b.bracket(ab[i][j1], y2))]
+                             zip(value, b._bracket(ab[i][j1], y2))]
                 if not b.section_is_zero(ab[i][j2]):
                     value = [p + q for p, q in
-                             zip(value, b.bracket(y1, ab[i][j2]))]
+                             zip(value, b._bracket(y1, ab[i][j2]))]
                 value = _combine(ba[j2][i], columns[j1], value)
                 value = _combine([-p for p in ba[j1][i]], columns[j2], value)
                 if not b.section_is_zero(value):

@@ -111,6 +111,29 @@ def test_perturbed_sl2_fails_jacobi():
     assert not rep.jacobi and rep.anchor_morphism
 
 
+def test_bracket_coerces_at_the_public_entry_only(monkeypatch):
+    """bracket coerces and checks its arguments; the checks built on it
+    pass sections that are coerced already and do not go through it."""
+    g = sl2()
+    e1, e2 = g.frame_section(0), g.frame_section(1)
+    assert g.bracket([1, 0, 0], [0, GQ(1), 0]) == g.bracket(e1, e2)
+    with pytest.raises(ChartError):
+        g.bracket([Poly.one(C2), 0, 0], e2)
+    a = tangent_algebroid(C2)
+    with pytest.raises(ChartError):
+        a.bracket(a.frame_section(0), [Poly.one(R2)] + [0] * (a.rank - 1))
+
+    def refuse(self, u, v):
+        raise AssertionError("an internal caller re-coerced its sections")
+
+    monkeypatch.setattr(AlgebroidChart, "bracket", refuse)
+    assert verify_algebroid(g).all_ok
+    assert verify_algebroid(a).all_ok
+    real = realify_liealgebra(g)
+    assert complex_presentation(real).structure == g.structure
+    assert not nijenhuis_torsion_algebroid(real.algebroid, real.j)
+
+
 def test_anchor_morphism_failure_detected():
     # identity anchor but sl2 brackets on a 3-of-4 frame: not a morphism
     chart = R2
@@ -338,6 +361,37 @@ def test_complex_presentation_roundtrip_through_realified_data():
     # realparts passes through the extraction path
     assert verify_algebroid(gc).jacobi
     assert realparts_liealgebra_check(real).all_ok
+
+
+def test_realparts_checks_jacobi_once(monkeypatch):
+    """realparts-check checks the Jacobi identity of its complex
+    presentation once, with or without an explicit j; the public
+    lie_poisson and realify_liealgebra keep their own checks."""
+    from holopoisson import algebroid
+
+    calls = []
+    original = algebroid.verify_algebroid
+
+    def counting(a):
+        calls.append(a.rank)
+        return original(a)
+
+    monkeypatch.setattr(algebroid, "verify_algebroid", counting)
+    real = realify_liealgebra(sl2())
+    assert calls == [3]
+    for g in (LieAlgebra(sl2(), None), real):
+        calls.clear()
+        assert realparts_liealgebra_check(g).all_ok
+        assert calls == [3]
+    bad = lie_algebra(3, [(1, 2, 1, GQ(1)), (2, 3, 2, GQ(1))])
+    assert not original(bad).jacobi
+    for entry in (lie_poisson, realify_liealgebra,
+                  lambda a: realparts_liealgebra_check(LieAlgebra(a, None))):
+        calls.clear()
+        with pytest.raises(StructureError,
+                           match="fail the Jacobi identity"):
+            entry(bad)
+        assert calls == [3]
 
 
 LIE_BASES = {"sl2": (3, [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)]),
