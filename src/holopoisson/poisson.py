@@ -180,14 +180,18 @@ def multivector_conj(P: Multivector) -> Multivector:
 
 def decompose(pi: Multivector) -> PoissonPair:
     """Split pi into real and imaginary parts on the real chart:
-    pi_R = (pi + conj pi)/2 and pi_I = (pi - conj pi)/2i."""
+    pi_R = (pi + conj pi)/2 and pi_I = (pi - conj pi)/2i.
+
+    pi is converted to the real chart once, to P.  There the coordinates
+    and frames are real, so conj pi converts to P-bar, P with conjugated
+    coefficients, and pi_R = (P + P-bar)/2, pi_I = (P - P-bar)/2i."""
     _require_20(pi)
-    real_chart = Chart.real(pi.chart.n)
-    conj_pi = multivector_conj(pi)
-    pi_r = (pi + conj_pi).scale(HALF)
-    pi_i = (pi - conj_pi).scale(GQ(0, -1) / 2)  # 1/(2i) = -i/2
-    return PoissonPair(convert_alternating(pi_r, real_chart),
-                       convert_alternating(pi_i, real_chart))
+    p = convert_alternating(pi, Chart.real(pi.chart.n))
+    p_bar = Multivector(p.chart, p.degree, {
+        idx: Poly(p.chart, {exps: c.conj() for exps, c in poly.terms.items()})
+        for idx, poly in p.comps.items()})
+    return PoissonPair((p + p_bar).scale(HALF),
+                       (p - p_bar).scale(GQ(0, -1) / 2))  # 1/(2i) = -i/2
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,9 @@ These deliberately take different routes from the library code:
   charts (d/dz_k = (d/dx_k - i d/dy_k)/2, dz_k = dx_k + i dy_k and their
   inverses) that the library used before it derived them from the one
   coordinate change, frozen here as the reference for that derivation.
+* decompose_reference is the library's decompose before it converted pi
+  to the real chart once: conj pi is formed on the complex chart and
+  both parts are converted.
 * multivector_conj_reference and _permutation_sign are the library's
   conjugation before it took its sign from merge_indices, frozen here as
   the reference for the property test of that sign.
@@ -628,6 +631,21 @@ def format_fraction_gq(c: FractionGQ) -> str:
     else:
         tail = f"{c.im}i"
     return f"({c.re}{tail})"
+
+
+# ----------------------------------------------------------------------
+# decompose, as it was before it converted pi once
+
+def decompose_reference(pi: Multivector):
+    """(pi_R, pi_I) by the defining formulas on the complex chart,
+    pi_R = (pi + conj pi)/2 and pi_I = (pi - conj pi)/2i, each part then
+    converted to the real chart."""
+    real = Chart.real(pi.chart.n)
+    conj_pi = multivector_conj(pi)
+    pi_r = (pi + conj_pi).scale(GQ(HALF))
+    pi_i = (pi - conj_pi).scale(GQ(0, -HALF))  # 1/(2i) = -i/2
+    return (convert_alternating(pi_r, real),
+            convert_alternating(pi_i, real))
 
 
 # ----------------------------------------------------------------------

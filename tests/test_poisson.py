@@ -44,6 +44,7 @@ from holopoisson.poisson import (
 )
 
 from oracles import (
+    decompose_reference,
     koszul_bracket_reference,
     multivector_conj_reference,
     pn_check_reference,
@@ -173,6 +174,36 @@ def test_multivector_conj_matches_reference(P):
     conj = multivector_conj(P)
     assert conj == multivector_conj_reference(P)
     assert multivector_conj(conj) == P
+
+
+@st.composite
+def bivectors_20(draw):
+    """A (2,0) bivector on C^1..C^3 with Gaussian-integer coefficients in
+    z and zb: holomorphic or not, Poisson or not."""
+    from itertools import combinations
+    chart = Chart.complex(draw(st.integers(1, 3)))
+    frames = list(combinations(range(chart.n), 2))
+    chosen = draw(st.lists(st.sampled_from(frames), max_size=3,
+                           unique=True)) if frames else []
+    small = st.integers(-3, 3)
+    exps = st.tuples(*[st.integers(0, 2)] * chart.nvars)
+    comps = {}
+    for idx in chosen:
+        terms = draw(st.dictionaries(exps, st.tuples(small, small),
+                                     min_size=1, max_size=3))
+        comps[idx] = Poly(chart, {e: GQ(re, im)
+                                  for e, (re, im) in terms.items()})
+    return Multivector(chart, 2, comps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bivectors_20())
+def test_decompose_equals_reference(pi):
+    """Converting pi once and conjugating coefficients on the real chart
+    gives the parts of the defining formulas on the complex chart."""
+    pair = decompose(pi)
+    assert (pair.pi_R, pair.pi_I) == decompose_reference(pi)
+    assert pair.pi_R.chart == pair.pi_I.chart == Chart.real(pi.chart.n)
 
 
 def test_decompose_jacobi_parts_when_holomorphic():
