@@ -26,12 +26,24 @@ and partial_B rather than share code with them.
 
 Betti numbers are computed per truncation block, one total degree at a
 time: the partial_A and partial_B matrices of that degree's cells are built
-once, ranked for the cell reports and assembled into the total matrix.
-The blocks of one truncation share the cells' tables.
+once, as rows filled from the images, ranked for the cell reports and
+offset into the rows of the total matrix.  The blocks of one truncation
+share the cells' tables.
 Ranks come from two independent elimination routes over GQ: sparse
 elimination (method "sparse"), each pivot taken from column-count buckets
 (a column of least count, its shortest row) with no scan of the remaining
 nonzeros, and dense naive Gaussian elimination (method "oracle").
+
+The sparse route ranks through the complex.  Every block is a subcomplex
+(an image that leaves it is a TruncationError), so D_{d+1} D_d = 0 there;
+the pivot rows of D_d are rank D_d independent rows, so they and im D_d
+span C_{d+1}, and rank D_{d+1} is the rank of D_{d+1} on the columns
+outside them.  Each total matrix is ranked without the previous total
+matrix's pivot rows, each partial_A at fixed l without those of the
+partial_A before it, and each partial_B at fixed k likewise.  Every image
+is computed in full all the same, so the escape check sees every column.
+The oracle ranks every full matrix, and on_total (the dumps) receives the
+full total matrices.
 """
 
 from __future__ import annotations
@@ -576,13 +588,6 @@ def _total_label(block: _Block, degree: int) -> str:
     return f"w{block.weight}_d{degree}"
 
 
-def _restricted(matrix, pivot_rows):
-    """The matrix to rank for the rank of matrix: without the columns that
-    the previous differential's pivot rows account for, if there are
-    any."""
-    return matrix.without_columns(pivot_rows) if pivot_rows else matrix
-
-
 def _block_report(block: _Block, method: str, on_total=None) -> BlockReport:
     """Ranks and Betti numbers of one block, one total degree at a time.
 
@@ -605,8 +610,8 @@ def _block_report(block: _Block, method: str, on_total=None) -> BlockReport:
             dim = block.cell_dim(cell)
             cell_ranks = []
             for direction, target in (("A", (k + 1, l)), ("B", (k, l + 1))):
-                matrix = _restricted(matrices[(cell, direction)],
-                                     previous.get((cell, direction)))
+                matrix = matrices[(cell, direction)].without_columns(
+                    previous.get((cell, direction)))
                 cell_ranks.append(matrix.rank(method))
                 pivots[(target, direction)] = matrix.pivot_rows
             rank_a, rank_b = cell_ranks
@@ -616,7 +621,7 @@ def _block_report(block: _Block, method: str, on_total=None) -> BlockReport:
         if on_total is not None:
             on_total(_total_label(block, degree), total)
         dims.append(total.ncols)
-        total = _restricted(total, previous.get("total"))
+        total = total.without_columns(previous.get("total"))
         ranks.append(total.rank(method))
         pivots["total"] = total.pivot_rows
         del matrices, total  # keep one degree's matrices alive at a time

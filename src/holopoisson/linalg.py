@@ -75,7 +75,10 @@ class SparseMatrix:
 
     def without_columns(self, columns) -> "SparseMatrix":
         """A view of this matrix with the given columns (a set) left out
-        as well; the shape and the rows are shared."""
+        as well, sharing its shape and rows; the matrix itself when
+        columns is empty or None."""
+        if not columns:
+            return self
         return SparseMatrix.from_rows(self.nrows, self.ncols, self.row_dicts,
                                       self.skip | columns)
 

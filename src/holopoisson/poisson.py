@@ -10,7 +10,7 @@ constant symplectic forms and pointwise foliation ranks.
 from __future__ import annotations
 
 from .errors import ChartError, DegreeError, Record, ShapeError, StructureError
-from .exactalg import GQ, Chart, Poly, _accumulate, is_scalar
+from .exactalg import GQ, Chart, Poly, is_scalar
 from .linalg import (
     column_space_equal,
     dense_rank,
@@ -32,7 +32,6 @@ from .multivec import (
     exterior_d,
     interior,
     lie_derivative,
-    merge_indices,
     pairing,
     schouten,
     sharp,
@@ -160,22 +159,6 @@ def is_holomorphic_poisson(pi: Multivector) -> HoloPoissonReport:
     dbar_zero = all(coeff.is_holomorphic() for coeff in pi.comps.values())
     schouten_zero = schouten(pi, pi).is_zero()
     return HoloPoissonReport(dbar_zero, schouten_zero)
-
-
-def multivector_conj(P: Multivector) -> Multivector:
-    """Conjugate multivector: swap z/zb frame slots, conjugate coefficients."""
-    if not P.chart.is_complex():
-        raise ChartError("conjugation requires a complex chart")
-    n = P.chart.n
-    comps = {}
-    for idx, coeff in P.comps.items():
-        # the holomorphic run of idx becomes antiholomorphic and vice versa;
-        # merging the two swapped runs back into order gives the sign
-        swapped, sign = merge_indices(tuple(k + n for k in idx if k < n),
-                                      tuple(k - n for k in idx if k >= n))
-        poly = coeff.conj()
-        _accumulate(comps, swapped, poly if sign > 0 else -poly)
-    return Multivector(P.chart, P.degree, comps)
 
 
 def decompose(pi: Multivector) -> PoissonPair:

@@ -30,8 +30,9 @@ These deliberately take different routes from the library code:
   inverses) that the library used before it derived them from the one
   coordinate change, frozen here as the reference for that derivation.
 * decompose_reference is the library's decompose before it converted pi
-  to the real chart once: conj pi is formed on the complex chart and
-  both parts are converted.
+  to the real chart once: conj pi is formed on the complex chart by
+  multivector_conj, which left the library with it, and both parts are
+  converted.
 * multivector_conj_reference and _permutation_sign are the library's
   conjugation before it took its sign from merge_indices, frozen here as
   the reference for the property test of that sign.
@@ -118,6 +119,7 @@ from holopoisson.multivec import (
     exterior_d,
     insert_index,
     lie_derivative,
+    merge_indices,
     pairing,
     schouten,
     sharp,
@@ -127,7 +129,6 @@ from holopoisson.poisson import (
     PNReport,
     courant_bracket,
     decompose,
-    multivector_conj,
     nijenhuis_torsion,
     poisson_bracket,
     torsion_is_zero,
@@ -635,6 +636,22 @@ def format_fraction_gq(c: FractionGQ) -> str:
 
 # ----------------------------------------------------------------------
 # decompose, as it was before it converted pi once
+
+def multivector_conj(P: Multivector) -> Multivector:
+    """Conjugate multivector: swap z/zb frame slots, conjugate coefficients."""
+    if not P.chart.is_complex():
+        raise ChartError("conjugation requires a complex chart")
+    n = P.chart.n
+    comps = {}
+    for idx, coeff in P.comps.items():
+        # the holomorphic run of idx becomes antiholomorphic and vice versa;
+        # merging the two swapped runs back into order gives the sign
+        swapped, sign = merge_indices(tuple(k + n for k in idx if k < n),
+                                      tuple(k - n for k in idx if k >= n))
+        poly = coeff.conj()
+        _accumulate(comps, swapped, poly if sign > 0 else -poly)
+    return Multivector(P.chart, P.degree, comps)
+
 
 def decompose_reference(pi: Multivector):
     """(pi_R, pi_I) by the defining formulas on the complex chart,

@@ -33,7 +33,6 @@ from holopoisson.poisson import (
     gc_endomorphism,
     is_holomorphic_poisson,
     koszul_bracket,
-    multivector_conj,
     nijenhuis_torsion,
     nijenhuis_torsion_apply,
     pn_check,
@@ -46,6 +45,7 @@ from holopoisson.poisson import (
 from oracles import (
     decompose_reference,
     koszul_bracket_reference,
+    multivector_conj,
     multivector_conj_reference,
     pn_check_reference,
     rand_form,
