@@ -99,6 +99,32 @@ def test_sparse_rank_empty_and_zero():
     assert SparseMatrix(3, 4, {}).rank("sparse") == 0
 
 
+def test_sparse_matrix_checks_entries_at_the_public_constructor():
+    """SparseMatrix(nrows, ncols, entries) converts values to GQ, drops
+    zeros and refuses an entry outside the shape; it holds the entries as
+    rows, and a view without some columns shares those rows."""
+    matrix = SparseMatrix(2, 3, {(0, 0): 1, (0, 2): GQ(0), (1, 1): "1/2",
+                                 (1, 2): GQ(0, 1)})
+    assert matrix.entries == {(0, 0): GQ(1), (1, 1): GQ(Fraction(1, 2)),
+                              (1, 2): GQ(0, 1)}
+    assert matrix.row_dicts == {0: {0: GQ(1)},
+                                1: {1: GQ(Fraction(1, 2)), 2: GQ(0, 1)}}
+    assert matrix.nnz == 3
+    for bad in ((2, 0), (0, 3), (-1, 0)):
+        with pytest.raises(IndexError):
+            SparseMatrix(2, 3, {bad: 1})
+    view = matrix.without_columns({1})
+    assert view.row_dicts is matrix.row_dicts
+    assert (view.nrows, view.ncols, view.nnz) == (2, 3, 2)
+    assert view.entries == {(0, 0): GQ(1), (1, 2): GQ(0, 1)}
+    assert view.rows() == [[GQ(1), GQ(0), GQ(0)], [GQ(0), GQ(0), GQ(0, 1)]]
+    assert matrix.without_columns(set()) is matrix
+    assert matrix.without_columns(None) is matrix
+    assert view.rank("sparse") == 2 == view.rank("oracle")
+    assert view.pivot_rows == {0, 1}
+    assert matrix.rank("oracle") == 2 and matrix.pivot_rows is None
+
+
 def test_sparse_rank_keeps_fill_in():
     # every column has count 2 and every row length 2; the first pivot,
     # (1, 2) (the column pushed last onto the count-2 stack, on the
