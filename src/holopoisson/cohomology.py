@@ -30,9 +30,11 @@ once, as rows filled from the images, ranked for the cell reports and
 offset into the rows of the total matrix.  The blocks of one truncation
 share the cells' tables.
 Ranks come from two independent elimination routes over GQ: sparse
-elimination (method "sparse"), each pivot taken from column-count buckets
-(a column of least count, its shortest row) with no scan of the remaining
-nonzeros, and dense naive Gaussian elimination (method "oracle").
+elimination (method "sparse"), which first peels the row and column
+singletons (pivots that need no arithmetic) and then takes each pivot
+from column-count buckets (a column of least count, its shortest row)
+with no scan of the remaining nonzeros, and dense naive Gaussian
+elimination (method "oracle").
 
 The sparse route ranks through the complex.  Every block is a subcomplex
 (an image that leaves it is a TruncationError), so D_{d+1} D_d = 0 there;

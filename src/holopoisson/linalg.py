@@ -10,11 +10,14 @@ out, so restricting a matrix copies nothing.
 Two independent routes are kept deliberately separate:
 
 * ``markowitz_rank``: sparse Gaussian elimination straight over GQ, on
-  copies of the matrix's rows with a column -> rows index and the columns
-  kept in buckets by nonzero count; each pivot is in a column of least
-  count, on its shortest row (ties to the smaller row index), found with
-  no scan of the remaining nonzeros, and only the rows with a nonzero in
-  the pivot column are updated.  Deterministic.  Its pivot rows are
+  copies of the matrix's rows with a column -> rows index.  It first
+  peels the singletons, pivots of Markowitz cost 0 that need no
+  arithmetic: columns with one nonzero, then rows with one nonzero, each
+  kind until none is left.  The columns left are kept in buckets by
+  nonzero count; each further pivot is in a column of least count, on
+  its shortest row (ties to the smaller row index), found with no scan
+  of the remaining nonzeros, and only the rows with a nonzero in the
+  pivot column are updated.  Deterministic.  Its pivot rows are
   rank-many linearly independent rows of the matrix; ``rank("sparse")``
   keeps them as ``pivot_rows``.
 * ``dense_rank``: naive dense Gaussian elimination straight over GQ with
@@ -148,7 +151,8 @@ def dense_rank(rows) -> int:
 
 
 # ----------------------------------------------------------------------
-# sparse elimination over GQ, pivots from column-count buckets
+# sparse elimination over GQ: singletons peeled, then pivots from
+# column-count buckets
 
 def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     """Rank of a sparse GQ matrix by Gaussian elimination over GQ.
@@ -156,23 +160,33 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     Works on copies of the matrix's row dicts ``col -> value`` (the
     skipped columns filtered out as they are copied) with a
     ``col -> rows`` index (a dict used as an insertion-ordered set,
-    smaller than a set).  The columns sit in count buckets, stacks of the
-    columns pushed at each nonzero count (at the start in ascending column
-    order), with a pointer at the lowest non-empty count.  Each step
-    pivots in a column of that least count (a column of count 1 at once,
-    with no search and nothing to eliminate), on its shortest row, ties to
-    the smaller row index (the one-column case of Zlatev's limited
-    Markowitz search, 1980), and updates only the rows with a nonzero in
-    the pivot column.  Only the pivot row's columns change count; each is
-    pushed onto the bucket of its new count, and a column whose count
-    reaches 0 leaves the index.  An entry whose column has left or whose
-    count has changed since its push is stale and is dropped when popped.
-    No step scans the remaining nonzeros, and the pivot order depends on
-    the matrix alone.
+    smaller than a set).  First the pivots of Markowitz cost
+    (r - 1)(c - 1) = 0 are peeled, with no GQ arithmetic, until no
+    singleton is left: a column with one nonzero pivots on its row, which
+    leaves (its columns' counts drop); then a row with one nonzero pivots
+    on that entry, and its column leaves every other row (their lengths
+    drop).  Each removal can make a new singleton of its own kind, never
+    one of the other, so one pass of each peels them all.
 
-    Each pivot row is the original row plus multiples of earlier pivot
-    rows, so the pivot rows are rank-many linearly independent rows of
-    the matrix; pivot_rows, if given, is a set that receives them.
+    The columns left sit in count buckets, stacks of the columns pushed
+    at each nonzero count (at the start in ascending column order), with
+    a pointer at the lowest non-empty count.  Each step pivots in a
+    column of that least count (a column of count 1 at once, with no
+    search and nothing to eliminate), on its shortest row, ties to the
+    smaller row index (the one-column case of Zlatev's limited Markowitz
+    search, 1980), and updates only the rows with a nonzero in the pivot
+    column.  Only the pivot row's columns change count; each is pushed
+    onto the bucket of its new count, and a column whose count reaches 0
+    leaves the index.  An entry whose column has left or whose count has
+    changed since its push is stale and is dropped when popped.  No step
+    scans the remaining nonzeros, and the pivot order depends on the
+    matrix alone (the peel's stacks, too, are seeded in sorted order).
+
+    Eliminating by a one-entry row deletes its column's entries, so each
+    pivot row, peeled or not, is the original row plus multiples of
+    earlier pivot rows, and the pivot rows are rank-many linearly
+    independent rows of the matrix; pivot_rows, if given, is a set that
+    receives them.
     """
     rows: dict = {}
     cols: dict = {}
@@ -191,11 +205,53 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
                 cols[j] = {i: None}
             else:
                 col[i] = None
+    rank = 0
+    # Column singletons: each pivots on its one row, which leaves, so only
+    # that row's columns lose count (new column singletons, no new row
+    # singleton).  Stacks hold singletons pushed at count 1; one popped
+    # after its count reached 0 has left the index.
+    stack = [j for j in sorted(cols) if len(cols[j]) == 1]
+    while stack:
+        below = cols.pop(stack.pop(), None)
+        if below is None:
+            continue  # its one row was an earlier pivot row
+        pr = below.popitem()[0]
+        for j in rows.pop(pr):
+            col = cols.get(j)
+            if col is not None:
+                del col[pr]
+                if len(col) == 1:
+                    stack.append(j)
+                elif not col:
+                    del cols[j]
+        if pivot_rows is not None:
+            pivot_rows.add(pr)
+        rank += 1
+    # Row singletons, smaller rows first: eliminating with a one-entry row
+    # deletes its column from every other row, so only rows shorten (new
+    # row singletons, and still no column singleton).
+    stack = [i for i in sorted(rows, reverse=True) if len(rows[i]) == 1]
+    while stack:
+        pr = stack.pop()
+        pivot_row = rows.pop(pr, None)
+        if pivot_row is None:
+            continue  # its one column was an earlier pivot column
+        (pc,) = pivot_row
+        for i in cols.pop(pc):
+            if i != pr:
+                row = rows[i]
+                del row[pc]
+                if len(row) == 1:
+                    stack.append(i)
+                elif not row:
+                    del rows[i]
+        if pivot_rows is not None:
+            pivot_rows.add(pr)
+        rank += 1
     buckets: dict = {}
     for j in sorted(cols):
         buckets.setdefault(len(cols[j]), []).append(j)
     low = 1
-    rank = 0
     while buckets:
         while low not in buckets:
             low += 1
