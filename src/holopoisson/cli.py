@@ -316,9 +316,9 @@ def cmd_cohomology(doc, options):
 def _dump_text(matrix):
     """A total matrix's dump file: header "rows cols nnz" then "i j
     value", one line per nonzero entry in (i, j) order."""
-    lines = [f"{matrix.nrows} {matrix.ncols} {matrix.nnz}"]
-    for (i, j) in sorted(matrix.entries):
-        lines.append(f"{i} {j} {matrix.entries[(i, j)]}")
+    entries = matrix.entries  # a new dict at each read
+    lines = [f"{matrix.nrows} {matrix.ncols} {len(entries)}"]
+    lines += [f"{i} {j} {value}" for (i, j), value in sorted(entries.items())]
     return "\n".join(lines) + "\n"
 
 

@@ -290,6 +290,27 @@ def test_dump_builds_each_cell_matrix_once(tmp_path, monkeypatch, capsys):
         f"w{w}_d{d}.txt" for w in range(3) for d in range(7)]
 
 
+def test_dump_text_reads_the_entries_once():
+    """A dump file is read off one entries dict: the property builds a new
+    dict at each read, so a read per line made dumps quadratic."""
+    from holopoisson.cli import _dump_text
+    from holopoisson.exactalg import GQ
+    from holopoisson.linalg import SparseMatrix
+
+    class CountingMatrix(SparseMatrix):
+        reads = 0
+
+        @property
+        def entries(self):
+            CountingMatrix.reads += 1
+            return SparseMatrix.entries.fget(self)
+
+    matrix = CountingMatrix(3, 4, {(2, 3): "1/2", (0, 1): 1, (1, 0): GQ(0, 1),
+                                   (0, 3): -2})
+    assert _dump_text(matrix) == "3 4 4\n0 1 1\n0 3 -2\n1 0 i\n2 3 1/2\n"
+    assert CountingMatrix.reads == 1
+
+
 def test_unsupported_truncation_is_input_error(tmp_path):
     """A truncation the structure does not support is a bad request (exit
     1, message kept), not a failed verification."""
