@@ -533,14 +533,24 @@ def test_betti_equals_oracle_on_small_corpus():
         assert betti(mp, truncation).blocks == oracle.blocks
 
 
-@pytest.mark.parametrize("name", ["sl2", "heisenberg", "darboux_n1", "zero"])
-@pytest.mark.parametrize("options", [{"weight": 3}, {"max_degree": 2}],
-                         ids=["weight", "total_degree"])
+THROUGH_THE_COMPLEX_CASES = [
+    pytest.param(name, options, id=f"{mode}-{name}")
+    for mode, options in (("weight", {"weight": 3}),
+                          ("total_degree", {"max_degree": 2}))
+    for name in ("sl2", "heisenberg", "darboux_n1", "zero")] + [
+    # entries other than +-1, so that peeling a singleton row, which
+    # deletes its column's entries from the other rows, is checked too
+    pytest.param(name, {"weight": 2}, id=f"weight2-{name}")
+    for name in ("sl2_realified", "oscillator")]
+
+
+@pytest.mark.parametrize("name, options", THROUGH_THE_COMPLEX_CASES)
 def test_sparse_route_through_the_complex_equals_oracle_on_corpus(
         name, options):
     """The sparse route ranks each matrix without the previous pivot
-    rows; the oracle ranks every full matrix.  Per-cell kernels and
-    ranks, total dimensions and Betti numbers agree in both modes."""
+    rows, after peeling its singletons; the oracle ranks every full
+    matrix.  Per-cell kernels and ranks, total dimensions and Betti
+    numbers agree in both modes."""
     from holopoisson.cli import run_job
 
     data = {}

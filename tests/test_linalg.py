@@ -259,6 +259,81 @@ def test_bucket_pivots_agree_with_full_scan_and_dense_oracle(case):
     assert markowitz_rank_reference(matrix) == rank
 
 
+@st.composite
+def singleton_chains(draw):
+    """Q(i) matrices whose singletons come in chains, around a core that
+    needs elimination.  A staircase: a one-entry row on column s_0, then
+    row t on s_(t-1) and s_t, and a closing row on every s_t (so that no
+    s_t is a column singleton); peeling each row singleton makes the
+    next.  A chain of column singletons: row q_t on c_t and c_(t+1) and
+    on some core columns, so that c_0 holds one row and peeling each
+    makes the next (with one row fewer, the last column holds one row as
+    well, and the peels from both ends meet).  A dense core (random, or
+    of planted low rank), whose rows also meet the staircase.  Rows and
+    columns are shuffled."""
+    zero = GQ(0)
+    scalar = gaussian_rationals(draw(st.sampled_from([3, 2 ** 64]))).filter(
+        lambda v: not v.is_zero())
+    ncore, nstair, nchain = (draw(st.integers(0, 6)) for _ in range(3))
+    ncols = ncore + nstair + nchain
+    stair = range(ncore, ncore + nstair)
+    chain = range(ncore + nstair, ncols)
+    mask = st.floats(0, 1)
+    rows = []
+
+    def row_on(columns, density=1.0):
+        row = [zero] * ncols
+        for j in columns:
+            if density == 1.0 or draw(mask) < density:
+                row[j] = draw(scalar)
+        return row
+
+    ncore_rows = draw(st.integers(0, 8))
+    if ncore and draw(st.booleans()):
+        inner = draw(st.integers(1, 3))
+        left = [row_on(range(inner), 0.8) for _ in range(ncore_rows)]
+        right = [row_on(range(ncore), 0.8) for _ in range(inner)]
+        core = [[sum((left[i][t] * right[t][j] for t in range(inner)), zero)
+                 for j in range(ncols)] for i in range(ncore_rows)]
+    else:
+        core = [row_on(range(ncore), 0.8) for _ in range(ncore_rows)]
+    for row in core:
+        for j in stair:
+            if draw(mask) < 0.4:
+                row[j] = draw(scalar)
+    rows += core
+    for t in stair:
+        rows.append(row_on([t] if t == ncore else [t - 1, t]))
+    if nstair:
+        rows.append(row_on(list(range(ncore)) + list(stair),
+                           draw(st.sampled_from([0.0, 0.5]))))
+        for j in stair:
+            rows[-1][j] = draw(scalar)
+    for t in range(nchain - draw(st.integers(0, min(1, nchain)))):
+        row = row_on(range(ncore), 0.5)
+        for j in chain[t:t + 2]:
+            row[j] = draw(scalar)
+        rows.append(row)
+    order = draw(st.permutations(range(ncols)))
+    rows = [[row[j] for j in order] for row in draw(st.permutations(rows))]
+    return len(rows), ncols, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(singleton_chains())
+def test_singleton_peel_agrees_with_full_scan_and_dense_oracle(case):
+    """Peeling chains of row and column singletons before elimination
+    keeps the rank, and its pivot rows are rank-many independent rows."""
+    nrows, ncols, rows = case
+    matrix = as_sparse(rows, ncols)
+    rank = dense_rank(rows)
+    assert matrix.rank("sparse") == rank
+    assert markowitz_rank_reference(matrix) == rank
+    pivots = matrix.pivot_rows
+    assert len(pivots) == rank
+    assert dense_rank([rows[i] for i in sorted(pivots)]) == rank
+
+
 # ----------------------------------------------------------------------
 # property: a rank through the complex skips the previous pivot rows
 
