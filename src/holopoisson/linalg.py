@@ -212,18 +212,20 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     # after its count reached 0 has left the index.
     stack = [j for j in sorted(cols) if len(cols[j]) == 1]
     while stack:
-        below = cols.pop(stack.pop(), None)
+        pc = stack.pop()
+        below = cols.pop(pc, None)
         if below is None:
             continue  # its one row was an earlier pivot row
         pr = below.popitem()[0]
-        for j in rows.pop(pr):
-            col = cols.get(j)
-            if col is not None:
-                del col[pr]
-                if len(col) == 1:
-                    stack.append(j)
-                elif not col:
-                    del cols[j]
+        pivot_row = rows.pop(pr)
+        del pivot_row[pc]
+        for j in pivot_row:
+            col = cols[j]
+            del col[pr]
+            if len(col) == 1:
+                stack.append(j)
+            elif not col:
+                del cols[j]
         if pivot_rows is not None:
             pivot_rows.add(pr)
         rank += 1
