@@ -229,9 +229,10 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
         if pivot_rows is not None:
             pivot_rows.add(pr)
         rank += 1
-    # Row singletons, smaller rows first: eliminating with a one-entry row
-    # deletes its column from every other row, so only rows shorten (new
-    # row singletons, and still no column singleton).
+    # Row singletons, smaller row index first (the bucket loop's tie
+    # rule): eliminating with a one-entry row deletes its column from
+    # every other row, so only rows shorten (new row singletons, and still
+    # no column singleton).
     stack = [i for i in sorted(rows, reverse=True) if len(rows[i]) == 1]
     while stack:
         pr = stack.pop()
