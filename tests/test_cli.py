@@ -504,6 +504,58 @@ def test_pn_check_of_non_poisson_bivector_fails(tmp_path):
     assert verdicts["poisson_nijenhuis"] is False
 
 
+def _frames(*pairs):
+    return [{"coeff": coeff, "frame": [frame]} for frame, coeff in pairs]
+
+
+# Chart documents with an endo matrix, which no corpus document has, and
+# the exact report each prints: torsion on a real and on a complex chart
+# with nonzero torsion, and pn-check with mixed verdicts (pi = x1
+# dx1^dy1 is Poisson on R^2, but N neither intertwines nor is torsion
+# free).  The reports are compared as canonical JSON text, byte for byte.
+PINNED_REPORTS = [
+    ("torsion", {
+        "chart": {"kind": "real", "n": 2},
+        "endo": [["1", "x2", "0", "0"], ["x1", "1", "0", "0"],
+                 ["0", "0", "y1", "0"], ["0", "0", "x1 y2", "1"]]},
+     {"data": {"chart": {"kind": "real", "n": 2},
+                  "nonzero": [["x1", "x2", _frames(("x1", "x1"),
+                                                   ("x2", "-x2"))],
+                              ["x2", "y1", _frames(("y2", "x2 y2"))]]},
+         "ok": True, "verdicts": {"torsion_zero": False}}, 0),
+    ("torsion", {
+        "chart": {"kind": "complex", "n": 1},
+        "endo": [["z1", "zb1"], ["z1 zb1", "1"]]},
+     {"data": {"chart": {"kind": "complex", "n": 1},
+                  "nonzero": [["z1", "zb1",
+                               _frames(("z1", "2 z1 zb1 + -zb1"),
+                                       ("zb1", "-zb1^2"))]]},
+         "ok": True, "verdicts": {"torsion_zero": False}}, 0),
+    ("pn-check", {
+        "chart": {"kind": "real", "n": 1},
+        "pi": [{"frame": ["x1", "y1"], "coeff": "x1"}],
+        "endo": [["x1", "0"], ["y1^2", "x1 y1"]]},
+     {"data": {"chart": {"kind": "real", "n": 1}},
+         "ok": False, "verdicts": {"koszul_compat": False,
+                                   "poisson_nijenhuis": False,
+                                   "schouten_zero": True,
+                                   "sharp_intertwine": False,
+                                   "torsion_zero": False}}, 2),
+]
+
+
+@pytest.mark.parametrize("command,doc,report,want_code", PINNED_REPORTS,
+                         ids=["torsion-real", "torsion-complex",
+                              "pn-check-real"])
+def test_chart_endo_reports_are_pinned(tmp_path, command, doc, report,
+                                       want_code):
+    path = write_doc(tmp_path, "endo.json", doc)
+    code, out, _ = run_cli([command, path])
+    want = dict(report, command=command, input="endo.json")
+    assert code == want_code
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
 def test_methods_agree_via_cli(tmp_path):
     doc = write_doc(tmp_path, "sl2.json", {
         "lie_algebra": {"rank": 3,
