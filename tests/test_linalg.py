@@ -291,7 +291,9 @@ def singleton_chains(draw):
     ncore_rows = draw(st.integers(0, 8))
     if ncore and draw(st.booleans()):
         inner = draw(st.integers(1, 3))
-        left = [row_on(range(inner), 0.8) for _ in range(ncore_rows)]
+        # the left factor has inner columns, which may be more than ncols
+        left = [[draw(scalar) if draw(mask) < 0.8 else zero
+                 for _ in range(inner)] for _ in range(ncore_rows)]
         right = [row_on(range(ncore), 0.8) for _ in range(inner)]
         core = [[sum((left[i][t] * right[t][j] for t in range(inner)), zero)
                  for j in range(ncols)] for i in range(ncore_rows)]
