@@ -3,12 +3,13 @@
 An algebroid is given by its anchor matrix (one row per frame section,
 columns over the chart tangent frame) and antisymmetric structure functions;
 brackets of arbitrary sections follow from the Leibniz rule.  On top of
-that sit Nijenhuis deformation, the cotangent algebroid of a holomorphic
-Poisson structure (its bracket is the Koszul bracket) and the Koszul
-algebroid of a real bivector, Lie-Poisson duality for finite-dimensional
-complex Lie algebras, matched pairs with their F/S/T obstruction tensors,
-the direct-sum algebroid of a matched pair, and the isomorphism onto the
-Dirac structure of the associated generalized complex structure.
+that sit the tangent algebroid of a chart, Nijenhuis deformation, the
+cotangent algebroid of a holomorphic Poisson structure (its bracket is
+the Koszul bracket) and the Koszul algebroid of a real bivector,
+Lie-Poisson duality for finite-dimensional complex Lie algebras, matched
+pairs with their F/S/T obstruction tensors, the direct-sum algebroid of a
+matched pair, and the isomorphism onto the Dirac structure of the
+associated generalized complex structure.
 
 A complex Lie algebra is the algebroid with zero anchor over the point
 chart complex(0), whose structure functions are constants (lie_algebra);
@@ -32,9 +33,17 @@ realparts_liealgebra_check takes the antisymmetric identities on the
 pairs s < t only, and yao_isomorphism_check takes yao_phi of each bowtie
 frame once.
 
-The tangent algebroid is a test fixture, in tests/oracles.py; so is the
-underlying real algebroid of the cotangent algebroid, which acceptance
-criterion 9 compares with the Koszul algebroids of 4 pi_R and 4 pi_I.
+Nijenhuis deformation by an EndoOnAlgebroid N builds the deformed frame
+brackets [e_i, e_j]_N from the frame data alone (_deformation), and the
+torsion from them only where it is asked for.  It is the one torsion of
+the package: a chart endomorphism's is its torsion on tangent_algebroid,
+and poisson.pn_check reads Poisson-Nijenhuis compatibility as the
+deformation of the Koszul algebroid of pi_I by N* (Kosmann-Schwarzbach
+and Magri).
+
+The underlying real algebroid of the cotangent algebroid is a test
+fixture, in tests/oracles.py, which acceptance criterion 9 compares with
+the Koszul algebroids of 4 pi_R and 4 pi_I.
 """
 
 from __future__ import annotations
@@ -44,10 +53,19 @@ from .exactalg import GQ, Chart, Poly, is_scalar
 from .linalg import (
     dense_rank,
     gq_mat_inverse,
+    poly_identity,
     poly_mat_squares_to_minus_identity,
+    poly_mat_transpose,
     poly_mat_vec,
 )
-from .multivec import Form, Multivector, differential, pairing, schouten, sharp
+from .multivec import (
+    Form,
+    Multivector,
+    differential,
+    pairing,
+    schouten,
+    sharp,
+)
 from .poisson import (
     GCSection,
     courant_bracket,
@@ -217,6 +235,17 @@ class EndoOnAlgebroid:
         return poly_mat_vec(self.matrix, self.base.coerce_section(section))
 
 
+def tangent_algebroid(chart: Chart) -> AlgebroidChart:
+    """The tangent algebroid: identity anchor, commuting coordinate frame.
+    A chart endomorphism N, a square Poly matrix over the coordinate
+    tangent frame, acts on it as EndoOnAlgebroid(tangent_algebroid(chart),
+    N), whose torsion is the Nijenhuis torsion of N."""
+    m = chart.nvars
+    zero = [Poly.zero(chart) for _ in range(m)]
+    structure = [[list(zero) for _ in range(m)] for _ in range(m)]
+    return AlgebroidChart(chart, m, poly_identity(chart, m), structure)
+
+
 # ----------------------------------------------------------------------
 # verification
 
@@ -266,42 +295,84 @@ def verify_algebroid(a: AlgebroidChart) -> AlgebroidReport:
 # ----------------------------------------------------------------------
 # Nijenhuis deformation
 
+def _combine(coeffs, rows, out):
+    """out + sum_k coeffs[k] rows[k], for sections rows[k]."""
+    for c, row in zip(coeffs, rows):
+        if c.is_zero():
+            continue
+        out = [x + c * y if not y.is_zero() else x for x, y in zip(out, row)]
+    return out
+
+
 def _deformation(a: AlgebroidChart, n: EndoOnAlgebroid):
-    """N on the frame, the deformed brackets [e_i, e_j]_N = [N e_i, e_j]
-    + [e_i, N e_j] - N[e_i, e_j] and the Nijenhuis torsion
-    [N e_i, N e_j] - N[e_i, e_j]_N, on frame pairs (i < j); the torsion
-    keeps only its nonzero values."""
+    """The deformed brackets [e_i, e_j]_N = [N e_i, e_j] + [e_i, N e_j]
+    - N[e_i, e_j] on frame pairs (i < j), from the frame data alone.
+
+    With N e_i = sum_c N[c][i] e_c, the Leibniz rule gives
+    [e_i, e_j]_N = sum_c (N[c][i] c_cj + N[c][j] c_ic)
+    + sum_c (rho(e_i)(N[c][j]) - rho(e_j)(N[c][i])) e_c - N c_ij.
+    Each entry of N is differentiated once, and a constant N (a Lie
+    algebra's j, the standard J) has no derivative terms."""
     if n.base is not a and n.base != a:
         raise ShapeError("endomorphism is not over this algebroid")
-    images = [n.apply(a.frame_section(i)) for i in range(a.rank)]
+    chart, rank = a.chart, a.rank
+    zero = a.zero_section()
+    columns = poly_mat_transpose(n.matrix)
+    partials = [[[(k, d) for k in range(chart.nvars)
+                  for d in (entry.diff(k),) if not d.is_zero()]
+                 for entry in row] for row in n.matrix]
+    constant = not any(p for row in partials for p in row)
+
+    def rho(i, c, j):
+        # rho(e_i)(N[c][j])
+        out = Poly.zero(chart)
+        for k, d in partials[c][j]:
+            r = a.anchor[i][k]
+            if not r.is_zero():
+                out = out + r * d
+        return out
+
     brackets = {}
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            value = _combine(columns[i], [row[j] for row in a.structure],
+                             zero)
+            value = _combine(columns[j], a.structure[i], value)
+            if not constant:
+                value = [x + rho(i, c, j) - rho(j, c, i)
+                         for c, x in enumerate(value)]
+            n_cij = poly_mat_vec(n.matrix, a.structure[i][j])
+            brackets[(i, j)] = [x - y if not y.is_zero() else x
+                                for x, y in zip(value, n_cij)]
+    return brackets
+
+
+def _torsion(a: AlgebroidChart, n: EndoOnAlgebroid, brackets):
+    """The nonzero values of the Nijenhuis torsion
+    [N e_i, N e_j] - N[e_i, e_j]_N, from the deformed brackets."""
+    columns = poly_mat_transpose(n.matrix)
     torsion = {}
-    for i in range(a.rank):
-        for j in range(i + 1, a.rank):
-            ei, ej = a.frame_section(i), a.frame_section(j)
-            deformed = [x + y - z for x, y, z in zip(
-                a._bracket(images[i], ej), a._bracket(ei, images[j]),
-                n.apply(a.structure[i][j]))]
-            brackets[(i, j)] = deformed
-            value = [x - y for x, y in zip(a._bracket(images[i], images[j]),
-                                           n.apply(deformed))]
-            if not a.section_is_zero(value):
-                torsion[(i, j)] = value
-    return images, brackets, torsion
+    for (i, j), deformed in brackets.items():
+        value = [x - y for x, y in zip(a._bracket(columns[i], columns[j]),
+                                       poly_mat_vec(n.matrix, deformed))]
+        if not a.section_is_zero(value):
+            torsion[(i, j)] = value
+    return torsion
 
 
 def nijenhuis_torsion_algebroid(a: AlgebroidChart, n: EndoOnAlgebroid):
     """Torsion of N over the algebroid bracket, on frame pairs (i < j)."""
-    return _deformation(a, n)[2]
+    return _torsion(a, n, _deformation(a, n))
 
 
 def deform_by(a: AlgebroidChart, n: EndoOnAlgebroid) -> AlgebroidChart:
     """Deformed algebroid (rho o N, [., .]_N); requires vanishing torsion."""
-    images, brackets, torsion = _deformation(a, n)
-    if torsion:
+    brackets = _deformation(a, n)
+    if _torsion(a, n, brackets):
         raise StructureError("nonzero Nijenhuis torsion: deformation "
                              "does not yield a Lie algebroid")
-    anchor = [a.anchor_field(image).coefficients() for image in images]
+    anchor = [a.anchor_field(image).coefficients()
+              for image in poly_mat_transpose(n.matrix)]
     return AlgebroidChart.from_frame_brackets(
         a.chart, a.rank, anchor, lambda i, j: brackets[(i, j)])
 
@@ -623,15 +694,6 @@ def _frame_table(rep: RepData):
     frames = [rep.module.frame_section(m) for m in range(rep.module.rank)]
     return [[rep.apply(rep.acting.frame_section(i), em) for em in frames]
             for i in range(rep.acting.rank)]
-
-
-def _combine(coeffs, rows, out):
-    """out + sum_k coeffs[k] rows[k], for module sections rows[k]."""
-    for c, row in zip(coeffs, rows):
-        if c.is_zero():
-            continue
-        out = [x + c * y if not y.is_zero() else x for x, y in zip(out, row)]
-    return out
 
 
 def _is_flat(rep: RepData, table) -> bool:

@@ -44,6 +44,7 @@ from .errors import (
     TruncationError,
 )
 from .exactalg import Chart, parse_gq
+from .multivec import Multivector
 from .serialize import (
     algebroid_dict,
     alternating_dict,
@@ -161,27 +162,33 @@ def cmd_pn_check(doc, options):
 
 
 def cmd_torsion(doc, options):
+    """The Nijenhuis torsion of an endomorphism on its algebroid: the j of
+    a Lie algebra document's re-realified complex presentation, or a chart
+    endomorphism on the tangent algebroid."""
     require_keys(doc, {"chart", "endo", "lie_algebra", "expected"},
                  "torsion input")
     if _lie_algebra_document(doc, ("chart", "endo"), "torsion input"):
         g = parse_liealgebra(doc["lie_algebra"])
         realified = alg.realify_liealgebra(alg.complex_presentation(g))
-        torsion = alg.nijenhuis_torsion_algebroid(realified.algebroid,
-                                                  realified.j)
-        entries = [[i + 1, j + 1, [str(p) for p in vec]]
-                   for (i, j), vec in sorted(torsion.items())]
-        return {"verdicts": {"torsion_zero": not torsion},
-                "data": {"rank": realified.algebroid.rank,
-                         "nonzero": entries}}, True
-    chart = parse_chart(require_field(doc, "chart", "torsion input"))
-    endo = parse_endo(chart, require_field(doc, "endo", "torsion input"))
-    torsion = poi.nijenhuis_torsion(endo)
-    entries = []
-    for (a, b), field in sorted(torsion.items()):
-        entries.append([chart.var_name(a), chart.var_name(b),
-                        alternating_dict(field)])
-    return {"verdicts": {"torsion_zero": not torsion},
-            "data": {"chart": chart_dict(chart), "nonzero": entries}}, True
+        base, endo = realified.algebroid, realified.j
+        data = {"rank": base.rank}
+
+        def entry(i, j, vec):
+            return [i + 1, j + 1, [str(p) for p in vec]]
+    else:
+        chart = parse_chart(require_field(doc, "chart", "torsion input"))
+        base = alg.tangent_algebroid(chart)
+        endo = alg.EndoOnAlgebroid(base, parse_endo(
+            chart, require_field(doc, "endo", "torsion input")))
+        data = {"chart": chart_dict(chart)}
+
+        def entry(i, j, vec):
+            return [chart.var_name(i), chart.var_name(j),
+                    alternating_dict(Multivector.from_components(chart, vec))]
+    torsion = alg.nijenhuis_torsion_algebroid(base, endo)
+    data["nonzero"] = [entry(i, j, vec)
+                       for (i, j), vec in sorted(torsion.items())]
+    return {"verdicts": {"torsion_zero": not torsion}, "data": data}, True
 
 
 def cmd_koszul(doc, options):

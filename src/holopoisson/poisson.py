@@ -5,12 +5,19 @@ Poisson and Koszul brackets, Poisson-Nijenhuis compatibility against an
 almost complex structure, the generalized complex endomorphism with its
 Dirac structure, the antisymmetrized Courant bracket, inversion of
 constant symplectic forms and pointwise foliation ranks.
+
+A chart endomorphism, such as standard_j, is its square Poly matrix over
+the coordinate tangent frame.  Its Nijenhuis torsion and the Koszul
+compatibility of pn_check are the one Nijenhuis deformation of the
+algebroid layer (algebroid.tangent_algebroid, algebroid.koszul_algebroid),
+which pn_check imports when it is called, since algebroid imports this
+module.
 """
 
 from __future__ import annotations
 
-from .errors import ChartError, DegreeError, Record, ShapeError, StructureError
-from .exactalg import GQ, Chart, Poly, is_scalar
+from .errors import ChartError, DegreeError, Record, StructureError
+from .exactalg import GQ, Chart, Poly
 from .linalg import (
     column_space_equal,
     dense_rank,
@@ -42,53 +49,12 @@ HALF = GQ(1) / 2
 
 
 # ----------------------------------------------------------------------
-# endomorphism fields
+# endomorphisms of the tangent frame
 
-class EndoField:
-    """A (1,1)-tensor over the coordinate tangent frame.
-
-    matrix[r][c] is the coefficient of frame vector r in the image of frame
-    vector c.
-    """
-
-    __slots__ = ("chart", "matrix")
-
-    def __init__(self, chart: Chart, matrix):
-        m = chart.nvars
-        if len(matrix) != m or any(len(row) != m for row in matrix):
-            raise ShapeError(
-                f"endomorphism matrix must be {m}x{m} on {chart}")
-        rows = []
-        for row in matrix:
-            new_row = []
-            for entry in row:
-                if type(entry) is not Poly and is_scalar(entry):
-                    entry = Poly.const(chart, entry)
-                if entry.chart != chart:
-                    raise ChartError("matrix entry on wrong chart")
-                new_row.append(entry)
-            rows.append(new_row)
-        self.chart = chart
-        self.matrix = rows
-
-    def apply_vec(self, x: Multivector) -> Multivector:
-        if x.degree != 1 or x.chart != self.chart:
-            raise ShapeError("EndoField acts on degree-1 fields of its chart")
-        return Multivector.from_components(
-            self.chart, poly_mat_vec(self.matrix, x.coefficients()))
-
-    def apply_form(self, xi: Form) -> Form:
-        """The transpose action N* on 1-forms: <N* xi, V> = <xi, N V>."""
-        if xi.degree != 1 or xi.chart != self.chart:
-            raise ShapeError("EndoField acts on degree-1 forms of its chart")
-        return Form.from_components(
-            self.chart,
-            poly_mat_vec(poly_mat_transpose(self.matrix), xi.coefficients()))
-
-
-def standard_j(chart: Chart) -> EndoField:
-    """The standard almost complex structure on a real chart: J dx_k = dy_k,
-    J dy_k = -dx_k (as actions on the frame)."""
+def standard_j(chart: Chart):
+    """The standard almost complex structure on a real chart, as the square
+    Poly matrix over the coordinate tangent frame whose column c is the
+    image of frame vector c: J dx_k = dy_k, J dy_k = -dx_k."""
     if chart.is_complex():
         raise ChartError("standard_j is defined on a real chart")
     n = chart.n
@@ -96,7 +62,7 @@ def standard_j(chart: Chart) -> EndoField:
     for k in range(n):
         rows[n + k][k] = Poly.one(chart)
         rows[k][n + k] = Poly.const(chart, -1)
-    return EndoField(chart, rows)
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -211,118 +177,64 @@ def koszul_bracket(pihat: Multivector, alpha: Form, beta: Form) -> Form:
 
 
 # ----------------------------------------------------------------------
-# Nijenhuis torsion and Poisson-Nijenhuis compatibility
+# Poisson-Nijenhuis compatibility
 
-def nijenhuis_torsion_apply(n_field: EndoField, v: Multivector,
-                            w: Multivector) -> Multivector:
-    """Torsion evaluated on two vector fields:
-    [NV, NW] - N([NV, W] + [V, NW] - N [V, W])."""
-    nv = n_field.apply_vec(v)
-    nw = n_field.apply_vec(w)
-    inner = (schouten(nv, w) + schouten(v, nw)
-             - n_field.apply_vec(schouten(v, w)))
-    return schouten(nv, nw) - n_field.apply_vec(inner)
-
-
-def nijenhuis_torsion(n_field: EndoField):
-    """Torsion tensor on all frame pairs: dict (a, b) -> degree-1 field,
-    for a < b.  Antisymmetric by construction."""
-    chart = n_field.chart
-    m = chart.nvars
-    out = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            value = nijenhuis_torsion_apply(
-                n_field, Multivector.frame(chart, a),
-                Multivector.frame(chart, b))
-            if not value.is_zero():
-                out[(a, b)] = value
-    return out
-
-
-def torsion_is_zero(torsion) -> bool:
-    return all(v.is_zero() for v in torsion.values())
-
-
-def pn_check(pi_i: Multivector, n_field: EndoField,
-             schouten_zero=None) -> PNReport:
-    """Poisson-Nijenhuis check of (pi_I, N) on a real chart.
+def pn_check(pi_i: Multivector, n_matrix, schouten_zero=None) -> PNReport:
+    """Poisson-Nijenhuis check of (pi_I, N) on a real chart, for N a square
+    Poly matrix over the coordinate tangent frame (column c the image of
+    frame vector c).
 
     Checks [pi_I, pi_I] = 0 (unless the caller passes that verdict as
     schouten_zero, see pn_check_complex), N pi# = pi# N* as an exact
-    matrix identity, the Koszul compatibility on all coordinate coframe
-    pairs (sufficient by tensoriality), and vanishing of the Nijenhuis
-    torsion of N.  The compatibility reads each coframe bracket of pi_I
-    and of pi_N as [e^a, e^b] = d(pi^{ab}) (see koszul_bracket), and
-    the brackets of N* e^a from the pi_I table by the Leibniz rule and
-    antisymmetry.
+    matrix identity, the Koszul compatibility and vanishing of the
+    Nijenhuis torsion of N.  The last two are one Nijenhuis deformation
+    in the algebroid layer: the torsion is that of N on the tangent
+    algebroid, and the compatibility says that the Koszul algebroid of
+    pi_N is the deformation of the Koszul algebroid of pi_I by N* (the
+    matrix N^T on the coframe).  Its coframe brackets are d(pi_N^{ab})
+    (see koszul_bracket), so the check compares them with the deformed
+    brackets on all coframe pairs, which suffices by tensoriality.
     """
+    # algebroid imports this module at load time, so not the other way
+    from .algebroid import (
+        EndoOnAlgebroid,
+        _deformation,
+        koszul_algebroid,
+        nijenhuis_torsion_algebroid,
+        tangent_algebroid,
+    )
+
     if pi_i.chart.is_complex():
         raise ChartError("pn_check runs on the real chart")
     if pi_i.degree != 2:
         raise DegreeError("pn_check needs a bivector")
-    if n_field.chart != pi_i.chart:
-        raise ChartError("chart mismatch")
     chart = pi_i.chart
-    m = chart.nvars
+    tangent = tangent_algebroid(chart)
+    n_field = EndoOnAlgebroid(tangent, n_matrix)
+    matrix = n_field.matrix
     if schouten_zero is None:
         schouten_zero = schouten(pi_i, pi_i).is_zero()
 
-    # the matrix products are freed before the Koszul table below is
-    # built, which keeps the peak memory under the table's size
     msharp = sharp_matrix(pi_i)
     sharp_intertwine = poly_mat_eq(
-        poly_mat_mul(n_field.matrix, msharp),
-        poly_mat_mul(msharp, poly_mat_transpose(n_field.matrix)))
+        poly_mat_mul(matrix, msharp),
+        poly_mat_mul(msharp, poly_mat_transpose(matrix)))
 
-    torsion_zero = torsion_is_zero(nijenhuis_torsion(n_field))
+    torsion_zero = not nijenhuis_torsion_algebroid(tangent, n_field)
 
     # the component matrix of pi_N, with pi_N# = pi# N*: N Pi (Pi, with
     # Pi[a][b] = pi(e^a, e^b), is the transpose of the sharp matrix),
     # antisymmetrized so the check stays defined when the intertwine
     # identity fails.
-    npi = poly_mat_mul(n_field.matrix, poly_mat_transpose(msharp))
+    npi = poly_mat_mul(matrix, poly_mat_transpose(msharp))
     pi_n = poly_mat_scale(poly_mat_sub(npi, poly_mat_transpose(npi)), HALF)
     del npi
 
-    # The brackets of pi_I are read from a table of the coframe brackets
-    # K[(c, b)] = [e^c, e^b] = d(Pi[c][b]), c < b; [e^b, e^c] is
-    # -K[(c, b)] and [e^c, e^c] = 0.  With N* e^a = sum_c N[a][c] e^c, the
-    # Leibniz rule [f alpha, beta] = f [alpha, beta] - (pi# beta)(f) alpha
-    # gives [N* e^a, e^b] from K and the field pi# e^b, whose components
-    # msharp[k][b] are tabled already; antisymmetry gives
-    # [e^a, N* e^b] = -[N* e^b, e^a].
-    K = {(c, b): differential(msharp[b][c])
-         for c in range(m) for b in range(c + 1, m)}
-
-    def n_star_bracket(a, b):
-        out = Form.zero(chart, 1)
-        for c, f in enumerate(n_field.matrix[a]):
-            if f.is_zero():
-                continue
-            if c < b:
-                out = out + K[(c, b)].scale(f)
-            elif c > b:
-                out = out - K[(b, c)].scale(f)
-            derivative = Poly.zero(chart)
-            for k in range(m):
-                if not msharp[k][b].is_zero():
-                    derivative = derivative + msharp[k][b] * f.diff(k)
-            if not derivative.is_zero():
-                out = out - Form(chart, 1, {(c,): derivative})
-        return out
-
-    koszul_compat = True
-    for a in range(m):
-        for b in range(a + 1, m):
-            lhs_form = differential(pi_n[a][b])
-            rhs_form = (n_star_bracket(a, b) - n_star_bracket(b, a)
-                        - n_field.apply_form(K[(a, b)]))
-            if lhs_form != rhs_form:
-                koszul_compat = False
-                break
-        if not koszul_compat:
-            break
+    koszul = koszul_algebroid(pi_i)
+    deformed = _deformation(
+        koszul, EndoOnAlgebroid(koszul, poly_mat_transpose(matrix)))
+    koszul_compat = all(differential(pi_n[a][b]).coefficients() == value
+                        for (a, b), value in deformed.items())
     return PNReport(schouten_zero, sharp_intertwine, koszul_compat,
                     torsion_zero)
 
@@ -368,7 +280,7 @@ def gc_endomorphism(pi: Multivector):
     real_chart = Chart.real(n)
     pair = decompose(pi)
     msharp = poly_mat_scale(sharp_matrix(pair.pi_I), GQ(4))
-    j = standard_j(real_chart).matrix
+    j = standard_j(real_chart)
     minus_jt = poly_mat_scale(poly_mat_transpose(j), GQ(-1))
     m = 2 * n
     zero = Poly.zero(real_chart)

@@ -16,7 +16,6 @@ from .algebroid import (
 from .errors import ParseError
 from .exactalg import Chart, parse_gq, parse_poly
 from .multivec import Form, Multivector
-from .poisson import EndoField
 
 
 def require_keys(obj: dict, allowed, context: str):
@@ -119,8 +118,10 @@ def parse_matrix(chart: Chart, rows, size, context="matrix"):
     return out
 
 
-def parse_endo(chart: Chart, doc) -> EndoField:
-    return EndoField(chart, parse_matrix(chart, doc, chart.nvars, "endo"))
+def parse_endo(chart: Chart, doc) -> list:
+    """A chart endomorphism: the square Poly matrix over the coordinate
+    tangent frame, column c the image of frame vector c."""
+    return parse_matrix(chart, doc, chart.nvars, "endo")
 
 
 def parse_liealgebra(doc) -> LieAlgebra:

@@ -178,7 +178,7 @@ def test_criterion_3_pn_equivalence():
     rng = random.Random(20240303)
     real = Chart.real(2)
     j = standard_j(real)
-    jt = poly_mat_transpose(j.matrix)
+    jt = poly_mat_transpose(j)
     discrepancies = 0
     total = 0
     for case in range(200):
@@ -426,7 +426,7 @@ def test_criterion_9_algebroid_factors():
         signs = [GQ(1)] * n + [GQ(-1)] * n
         a_r = realified_cotangent(pi)
         a_i = deform_by(a_r, EndoOnAlgebroid(
-            a_r, poly_mat_transpose(standard_j(real).matrix)))
+            a_r, poly_mat_transpose(standard_j(real))))
         if (conjugate_by_signs(a_r, signs)
                 != koszul_algebroid(pair.pi_R.scale(GQ(4)))):
             ok = False

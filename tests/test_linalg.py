@@ -20,9 +20,8 @@ from holopoisson.linalg import (
     poly_mat_vec,
 )
 from holopoisson.multivec import Form, Multivector, pairing
-from holopoisson.poisson import EndoField
 
-from oracles import markowitz_rank_reference
+from oracles import EndoFieldReference, markowitz_rank_reference
 
 
 def rand_gq(rng):
@@ -459,8 +458,8 @@ def endo_cases(draw):
     chart = draw(st.sampled_from(SMALL_CHARTS))
     m = chart.nvars
     poly = gaussian_integer_polys(chart)
-    endo = EndoField(chart, [[draw(poly) for _ in range(m)]
-                             for _ in range(m)])
+    endo = EndoFieldReference(chart, [[draw(poly) for _ in range(m)]
+                                      for _ in range(m)])
     vec = Multivector.from_components(chart, [draw(poly) for _ in range(m)])
     form = Form.from_components(chart, [draw(poly) for _ in range(m)])
     return endo, vec, form
