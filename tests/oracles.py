@@ -67,6 +67,10 @@ These deliberately take different routes from the library code:
   torsion [NV, NW] - N([NV, W] + [V, NW] - N [V, W]) is taken through
   Schouten brackets of vector fields, and pn_check_reference reads its
   torsion verdict from it.
+* deformation_reference is the library's Nijenhuis deformation before it
+  read the frame data: every deformed bracket [N e_i, e_j] + [e_i, N e_j]
+  - N[e_i, e_j] and torsion value [N e_i, N e_j] - N[e_i, e_j]_N is taken
+  through the algebroid's Leibniz-extended bracket, the definition.
 
 Fixtures and references that no command needs, moved out of the library:
 
@@ -1023,6 +1027,27 @@ def bivector_from_matrix(chart: Chart, mat) -> Multivector:
             if not mat[a][b].is_zero():
                 comps[(a, b)] = mat[a][b]
     return Multivector(chart, 2, comps)
+
+
+def deformation_reference(a: AlgebroidChart, n):
+    """The deformed brackets and the nonzero torsion values of an
+    EndoOnAlgebroid n on the frame pairs (i < j) of a, both dicts keyed
+    (i, j), through the generic bracket."""
+    images = [n.apply(a.frame_section(i)) for i in range(a.rank)]
+    brackets = {}
+    torsion = {}
+    for i in range(a.rank):
+        for j in range(i + 1, a.rank):
+            ei, ej = a.frame_section(i), a.frame_section(j)
+            deformed = [x + y - z for x, y, z in zip(
+                a.bracket(images[i], ej), a.bracket(ei, images[j]),
+                n.apply(a.structure[i][j]))]
+            brackets[(i, j)] = deformed
+            value = [x - y for x, y in zip(a.bracket(images[i], images[j]),
+                                           n.apply(deformed))]
+            if not a.section_is_zero(value):
+                torsion[(i, j)] = value
+    return brackets, torsion
 
 
 class EndoFieldReference:

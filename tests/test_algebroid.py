@@ -11,6 +11,7 @@ from holopoisson.algebroid import (
     LieAlgebra,
     MatchedPairData,
     RepData,
+    _deformation,
     _f_tensor,
     _frame_table,
     _s_tensor,
@@ -50,11 +51,15 @@ from holopoisson.poisson import (
 )
 
 from oracles import (
+    EndoFieldReference,
     canonical_matched_pair_reference,
     check_representation_reference,
     conjugate_by_signs,
+    deformation_reference,
     matched_pair_F,
     matched_pair_S,
+    nijenhuis_torsion_reference,
+    rand_multivector,
     rand_poly,
     realified_cotangent,
     realparts_liealgebra_check_reference,
@@ -188,6 +193,39 @@ def test_torsion_nonzero_on_random_endo():
             with pytest.raises(StructureError):
                 deform_by(t, endo)
     assert found
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from(["koszul-real", "koszul-complex", "realified",
+                        "tangent"]))
+def test_deformation_matches_generic_bracket(rng, family):
+    """The deformed brackets that _deformation builds from the frame data,
+    and the torsion from them, equal their definition through the generic
+    bracket: on Koszul algebroids of random bivectors on R^2 and C^2 with
+    a random polynomial N, whose anchor differentiates N; on realified
+    Lie algebras with a random constant N; and on the tangent algebroid,
+    whose torsion is also the Schouten-bracket torsion of the reference."""
+    if family == "realified":
+        a = realify_liealgebra(rng.choice([sl2(), heisenberg()])).algebroid
+        matrix = [[GQ(rng.randint(-2, 2)) for _ in range(a.rank)]
+                  for _ in range(a.rank)]
+    else:
+        chart = C2 if family == "koszul-complex" else R2
+        a = (tangent_algebroid(chart) if family == "tangent"
+             else koszul_algebroid(rand_multivector(rng, chart, 2, deg=1)))
+        matrix = [[rand_poly(rng, chart, deg=1, terms=2)
+                   for _ in range(a.rank)] for _ in range(a.rank)]
+    n = EndoOnAlgebroid(a, matrix)
+    brackets, torsion = deformation_reference(a, n)
+    assert _deformation(a, n) == brackets
+    assert nijenhuis_torsion_algebroid(a, n) == torsion
+    if family == "tangent":
+        chart = a.chart
+        assert nijenhuis_torsion_reference(
+            EndoFieldReference(chart, matrix)) == {
+                key: Multivector.from_components(chart, value)
+                for key, value in torsion.items()}
 
 
 def test_deform_by_j_on_clinear_algebra_is_j_bracket():
