@@ -65,6 +65,7 @@ from .multivec import (
     pairing,
     schouten,
     sharp,
+    sharp_matrix,
 )
 from .poisson import (
     GCSection,
@@ -403,10 +404,10 @@ def koszul_algebroid(pihat: Multivector) -> AlgebroidChart:
 
 def _coframe_algebroid(pi: Multivector, rank: int) -> AlgebroidChart:
     """Anchor pi# and Koszul bracket on the first rank coordinate
-    coframes, where [e^i, e^j] = d pi^{ij} (see koszul_bracket)."""
+    coframes, where [e^i, e^j] = d pi^{ij} (see koszul_bracket).  The
+    anchor row of e^i is pi# e^i, column i of the sharp matrix."""
     chart = pi.chart
-    anchor = [sharp(pi, Form.frame(chart, i)).coefficients()
-              for i in range(rank)]
+    anchor = poly_mat_transpose(sharp_matrix(pi))[:rank]
     return AlgebroidChart.from_frame_brackets(
         chart, rank, anchor,
         lambda i, j: differential(pi.component((i, j))).coefficients()[:rank])
