@@ -312,27 +312,15 @@ def _deformation(a: AlgebroidChart, n: EndoOnAlgebroid):
     With N e_i = sum_c N[c][i] e_c, the Leibniz rule gives
     [e_i, e_j]_N = sum_c (N[c][i] c_cj + N[c][j] c_ic)
     + sum_c (rho(e_i)(N[c][j]) - rho(e_j)(N[c][i])) e_c - N c_ij.
-    Each entry of N is differentiated once, and a constant N (a Lie
-    algebra's j, the standard J) has no derivative terms."""
+    A constant N (a Lie algebra's j, the standard J) has no derivative
+    terms."""
     if n.base is not a and n.base != a:
         raise ShapeError("endomorphism is not over this algebroid")
-    chart, rank = a.chart, a.rank
+    rank = a.rank
     zero = a.zero_section()
+    frames = [a.frame_section(i) for i in range(rank)]
     columns = poly_mat_transpose(n.matrix)
-    partials = [[[(k, d) for k in range(chart.nvars)
-                  for d in (entry.diff(k),) if not d.is_zero()]
-                 for entry in row] for row in n.matrix]
-    constant = not any(p for row in partials for p in row)
-
-    def rho(i, c, j):
-        # rho(e_i)(N[c][j])
-        out = Poly.zero(chart)
-        for k, d in partials[c][j]:
-            r = a.anchor[i][k]
-            if not r.is_zero():
-                out = out + r * d
-        return out
-
+    constant = all(p.degree() <= 0 for row in n.matrix for p in row)
     brackets = {}
     for i in range(rank):
         for j in range(i + 1, rank):
@@ -340,7 +328,8 @@ def _deformation(a: AlgebroidChart, n: EndoOnAlgebroid):
                              zero)
             value = _combine(columns[j], a.structure[i], value)
             if not constant:
-                value = [x + rho(i, c, j) - rho(j, c, i)
+                value = [x + a.anchor_apply(frames[i], n.matrix[c][j])
+                         - a.anchor_apply(frames[j], n.matrix[c][i])
                          for c, x in enumerate(value)]
             n_cij = poly_mat_vec(n.matrix, a.structure[i][j])
             brackets[(i, j)] = [x - y if not y.is_zero() else x
