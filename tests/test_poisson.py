@@ -5,6 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holopoisson.algebroid import (
+    EndoOnAlgebroid,
+    nijenhuis_torsion_algebroid,
+    tangent_algebroid,
+)
 from holopoisson.errors import ChartError, DegreeError, SingularError, StructureError
 from holopoisson.exactalg import GQ, Chart, Poly, convert_chart
 from holopoisson.linalg import (
@@ -21,11 +26,6 @@ from holopoisson.multivec import (
     schouten,
     sharp,
     sharp_matrix,
-)
-from holopoisson.algebroid import (
-    EndoOnAlgebroid,
-    nijenhuis_torsion_algebroid,
-    tangent_algebroid,
 )
 from holopoisson.poisson import (
     GCSection,
@@ -432,9 +432,10 @@ def pn_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(pn_cases())
 def test_pn_check_matches_reference(case):
-    """pn_check reads the Koszul brackets of N* e^a from a table of the
-    coframe brackets by the Leibniz rule and antisymmetry; the reference
-    takes every bracket anew.  The reports agree, true or false."""
+    """pn_check reads its torsion and Koszul compatibility from the
+    frame-level Nijenhuis deformation of the tangent and Koszul
+    algebroids; the reference takes the torsion through Schouten brackets
+    and every Koszul bracket anew.  The reports agree, true or false."""
     pi, endo = case
     assert pn_check(pi, endo) == pn_check_reference(pi, endo)
 
