@@ -162,9 +162,6 @@ def cmd_pn_check(doc, options):
 
 
 def cmd_torsion(doc, options):
-    """The Nijenhuis torsion of an endomorphism on its algebroid: the j of
-    a Lie algebra document's re-realified complex presentation, or a chart
-    endomorphism on the tangent algebroid."""
     require_keys(doc, {"chart", "endo", "lie_algebra", "expected"},
                  "torsion input")
     if _lie_algebra_document(doc, ("chart", "endo"), "torsion input"):
