@@ -50,7 +50,8 @@ full total matrices.
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections.abc import Sequence
+from itertools import combinations, repeat
 from operator import add
 
 from .algebroid import MatchedPairData
@@ -146,9 +147,23 @@ def _anchor_terms(row) -> tuple:
     return tuple(plus), tuple(minus)
 
 
-def _coboundary_table(mp: MatchedPairData, k: int, l: int) -> dict:
-    """The A-direction coboundary from cell (k, l) to (k + 1, l), read off
-    the matched-pair data once.
+def _direction_data(mp: MatchedPairData, direction: str) -> tuple:
+    """What the coboundary tables of direction 'A' or 'B' read, once per
+    direction: the two ranks, each frame's anchor terms and the signed
+    connection and structure lists.  Direction 'B' reads the swapped
+    pair."""
+    if direction == "B":
+        mp = mp.swapped()
+    a = mp.A
+    return (a.rank, mp.B.rank,
+            [_anchor_terms(row) for row in a.anchor],
+            [[_signed(vec) for vec in row] for row in mp.nablaAB.gamma],
+            [[_signed(vec) for vec in row] for row in a.structure])
+
+
+def _coboundary_table(data: tuple, k: int, l: int) -> dict:
+    """The A-direction coboundary from cell (k, l) to (k + 1, l) of the
+    pair whose _direction_data is given.
 
     On frame arguments (A_0..A_k, B_1..B_l) the coboundary of alpha is
     sum_i (-1)^i [ a(A_i) alpha(..hat A_i.., B..)
@@ -162,17 +177,13 @@ def _coboundary_table(mp: MatchedPairData, k: int, l: int) -> dict:
     sum c x^(shift + 1_v) d/dx_v, and mult the terms (exponents, c) of the
     summed multiplier.  A source and a target differ in one A-index, so
     the anchor part of each pair is one frame's anchor field, signed; the
-    anchors, connections and structure vectors are read once, and the
-    structure terms, which do not depend on the B-indices, once per
-    A-index tuple.
+    structure terms, which do not depend on the B-indices, are read once
+    per A-index tuple.
     """
-    a = mp.A
-    anchors = [_anchor_terms(row) for row in a.anchor]
-    gamma = [[_signed(vec) for vec in row] for row in mp.nablaAB.gamma]
-    structure = [[_signed(vec) for vec in row] for row in a.structure]
+    rank_a, rank_b, anchors, gamma, structure = data
     fields: dict = {}  # (source, target) -> anchor terms
     mults: dict = {}  # (source, target) -> multiplier
-    for I_out in combinations(range(a.rank), k + 1):
+    for I_out in combinations(range(rank_a), k + 1):
         brackets = []  # (source I, coefficient) of the structure terms
         for t in range(k + 1):
             for u in range(t + 1, k + 1):
@@ -184,7 +195,7 @@ def _coboundary_table(mp: MatchedPairData, k: int, l: int) -> dict:
                         key, ins = merged
                         brackets.append((key, c if sign * ins > 0
                                          else minus_c))
-        for J_out in combinations(range(mp.B.rank), l):
+        for J_out in combinations(range(rank_b), l):
             target = (I_out, J_out)
             for t, i in enumerate(I_out):
                 rest = I_out[:t] + I_out[t + 1:]
@@ -218,74 +229,18 @@ def _coboundary_table(mp: MatchedPairData, k: int, l: int) -> dict:
             for source, targets in grouped.items()}
 
 
-def _cell_table(mp: MatchedPairData, cell, direction: str) -> dict:
-    """The coboundary table of one cell in direction 'A' or 'B'.  The B
-    table is the A table of the swapped pair on cell (l, k), with the index
-    pairs of its sources and targets exchanged."""
+def _cell_table(data: tuple, cell, direction: str) -> dict:
+    """The coboundary table of one cell in direction 'A' or 'B', from that
+    direction's _direction_data.  The B table is the A table of the
+    swapped pair on cell (l, k), with the index pairs of its sources and
+    targets exchanged."""
     k, l = cell
     if direction == "A":
-        return _coboundary_table(mp, k, l)
-    swapped = _coboundary_table(mp.swapped(), l, k)
+        return _coboundary_table(data, k, l)
+    swapped = _coboundary_table(data, l, k)
     return {(I, J): tuple(((I2, J2), anchor, mult)
                           for (J2, I2), anchor, mult in entries)
             for (J, I), entries in swapped.items()}
-
-
-def _image(entries, exps) -> dict:
-    """The coboundary of the monomial x^exps on the source frame pair whose
-    table entries are given, as {(I', J', exponents): coefficient}."""
-    out: dict = {}
-    for (I, J), anchor, mult in entries:
-        for v, terms in anchor:
-            e = exps[v]
-            if e:
-                for shift, c in terms:
-                    _accumulate(out, (I, J, tuple(map(add, exps, shift))),
-                                c if e == 1 else c * e)
-        for shift, c in mult:
-            _accumulate(out, (I, J, tuple(map(add, exps, shift))), c)
-    return out
-
-
-def _apply(cochain: BiCochain, direction: str) -> BiCochain:
-    """partial_A (direction 'A') or partial_B ('B') of a cochain, through
-    its cell's table."""
-    mp = cochain.mp
-    k, l = cochain.k, cochain.l
-    table = _cell_table(mp, (k, l), direction)
-    terms: dict = {}
-    for key, poly in cochain.comps.items():
-        entries = table.get(key, ())
-        for exps, coeff in poly.terms.items():
-            for image_key, value in _image(entries, exps).items():
-                _accumulate(terms, image_key, coeff * value)
-    comps: dict = {}
-    for (I, J, exps), value in terms.items():
-        comps.setdefault((I, J), {})[exps] = value
-    chart = mp.A.chart
-    target = (k + 1, l) if direction == "A" else (k, l + 1)
-    return BiCochain(mp, *target,
-                     {key: Poly(chart, t) for key, t in comps.items()})
-
-
-def partial_A(cochain: BiCochain) -> BiCochain:
-    """The A-direction coboundary of the matched-pair double complex."""
-    return _apply(cochain, "A")
-
-
-def partial_B(cochain: BiCochain) -> BiCochain:
-    """The B-direction coboundary: partial_A of the swapped pair, on the
-    components with their index tuples exchanged."""
-    return _apply(cochain, "B")
-
-
-def total_differential(cochain: BiCochain):
-    """partial_A + (-1)^k partial_B, as the pair of output cells."""
-    da = partial_A(cochain)
-    db = partial_B(cochain)
-    if cochain.k % 2:
-        db = -db
-    return da, db
 
 
 # ----------------------------------------------------------------------
@@ -412,17 +367,12 @@ def monomials_of_degree(nvars: int, degree: int):
     order (frozen for bit-stable output)."""
     if nvars == 0:
         return [()] if degree == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, nvars)
-    return out
+    # (prefix, remaining degree), one variable's exponent at a time
+    level = [((), degree)]
+    for _ in range(nvars - 1):
+        level = [(prefix + (e,), remaining - e) for prefix, remaining in level
+                 for e in range(remaining, -1, -1)]
+    return [prefix + (remaining,) for prefix, remaining in level]
 
 
 def monomials_up_to_degree(nvars: int, bound: int):
@@ -450,59 +400,251 @@ class BettiReport(Record):
         raise KeyError(weight)
 
 
+class _Cell(Sequence):
+    """The frozen basis of one cell, frame pairs outer and monomials
+    inner: position p * len(monos) + m holds (I, J, monos[m]) for
+    (I, J) = pairs[p], and it reads as that sequence of triples.
+    pair_index maps each pair to its p, positions each monomial to its m;
+    degrees is the (low, high) range of the monomials' degrees.  A cell
+    with no monomial has no pairs."""
+
+    __slots__ = ("pairs", "pair_index", "monos", "positions", "degrees")
+
+    def __init__(self, pairs, pair_index, monos, positions, degrees):
+        self.pairs = pairs
+        self.pair_index = pair_index
+        self.monos = monos
+        self.positions = positions
+        self.degrees = degrees
+
+    def __len__(self):
+        return len(self.pairs) * len(self.monos)
+
+    def __getitem__(self, pos):
+        size = len(self)
+        if pos < 0:
+            pos += size
+        if not 0 <= pos < size:
+            raise IndexError("cell basis index out of range")
+        p, m = divmod(pos, len(self.monos))
+        I, J = self.pairs[p]
+        return I, J, self.monos[m]
+
+    def __iter__(self):
+        for I, J in self.pairs:
+            for exps in self.monos:
+                yield I, J, exps
+
+    def index(self, key):
+        I, J, exps = key
+        p = self.pair_index.get((I, J))
+        m = self.positions.get(exps)
+        if p is None or m is None:
+            raise ValueError(f"{key!r} is not in the cell's basis")
+        return p * len(self.monos) + m
+
+
+class _Layout:
+    """What the blocks of one matched pair share, each part built on first
+    use: the frame pairs of each cell, the monomials of each degree range
+    with their positions, the weight system, each direction's data, the
+    coboundary table of each (cell, direction), and the shift maps and
+    anchor values that cell matrices read."""
+
+    __slots__ = ("mp", "pairs", "monos", "weights", "data", "tables",
+                 "shift_maps", "values")
+
+    def __init__(self, mp: MatchedPairData):
+        self.mp = mp
+        self.pairs = {}
+        self.monos = {}
+        self.weights = None
+        self.data = {}
+        self.tables = {}
+        self.shift_maps = {}
+        self.values = {}
+
+    def cell(self, k, l, low, high) -> _Cell:
+        """Cell (k, l) with the monomials of degrees low..high (none if
+        high < 0) on each frame pair; no pair is enumerated when there is
+        no monomial."""
+        degrees = (low, high)
+        found = self.monos.get(degrees)
+        if found is None:
+            nvars = self.mp.A.chart.nvars
+            if high < 0:
+                monos = []
+            elif low == high:
+                monos = monomials_of_degree(nvars, low)
+            else:
+                monos = monomials_up_to_degree(nvars, high)
+            found = self.monos[degrees] = (
+                monos, {exps: m for m, exps in enumerate(monos)})
+        monos, positions = found
+        if not monos:
+            return _Cell((), {}, monos, positions, degrees)
+        pairs = self.pairs.get((k, l))
+        if pairs is None:
+            listed = [(I, J) for I in combinations(range(self.mp.A.rank), k)
+                      for J in combinations(range(self.mp.B.rank), l)]
+            pairs = self.pairs[(k, l)] = (
+                listed, {pair: p for p, pair in enumerate(listed)})
+        return _Cell(*pairs, monos, positions, degrees)
+
+    def weight_exponents(self):
+        if self.weights is None:
+            self.weights = weight_exponents(self.mp)
+        return self.weights
+
+    def table(self, cell, direction):
+        key = (cell, direction)
+        table = self.tables.get(key)
+        if table is None:
+            data = self.data.get(direction)
+            if data is None:
+                data = self.data[direction] = _direction_data(self.mp,
+                                                              direction)
+            table = self.tables[key] = _cell_table(data, cell, direction)
+        return table
+
+    def shift_map(self, source: _Cell, goal: _Cell, shift):
+        """The position in goal of x^(e + shift) for each monomial e of
+        source, None where it is not there."""
+        key = (source.degrees, goal.degrees, shift)
+        found = self.shift_maps.get(key)
+        if found is None:
+            positions = goal.positions
+            found = self.shift_maps[key] = [
+                positions.get(tuple(map(add, exps, shift)))
+                for exps in source.monos]
+        return found
+
+    def anchor_values(self, source: _Cell, v, c):
+        """c e_v for each monomial e of source, None where e_v = 0: what
+        the anchor term c x^(shift + 1_v) d/dx_v takes e to, on
+        x^(e + shift)."""
+        key = (source.degrees, v, c)
+        found = self.values.get(key)
+        if found is None:
+            found = self.values[key] = [
+                None if not exps[v] else c if exps[v] == 1 else c * exps[v]
+                for exps in source.monos]
+        return found
+
+
+def _add_term(images, base, positions, values, escape) -> bool:
+    """Add one table term into the column images of a frame pair:
+    images[m][base + positions[m]] += values[m] for each m whose value is
+    not None, dropping an entry that sums to zero.  A monomial outside the
+    target basis (position None) is added under the key escape instead;
+    the result says whether any was."""
+    escaped = False
+    for image, pos, value in zip(images, positions, values):
+        if value is None:
+            continue
+        if pos is None:
+            key = escape
+            escaped = True
+        else:
+            key = base + pos
+        old = image.get(key)
+        if old is None:
+            image[key] = value
+        else:
+            value = old + value
+            if value.is_zero():
+                del image[key]
+            else:
+                image[key] = value
+    return escaped
+
+
 class _Block:
     """One truncation block: a finite complex with frozen basis order.
 
-    tables caches the coboundary table of each (cell, direction); blocks of
-    one matched pair may share it."""
+    basis maps each cell (k, l) to its _Cell; layout is shared with the
+    pair's other blocks."""
 
-    def __init__(self, mp: MatchedPairData, weight, basis, tables=None):
+    def __init__(self, mp: MatchedPairData, weight, basis, layout):
         self.mp = mp
         self.weight = weight
-        # basis: dict (k, l) -> list of (I, J, exps)
         self.basis = basis
-        self.index = {}
-        for cell, items in basis.items():
-            self.index[cell] = {key: pos for pos, key in enumerate(items)}
-        self.tables = {} if tables is None else tables
+        self.layout = layout
 
     def cells(self):
         return sorted(self.basis)
 
     def cell_dim(self, cell):
-        return len(self.basis.get(cell, []))
-
-    def _table(self, cell, direction):
-        key = (cell, direction)
-        table = self.tables.get(key)
-        if table is None:
-            table = self.tables[key] = _cell_table(self.mp, cell, direction)
-        return table
+        found = self.basis.get(cell)
+        return 0 if found is None else len(found)
 
     def cell_matrix(self, cell, direction):
         """Matrix of partial_A (direction 'A') or partial_B ('B') from one
-        cell to its neighbor, in the frozen basis order, its rows filled
-        column by column from the images; an image outside the target
-        cell's basis is a TruncationError."""
+        cell to its neighbor, in the frozen basis order; an image outside
+        the target cell's basis is a TruncationError.
+
+        Column p * len(monos) + m is monomial m on frame pair p.  A table
+        term maps monomial m of its source pair to row start + shift_map[m]
+        of its target pair, where shift_map (computed once per shift)
+        holds the target position of x^(e + shift) for each monomial e.
+        Each pair's terms are added monomial list by monomial list into one
+        image per column, which then fills the rows; an empty cell has no
+        table."""
         k, l = cell
         target = (k + 1, l) if direction == "A" else (k, l + 1)
-        table = self._table(cell, direction)
-        index = self.index.get(target, {})
+        source = self.basis[cell]
+        goal = self.basis.get(target)
+        nrows = 0 if goal is None else len(goal)
+        monos = source.monos
+        if not monos:
+            return SparseMatrix.from_rows(nrows, 0, {})
+        layout = self.layout
+        table = layout.table(cell, direction)
+        if goal is None:
+            pair_index, width = {}, 0
+        else:
+            pair_index, width = goal.pair_index, len(goal.monos)
+        size = len(monos)
+        outside = [None] * size
         rows = {}
-        for col, (I, J, exps) in enumerate(self.basis.get(cell, [])):
-            for key, value in _image(table.get((I, J), ()), exps).items():
-                row = index.get(key)
-                if row is None:
-                    raise TruncationError(
-                        "differential escapes the truncated basis; "
-                        "choose a compatible truncation")
-                entries = rows.get(row)
-                if entries is None:
-                    rows[row] = {col: value}
-                else:
-                    entries[col] = value
-        return SparseMatrix.from_rows(self.cell_dim(target),
-                                      self.cell_dim(cell), rows)
+        for p, pair in enumerate(source.pairs):
+            entries = table.get(pair)
+            if entries is None:
+                continue
+            images = [{} for _ in monos]
+            escaped = False
+            for goal_pair, anchor, mult in entries:
+                q = pair_index.get(goal_pair)
+                base = 0 if q is None else q * width
+                for v, terms in anchor:
+                    for shift, c in terms:
+                        escaped |= _add_term(
+                            images, base,
+                            outside if q is None
+                            else layout.shift_map(source, goal, shift),
+                            layout.anchor_values(source, v, c),
+                            (goal_pair, shift))
+                for shift, c in mult:
+                    escaped |= _add_term(
+                        images, base,
+                        outside if q is None
+                        else layout.shift_map(source, goal, shift),
+                        repeat(c, size), (goal_pair, shift))
+            if escaped and any(type(key) is tuple
+                               for image in images for key in image):
+                raise TruncationError(
+                    "differential escapes the truncated basis; "
+                    "choose a compatible truncation")
+            col = p * size
+            for image in images:
+                for row, value in image.items():
+                    found = rows.get(row)
+                    if found is None:
+                        rows[row] = {col: value}
+                    else:
+                        found[col] = value
+                col += 1
+        return SparseMatrix.from_rows(nrows, len(source), rows)
 
     def degree_cells(self, degree):
         return [c for c in self.cells() if c[0] + c[1] == degree]
@@ -562,26 +704,24 @@ def _canonical_cells(mp):
 
 
 def build_block(mp: MatchedPairData, truncation: Truncation, weight=None,
-                tables=None):
-    """Enumerate the frozen basis of one block; tables is the coboundary
-    table cache to share with the pair's other blocks (a new one if
-    None)."""
-    nvars = mp.A.chart.nvars
+                layout=None):
+    """Enumerate the frozen basis of one block; layout holds the frame
+    pairs, monomials and coboundary tables to share with the pair's other
+    blocks (a new one if None)."""
+    if layout is None:
+        layout = _Layout(mp)
     if truncation.mode == "total_degree":
         weight = None
-        monos = monomials_up_to_degree(nvars, truncation.bound)
     else:
-        c_a, c_b = weight_exponents(mp)
+        c_a, c_b = layout.weight_exponents()
     basis = {}
     for k, l in _canonical_cells(mp):
-        if weight is not None:
+        if weight is None:
+            basis[(k, l)] = layout.cell(k, l, 0, truncation.bound)
+        else:
             degree = weight - c_a * k - c_b * l
-            monos = monomials_of_degree(nvars, degree) if degree >= 0 else []
-        basis[(k, l)] = [(I, J, exps)
-                         for I in combinations(range(mp.A.rank), k)
-                         for J in combinations(range(mp.B.rank), l)
-                         for exps in monos]
-    return _Block(mp, weight, basis, tables)
+            basis[(k, l)] = layout.cell(k, l, degree, degree)
+    return _Block(mp, weight, basis, layout)
 
 
 def _total_label(block: _Block, degree: int) -> str:
@@ -647,11 +787,11 @@ def assemble_total(mp: MatchedPairData, truncation: Truncation):
 
 
 def _blocks_for(mp, truncation):
-    """The truncation's blocks, sharing one coboundary table cache."""
-    tables = {}
+    """The truncation's blocks, sharing one layout."""
+    layout = _Layout(mp)
     if truncation.mode == "total_degree":
-        return [build_block(mp, truncation, tables=tables)]
-    return [build_block(mp, truncation, weight=w, tables=tables)
+        return [build_block(mp, truncation, layout=layout)]
+    return [build_block(mp, truncation, weight=w, layout=layout)
             for w in range(truncation.bound + 1)]
 
 

@@ -9,11 +9,12 @@ out, so restricting a matrix copies nothing.
 
 Two independent routes are kept deliberately separate:
 
-* ``markowitz_rank``: sparse Gaussian elimination straight over GQ, on
-  copies of the matrix's rows with a column -> rows index.  It first
-  peels the singletons, pivots of Markowitz cost 0 that need no
+* ``markowitz_rank``: sparse Gaussian elimination straight over GQ.  It
+  first peels the singletons, pivots of Markowitz cost 0 that need no
   arithmetic: columns with one nonzero, then rows with one nonzero, each
-  kind until none is left.  The columns left are kept in buckets by
+  kind until none is left, on counts over the matrix's rows, which it
+  leaves as they are.  It copies only the rows left after the peel, with
+  a column -> rows index.  The columns left are kept in buckets by
   nonzero count; each further pivot is in a column of least count, on
   its shortest row (ties to the smaller row index), found with no scan
   of the remaining nonzeros, and only the rows with a nonzero in the
@@ -157,30 +158,33 @@ def dense_rank(rows) -> int:
 def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     """Rank of a sparse GQ matrix by Gaussian elimination over GQ.
 
-    Works on copies of the matrix's row dicts ``col -> value`` (the
-    skipped columns filtered out as they are copied) with a
-    ``col -> rows`` index (a dict used as an insertion-ordered set,
-    smaller than a set).  First the pivots of Markowitz cost
+    The peel runs on counts over the matrix's own row dicts, which it
+    does not change: a ``col -> rows`` index (lists in row order, the
+    skipped columns left out), each live column's count of live rows and
+    each live row's length.  First the pivots of Markowitz cost
     (r - 1)(c - 1) = 0 are peeled, with no GQ arithmetic, until no
-    singleton is left: a column with one nonzero pivots on its row, which
-    leaves (its columns' counts drop); then a row with one nonzero pivots
-    on that entry, and its column leaves every other row (their lengths
-    drop).  Each removal can make a new singleton of its own kind, never
-    one of the other, so one pass of each peels them all.
+    singleton is left: a column with one live row pivots on that row,
+    which leaves (its columns' counts drop); then a row with one live
+    column pivots on that entry, and its column leaves every other row
+    (their lengths drop).  Each removal can make a new singleton of its
+    own kind, never one of the other, so one pass of each peels them all.
 
-    The columns left sit in count buckets, stacks of the columns pushed
-    at each nonzero count (at the start in ascending column order), with
-    a pointer at the lowest non-empty count.  Each step pivots in a
-    column of that least count (a column of count 1 at once, with no
-    search and nothing to eliminate), on its shortest row, ties to the
-    smaller row index (the one-column case of Zlatev's limited Markowitz
-    search, 1980), and updates only the rows with a nonzero in the pivot
-    column.  Only the pivot row's columns change count; each is pushed
-    onto the bucket of its new count, and a column whose count reaches 0
-    leaves the index.  An entry whose column has left or whose count has
-    changed since its push is stale and is dropped when popped.  No step
-    scans the remaining nonzeros, and the pivot order depends on the
-    matrix alone (the peel's stacks, too, are seeded in sorted order).
+    Only the rows left after the peel are copied, with the skipped and
+    peeled columns filtered out, into row dicts ``col -> value`` with a
+    ``col -> rows`` index (a dict used as an insertion-ordered set).
+    Those columns sit in count buckets, stacks of the columns pushed at
+    each nonzero count (at the start in ascending column order), with a
+    pointer at the lowest non-empty count.  Each step pivots in a column
+    of that least count (a column of count 1 at once, with no search and
+    nothing to eliminate), on its shortest row, ties to the smaller row
+    index (the one-column case of Zlatev's limited Markowitz search,
+    1980), and updates only the rows with a nonzero in the pivot column.
+    Only the pivot row's columns change count; each is pushed onto the
+    bucket of its new count, and a column whose count reaches 0 leaves
+    the index.  An entry whose column has left or whose count has changed
+    since its push is stale and is dropped when popped.  No step scans the
+    remaining nonzeros, and the pivot order depends on the matrix alone
+    (the peel's stacks, too, are seeded in sorted order).
 
     Eliminating by a one-entry row deletes its column's entries, so each
     pivot row, peeled or not, is the original row plus multiples of
@@ -188,44 +192,51 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     independent rows of the matrix; pivot_rows, if given, is a set that
     receives them.
     """
-    rows: dict = {}
-    cols: dict = {}
+    source = matrix.row_dicts
     skip = matrix.skip
-    for i, source in matrix.row_dicts.items():
+    index: dict = {}  # col -> its rows, in row order
+    length: dict = {}  # live row -> its number of live columns
+    for i, row in source.items():
         if skip:
-            row = {j: v for j, v in source.items() if j not in skip}
+            row = [j for j in row if j not in skip]
             if not row:
                 continue
-        else:
-            row = source.copy()
-        rows[i] = row
+        length[i] = len(row)
         for j in row:
-            col = cols.get(j)
+            col = index.get(j)
             if col is None:
-                cols[j] = {i: None}
+                index[j] = [i]
             else:
-                col[i] = None
+                col.append(i)
+    # live column -> its number of live rows; the skipped columns and the
+    # columns that have left are absent, so a live row's live columns are
+    # its columns with a count
+    count = {j: len(col) for j, col in index.items()}
     rank = 0
-    # Column singletons: each pivots on its one row, which leaves, so only
-    # that row's columns lose count (new column singletons, no new row
-    # singleton).  Stacks hold singletons pushed at count 1; one popped
-    # after its count reached 0 has left the index.
-    stack = [j for j in sorted(cols) if len(cols[j]) == 1]
+    # Column singletons: each pivots on its one live row, which leaves, so
+    # only that row's columns lose count (new column singletons, no new
+    # row singleton).  Stacks hold singletons pushed at count 1; one
+    # popped after its count reached 0 has left.
+    stack = [j for j in sorted(count) if count[j] == 1]
     while stack:
         pc = stack.pop()
-        below = cols.pop(pc, None)
-        if below is None:
+        if count.pop(pc, None) is None:
             continue  # its one row was an earlier pivot row
-        pr = below.popitem()[0]
-        pivot_row = rows.pop(pr)
-        del pivot_row[pc]
-        for j in pivot_row:
-            col = cols[j]
-            del col[pr]
-            if len(col) == 1:
+        for pr in index[pc]:
+            if pr in length:
+                break
+        del length[pr]
+        for j in source[pr]:
+            n = count.get(j)
+            if n is None:
+                continue
+            if n == 2:
+                count[j] = 1
                 stack.append(j)
-            elif not col:
-                del cols[j]
+            elif n == 1:
+                del count[j]
+            else:
+                count[j] = n - 1
         if pivot_rows is not None:
             pivot_rows.add(pr)
         rank += 1
@@ -233,24 +244,41 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     # rule): eliminating with a one-entry row deletes its column from
     # every other row, so only rows shorten (new row singletons, and still
     # no column singleton).
-    stack = [i for i in sorted(rows, reverse=True) if len(rows[i]) == 1]
+    stack = [i for i in sorted(length, reverse=True) if length[i] == 1]
     while stack:
         pr = stack.pop()
-        pivot_row = rows.pop(pr, None)
-        if pivot_row is None:
+        if length.pop(pr, None) is None:
             continue  # its one column was an earlier pivot column
-        (pc,) = pivot_row
-        for i in cols.pop(pc):
-            if i != pr:
-                row = rows[i]
-                del row[pc]
-                if len(row) == 1:
-                    stack.append(i)
-                elif not row:
-                    del rows[i]
+        for pc in source[pr]:
+            if pc in count:
+                break
+        del count[pc]
+        for i in index[pc]:
+            n = length.get(i)
+            if n is None:
+                continue
+            if n == 2:
+                length[i] = 1
+                stack.append(i)
+            elif n == 1:
+                del length[i]
+            else:
+                length[i] = n - 1
         if pivot_rows is not None:
             pivot_rows.add(pr)
         rank += 1
+    if not length:
+        return rank
+    rows: dict = {}
+    cols: dict = {}
+    for i in length:
+        row = rows[i] = {j: v for j, v in source[i].items() if j in count}
+        for j in row:
+            col = cols.get(j)
+            if col is None:
+                cols[j] = {i: None}
+            else:
+                col[i] = None
     buckets: dict = {}
     for j in sorted(cols):
         buckets.setdefault(len(cols[j]), []).append(j)

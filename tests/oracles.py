@@ -14,6 +14,12 @@ These deliberately take different routes from the library code:
   Poly products; partial_A_reference and partial_B_reference (the latter
   on the swapped pair) apply it to a BiCochain.  It was the library's
   route before the per-cell operator tables, and checks them.
+* partial_A, partial_B and total_differential apply the library's
+  per-cell coboundary tables (cohomology._cell_table) to a BiCochain,
+  one monomial image at a time.  The library assembles its matrices from
+  the same tables by position and has no other use for them, so they
+  live here: the tests check them against coboundary_reference, the
+  direct-sum oracle, dbar_mixed and d_pi, and through them the tables.
 * cell_matrix_reference and total_matrix_oracle build a block's cell and
   total matrices one basis vector at a time through the reference
   coboundary, instead of reading the operator tables and assembling.
@@ -88,7 +94,9 @@ Fixtures and references that no command needs, moved out of the library:
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
+from holopoisson import cohomology
 from holopoisson.algebroid import (
     AlgebroidChart,
     MatchedPairData,
@@ -429,6 +437,67 @@ def partial_B_reference(cochain):
                                  cochain.k)
     comps = {(I, J): poly for (J, I), poly in image.items()}
     return BiCochain(mp, cochain.k, cochain.l + 1, comps)
+
+
+# ----------------------------------------------------------------------
+# the library's coboundary tables applied to a cochain
+
+def _image(entries, exps) -> dict:
+    """The coboundary of the monomial x^exps on the source frame pair whose
+    table entries are given, as {(I', J', exponents): coefficient}."""
+    out: dict = {}
+    for (I, J), anchor, mult in entries:
+        for v, terms in anchor:
+            e = exps[v]
+            if e:
+                for shift, c in terms:
+                    _accumulate(out, (I, J, tuple(map(add, exps, shift))),
+                                c if e == 1 else c * e)
+        for shift, c in mult:
+            _accumulate(out, (I, J, tuple(map(add, exps, shift))), c)
+    return out
+
+
+def _apply(cochain: BiCochain, direction: str) -> BiCochain:
+    """partial_A (direction 'A') or partial_B ('B') of a cochain, through
+    the library's table of its cell."""
+    mp = cochain.mp
+    k, l = cochain.k, cochain.l
+    table = cohomology._cell_table(
+        cohomology._direction_data(mp, direction), (k, l), direction)
+    terms: dict = {}
+    for key, poly in cochain.comps.items():
+        entries = table.get(key, ())
+        for exps, coeff in poly.terms.items():
+            for image_key, value in _image(entries, exps).items():
+                _accumulate(terms, image_key, coeff * value)
+    comps: dict = {}
+    for (I, J, exps), value in terms.items():
+        comps.setdefault((I, J), {})[exps] = value
+    chart = mp.A.chart
+    target = (k + 1, l) if direction == "A" else (k, l + 1)
+    return BiCochain(mp, *target,
+                     {key: Poly(chart, t) for key, t in comps.items()})
+
+
+def partial_A(cochain: BiCochain) -> BiCochain:
+    """The A-direction coboundary of the matched-pair double complex."""
+    return _apply(cochain, "A")
+
+
+def partial_B(cochain: BiCochain) -> BiCochain:
+    """The B-direction coboundary: partial_A of the swapped pair, on the
+    components with their index tuples exchanged."""
+    return _apply(cochain, "B")
+
+
+def total_differential(cochain: BiCochain):
+    """partial_A + (-1)^k partial_B, as the pair of output cells."""
+    da = partial_A(cochain)
+    db = partial_B(cochain)
+    if cochain.k % 2:
+        db = -db
+    return da, db
 
 
 # ----------------------------------------------------------------------

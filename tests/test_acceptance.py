@@ -36,9 +36,6 @@ from holopoisson.cohomology import (
     Truncation,
     betti,
     d_pi,
-    partial_A,
-    partial_B,
-    total_differential,
 )
 from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.linalg import (
@@ -66,8 +63,11 @@ from oracles import (
     conjugate_by_signs,
     holomorphic_tangent_algebroid,
     linear_action_algebroid,
+    partial_A,
+    partial_B,
     rand_poly,
     realified_cotangent,
+    total_differential,
 )
 
 C1 = Chart.complex(1)
