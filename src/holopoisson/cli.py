@@ -26,6 +26,7 @@ main() and is not affected.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -164,10 +165,19 @@ def cmd_pn_check(doc, options):
 def cmd_torsion(doc, options):
     require_keys(doc, {"chart", "endo", "lie_algebra", "expected"},
                  "torsion input")
-    if _lie_algebra_document(doc, ("chart", "endo"), "torsion input"):
+    # a Lie algebra document's j claims to be integrable, so its torsion
+    # is a verdict; a chart's endo is any endomorphism
+    lie = _lie_algebra_document(doc, ("chart", "endo"), "torsion input")
+    if lie:
         g = parse_liealgebra(doc["lie_algebra"])
-        realified = alg.realify_liealgebra(alg.complex_presentation(g))
-        base, endo = realified.algebroid, realified.j
+        if g.j is None:
+            # a complex algebra: its realification's j, integrable by
+            # construction
+            g = alg.realify_liealgebra(g.algebroid)
+        elif not alg.verify_algebroid(g.algebroid).jacobi:
+            raise StructureError(
+                "structure constants fail the Jacobi identity")
+        base, endo = g.algebroid, g.j
         data = {"rank": base.rank}
 
         def entry(i, j, vec):
@@ -185,7 +195,8 @@ def cmd_torsion(doc, options):
     torsion = alg.nijenhuis_torsion_algebroid(base, endo)
     data["nonzero"] = [entry(i, j, vec)
                        for (i, j), vec in sorted(torsion.items())]
-    return {"verdicts": {"torsion_zero": not torsion}, "data": data}, True
+    return ({"verdicts": {"torsion_zero": not torsion}, "data": data},
+            not (lie and torsion))
 
 
 def cmd_koszul(doc, options):
@@ -565,14 +576,18 @@ def main(argv=None) -> int:
 
 def run():
     """The process entry (``python -m holopoisson.cli`` and the
-    ``holopoisson`` script): main(), then flush both streams and end the
-    process with os._exit, skipping interpreter teardown.  Every file a
-    command writes is closed by its with block before main returns, and
-    the package registers no atexit hook or finaliser and starts no
-    thread.  main() has flushed stdout already (a report into a closed
-    pipe is an input error there); a flush that fails here leaves the
-    exit to sys.exit, so its code and message are those of a plain
-    return."""
+    ``holopoisson`` script): main() with the cyclic garbage collector
+    off, then flush both streams and end the process with os._exit,
+    skipping interpreter teardown.  The commands make no reference cycles
+    beyond the few of the stdlib JSON encoder, so reference counting frees
+    everything the collector would; main() and the library leave the
+    collector as they find it.  Every file a command writes is closed by
+    its with block before main returns, and the package registers no
+    atexit hook or finaliser and starts no thread.  main() has flushed
+    stdout already (a report into a closed pipe is an input error there);
+    a flush that fails here leaves the exit to sys.exit, so its code and
+    message are those of a plain return."""
+    gc.disable()
     code = main()
     try:
         sys.stdout.flush()

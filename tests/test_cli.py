@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -14,12 +15,14 @@ from holopoisson.cli import (
     corpus_path,
     run_job,
 )
+from holopoisson.algebroid import nijenhuis_torsion_algebroid
 from holopoisson.errors import ParseError
 from holopoisson.exactalg import Chart
 from holopoisson.serialize import (
     alternating_dict,
     parse_alternating,
     parse_chart,
+    parse_liealgebra,
 )
 
 
@@ -215,6 +218,49 @@ def test_decompose_and_koszul_and_torsion(tmp_path):
     report = json.loads(out)
     assert report["verdicts"]["torsion_zero"] is False
     assert report["data"]["nonzero"]
+
+
+def test_torsion_takes_the_lie_documents_j(tmp_path):
+    """On a Lie algebra document with j, torsion is the Nijenhuis torsion
+    of that j on the document's algebra, and a nonzero one fails the
+    document (exit 2).  aff(1), [e1, e2] = e1, is not a complex Lie
+    algebra for j = rotation, but every almost complex structure in real
+    dimension 2 is integrable."""
+    aff = write_doc(tmp_path, "aff1.json", {
+        "lie_algebra": {"rank": 2, "brackets": [[1, 2, 1, "1"]],
+                        "j": [["0", "-1"], ["1", "0"]]}})
+    code, out, _ = run_cli(["torsion", aff])
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdicts"]["torsion_zero"] is True
+    assert report["data"] == {"nonzero": [], "rank": 2}
+
+    with open(corpus_path("sl2_realified.json"), encoding="utf-8") as h:
+        doc = json.load(h)
+    rotation = [["0"] * 6 for _ in range(6)]
+    for a in (0, 2, 4):
+        rotation[a + 1][a], rotation[a][a + 1] = "1", "-1"
+    doc["lie_algebra"]["j"] = rotation
+    code, out, _ = run_cli(["torsion", write_doc(tmp_path, "rot.json", doc)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["verdicts"]["torsion_zero"] is False
+    g = parse_liealgebra(doc["lie_algebra"])
+    torsion = nijenhuis_torsion_algebroid(g.algebroid, g.j)
+    assert len(torsion) == 12
+    assert report["data"]["nonzero"] == [
+        [i + 1, j + 1, [str(p) for p in vec]]
+        for (i, j), vec in sorted(torsion.items())]
+
+    # a bracket that fails Jacobi is no Lie algebra, with or without j
+    for j in (None, [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]):
+        bad = write_doc(tmp_path, "bad.json", {
+            "lie_algebra": {"rank": 3, "j": j,
+                            "brackets": [[1, 2, 3, "1"], [2, 3, 2, "1"]]}})
+        code, _, err = run_cli(["torsion", bad])
+        assert code == 2
+        assert "Jacobi" in err
 
 
 def test_matched_pair_bowtie_yao_cotangent(tmp_path):
@@ -759,6 +805,32 @@ def test_console_script_target_matches_main_in_process(tmp_path, capsys):
     code, out, err = as_a_process(["-c", ROUTES["run"]], args, tmp_path)
     assert (code, out) == in_process(args, capsys)[:2]
     assert code == 0 and err.startswith("elapsed: ")
+
+
+def test_commands_make_no_reference_cycles(capsys):
+    """run() turns the cyclic garbage collector off, which frees nothing
+    less only while the commands make no reference cycles: with the
+    collector off, what a command leaves to it is the same few objects
+    (the stdlib JSON encoder's) for a small and a larger cohomology block
+    and a structural check."""
+    from holopoisson import cli
+
+    cases = [["cohomology", corpus_path("sl2.json"), "--weight", "2"],
+             ["cohomology", corpus_path("sl2.json"), "--weight", "5"],
+             ["check-poisson", corpus_path("quadratic.json")]]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    counts = []
+    try:
+        for args in cases:
+            assert cli.main(args) == 0
+            counts.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 @pytest.mark.parametrize("unbuffered", [False, True],
