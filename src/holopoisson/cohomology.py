@@ -1,34 +1,42 @@
 """Double-complex differentials and exact Betti numbers of a matched pair.
 
 BiCochains are sections of Lambda^k A* (x) Lambda^l B* presented by
-components on pairs of increasing frame index sets.  partial_A and
-partial_B implement the two coboundary operators of the matched-pair
-double complex.  Both are linear differential operators with polynomial
-coefficients, so each cell's operator is read off the matched-pair data
-once, into a table from each source frame pair (I, J) to its target pairs
-(I', J'): an anchor part (the vector field rho(a_i), as variables with
-coefficient terms) and one summed multiplier for the connection and
-structure terms.  The image of a monomial x^e is then exponent arithmetic
-alone.  The same tables give the cell matrices, column by column from the
-basis monomials, and partial_A and partial_B on any BiCochain.  A matched
-pair (A, B) is symmetric: (B, A) is one too, so the B-direction table is
-the A-direction table of the swapped pair (MatchedPairData.swapped) with
-the A- and B-index tuples exchanged.  The total differential on total
-degree k + l is partial_A + (-1)^k partial_B.
+components on pairs of increasing frame index sets.  The two coboundary
+operators of the matched-pair double complex, partial_A and partial_B,
+are linear differential operators with polynomial coefficients, so each
+cell's operator is read off the matched-pair data once, into a table from
+each source frame pair (I, J) to its target pairs (I', J'): an anchor part
+(the vector field rho(a_i), as variables with coefficient terms) and one
+summed multiplier for the connection and structure terms.  The data the
+tables read (anchor terms, signed connection and structure lists) is read
+once per direction.  A matched pair (A, B) is symmetric: (B, A) is one
+too, so the B-direction table is the A-direction table of the swapped pair
+(MatchedPairData.swapped) with the A- and B-index tuples exchanged.  The
+total differential on total degree k + l is partial_A + (-1)^k partial_B.
+
+A cell's basis is its frame pairs outer and one monomial list inner, so a
+basis element's column is start(I, J) + m, and a table term takes
+monomial m of its source pair to row start(I', J') + shift_map[m] of its
+target pair, where the shift map lists the target position of
+x^(e + shift) for each monomial e.  The cell matrices are assembled from
+the tables by these positions, one monomial list per table term, with no
+key built per term.  A cell with no monomial has no frame pairs, and its
+matrix is empty with no table.
 
 The (q, p) cell of the canonical pair (T^{0,1}X, (T*X)_pi) is
 Omega^{0,q}(X, Lambda^p T^{1,0}X): a BiCochain keyed (dzb-indices,
 d/dz-indices).  dbar_mixed (the Dolbeault operator on coefficients) and
 d_pi (the degree-raising operator of holomorphic Poisson cohomology) act on
 these BiCochains by their own formulas, reading the chart and pi but not
-the pair's anchors, brackets or connections, so that they check partial_A
-and partial_B rather than share code with them.
+the pair's anchors, brackets or connections, so that they check the
+tables (applied to a BiCochain by the tests' partial_A and partial_B)
+rather than share code with them.
 
 Betti numbers are computed per truncation block, one total degree at a
 time: the partial_A and partial_B matrices of that degree's cells are built
-once, as rows filled from the images, ranked for the cell reports and
-offset into the rows of the total matrix.  The blocks of one truncation
-share the cells' tables.
+once, ranked for the cell reports and offset into the rows of the total
+matrix.  The blocks of one truncation share a layout: the cells' frame
+pairs, the monomials of each degree, the tables and the shift maps.
 Ranks come from two independent elimination routes over GQ: sparse
 elimination (method "sparse"), which first peels the row and column
 singletons (pivots that need no arithmetic) and then takes each pivot

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -333,6 +334,37 @@ def test_singleton_peel_agrees_with_full_scan_and_dense_oracle(case):
     pivots = matrix.pivot_rows
     assert len(pivots) == rank
     assert dense_rank([rows[i] for i in sorted(pivots)]) == rank
+
+
+@st.composite
+def shared_rows_cases(draw):
+    """A matrix from any of the three strategies above and a set of its
+    columns to leave out."""
+    nrows, ncols, rows = draw(st.one_of(
+        sparse_matrices(), structured_matrices(), singleton_chains()))
+    skip = draw(st.sets(st.integers(0, max(ncols - 1, 0)),
+                        max_size=ncols // 2))
+    return ncols, rows, skip
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_rows_cases())
+def test_rank_leaves_the_shared_rows_as_they_were(case):
+    """The peel runs on counts over the matrix's own rows, and a view
+    shares them, so neither the rank nor a view's rank may change them:
+    afterwards they equal, in order too, a deep copy taken before."""
+    ncols, rows, skip = case
+    matrix = as_sparse(rows, ncols)
+    before = copy.deepcopy(matrix.row_dicts)
+    order = [(i, list(row.items())) for i, row in before.items()]
+    view = matrix.without_columns(skip)
+    skipped = [[GQ(0) if j in skip else v for j, v in enumerate(row)]
+               for row in rows]
+    assert view.rank("sparse") == dense_rank(skipped)
+    assert matrix.rank("sparse") == dense_rank(rows)
+    assert matrix.row_dicts == before
+    assert [(i, list(row.items()))
+            for i, row in matrix.row_dicts.items()] == order
 
 
 # ----------------------------------------------------------------------
