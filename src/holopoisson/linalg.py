@@ -197,17 +197,18 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     index: dict = {}  # col -> its rows, in row order
     length: dict = {}  # live row -> its number of live columns
     for i, row in source.items():
-        if skip:
-            row = [j for j in row if j not in skip]
-            if not row:
-                continue
-        length[i] = len(row)
+        n = 0
         for j in row:
+            if j in skip:
+                continue
+            n += 1
             col = index.get(j)
             if col is None:
                 index[j] = [i]
             else:
                 col.append(i)
+        if n:
+            length[i] = n
     # live column -> its number of live rows; the skipped columns and the
     # columns that have left are absent, so a live row's live columns are
     # its columns with a count
