@@ -438,35 +438,21 @@ class _Cell(Sequence):
         I, J = self.pairs[p]
         return I, J, self.monos[m]
 
-    def __iter__(self):
-        for I, J in self.pairs:
-            for exps in self.monos:
-                yield I, J, exps
-
-    def index(self, key):
-        I, J, exps = key
-        p = self.pair_index.get((I, J))
-        m = self.positions.get(exps)
-        if p is None or m is None:
-            raise ValueError(f"{key!r} is not in the cell's basis")
-        return p * len(self.monos) + m
-
 
 class _Layout:
     """What the blocks of one matched pair share, each part built on first
     use: the frame pairs of each cell, the monomials of each degree range
-    with their positions, the weight system, each direction's data, the
+    with their positions, each direction's data, the
     coboundary table of each (cell, direction), and the shift maps and
     anchor values that cell matrices read."""
 
-    __slots__ = ("mp", "pairs", "monos", "weights", "data", "tables",
-                 "shift_maps", "values")
+    __slots__ = ("mp", "pairs", "monos", "data", "tables", "shift_maps",
+                 "values")
 
     def __init__(self, mp: MatchedPairData):
         self.mp = mp
         self.pairs = {}
         self.monos = {}
-        self.weights = None
         self.data = {}
         self.tables = {}
         self.shift_maps = {}
@@ -498,11 +484,6 @@ class _Layout:
             pairs = self.pairs[(k, l)] = (
                 listed, {pair: p for p, pair in enumerate(listed)})
         return _Cell(*pairs, monos, positions, degrees)
-
-    def weight_exponents(self):
-        if self.weights is None:
-            self.weights = weight_exponents(self.mp)
-        return self.weights
 
     def table(self, cell, direction):
         key = (cell, direction)
@@ -721,7 +702,7 @@ def build_block(mp: MatchedPairData, truncation: Truncation, weight=None,
     if truncation.mode == "total_degree":
         weight = None
     else:
-        c_a, c_b = layout.weight_exponents()
+        c_a, c_b = weight_exponents(mp)
     basis = {}
     for k, l in _canonical_cells(mp):
         if weight is None:
