@@ -45,6 +45,7 @@ from .errors import (
     TruncationError,
 )
 from .exactalg import Chart, parse_gq
+from .linalg import poly_mat_squares_to_minus_identity
 from .multivec import Multivector
 from .serialize import (
     algebroid_dict,
@@ -177,6 +178,8 @@ def cmd_torsion(doc, options):
         elif not alg.verify_algebroid(g.algebroid).jacobi:
             raise StructureError(
                 "structure constants fail the Jacobi identity")
+        elif not poly_mat_squares_to_minus_identity(g.j.matrix):
+            raise StructureError("j is not a complex structure (j^2 != -1)")
         base, endo = g.algebroid, g.j
         data = {"rank": base.rank}
 

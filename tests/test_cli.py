@@ -253,6 +253,14 @@ def test_torsion_takes_the_lie_documents_j(tmp_path):
         [i + 1, j + 1, [str(p) for p in vec]]
         for (i, j), vec in sorted(torsion.items())]
 
+    # a j that does not square to -1 is no complex structure
+    identity = write_doc(tmp_path, "identity.json", {
+        "lie_algebra": {"rank": 2, "brackets": [[1, 2, 1, "1"]],
+                        "j": [["1", "0"], ["0", "1"]]}})
+    code, _, err = run_cli(["torsion", identity])
+    assert code == 2
+    assert "j^2 != -1" in err
+
     # a bracket that fails Jacobi is no Lie algebra, with or without j
     for j in (None, [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]):
         bad = write_doc(tmp_path, "bad.json", {
