@@ -16,12 +16,12 @@ total differential on total degree k + l is partial_A + (-1)^k partial_B.
 
 A cell's basis is its frame pairs outer and one monomial list inner, so a
 basis element's column is start(I, J) + m, and a table term takes
-monomial m of its source pair to row start(I', J') + shift_map[m] of its
-target pair, where the shift map lists the target position of
-x^(e + shift) for each monomial e.  The cell matrices are assembled from
-the tables by these positions, one monomial list per table term, with no
-key built per term.  A cell with no monomial has no frame pairs, and its
-matrix is empty with no table.
+monomial m of its source pair to row start(I', J') + position of its
+target pair.  Each table term has a sparse run, computed once per shift
+and coefficient: the target position and value of each monomial it does
+not send to zero.  The cell matrices are written from the runs straight
+into their row dicts, with no key built per term.  A cell with no
+monomial has no frame pairs, and its matrix is empty with no table.
 
 The (q, p) cell of the canonical pair (T^{0,1}X, (T*X)_pi) is
 Omega^{0,q}(X, Lambda^p T^{1,0}X): a BiCochain keyed (dzb-indices,
@@ -34,9 +34,12 @@ rather than share code with them.
 
 Betti numbers are computed per truncation block, one total degree at a
 time: the partial_A and partial_B matrices of that degree's cells are built
-once, ranked for the cell reports and offset into the rows of the total
-matrix.  The blocks of one truncation share a layout: the cells' frame
-pairs, the monomials of each degree, the tables and the shift maps.
+once, already in the coordinates of the degree's total matrix (rows from
+the target cell's start, columns from the source cell's start, partial_B
+negated at odd k), ranked for the cell reports, and then merged in place
+into the total matrix.  The blocks of one truncation share a layout: the
+cells' frame pairs, the monomials of each degree, the tables and the
+runs.
 Ranks come from two independent elimination routes over GQ: sparse
 elimination (method "sparse"), which first peels the row and column
 singletons (pivots that need no arithmetic) and then takes each pivot
@@ -50,7 +53,9 @@ the pivot rows of D_d are rank D_d independent rows, so they and im D_d
 span C_{d+1}, and rank D_{d+1} is the rank of D_{d+1} on the columns
 outside them.  Each total matrix is ranked without the previous total
 matrix's pivot rows, each partial_A at fixed l without those of the
-partial_A before it, and each partial_B at fixed k likewise.  Every image
+partial_A before it, and each partial_B at fixed k likewise; all of them
+are in degree coordinates, so the pivot rows of D_d are columns of
+degree d + 1 as they are.  Every image
 is computed in full all the same, so the escape check sees every column.
 The oracle ranks every full matrix, and on_total (the dumps) receives the
 full total matrices.
@@ -59,7 +64,7 @@ full total matrices.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import combinations, repeat
+from itertools import combinations
 from operator import add
 
 from .algebroid import MatchedPairData
@@ -442,12 +447,11 @@ class _Cell(Sequence):
 class _Layout:
     """What the blocks of one matched pair share, each part built on first
     use: the frame pairs of each cell, the monomials of each degree range
-    with their positions, each direction's data, the
-    coboundary table of each (cell, direction), and the shift maps and
-    anchor values that cell matrices read."""
+    with their positions, each direction's data, the coboundary table of
+    each (cell, direction), and the sparse runs of the table terms that
+    cell matrices read."""
 
-    __slots__ = ("mp", "pairs", "monos", "data", "tables", "shift_maps",
-                 "values")
+    __slots__ = ("mp", "pairs", "monos", "data", "tables", "runs")
 
     def __init__(self, mp: MatchedPairData):
         self.mp = mp
@@ -455,8 +459,7 @@ class _Layout:
         self.monos = {}
         self.data = {}
         self.tables = {}
-        self.shift_maps = {}
-        self.values = {}
+        self.runs = {}
 
     def cell(self, k, l, low, high) -> _Cell:
         """Cell (k, l) with the monomials of degrees low..high (none if
@@ -496,56 +499,63 @@ class _Layout:
             table = self.tables[key] = _cell_table(data, cell, direction)
         return table
 
-    def shift_map(self, source: _Cell, goal: _Cell, shift):
-        """The position in goal of x^(e + shift) for each monomial e of
-        source, None where it is not there."""
-        key = (source.degrees, goal.degrees, shift)
-        found = self.shift_maps.get(key)
+    def run(self, source: _Cell, goal, shift, v, c) -> tuple:
+        """One table term's sparse run from source into goal (a _Cell, or
+        None when the term's target pair is not there): the term takes
+        monomial e = source.monos[m] to value x^(e + shift), with value
+        c e_v for the anchor term c x^(shift + 1_v) d/dx_v (none where
+        e_v = 0) and c for a multiplier term (v None).  The run is the
+        (m, position in goal, value) of each monomial with a value, and
+        the (m, value) of those whose x^(e + shift) is not in goal."""
+        key = (source.degrees, None if goal is None else goal.degrees,
+               shift, v, c)
+        found = self.runs.get(key)
         if found is None:
-            positions = goal.positions
-            found = self.shift_maps[key] = [
-                positions.get(tuple(map(add, exps, shift)))
-                for exps in source.monos]
+            positions = {} if goal is None else goal.positions
+            inside, outside = [], []
+            for m, exps in enumerate(source.monos):
+                if v is None:
+                    value = c
+                else:
+                    e = exps[v]
+                    if not e:
+                        continue
+                    value = c if e == 1 else c * e
+                pos = positions.get(tuple(map(add, exps, shift)))
+                if pos is None:
+                    outside.append((m, value))
+                else:
+                    inside.append((m, pos, value))
+            found = self.runs[key] = (inside, outside)
         return found
 
-    def anchor_values(self, source: _Cell, v, c):
-        """c e_v for each monomial e of source, None where e_v = 0: what
-        the anchor term c x^(shift + 1_v) d/dx_v takes e to, on
-        x^(e + shift)."""
-        key = (source.degrees, v, c)
-        found = self.values.get(key)
-        if found is None:
-            found = self.values[key] = [
-                None if not exps[v] else c if exps[v] == 1 else c * exps[v]
-                for exps in source.monos]
-        return found
 
-
-def _add_term(images, base, positions, values, escape) -> bool:
-    """Add one table term into the column images of a frame pair:
-    images[m][base + positions[m]] += values[m] for each m whose value is
-    not None, dropping an entry that sums to zero.  A monomial outside the
-    target basis (position None) is added under the key escape instead;
-    the result says whether any was."""
-    escaped = False
-    for image, pos, value in zip(images, positions, values):
-        if value is None:
+def _place(rows, run, row, col, escapes, escape):
+    """Add one table term's run into the row dicts: rows[row + position]
+    [col + m] += value, dropping an entry (and then a row) that sums to
+    zero.  The values outside the target basis are added into escapes
+    under escape + (m,) instead."""
+    inside, outside = run
+    for m, pos, value in inside:
+        i = row + pos
+        entries = rows.get(i)
+        if entries is None:
+            rows[i] = {col + m: value}
             continue
-        if pos is None:
-            key = escape
-            escaped = True
-        else:
-            key = base + pos
-        old = image.get(key)
+        j = col + m
+        old = entries.get(j)
         if old is None:
-            image[key] = value
+            entries[j] = value
         else:
             value = old + value
-            if value.is_zero():
-                del image[key]
+            if not value.is_zero():
+                entries[j] = value
+            elif len(entries) > 1:
+                del entries[j]
             else:
-                image[key] = value
-    return escaped
+                del rows[i]
+    for m, value in outside:
+        _accumulate(escapes, escape + (m,), value)
 
 
 class _Block:
@@ -567,121 +577,120 @@ class _Block:
         found = self.basis.get(cell)
         return 0 if found is None else len(found)
 
-    def cell_matrix(self, cell, direction):
+    def cell_matrix(self, cell, direction, row_start=0, col_start=0,
+                    negate=False, shape=None):
         """Matrix of partial_A (direction 'A') or partial_B ('B') from one
         cell to its neighbor, in the frozen basis order; an image outside
         the target cell's basis is a TruncationError.
 
-        Column p * len(monos) + m is monomial m on frame pair p.  A table
-        term maps monomial m of its source pair to row start + shift_map[m]
-        of its target pair, where shift_map (computed once per shift)
-        holds the target position of x^(e + shift) for each monomial e.
-        Each pair's terms are added monomial list by monomial list into one
-        image per column, which then fills the rows; an empty cell has no
+        Column col_start + p * len(monos) + m is monomial m on source frame
+        pair p, and row row_start + q * width + position is the monomial at
+        that position on target pair q; negate negates every entry, and
+        shape (nrows, ncols) defaults to the two cells' dimensions.  So the
+        defaults give the cell's own matrix, and cell_matrices places it
+        in the total matrix of its degree.  Each table term of a source
+        pair adds its sparse run (the target position and value of each
+        monomial, computed once per shift and coefficient) straight into
+        the row dicts; an image outside the target basis is kept per
+        target pair, shift and monomial, and is an error only if it is
+        not zero once the pair's terms are in.  An empty cell has no
         table."""
         k, l = cell
         target = (k + 1, l) if direction == "A" else (k, l + 1)
         source = self.basis[cell]
         goal = self.basis.get(target)
-        nrows = 0 if goal is None else len(goal)
-        monos = source.monos
-        if not monos:
-            return SparseMatrix.from_rows(nrows, 0, {})
+        if shape is None:
+            shape = (0 if goal is None else len(goal), len(source))
+        rows = {}
+        size = len(source.monos)
+        if not size:
+            return SparseMatrix.from_rows(*shape, rows)
         layout = self.layout
+        run = layout.run
         table = layout.table(cell, direction)
         if goal is None:
             pair_index, width = {}, 0
         else:
             pair_index, width = goal.pair_index, len(goal.monos)
-        size = len(monos)
-        outside = [None] * size
-        rows = {}
         for p, pair in enumerate(source.pairs):
             entries = table.get(pair)
             if entries is None:
                 continue
-            images = [{} for _ in monos]
-            escaped = False
+            col = col_start + p * size
+            escapes = {}
             for goal_pair, anchor, mult in entries:
                 q = pair_index.get(goal_pair)
-                base = 0 if q is None else q * width
+                if q is None:
+                    into, row = None, 0
+                else:
+                    into, row = goal, row_start + q * width
                 for v, terms in anchor:
                     for shift, c in terms:
-                        escaped |= _add_term(
-                            images, base,
-                            outside if q is None
-                            else layout.shift_map(source, goal, shift),
-                            layout.anchor_values(source, v, c),
-                            (goal_pair, shift))
+                        _place(rows, run(source, into, shift, v,
+                                         -c if negate else c),
+                               row, col, escapes, (goal_pair, shift))
                 for shift, c in mult:
-                    escaped |= _add_term(
-                        images, base,
-                        outside if q is None
-                        else layout.shift_map(source, goal, shift),
-                        repeat(c, size), (goal_pair, shift))
-            if escaped and any(type(key) is tuple
-                               for image in images for key in image):
+                    _place(rows, run(source, into, shift, None,
+                                     -c if negate else c),
+                           row, col, escapes, (goal_pair, shift))
+            if escapes:
                 raise TruncationError(
                     "differential escapes the truncated basis; "
                     "choose a compatible truncation")
-            col = p * size
-            for image in images:
-                for row, value in image.items():
-                    found = rows.get(row)
-                    if found is None:
-                        rows[row] = {col: value}
-                    else:
-                        found[col] = value
-                col += 1
-        return SparseMatrix.from_rows(nrows, len(source), rows)
+        return SparseMatrix.from_rows(*shape, rows)
 
     def degree_cells(self, degree):
         return [c for c in self.cells() if c[0] + c[1] == degree]
 
+    def starts(self, degree):
+        """Each cell of one total degree -> its first position in that
+        degree's basis, and the degree's dimension."""
+        out = {}
+        size = 0
+        for cell in self.degree_cells(degree):
+            out[cell] = size
+            size += self.cell_dim(cell)
+        return out, size
+
     def cell_matrices(self, degree):
         """The partial_A and partial_B matrices of every cell of one total
-        degree, keyed by (cell, direction)."""
-        return {(cell, direction): self.cell_matrix(cell, direction)
-                for cell in self.degree_cells(degree) for direction in "AB"}
+        degree, keyed by (cell, direction), each placed in the coordinates
+        of the total matrix from that degree to the next: rows from the
+        target cell's start, columns from the source cell's start,
+        partial_B negated when k is odd."""
+        cols, ncols = self.starts(degree)
+        rows, nrows = self.starts(degree + 1)
+        out = {}
+        for cell, col_start in cols.items():
+            k, l = cell
+            for direction, target in (("A", (k + 1, l)), ("B", (k, l + 1))):
+                # an absent target cell gets no rows: its start is unused
+                out[(cell, direction)] = self.cell_matrix(
+                    cell, direction, rows.get(target, 0), col_start,
+                    direction == "B" and k % 2 == 1, (nrows, ncols))
+        return out
 
     def total_matrix(self, degree, cell_matrices=None):
         """Matrix of the total differential from total degree n to n+1.
 
-        Assembled block by block from the rows of the cell matrices of
-        degree n (built here unless given), offset to the cells' places:
-        partial_A, and partial_B negated when k is odd.
+        The placed cell matrices of degree n (built here unless given)
+        merged in place: the first matrix to reach a row gives that row's
+        dict, and later ones update it (partial_A and partial_B of two
+        cells can reach one row, on columns of their own).  The given
+        matrices are consumed: their row dicts become the total's.
         """
         if cell_matrices is None:
             cell_matrices = self.cell_matrices(degree)
-        row_offset = {}
-        nrows = 0
-        for cell in self.degree_cells(degree + 1):
-            row_offset[cell] = nrows
-            nrows += self.cell_dim(cell)
         rows = {}
-        cols = 0
-        for cell in self.degree_cells(degree):
-            k, l = cell
-            for direction, target in (("A", (k + 1, l)), ("B", (k, l + 1))):
-                # an absent target cell has no rows: cell_matrix has
-                # already checked that the image vanishes
-                base = row_offset.get(target)
-                if base is None:
-                    continue
-                negate = direction == "B" and k % 2
-                matrix = cell_matrices[(cell, direction)]
-                for i, row in matrix.row_dicts.items():
-                    if negate:
-                        shifted = {cols + j: -v for j, v in row.items()}
-                    else:
-                        shifted = {cols + j: v for j, v in row.items()}
-                    entries = rows.get(base + i)
-                    if entries is None:
-                        rows[base + i] = shifted
-                    else:
-                        entries.update(shifted)
-            cols += self.cell_dim(cell)
-        return SparseMatrix.from_rows(nrows, cols, rows)
+        for matrix in cell_matrices.values():
+            for i, row in matrix.row_dicts.items():
+                found = rows.get(i)
+                if found is None:
+                    rows[i] = row
+                else:
+                    found.update(row)
+        return SparseMatrix.from_rows(self.starts(degree + 1)[1],
+                                      self.starts(degree)[1], rows)
 
     def max_total_degree(self):
         return max((c[0] + c[1] for c in self.cells()), default=-1)
@@ -728,6 +737,9 @@ def _block_report(block: _Block, method: str, on_total=None) -> BlockReport:
     columns outside P.  The sparse route ranks each total matrix, each
     partial_A at fixed l and each partial_B at fixed k that way, on the
     pivot rows of the one before it; the oracle ranks every full matrix.
+    Every matrix is in degree coordinates, so the pivot rows of D_d are
+    columns of degree d + 1 as they are.  The cell matrices are ranked
+    before total_matrix merges them, which consumes them.
     """
     cells = []
     dims = []

@@ -326,9 +326,9 @@ def test_dump_builds_each_cell_matrix_once(tmp_path, monkeypatch, capsys):
     calls = []
     original = cohomology._Block.cell_matrix
 
-    def counting(self, cell, direction):
+    def counting(self, cell, direction, *args):
         calls.append((self.weight, cell, direction))
-        return original(self, cell, direction)
+        return original(self, cell, direction, *args)
 
     monkeypatch.setattr(cohomology._Block, "cell_matrix", counting)
     args = ["cohomology", corpus_path("sl2.json"), "--weight", "2"]

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -176,6 +177,71 @@ def test_cell_matrices_equal_reference_route(truncation):
         assert {"quadratic", "quadratic swapped"} <= escapes
     else:
         assert not escapes
+
+
+def degree_starts(block, degree):
+    """Each cell of one total degree -> its first position in the degree's
+    basis (cells in sorted order), and the degree's dimension."""
+    starts, size = {}, 0
+    for cell in sorted(block.basis):
+        if sum(cell) == degree:
+            starts[cell] = size
+            size += len(block.basis[cell])
+    return starts, size
+
+
+@pytest.mark.parametrize("truncation", [Truncation("total_degree", 2),
+                                        Truncation("weight", 3)],
+                         ids=["total_degree", "weight"])
+def test_placed_cell_matrices_are_the_cell_matrices_shifted(truncation):
+    """A cell matrix placed in the total matrix of its degree is the
+    cell's own matrix with its rows shifted by the target cell's start,
+    its columns by the source cell's start, and its entries negated for
+    partial_B at odd k, in the degree's shape; cell_matrices places every
+    cell so.  An escape raises alike on both routes."""
+    for name, mp in table_route_pairs():
+        weights = (range(truncation.bound + 1)
+                   if truncation.mode == "weight" else [None])
+        for block in (build_block(mp, truncation, weight=w)
+                      for w in weights):
+            for degree in range(block.max_total_degree() + 1):
+                cols, ncols = degree_starts(block, degree)
+                rows, nrows = degree_starts(block, degree + 1)
+                wants = {}
+                for cell, col_start in cols.items():
+                    k, l = cell
+                    for direction, target in (("A", (k + 1, l)),
+                                              ("B", (k, l + 1))):
+                        row_start = rows.get(target, 0)
+                        negate = direction == "B" and k % 2 == 1
+                        local = route_outcome(
+                            lambda: block.cell_matrix(cell, direction))
+                        placed = route_outcome(
+                            lambda: block.cell_matrix(
+                                cell, direction, row_start, col_start,
+                                negate, (nrows, ncols)))
+                        if isinstance(local, str):
+                            want = local
+                        else:
+                            want = ((nrows, ncols),
+                                    {(row_start + i, col_start + j):
+                                     -v if negate else v
+                                     for (i, j), v in local[1].items()})
+                        assert placed == want, (name, block.weight, cell,
+                                                direction)
+                        wants[(cell, direction)] = want
+                escapes = {w for w in wants.values() if isinstance(w, str)}
+                try:
+                    got = {key: ((matrix.nrows, matrix.ncols),
+                                 matrix.entries)
+                           for key, matrix in
+                           block.cell_matrices(degree).items()}
+                except TruncationError as exc:
+                    assert {str(exc)} == escapes, (name, block.weight,
+                                                   degree)
+                else:
+                    assert not escapes and got == wants, (
+                        name, block.weight, degree)
 
 
 def test_an_escape_that_cancels_is_no_error():
@@ -551,6 +617,38 @@ def test_total_matrix_equals_basis_vector_assembly():
                 shape, entries = total_matrix_oracle(block, degree)
                 assert (matrix.nrows, matrix.ncols) == shape
                 assert matrix.entries == entries
+
+
+def test_betti_total_matrices_equal_basis_vector_assembly():
+    """The total matrices betti ranks (merged in place from the cell
+    matrices it ranked first) are the basis-vector assembly; on darboux_n1
+    and sl2 partial_A and partial_B reach rows in common."""
+    darboux = frame_bivector(C2, 0, 1, Poly.const(C2, -1))
+    for pi, truncation in ((sl2_pi(), Truncation("weight", 2)),
+                           (darboux, Truncation("total_degree", 1))):
+        mp = canonical_matched_pair(pi)
+        got = {}
+
+        def keep(label, matrix):
+            got[label] = ((matrix.nrows, matrix.ncols), matrix.entries)
+
+        betti(mp, truncation, on_total=keep)
+        want = {}
+        shared = False
+        weights = (range(truncation.bound + 1)
+                   if truncation.mode == "weight" else [None])
+        for weight in weights:
+            block = build_block(mp, truncation, weight=weight)
+            for degree in range(block.max_total_degree() + 1):
+                label = (f"d{degree}" if weight is None
+                         else f"w{weight}_d{degree}")
+                want[label] = total_matrix_oracle(block, degree)
+                reached = Counter(
+                    i for matrix in block.cell_matrices(degree).values()
+                    for i in matrix.row_dicts)
+                shared |= any(n > 1 for n in reached.values())
+        assert got == want
+        assert shared
 
 
 def test_block_diagonal_for_zero_pi():
