@@ -297,10 +297,19 @@ def verify_algebroid(a: AlgebroidChart) -> AlgebroidReport:
 # Nijenhuis deformation
 
 def _combine(coeffs, rows, out):
-    """out + sum_k coeffs[k] rows[k], for sections rows[k]."""
+    """out + sum_k coeffs[k] rows[k], for sections rows[k].  A constant
+    coefficient (one term of degree 0, such as an entry of a constant
+    endomorphism) scales the row's entries with no Poly product."""
     for c, row in zip(coeffs, rows):
-        if c.is_zero():
+        terms = c.terms
+        if not terms:
             continue
+        if len(terms) == 1:
+            (exps, value), = terms.items()
+            if not any(exps):
+                out = [x + y.scale(value) if not y.is_zero() else x
+                       for x, y in zip(out, row)]
+                continue
         out = [x + c * y if not y.is_zero() else x for x, y in zip(out, row)]
     return out
 
