@@ -23,12 +23,21 @@ case A = (T*X)_pi.  A connection is flat or not (check_representation);
 the Leibniz rule holds by construction, as RepData.apply extends gamma by
 it.
 
+The public constructors (AlgebroidChart, RepData, EndoOnAlgebroid) check
+and coerce their input, once.  The algebroids the module builds itself
+are valid by construction and skip that check: from_frame_brackets (the
+cotangent, Koszul, deformed and bowtie algebroids), tangent_algebroid,
+antiholomorphic_tangent and the realification go through
+AlgebroidChart._build, and the checks call RepData._apply on sections
+that are already coerced.
+
 The structural checks read a frame bracket that is in the data (two
 frames: their structure vector; two coordinate coframes: d pi^{ij}) and
 evaluate every other frame-level quantity once, into a table.  The
 flatness and F/S/T checks and bowtie read the frame table nabla_{e_i} e_m
-of each connection: apply is tensorial in its acting argument, so nabla
-along a combination of frames is the same combination of table rows.
+of each connection, which is its connection data gamma: apply is
+tensorial in its acting argument, so nabla along a combination of frames
+is the same combination of table rows.
 realparts_liealgebra_check takes the antisymmetric identities on the
 pairs s < t only, and yao_isomorphism_check takes yao_phi of each bowtie
 frame once.
@@ -49,7 +58,7 @@ the Koszul algebroids of 4 pi_R and 4 pi_I.
 from __future__ import annotations
 
 from .errors import ChartError, DegreeError, Record, ShapeError, StructureError
-from .exactalg import GQ, Chart, Poly, is_scalar
+from .exactalg import GQ, Chart, Poly, _normal, is_scalar
 from .linalg import (
     dense_rank,
     gq_mat_inverse,
@@ -117,16 +126,32 @@ class AlgebroidChart:
         self.anchor = rows
         self.structure = c
 
+    @classmethod
+    def _build(cls, chart: Chart, rank: int, anchor, structure):
+        """The algebroid of data that is valid by construction: anchor rows
+        of chart.nvars Polys, structure vectors of rank Polys on the chart,
+        antisymmetric with a zero diagonal.  Neither checked nor copied."""
+        a = cls.__new__(cls)
+        a.chart = chart
+        a.rank = rank
+        a.anchor = anchor
+        a.structure = structure
+        return a
+
     @staticmethod
     def _coerce(chart, p):
         if type(p) is not Poly and is_scalar(p):
             return Poly.const(chart, p)
-        if p.chart != chart:
+        if p.chart is not chart:
             raise ChartError("algebroid data on wrong chart")
         return p
 
     @staticmethod
     def from_frame_brackets(chart: Chart, rank: int, anchor, bracket_fn):
+        """The algebroid whose bracket [e_i, e_j], i < j, is bracket_fn(i, j),
+        for the library's own frame data: anchor rows and bracket vectors
+        of Polys on the chart, of the right lengths.  Antisymmetry and the
+        zero diagonal hold by construction, so nothing is re-checked."""
         structure = [[None] * rank for _ in range(rank)]
         zero = [Poly.zero(chart) for _ in range(rank)]
         for i in range(rank):
@@ -135,7 +160,7 @@ class AlgebroidChart:
                 vec = bracket_fn(i, j)
                 structure[i][j] = vec
                 structure[j][i] = [-p for p in vec]
-        return AlgebroidChart(chart, rank, anchor, structure)
+        return AlgebroidChart._build(chart, rank, anchor, structure)
 
     # ------------------------------------------------------------------
 
@@ -167,16 +192,22 @@ class AlgebroidChart:
         return Multivector(self.chart, 1, comps)
 
     def anchor_apply(self, section, f: Poly) -> Poly:
-        """Directional derivative rho(section)(f)."""
+        """Directional derivative rho(section)(f).  Only the section's
+        nonzero entries are visited, and f is differentiated only along
+        the anchor columns they reach."""
         out = Poly.zero(self.chart)
+        rows = [(s, row) for s, row in zip(section, self.anchor) if s.terms]
+        if not rows:
+            return out
         for a in range(self.chart.nvars):
-            df = f.diff(a)
-            if df.is_zero():
+            reached = [(s, row[a]) for s, row in rows if row[a].terms]
+            if not reached:
                 continue
-            for i in range(self.rank):
-                coeff = section[i] * self.anchor[i][a]
-                if not coeff.is_zero():
-                    out = out + coeff * df
+            df = f.diff(a)
+            if not df.terms:
+                continue
+            for s, entry in reached:
+                out = out + s * entry * df
         return out
 
     def bracket(self, u, v):
@@ -244,7 +275,7 @@ def tangent_algebroid(chart: Chart) -> AlgebroidChart:
     m = chart.nvars
     zero = [Poly.zero(chart) for _ in range(m)]
     structure = [[list(zero) for _ in range(m)] for _ in range(m)]
-    return AlgebroidChart(chart, m, poly_identity(chart, m), structure)
+    return AlgebroidChart._build(chart, m, poly_identity(chart, m), structure)
 
 
 # ----------------------------------------------------------------------
@@ -297,20 +328,10 @@ def verify_algebroid(a: AlgebroidChart) -> AlgebroidReport:
 # Nijenhuis deformation
 
 def _combine(coeffs, rows, out):
-    """out + sum_k coeffs[k] rows[k], for sections rows[k].  A constant
-    coefficient (one term of degree 0, such as an entry of a constant
-    endomorphism) scales the row's entries with no Poly product."""
+    """out + sum_k coeffs[k] rows[k], for sections rows[k]."""
     for c, row in zip(coeffs, rows):
-        terms = c.terms
-        if not terms:
-            continue
-        if len(terms) == 1:
-            (exps, value), = terms.items()
-            if not any(exps):
-                out = [x + y.scale(value) if not y.is_zero() else x
-                       for x, y in zip(out, row)]
-                continue
-        out = [x + c * y if not y.is_zero() else x for x, y in zip(out, row)]
+        if c.terms:
+            out = [x + c * y if y.terms else x for x, y in zip(out, row)]
     return out
 
 
@@ -487,8 +508,8 @@ def _realify(a: AlgebroidChart) -> LieAlgebra:
         # a complex combination sum c_k e_k as a real section of the doubling
         out = [Poly.zero(chart)] * rank
         for k, v in enumerate(complex_vec):
-            out[k] = Poly.const(chart, GQ(v.a) / v.d)
-            out[r + k] = Poly.const(chart, GQ(v.b) / v.d)
+            out[k] = Poly.const(chart, _normal(v.a, 0, v.d))
+            out[r + k] = Poly.const(chart, _normal(v.b, 0, v.d))
         return out
 
     zero = [Poly.zero(chart)] * rank
@@ -505,7 +526,7 @@ def _realify(a: AlgebroidChart) -> LieAlgebra:
             # [je_x, je_y] = -[e_x, e_y]
             structure[r + x][r + y] = real_vec([-v for v in base])
     anchor = [[] for _ in range(rank)]
-    algebroid = AlgebroidChart(chart, rank, anchor, structure)
+    algebroid = AlgebroidChart._build(chart, rank, anchor, structure)
     jm = [[Poly.zero(chart) for _ in range(rank)] for _ in range(rank)]
     for k in range(r):
         jm[r + k][k] = Poly.one(chart)
@@ -669,8 +690,12 @@ class RepData:
     def apply(self, u, s):
         """nabla_u s for sections u of the acting and s of the module
         algebroid; tensorial in u, Leibniz in s."""
-        u = self.acting.coerce_section(u)
-        s = self.module.coerce_section(s)
+        return self._apply(self.acting.coerce_section(u),
+                           self.module.coerce_section(s))
+
+    def _apply(self, u, s):
+        """apply on sections already coerced: Poly lists of the acting and
+        module ranks on the common chart (frames, table entries)."""
         out = self.module.zero_section()
         support = [j for j in range(self.module.rank) if not s[j].is_zero()]
         for j in support:
@@ -689,10 +714,10 @@ class RepData:
 
 
 def _frame_table(rep: RepData):
-    """nabla_{e_i} e_m for every acting frame e_i and module frame e_m."""
-    frames = [rep.module.frame_section(m) for m in range(rep.module.rank)]
-    return [[rep.apply(rep.acting.frame_section(i), em) for em in frames]
-            for i in range(rep.acting.rank)]
+    """nabla_{e_i} e_m for every acting frame e_i and module frame e_m: the
+    connection data gamma[i][m] itself, since apply on two frames adds
+    the anchor term rho(e_i)(1) = 0 to 1 * gamma[i][m]."""
+    return rep.gamma
 
 
 def _is_flat(rep: RepData, table) -> bool:
@@ -709,7 +734,7 @@ def _is_flat(rep: RepData, table) -> bool:
         # nabla_{e_i} s for a table entry s
         if all(x.is_zero() for x in s):
             return zero
-        return rep.apply(frames[i], s)
+        return rep._apply(frames[i], s)
 
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
@@ -724,8 +749,9 @@ def _is_flat(rep: RepData, table) -> bool:
 
 def check_representation(rep: RepData) -> bool:
     """Flatness nabla_[ei,ej] = [nabla_ei, nabla_ej], exactly on frames,
-    reading the frame table nabla_{e_i} e_m, built once.  The Leibniz rule
-    needs no check: apply is the Leibniz extension of gamma."""
+    reading the frame table nabla_{e_i} e_m, which is the connection data
+    gamma.  The Leibniz rule needs no check: apply is the Leibniz
+    extension of gamma."""
     return _is_flat(rep, _frame_table(rep))
 
 
@@ -820,7 +846,8 @@ def _s_tensor(mp: MatchedPairData, ab, ba) -> dict:
         for j1, y1 in enumerate(b_frames):
             for j2 in range(j1 + 1, b.rank):
                 y2 = b_frames[j2]
-                value = [-p for p in mp.nablaAB.apply(x, b.structure[j1][j2])]
+                value = [-p for p in
+                         mp.nablaAB._apply(x, b.structure[j1][j2])]
                 if not b.section_is_zero(ab[i][j1]):
                     value = [p + q for p, q in
                              zip(value, b._bracket(ab[i][j1], y2))]
@@ -870,7 +897,7 @@ def antiholomorphic_tangent(chart: Chart) -> AlgebroidChart:
         anchor.append(row)
     zero = [Poly.zero(chart) for _ in range(n)]
     structure = [[list(zero) for _ in range(n)] for _ in range(n)]
-    return AlgebroidChart(chart, n, anchor, structure)
+    return AlgebroidChart._build(chart, n, anchor, structure)
 
 
 def holomorphic_matched_pair(b: AlgebroidChart) -> MatchedPairData:

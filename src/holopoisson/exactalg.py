@@ -5,8 +5,14 @@ ints: (a + b i)/d with d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1)
 and equal values have equal triples.  Polynomials live on a chart: a
 complex chart of dimension n has 2n independent generators z1..zn,
 zb1..zbn ("zb" is the conjugate variable, treated formally); a real chart
-has generators x1..xn, y1..yn.  Everything is immutable and every
+has generators x1..xn, y1..yn.  There is one Chart object per kind and
+size, so charts compare by identity.  Everything is immutable and every
 operation returns a canonical form.
+
+Input is checked once, at the boundary: Chart(kind, n), Poly(chart,
+terms) and the parsers validate what they are given.  The constructors
+zero, one, const, var and monomial and every operation build their
+canonical term maps directly, with no second pass over them.
 """
 
 from __future__ import annotations
@@ -355,20 +361,32 @@ def _parse_ratio(body: str, context: str):
 
 
 class Chart:
-    """A coordinate chart: complex(n) or real(n), with 2n formal variables."""
+    """A coordinate chart: complex(n) or real(n), with 2n formal variables.
+
+    There is one Chart object per (kind, n): construction returns the one
+    made first, so charts compare by identity."""
 
     __slots__ = ("kind", "n")
 
     COMPLEX = "complex"
     REAL = "real"
 
-    def __init__(self, kind: str, n: int):
+    def __new__(cls, kind: str, n: int):
         if kind not in (Chart.COMPLEX, Chart.REAL):
             raise ChartError(f"unknown chart kind {kind!r}")
         if n < 0:
             raise ChartError("chart dimension must be >= 0")
-        self.kind = kind
-        self.n = n
+        chart = _CHARTS.get((kind, n))
+        if chart is not None:
+            return chart
+        chart = object.__new__(cls)
+        chart.kind = kind
+        chart.n = n
+        _CHARTS[(kind, n)] = chart
+        return chart
+
+    def __reduce__(self):
+        return Chart, (self.kind, self.n)
 
     @staticmethod
     def complex(n: int) -> "Chart":
@@ -409,10 +427,6 @@ class Chart:
             return self.n + k
         raise ChartError(f"variable {name!r} does not belong to {self}")
 
-    def __eq__(self, other):
-        return (isinstance(other, Chart)
-                and self.kind == other.kind and self.n == other.n)
-
     def __hash__(self):
         return hash((self.kind, self.n))
 
@@ -421,6 +435,10 @@ class Chart:
 
     def __str__(self):
         return f"{self.kind}({self.n})"
+
+
+# the one Chart of each (kind, n)
+_CHARTS: dict = {}
 
 
 def _grlex_key(exps):
@@ -460,32 +478,41 @@ class Poly:
 
     @staticmethod
     def zero(chart: Chart) -> "Poly":
-        return Poly(chart)
+        return _poly(chart, {})
 
     @staticmethod
     def const(chart: Chart, value) -> "Poly":
-        exps = (0,) * chart.nvars
-        return Poly(chart, {exps: GQ.of(value)})
+        value = GQ.of(value)
+        if value.is_zero():
+            return _poly(chart, {})
+        return _poly(chart, {(0,) * chart.nvars: value})
 
     @staticmethod
     def one(chart: Chart) -> "Poly":
-        return Poly.const(chart, 1)
+        return _poly(chart, {(0,) * chart.nvars: _ONE})
 
     @staticmethod
     def var(chart: Chart, index: int) -> "Poly":
         exps = [0] * chart.nvars
         exps[index] = 1
-        return Poly(chart, {tuple(exps): GQ(1)})
+        return _poly(chart, {tuple(exps): _ONE})
 
     @staticmethod
     def monomial(chart: Chart, exps, coeff=1) -> "Poly":
-        return Poly(chart, {tuple(exps): GQ.of(coeff)})
+        exps = tuple(exps)
+        if len(exps) != chart.nvars:
+            raise ChartError(
+                f"exponent vector {exps} has wrong length for {chart}")
+        if any(e < 0 for e in exps):
+            raise ChartError("negative exponent")
+        coeff = GQ.of(coeff)
+        return _poly(chart, {} if coeff.is_zero() else {exps: coeff})
 
     # ------------------------------------------------------------------
     # ring operations
 
     def _require_same_chart(self, other: "Poly"):
-        if self.chart != other.chart:
+        if self.chart is not other.chart:
             raise ChartError(
                 f"chart mismatch: {self.chart} vs {other.chart}")
 
@@ -517,12 +544,34 @@ class Poly:
     def __sub__(self, other):
         if type(other) is not Poly and is_scalar(other):
             other = Poly.const(self.chart, other)
-        return self.__add__(other.__neg__())
+        self._require_same_chart(other)
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            acc = terms.get(exps)
+            if acc is None:
+                terms[exps] = -coeff
+                continue
+            coeff = acc - coeff
+            if coeff.is_zero():
+                del terms[exps]
+            else:
+                terms[exps] = coeff
+        return _poly(self.chart, terms)
 
     def __mul__(self, other):
         if type(other) is not Poly and is_scalar(other):
             return self.scale(other)
         self._require_same_chart(other)
+        # a one-term constant factor scales the other, with no products of
+        # exponent vectors
+        if len(self.terms) == 1:
+            (exps, value), = self.terms.items()
+            if not any(exps):
+                return other.scale(value)
+        if len(other.terms) == 1:
+            (exps, value), = other.terms.items()
+            if not any(exps):
+                return self.scale(value)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -544,12 +593,15 @@ class Poly:
 
     def scale(self, value) -> "Poly":
         value = GQ.of(value)
-        if value.is_zero():
-            return Poly.zero(self.chart)
-        out = Poly.__new__(Poly)
-        out.chart = self.chart
-        out.terms = {e: c * value for e, c in self.terms.items()}
-        return out
+        if value.b == 0 and value.d == 1:
+            # an integer: 0 and +-1 need no coefficient product
+            if value.a == 0:
+                return Poly.zero(self.chart)
+            if value.a == 1:
+                return self
+            if value.a == -1:
+                return self.__neg__()
+        return _poly(self.chart, {e: c * value for e, c in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -609,7 +661,7 @@ class Poly:
         for exps, coeff in self.terms.items():
             swapped = exps[n:] + exps[:n]
             terms[swapped] = coeff.conj()
-        return Poly(self.chart, terms)
+        return _poly(self.chart, terms)
 
     def is_holomorphic(self) -> bool:
         """True when no zb variable occurs (complex chart)."""
@@ -680,6 +732,19 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.chart}, {self})"
+
+
+_ONE = GQ(1)
+
+
+def _poly(chart: Chart, terms: dict) -> Poly:
+    """The Poly of a term map that is canonical by construction: exponent
+    tuples of the chart's length with no negative entry, nonzero GQ
+    coefficients.  Neither checked nor copied."""
+    out = _new(Poly)
+    out.chart = chart
+    out.terms = terms
+    return out
 
 
 def _accumulate(comps: dict, key, value) -> None:

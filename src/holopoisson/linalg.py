@@ -112,7 +112,17 @@ class SparseMatrix:
             self.pivot_rows = set()
             return markowitz_rank(self, self.pivot_rows)
         if method == "oracle":
-            return dense_rank(self.rows())
+            # the dense block on the nonzero rows and columns, in order:
+            # the zero rows and columns that a placed cell matrix is
+            # padded with change no rank
+            entries = self.entries
+            rows = {i: r for r, i in enumerate(sorted({i for i, _ in entries}))}
+            cols = {j: c for c, j in enumerate(sorted({j for _, j in entries}))}
+            zero = GQ(0)
+            block = [[zero] * len(cols) for _ in rows]
+            for (i, j), v in entries.items():
+                block[rows[i]][cols[j]] = v
+            return dense_rank(block)
         raise ValueError(f"unknown rank method {method!r}")
 
 

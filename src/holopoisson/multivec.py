@@ -8,7 +8,11 @@ frames carry 2n slots.  On complex charts slot k < n is the holomorphic
 direction (d/dz_{k+1} resp. dz_{k+1}) and slot k >= n the antiholomorphic
 one; on real charts the x-block comes before the y-block.  Components are
 stored on strictly increasing index tuples, so every object is kept in its
-canonical antisymmetric representation.
+canonical antisymmetric representation.  Multivector(...) and Form(...)
+check the components they are given; the operations (wedge, scale,
+contract, interior, differential, exterior_d, schouten) build their
+results directly from components that are increasing, in range and
+nonzero by construction.
 
 Schouten convention (fixed once, used everywhere): [X, f] = X(f),
 [X, Y] = Lie bracket, and the graded Leibniz extension
@@ -76,7 +80,7 @@ class _Alternating:
                     raise DegreeError(f"index tuple {idx} not increasing")
                 if isinstance(poly, (int, GQ)):
                     poly = Poly.const(chart, poly)
-                if poly.chart != chart:
+                if poly.chart is not chart:
                     raise ChartError("component on wrong chart")
                 if not poly.is_zero():
                     clean[idx] = poly
@@ -85,18 +89,11 @@ class _Alternating:
     # ------------------------------------------------------------------
 
     def _require_same(self, other):
-        if self.chart != other.chart:
+        if self.chart is not other.chart:
             raise ChartError(
                 f"chart mismatch: {self.chart} vs {other.chart}")
         if type(self) is not type(other):
             raise DegreeError("cannot combine a form with a multivector")
-
-    def _raw(self, comps):
-        out = type(self).__new__(type(self))
-        out.chart = self.chart
-        out.degree = self.degree
-        out.comps = comps
-        return out
 
     def __add__(self, other):
         self._require_same(other)
@@ -110,10 +107,11 @@ class _Alternating:
         comps = dict(self.comps)
         for idx, poly in other.comps.items():
             _accumulate(comps, idx, poly)
-        return self._raw(comps)
+        return _alternating(type(self), self.chart, self.degree, comps)
 
     def __neg__(self):
-        return self._raw({i: -p for i, p in self.comps.items()})
+        return _alternating(type(self), self.chart, self.degree,
+                            {i: -p for i, p in self.comps.items()})
 
     def __sub__(self, other):
         return self.__add__(other.__neg__())
@@ -121,10 +119,12 @@ class _Alternating:
     def scale(self, value):
         if isinstance(value, Poly):
             comps = {i: value * p for i, p in self.comps.items()}
-            return type(self)(self.chart, self.degree, comps)
-        value = GQ.of(value)
-        comps = {i: p.scale(value) for i, p in self.comps.items()}
-        return type(self)(self.chart, self.degree, comps)
+        else:
+            value = GQ.of(value)
+            comps = {i: p.scale(value) for i, p in self.comps.items()}
+        # a component is zero only when the value is
+        return _alternating(type(self), self.chart, self.degree,
+                            {i: p for i, p in comps.items() if p.terms})
 
     def __eq__(self, other):
         if not isinstance(other, _Alternating):
@@ -173,11 +173,7 @@ class _Alternating:
                 idx, sign = merged
                 poly = p1 * p2
                 _accumulate(comps, idx, poly if sign > 0 else -poly)
-        out = type(self).__new__(type(self))
-        out.chart = self.chart
-        out.degree = degree
-        out.comps = comps
-        return out
+        return _alternating(type(self), self.chart, degree, comps)
 
     def bidegree(self):
         """(k, l) split across the holomorphic block, or None if mixed."""
@@ -211,6 +207,18 @@ class _Alternating:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.chart}, {self})"
+
+
+def _alternating(cls, chart: Chart, degree: int, comps: dict):
+    """The Multivector or Form (cls) of components that are canonical by
+    construction: strictly increasing index tuples of length degree in the
+    chart's range, nonzero Poly values on the chart.  Neither checked nor
+    copied."""
+    out = cls.__new__(cls)
+    out.chart = chart
+    out.degree = degree
+    out.comps = comps
+    return out
 
 
 class Multivector(_Alternating):
@@ -254,8 +262,12 @@ def pairing(xi: Form, x: Multivector) -> Poly:
 
 def differential(f: Poly) -> Form:
     """Full de Rham differential df over all chart variables."""
-    comps = {(k,): f.diff(k) for k in range(f.chart.nvars)}
-    return Form(f.chart, 1, comps)
+    comps = {}
+    for k in range(f.chart.nvars):
+        partial = f.diff(k)
+        if partial.terms:
+            comps[(k,)] = partial
+    return _alternating(Form, f.chart, 1, comps)
 
 
 def _contract_slots(one: dict, comps: dict) -> dict:
@@ -280,22 +292,22 @@ def contract(xi: Form, P: Multivector) -> Multivector:
         raise DegreeError("contract needs a 1-form")
     if P.degree == 0:
         raise DegreeError("cannot contract a degree-0 multivector")
-    if xi.chart != P.chart:
+    if xi.chart is not P.chart:
         raise ChartError("chart mismatch")
-    return Multivector(P.chart, P.degree - 1,
-                       _contract_slots(xi.comps, P.comps))
+    return _alternating(Multivector, P.chart, P.degree - 1,
+                        _contract_slots(xi.comps, P.comps))
 
 
 def interior(x: Multivector, omega: Form) -> Form:
     """Interior product i_X omega of a vector field into a form."""
     if x.degree != 1:
         raise DegreeError("interior needs a vector field")
-    if x.chart != omega.chart:
+    if x.chart is not omega.chart:
         raise ChartError("chart mismatch")
     if omega.degree == 0:
         return Form.zero(omega.chart, 0)
-    return Form(omega.chart, omega.degree - 1,
-                _contract_slots(x.comps, omega.comps))
+    return _alternating(Form, omega.chart, omega.degree - 1,
+                        _contract_slots(x.comps, omega.comps))
 
 
 def exterior_d(omega: Form) -> Form:
@@ -311,7 +323,7 @@ def exterior_d(omega: Form) -> Form:
                 continue
             new_idx, sign = merged
             _accumulate(comps, new_idx, dcoeff if sign > 0 else -dcoeff)
-    return Form(omega.chart, omega.degree + 1, comps)
+    return _alternating(Form, omega.chart, omega.degree + 1, comps)
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +331,7 @@ def exterior_d(omega: Form) -> Form:
 
 def schouten(P: Multivector, Q: Multivector) -> Multivector:
     """Schouten-Nijenhuis bracket with the module's fixed convention."""
-    if P.chart != Q.chart:
+    if P.chart is not Q.chart:
         raise ChartError("chart mismatch")
     p, q = P.degree, Q.degree
     degree = max(p + q - 1, 0)
@@ -347,7 +359,7 @@ def schouten(P: Multivector, Q: Multivector) -> Multivector:
     one_side(P, Q, 1)
     flip = -1 if ((p - 1) * (q - 1)) % 2 else 1
     one_side(Q, P, -flip)
-    return Multivector(P.chart, degree, comps)
+    return _alternating(Multivector, P.chart, degree, comps)
 
 
 def lie_derivative(x: Multivector, target):

@@ -17,7 +17,7 @@ module.
 from __future__ import annotations
 
 from .errors import ChartError, DegreeError, Record, StructureError
-from .exactalg import GQ, Chart, Poly
+from .exactalg import GQ, Chart, Poly, _poly
 from .linalg import (
     column_space_equal,
     dense_rank,
@@ -34,6 +34,7 @@ from .linalg import (
 from .multivec import (
     Form,
     Multivector,
+    _alternating,
     convert_alternating,
     differential,
     exterior_d,
@@ -136,8 +137,8 @@ def decompose(pi: Multivector) -> PoissonPair:
     coefficients, and pi_R = (P + P-bar)/2, pi_I = (P - P-bar)/2i."""
     _require_20(pi)
     p = convert_alternating(pi, Chart.real(pi.chart.n))
-    p_bar = Multivector(p.chart, p.degree, {
-        idx: Poly(p.chart, {exps: c.conj() for exps, c in poly.terms.items()})
+    p_bar = _alternating(Multivector, p.chart, p.degree, {
+        idx: _poly(p.chart, {exps: c.conj() for exps, c in poly.terms.items()})
         for idx, poly in p.comps.items()})
     return PoissonPair((p + p_bar).scale(HALF),
                        (p - p_bar).scale(GQ(0, -1) / 2))  # 1/(2i) = -i/2

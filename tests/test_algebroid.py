@@ -1,4 +1,5 @@
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -14,6 +15,7 @@ from holopoisson.algebroid import (
     _deformation,
     _f_tensor,
     _frame_table,
+    _realify,
     _s_tensor,
     antiholomorphic_tangent,
     bowtie,
@@ -35,13 +37,20 @@ from holopoisson.algebroid import (
     yao_isomorphism_check,
 )
 from holopoisson.cli import _doc_chart_pi, _load, corpus, corpus_path
-from holopoisson.errors import ChartError, StructureError
+from holopoisson.errors import ChartError, ShapeError, StructureError
 from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.linalg import (
     poly_mat_squares_to_minus_identity,
     poly_mat_transpose,
 )
-from holopoisson.multivec import Form, Multivector
+from holopoisson.multivec import (
+    Form,
+    Multivector,
+    contract,
+    differential,
+    exterior_d,
+    schouten,
+)
 from holopoisson.poisson import (
     decompose,
     is_holomorphic_poisson,
@@ -627,31 +636,157 @@ def test_f_table_matches_matched_pair_F(case):
 
 
 def test_check_representation_builds_one_frame_table(monkeypatch):
-    """The flatness check builds the frame table once, rank(A) * rank(B)
-    applies, reads nabla_[ei,ej] e_m from it, and applies nabla_{e_i} to
-    each nonzero entry nabla_{e_j} e_m, j != i, once; a zero entry needs
-    no apply (nabla_u 0 = 0).  The canonical pairs' tables are all zero,
-    so they take the table's applies alone; the adjoint action of sl2 on
-    itself has a zero entry only on the diagonal."""
+    """The flatness check reads its one frame table, the connection data
+    gamma, with no apply at all; reads nabla_[ei,ej] e_m from it, and
+    applies nabla_{e_i} to each nonzero entry nabla_{e_j} e_m, j != i,
+    once (through _apply, as the entries are already sections); a zero
+    entry needs no apply (nabla_u 0 = 0).  The canonical pairs' tables are
+    all zero, so they take no apply; the adjoint action of sl2 on itself
+    has a zero entry only on the diagonal."""
     calls = []
-    original = RepData.apply
+    checked = []
+    original = RepData._apply
+    original_public = RepData.apply
 
     def counting(self, u, s):
         calls.append(1)
         return original(self, u, s)
 
+    def counting_public(self, u, s):
+        checked.append(1)
+        return original_public(self, u, s)
+
     g = sl2()
     adjoint = RepData(g, g, g.structure)
-    cases = [(adjoint, 9 + 3 * 2 * 2)]
+    cases = [(adjoint, 3 * 2 * 2)]
     for pi in (sl2_pi(), frame_bivector(C2, 0, 1)):
         mp = canonical_matched_pair(pi)
-        cases += [(rep, rep.acting.rank * rep.module.rank)
-                  for rep in (mp.nablaAB, mp.nablaBA)]
-    monkeypatch.setattr(RepData, "apply", counting)
+        cases += [(rep, 0) for rep in (mp.nablaAB, mp.nablaBA)]
+    monkeypatch.setattr(RepData, "_apply", counting)
+    monkeypatch.setattr(RepData, "apply", counting_public)
     for rep, applies in cases:
         calls.clear()
+        checked.clear()
+        table = _frame_table(rep)
+        assert table is rep.gamma
         assert check_representation(rep)
         assert len(calls) == applies
+        assert not checked
+
+
+def revalidated(a: AlgebroidChart) -> AlgebroidChart:
+    """a's data through the public, validating constructor."""
+    return AlgebroidChart(a.chart, a.rank, a.anchor, a.structure)
+
+
+def assert_canonical(obj):
+    """A Multivector or Form equals its copy through the public
+    constructor, component by component and term by term: no zero
+    component, no zero coefficient, every index tuple increasing and in
+    range, every exponent vector of the chart's length."""
+    again = type(obj)(obj.chart, obj.degree, obj.comps)
+    assert again.degree == obj.degree and again.comps == obj.comps
+    for poly in obj.comps.values():
+        assert Poly(poly.chart, poly.terms).terms == poly.terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_connections())
+def test_trusted_builds_equal_validated(case):
+    """The algebroids, frame tables and exterior-calculus results that the
+    library builds unchecked are what the validating constructors accept
+    and give back: the cotangent, Koszul, bowtie, tangent and
+    antiholomorphic tangent algebroids rebuild equal through
+    AlgebroidChart(...); each frame-table entry, the connection data
+    gamma[i][m], is apply on the two frames; schouten, contract,
+    differential and exterior_d rebuild equal through their
+    constructors."""
+    name, mp, self_action = case
+    pi = dict(corpus_poisson_bivectors())[name]
+    pair = decompose(pi)
+    built = [mp.A, mp.B, cotangent_algebroid(pi),
+             koszul_algebroid(pair.pi_R), koszul_algebroid(pair.pi_I),
+             tangent_algebroid(pi.chart), tangent_algebroid(pair.pi_I.chart)]
+    try:
+        built.append(bowtie(mp))
+    except StructureError:
+        pass  # a perturbed pair is mostly no matched pair
+    for a in built:
+        assert revalidated(a) == a, name
+    for rep in (mp.nablaAB, mp.nablaBA, self_action):
+        table = _frame_table(rep)
+        for i in range(rep.acting.rank):
+            for m in range(rep.module.rank):
+                assert table[i][m] == rep.apply(
+                    rep.acting.frame_section(i),
+                    rep.module.frame_section(m)), name
+    fields = [a.anchor_field(a.frame_section(i))
+              for a in (mp.A, mp.B) for i in range(a.rank)]
+    assert_canonical(schouten(pi, pi))
+    for x in fields[:4]:
+        for y in fields[:4]:
+            assert_canonical(schouten(x, y))
+    entries = [p for rep in (mp.nablaAB, mp.nablaBA, self_action)
+               for row in rep.gamma for vec in row for p in vec]
+    entries += [p for p in pi.comps.values()]
+    for f in entries:
+        df = differential(f)
+        assert_canonical(df)
+        assert_canonical(contract(df, pi))
+        assert_canonical(exterior_d(Form(pi.chart, 1, {(0,): f})))
+    for row in mp.B.anchor:
+        assert_canonical(exterior_d(Form.from_components(pi.chart, row)))
+
+
+def test_corpus_bowties_equal_validated():
+    """The bowtie of every corpus matched pair, built unchecked, rebuilds
+    equal through AlgebroidChart(...)."""
+    for name, mp in corpus_matched_pairs():
+        d = bowtie(mp)
+        assert revalidated(d) == d, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(jacobi_constants())
+def test_realified_algebra_equals_validated(g):
+    """The realification is built unchecked; its algebroid rebuilds equal
+    through AlgebroidChart(...)."""
+    for a in (g, sl2(), heisenberg()):
+        doubled = _realify(a).algebroid
+        assert revalidated(doubled) == doubled
+
+
+def test_algebroid_chart_refuses_bad_tables():
+    """The public constructor keeps its checks and messages."""
+    zero = [[0, 0], [0, 0]]
+    skew = [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]
+    AlgebroidChart(C2, 2, [[0] * 4] * 2, skew)
+    not_skew = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    with pytest.raises(StructureError,
+                       match="structure functions not antisymmetric"):
+        AlgebroidChart(C2, 2, [[0] * 4] * 2, not_skew)
+    diagonal = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+    with pytest.raises(StructureError,
+                       match=re.escape("structure functions need c[i][i] = 0")):
+        AlgebroidChart(C2, 2, [[0] * 4] * 2, diagonal)
+    wrong = [[[0, 0], [Poly.one(C3), 0]], [[-Poly.one(C3), 0], [0, 0]]]
+    with pytest.raises(ChartError, match="algebroid data on wrong chart"):
+        AlgebroidChart(C2, 2, [[0] * 4] * 2, wrong)
+    with pytest.raises(ChartError, match="algebroid data on wrong chart"):
+        AlgebroidChart(C2, 2, [[Poly.one(C3), 0, 0, 0], [0] * 4],
+                       [zero, zero])
+
+
+def test_rep_data_refuses_wrong_shape_gamma():
+    """RepData keeps its shape checks and messages."""
+    g = sl2()
+    with pytest.raises(ShapeError,
+                       match="gamma needs one row per acting frame section"):
+        RepData(g, g, g.structure[:2])
+    with pytest.raises(ShapeError, match="gamma row has wrong module rank"):
+        RepData(g, g, [row[:2] for row in g.structure])
+    with pytest.raises(ShapeError, match="section has wrong rank"):
+        RepData(g, g, [[vec[:2] for vec in row] for row in g.structure])
 
 
 @settings(max_examples=40, deadline=None)

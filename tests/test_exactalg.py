@@ -1,4 +1,6 @@
+import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -18,6 +20,8 @@ from holopoisson.exactalg import (
     parse_gq,
     parse_poly,
 )
+
+from holopoisson.serialize import parse_chart
 
 from oracles import FractionGQ, format_fraction_gq, rand_poly
 
@@ -361,3 +365,61 @@ def test_canonical_order_is_graded_lex():
     c = C(1)
     f = parse_poly("1 + z1^2 + z1 + zb1", c)
     assert str(f) == "z1^2 + z1 + zb1 + 1"
+
+
+# ----------------------------------------------------------------------
+# one Chart per kind and size; the public constructors keep their checks
+
+def test_one_chart_per_kind_and_size():
+    assert parse_chart({"kind": "complex", "n": 3}) is Chart.complex(3)
+    assert Chart("real", 2) is Chart.real(2) is R(2)
+    assert Chart.complex(2) is not Chart.real(2)
+    assert Chart.complex(2) != Chart.complex(3)
+    assert pickle.loads(pickle.dumps(C(2))) is C(2)
+    assert hash(C(2)) == hash(("complex", 2))
+
+
+def test_chart_refuses_bad_kind_and_size():
+    with pytest.raises(ChartError, match="unknown chart kind 'quaternion'"):
+        Chart("quaternion", 2)
+    with pytest.raises(ChartError, match="chart dimension must be >= 0"):
+        Chart("complex", -1)
+
+
+def test_poly_refuses_bad_exponents():
+    with pytest.raises(ChartError, match="negative exponent"):
+        Poly(C(1), {(1, -1): 1})
+    with pytest.raises(ChartError, match=re.escape(
+            "exponent vector (1,) has wrong length for complex(1)")):
+        Poly(C(1), {(1,): 1})
+    with pytest.raises(ChartError, match="negative exponent"):
+        Poly.monomial(C(1), (0, -2))
+    with pytest.raises(ChartError, match=re.escape(
+            "exponent vector (1, 0, 0) has wrong length for complex(1)")):
+        Poly.monomial(C(1), (1, 0, 0))
+    with pytest.raises(ChartError, match="chart mismatch"):
+        Poly.one(C(1)) * Poly.one(R(1))
+
+
+def test_direct_constructors_equal_validated():
+    """zero, one, const, var and monomial build their term maps directly;
+    each equals the Poly that the validating constructor makes, and a
+    product with a one-term constant is the scaled Poly."""
+    chart = C(2)
+    cases = [
+        (Poly.zero(chart), {}),
+        (Poly.one(chart), {(0, 0, 0, 0): 1}),
+        (Poly.const(chart, GQ(0)), {}),
+        (Poly.const(chart, Fraction(-1, 2)), {(0, 0, 0, 0): Fraction(-1, 2)}),
+        (Poly.var(chart, 3), {(0, 0, 0, 1): 1}),
+        (Poly.monomial(chart, [2, 0, 1, 0], GQ(1, 1)),
+         {(2, 0, 1, 0): GQ(1, 1)}),
+        (Poly.monomial(chart, (1, 0, 0, 0), 0), {}),
+    ]
+    for built, terms in cases:
+        validated = Poly(chart, terms)
+        assert built == validated and built.terms == validated.terms
+    f = parse_poly("z1^2 zb2 - 3i z2 + 1/2", chart)
+    for value in (GQ(2, -1), GQ(0)):
+        assert f * Poly.const(chart, value) == f.scale(value)
+        assert Poly.const(chart, value) * f == f.scale(value)

@@ -191,6 +191,13 @@ def test_sparse_rank_equals_dense_oracle(case):
                for j, v in enumerate(row) if not v.is_zero()}
     matrix = SparseMatrix(nrows, ncols, entries)
     assert matrix.rank("sparse") == dense_rank(rows)
+    # the oracle ranks the block on the nonzero rows and columns; the
+    # padded dense matrix has the same rank
+    assert matrix.rank("oracle") == dense_rank(rows)
+    skip = set(range(0, ncols, 2))
+    view = matrix.without_columns(skip)
+    assert view.rank("oracle") == dense_rank(
+        [[v for j, v in enumerate(row) if j not in skip] for row in rows])
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -279,3 +280,26 @@ def test_differential_on_functions():
     df = differential(f)
     assert df.component((0,)) == Poly.var(C2, 2)
     assert df.component((2,)) == Poly.var(C2, 0)
+
+
+# ----------------------------------------------------------------------
+# the public constructors keep their checks
+
+
+@pytest.mark.parametrize("cls", [Multivector, Form])
+def test_constructor_refuses_bad_indices(cls):
+    one = Poly.one(C2)
+    with pytest.raises(DegreeError,
+                       match=re.escape("index tuple (1, 0) not increasing")):
+        cls(C2, 2, {(1, 0): one})
+    with pytest.raises(DegreeError,
+                       match=re.escape("index tuple (1, 1) not increasing")):
+        cls(C2, 2, {(1, 1): one})
+    with pytest.raises(ChartError,
+                       match=re.escape("frame index out of range in (0, 4)")):
+        cls(C2, 2, {(0, 4): one})
+    with pytest.raises(ChartError,
+                       match=re.escape("frame index out of range in (-1,)")):
+        cls(C2, 1, {(-1,): one})
+    with pytest.raises(ChartError, match="component on wrong chart"):
+        cls(C2, 1, {(0,): Poly.one(C3)})
