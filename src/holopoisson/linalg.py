@@ -116,12 +116,14 @@ class SparseMatrix:
             # the zero rows and columns that a placed cell matrix is
             # padded with change no rank
             entries = self.entries
-            rows = {i: r for r, i in enumerate(sorted({i for i, _ in entries}))}
-            cols = {j: c for c, j in enumerate(sorted({j for _, j in entries}))}
+            rows = sorted({i for i, _ in entries})
+            cols = sorted({j for _, j in entries})
+            row_at = {i: r for r, i in enumerate(rows)}
+            col_at = {j: c for c, j in enumerate(cols)}
             zero = GQ(0)
             block = [[zero] * len(cols) for _ in rows]
             for (i, j), v in entries.items():
-                block[rows[i]][cols[j]] = v
+                block[row_at[i]][col_at[j]] = v
             return dense_rank(block)
         raise ValueError(f"unknown rank method {method!r}")
 

@@ -766,8 +766,8 @@ def test_algebroid_chart_refuses_bad_tables():
                        match="structure functions not antisymmetric"):
         AlgebroidChart(C2, 2, [[0] * 4] * 2, not_skew)
     diagonal = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
-    with pytest.raises(StructureError,
-                       match=re.escape("structure functions need c[i][i] = 0")):
+    with pytest.raises(StructureError, match=re.escape(
+            "structure functions need c[i][i] = 0")):
         AlgebroidChart(C2, 2, [[0] * 4] * 2, diagonal)
     wrong = [[[0, 0], [Poly.one(C3), 0]], [[-Poly.one(C3), 0], [0, 0]]]
     with pytest.raises(ChartError, match="algebroid data on wrong chart"):
