@@ -2,14 +2,12 @@
 algebroids, matched pairs and their double-complex cohomology on polynomial
 coordinate charts."""
 
-from .exactalg import GQ, Chart, Poly, convert_chart, is_conj_fixed, parse_poly
+from .exactalg import GQ, Chart, Poly, parse_poly
 
 __all__ = [
     "GQ",
     "Chart",
     "Poly",
-    "convert_chart",
-    "is_conj_fixed",
     "parse_poly",
 ]
 

@@ -11,22 +11,28 @@ pairs with their F/S/T obstruction tensors, the direct-sum algebroid of a
 matched pair, and the isomorphism onto the Dirac structure of the
 associated generalized complex structure.
 
+An endomorphism N of an algebroid, a bundle map over the identity, is
+its square Poly matrix: N[r][c] is the e_r coefficient of N e_c, so N
+applied to a frame e_c is column c.  A chart endomorphism is one of the
+tangent algebroid.
+
 A complex Lie algebra is the algebroid with zero anchor over the point
 chart complex(0), whose structure functions are constants (lie_algebra);
-a complex structure j on it is an EndoOnAlgebroid, and LieAlgebra pairs
-the two, as a document gives them and as realify_liealgebra returns them.
+a complex structure j on it is a matrix of constant Polys, and LieAlgebra
+pairs the two, as a document gives them and as realify_liealgebra
+returns them.
 
 A holomorphic Lie algebroid A is the matched pair (T^{0,1}X, A^{1,0}):
 holomorphic_matched_pair builds it from A's data on a holomorphic frame,
 where both actions are zero on frames, and canonical_matched_pair is the
-case A = (T*X)_pi.  A connection is flat or not (check_representation);
-the Leibniz rule holds by construction, as RepData.apply extends gamma by
-it.
+case A = (T*X)_pi.  A connection is flat or not (check_representation,
+which reads gamma); the Leibniz rule holds by construction, as
+RepData.apply extends gamma by it.
 
-The public constructors (AlgebroidChart, RepData, EndoOnAlgebroid) check
-and coerce their input, once.  The algebroids the module builds itself
-are valid by construction and skip that check: from_frame_brackets (the
-cotangent, Koszul, deformed and bowtie algebroids), tangent_algebroid,
+The public constructors (AlgebroidChart, RepData) check and coerce their
+input, once.  The algebroids the module builds itself are valid by
+construction and skip that check: from_frame_brackets (the cotangent,
+Koszul and bowtie algebroids), tangent_algebroid,
 antiholomorphic_tangent and the realification go through
 AlgebroidChart._build, and the checks call RepData._apply on sections
 that are already coerced.
@@ -35,14 +41,14 @@ The structural checks read a frame bracket that is in the data (two
 frames: their structure vector; two coordinate coframes: d pi^{ij}) and
 evaluate every other frame-level quantity once, into a table.  The
 flatness and F/S/T checks and bowtie read the frame table nabla_{e_i} e_m
-of each connection, which is its connection data gamma: apply is
+of each connection, which is its connection data gamma itself: apply is
 tensorial in its acting argument, so nabla along a combination of frames
-is the same combination of table rows.
+is the same combination of gamma's rows.
 realparts_liealgebra_check takes the antisymmetric identities on the
 pairs s < t only, and yao_isomorphism_check takes yao_phi of each bowtie
 frame once.
 
-Nijenhuis deformation by an EndoOnAlgebroid N builds the deformed frame
+Nijenhuis deformation by an endomorphism N builds the deformed frame
 brackets [e_i, e_j]_N from the frame data alone (_deformation), and the
 torsion from them only where it is asked for.  It is the one torsion of
 the package: a chart endomorphism's is its torsion on tangent_algebroid,
@@ -250,28 +256,11 @@ class AlgebroidChart:
                 and self.structure == other.structure)
 
 
-class EndoOnAlgebroid:
-    """A bundle map A -> A over the identity; matrix[r][c] is the e_r
-    coefficient of the image of e_c."""
-
-    __slots__ = ("base", "matrix")
-
-    def __init__(self, base: AlgebroidChart, matrix):
-        if len(matrix) != base.rank or any(len(r) != base.rank for r in matrix):
-            raise ShapeError("endomorphism matrix must be rank x rank")
-        self.base = base
-        self.matrix = [[AlgebroidChart._coerce(base.chart, p) for p in row]
-                       for row in matrix]
-
-    def apply(self, section):
-        return poly_mat_vec(self.matrix, self.base.coerce_section(section))
-
-
 def tangent_algebroid(chart: Chart) -> AlgebroidChart:
     """The tangent algebroid: identity anchor, commuting coordinate frame.
     A chart endomorphism N, a square Poly matrix over the coordinate
-    tangent frame, acts on it as EndoOnAlgebroid(tangent_algebroid(chart),
-    N), whose torsion is the Nijenhuis torsion of N."""
+    tangent frame, is an endomorphism of it, and its torsion there is the
+    Nijenhuis torsion of N."""
     m = chart.nvars
     zero = [Poly.zero(chart) for _ in range(m)]
     structure = [[list(zero) for _ in range(m)] for _ in range(m)]
@@ -335,7 +324,7 @@ def _combine(coeffs, rows, out):
     return out
 
 
-def _deformation(a: AlgebroidChart, n: EndoOnAlgebroid):
+def _deformation(a: AlgebroidChart, n):
     """The deformed brackets [e_i, e_j]_N = [N e_i, e_j] + [e_i, N e_j]
     - N[e_i, e_j] on frame pairs (i < j), from the frame data alone.
 
@@ -343,14 +332,18 @@ def _deformation(a: AlgebroidChart, n: EndoOnAlgebroid):
     [e_i, e_j]_N = sum_c (N[c][i] c_cj + N[c][j] c_ic)
     + sum_c (rho(e_i)(N[c][j]) - rho(e_j)(N[c][i])) e_c - N c_ij.
     A constant N (a Lie algebra's j, the standard J) has no derivative
-    terms."""
-    if n.base is not a and n.base != a:
-        raise ShapeError("endomorphism is not over this algebroid")
+    terms.  N is the rank x rank Poly matrix on a's chart."""
     rank = a.rank
+    if len(n) != rank or any(len(row) != rank for row in n):
+        raise ShapeError("endomorphism matrix must be rank x rank")
+    if any(type(p) is not Poly or p.chart is not a.chart
+           for row in n for p in row):
+        raise ChartError("endomorphism entries must be Polys on the "
+                         "algebroid's chart")
     zero = a.zero_section()
     frames = [a.frame_section(i) for i in range(rank)]
-    columns = poly_mat_transpose(n.matrix)
-    constant = all(p.degree() <= 0 for row in n.matrix for p in row)
+    columns = poly_mat_transpose(n)
+    constant = all(p.degree() <= 0 for row in n for p in row)
     brackets = {}
     for i in range(rank):
         for j in range(i + 1, rank):
@@ -358,43 +351,32 @@ def _deformation(a: AlgebroidChart, n: EndoOnAlgebroid):
                              zero)
             value = _combine(columns[j], a.structure[i], value)
             if not constant:
-                value = [x + a.anchor_apply(frames[i], n.matrix[c][j])
-                         - a.anchor_apply(frames[j], n.matrix[c][i])
+                value = [x + a.anchor_apply(frames[i], n[c][j])
+                         - a.anchor_apply(frames[j], n[c][i])
                          for c, x in enumerate(value)]
-            n_cij = poly_mat_vec(n.matrix, a.structure[i][j])
+            n_cij = poly_mat_vec(n, a.structure[i][j])
             brackets[(i, j)] = [x - y if not y.is_zero() else x
                                 for x, y in zip(value, n_cij)]
     return brackets
 
 
-def _torsion(a: AlgebroidChart, n: EndoOnAlgebroid, brackets):
+def _torsion(a: AlgebroidChart, n, brackets):
     """The nonzero values of the Nijenhuis torsion
     [N e_i, N e_j] - N[e_i, e_j]_N, from the deformed brackets."""
-    columns = poly_mat_transpose(n.matrix)
+    columns = poly_mat_transpose(n)
     torsion = {}
     for (i, j), deformed in brackets.items():
         value = [x - y for x, y in zip(a._bracket(columns[i], columns[j]),
-                                       poly_mat_vec(n.matrix, deformed))]
+                                       poly_mat_vec(n, deformed))]
         if not a.section_is_zero(value):
             torsion[(i, j)] = value
     return torsion
 
 
-def nijenhuis_torsion_algebroid(a: AlgebroidChart, n: EndoOnAlgebroid):
-    """Torsion of N over the algebroid bracket, on frame pairs (i < j)."""
+def nijenhuis_torsion_algebroid(a: AlgebroidChart, n):
+    """Torsion of the endomorphism N (its square Poly matrix) over the
+    algebroid bracket, on frame pairs (i < j)."""
     return _torsion(a, n, _deformation(a, n))
-
-
-def deform_by(a: AlgebroidChart, n: EndoOnAlgebroid) -> AlgebroidChart:
-    """Deformed algebroid (rho o N, [., .]_N); requires vanishing torsion."""
-    brackets = _deformation(a, n)
-    if _torsion(a, n, brackets):
-        raise StructureError("nonzero Nijenhuis torsion: deformation "
-                             "does not yield a Lie algebroid")
-    anchor = [a.anchor_field(image).coefficients()
-              for image in poly_mat_transpose(n.matrix)]
-    return AlgebroidChart.from_frame_brackets(
-        a.chart, a.rank, anchor, lambda i, j: brackets[(i, j)])
 
 
 # ----------------------------------------------------------------------
@@ -451,8 +433,9 @@ def lie_algebra(rank: int, triples) -> AlgebroidChart:
 
 
 class LieAlgebra(Record):
-    """A Lie algebra over a point with its complex structure j, an
-    EndoOnAlgebroid, or None when it is the complex presentation."""
+    """A Lie algebra over a point with its complex structure j, a square
+    matrix of constant Polys, or None when it is the complex
+    presentation."""
 
     __slots__ = ("algebroid", "j")
 
@@ -531,17 +514,19 @@ def _realify(a: AlgebroidChart) -> LieAlgebra:
     for k in range(r):
         jm[r + k][k] = Poly.one(chart)
         jm[k][r + k] = Poly.const(chart, -1)
-    return LieAlgebra(algebroid, EndoOnAlgebroid(algebroid, jm))
+    return LieAlgebra(algebroid, jm)
 
 
 def _is_complex_structure(g: LieAlgebra) -> bool:
-    """j^2 = -1 and the bracket is C-linear for j."""
+    """j^2 = -1 and the bracket is C-linear for j: [j e_x, e_y]
+    = j [e_x, e_y], where j e_x is column x of j."""
     a, j = g.algebroid, g.j
-    if not poly_mat_squares_to_minus_identity(j.matrix):
+    if not poly_mat_squares_to_minus_identity(j):
         return False
     frames = [a.frame_section(x) for x in range(a.rank)]
-    return all(a._bracket(j.apply(frames[x]), frames[y])
-               == j.apply(a.structure[x][y])
+    columns = poly_mat_transpose(j)
+    return all(a._bracket(columns[x], frames[y])
+               == poly_mat_vec(j, a.structure[x][y])
                for x in range(a.rank) for y in range(a.rank))
 
 
@@ -555,7 +540,7 @@ def complex_presentation(g: LieAlgebra) -> AlgebroidChart:
     """
     a, j = g.algebroid, g.j
     n = a.rank
-    if j is None or all(j.matrix[x][y] == (GQ(0, 1) if x == y else 0)
+    if j is None or all(j[x][y] == (GQ(0, 1) if x == y else 0)
                         for x in range(n) for y in range(n)):
         return a
     if not _is_complex_structure(g):
@@ -567,13 +552,14 @@ def complex_presentation(g: LieAlgebra) -> AlgebroidChart:
 
     # greedy complex basis: columns are real coordinate vectors
     chosen = []
+    columns = poly_mat_transpose(j)
 
     def gq_rows(vectors):
         return [[vec[x] for vec in vectors] for x in range(n)]
 
     for cand_idx in range(n):
-        cand = a.frame_section(cand_idx)
-        trial = chosen + [_constants(cand), _constants(j.apply(cand))]
+        trial = chosen + [_constants(a.frame_section(cand_idx)),
+                          _constants(columns[cand_idx])]
         if dense_rank(gq_rows(trial)) == len(trial):
             chosen = trial
         if len(chosen) == n:
@@ -618,8 +604,11 @@ def realparts_liealgebra_check(g: LieAlgebra) -> RealPartsReport:
     the right-hand sides because AlgebroidChart enforces a zero diagonal
     and antisymmetric structure functions.  d l'(e_s) and the Hamiltonian
     fields pi_R# d l'(e_s), pi_I# d l'(e_s) are tabled once per s, so each
-    left-hand side is one pairing {f, g} = <dg, pi# df>, poisson_bracket's
-    formula."""
+    left-hand side is one pairing {f, g} = <dg, pi# df>.  The realified
+    bracket is C-bilinear by construction, so [V, W]_j = j[V, W]
+    = [V, jW] is read from the data: with j e_t = e_{t+r} and
+    j e_{t+r} = -e_t, it is the structure vector of (s, t + r), or minus
+    that of (s, t - r)."""
     gc = complex_presentation(g)
     _jacobi(gc)
     pi = _lie_poisson(gc)
@@ -637,8 +626,7 @@ def realparts_liealgebra_check(g: LieAlgebra) -> RealPartsReport:
                 out = out - Poly.var(real_chart, r + a).scale(section[r + a])
         return out
 
-    realified = _realify(gc)
-    doubled = realified.algebroid
+    doubled = _realify(gc).algebroid
 
     frames = [doubled.frame_section(s) for s in range(2 * r)]
     dl = [differential(lprime(_constants(es))) for es in frames]
@@ -648,15 +636,17 @@ def realparts_liealgebra_check(g: LieAlgebra) -> RealPartsReport:
     ok_im = True
     for s in range(2 * r):
         for t in range(s + 1, 2 * r):
-            value = doubled.structure[s][t]
-            bracket = _constants(value)
-            jbracket = _constants(realified.j.apply(value))
+            bracket = _constants(doubled.structure[s][t])
+            if t < r:
+                jbracket, factor = doubled.structure[s][t + r], -QUARTER
+            else:
+                jbracket, factor = doubled.structure[s][t - r], QUARTER
             lhs_re = pairing(dl[t], ham_re[s])
             rhs_re = lprime([v * QUARTER for v in bracket])
             if lhs_re != rhs_re:
                 ok_re = False
             lhs_im = pairing(dl[t], ham_im[s])
-            rhs_im = lprime([v * QUARTER * GQ(-1) for v in jbracket])
+            rhs_im = lprime([v * factor for v in _constants(jbracket)])
             if lhs_im != rhs_im:
                 ok_im = False
         if not (ok_re or ok_im):
@@ -713,19 +703,16 @@ class RepData:
         return out
 
 
-def _frame_table(rep: RepData):
-    """nabla_{e_i} e_m for every acting frame e_i and module frame e_m: the
-    connection data gamma[i][m] itself, since apply on two frames adds
-    the anchor term rho(e_i)(1) = 0 to 1 * gamma[i][m]."""
-    return rep.gamma
+def check_representation(rep: RepData) -> bool:
+    """Flatness nabla_[ei,ej] = [nabla_ei, nabla_ej], exactly on frames.
 
-
-def _is_flat(rep: RepData, table) -> bool:
-    """nabla_[ei,ej] e_m = nabla_ei nabla_ej e_m - nabla_ej nabla_ei e_m on
-    all frames, read from the frame table: apply is tensorial in its first
-    argument, so nabla_[ei,ej] e_m = sum_k c_ij^k nabla_{e_k} e_m.  A zero
-    table entry is not applied to, since nabla_u 0 = 0."""
-    a, b = rep.acting, rep.module
+    It reads the frame table nabla_{e_i} e_m, which is the connection data
+    gamma[i][m] itself (apply on two frames adds the anchor term
+    rho(e_i)(1) = 0 to 1 * gamma[i][m]).  apply is tensorial in its first
+    argument, so nabla_[ei,ej] e_m = sum_k c_ij^k nabla_{e_k} e_m, and a
+    zero table entry is not applied to, since nabla_u 0 = 0.  The Leibniz
+    rule needs no check: apply is the Leibniz extension of gamma."""
+    a, b, table = rep.acting, rep.module, rep.gamma
     frames = [a.frame_section(i) for i in range(a.rank)]
     columns = [[row[m] for row in table] for m in range(b.rank)]
     zero = b.zero_section()
@@ -745,14 +732,6 @@ def _is_flat(rep: RepData, table) -> bool:
                 if any(x != y for x, y in zip(lhs, rhs)):
                     return False
     return True
-
-
-def check_representation(rep: RepData) -> bool:
-    """Flatness nabla_[ei,ej] = [nabla_ei, nabla_ej], exactly on frames,
-    reading the frame table nabla_{e_i} e_m, which is the connection data
-    gamma.  The Leibniz rule needs no check: apply is the Leibniz
-    extension of gamma."""
-    return _is_flat(rep, _frame_table(rep))
 
 
 class MatchedPairData:
@@ -792,20 +771,14 @@ class MatchedPairTensors(Record):
 
 def matched_pair_tensors(mp: MatchedPairData) -> MatchedPairTensors:
     """Evaluate F, S, T on all frame combinations; a matched pair is
-    exactly the case F = S = T = 0.  The frame tables of both connections
-    are built once and read by the flatness checks and by F, S and T."""
-    return _tensors_and_tables(mp)[0]
-
-
-def _tensors_and_tables(mp: MatchedPairData):
-    """matched_pair_tensors and the frame tables ab and ba it read."""
-    ab = _frame_table(mp.nablaAB)
-    ba = _frame_table(mp.nablaBA)
-    if not (_is_flat(mp.nablaAB, ab) and _is_flat(mp.nablaBA, ba)):
+    exactly the case F = S = T = 0.  Both connections must be flat, and
+    F, S and T read their frame tables, the connection data gamma."""
+    if not (check_representation(mp.nablaAB)
+            and check_representation(mp.nablaBA)):
         raise StructureError("matched-pair data: representations are not flat")
-    tensors = MatchedPairTensors(_f_tensor(mp, ab, ba), _s_tensor(mp, ab, ba),
-                                 _s_tensor(mp.swapped(), ba, ab))
-    return tensors, ab, ba
+    ab, ba = mp.nablaAB.gamma, mp.nablaBA.gamma
+    return MatchedPairTensors(_f_tensor(mp, ab, ba), _s_tensor(mp, ab, ba),
+                              _s_tensor(mp.swapped(), ba, ab))
 
 
 def _f_tensor(mp: MatchedPairData, ab, ba) -> dict:
@@ -865,10 +838,10 @@ def bowtie(mp: MatchedPairData) -> AlgebroidChart:
     """The direct-sum algebroid of a matched pair: anchor a(X) + b(Y) and
     bracket ([X1,X2] + nabla_{Y1}X2 - nabla_{Y2}X1) + ([Y1,Y2]
     + nabla_{X1}Y2 - nabla_{X2}Y1), on frames (A first) read from A's and
-    B's data and the frame tables of the F/S/T check."""
-    tensors, ab, ba = _tensors_and_tables(mp)
-    if not tensors.all_zero:
+    B's data and the frame tables (gamma) of the connections."""
+    if not matched_pair_tensors(mp).all_zero:
         raise StructureError("not a matched pair: F/S/T do not vanish")
+    ab, ba = mp.nablaAB.gamma, mp.nablaBA.gamma
     ra = mp.A.rank
 
     def frame_bracket(s, t):

@@ -175,11 +175,11 @@ def cmd_torsion(doc, options):
             # a complex algebra: its realification's j, integrable by
             # construction
             g = alg.realify_liealgebra(g.algebroid)
-        elif not alg.verify_algebroid(g.algebroid).jacobi:
-            raise StructureError(
-                "structure constants fail the Jacobi identity")
-        elif not poly_mat_squares_to_minus_identity(g.j.matrix):
-            raise StructureError("j is not a complex structure (j^2 != -1)")
+        else:
+            alg._jacobi(g.algebroid)
+            if not poly_mat_squares_to_minus_identity(g.j):
+                raise StructureError(
+                    "j is not a complex structure (j^2 != -1)")
         base, endo = g.algebroid, g.j
         data = {"rank": base.rank}
 
@@ -188,8 +188,7 @@ def cmd_torsion(doc, options):
     else:
         chart = parse_chart(require_field(doc, "chart", "torsion input"))
         base = alg.tangent_algebroid(chart)
-        endo = alg.EndoOnAlgebroid(base, parse_endo(
-            chart, require_field(doc, "endo", "torsion input")))
+        endo = parse_endo(chart, require_field(doc, "endo", "torsion input"))
         data = {"chart": chart_dict(chart)}
 
         def entry(i, j, vec):

@@ -890,24 +890,3 @@ def _coordinate_images(source: Chart, target: Chart) -> list:
     half_i = _normal(0, 1, 2)
     return ([(z + zb).scale(half) for z, zb in zip(first, second)]
             + [(zb - z).scale(half_i) for z, zb in zip(first, second)])
-
-
-def convert_chart(f: Poly, target: Chart) -> Poly:
-    """Ring isomorphism between real(n) and complex(n) polynomial charts
-    (see _coordinate_images).  Converting to the chart already underfoot is
-    the identity.
-    """
-    if f.chart.n != target.n:
-        raise ChartError(
-            f"dimension mismatch: {f.chart} cannot convert to {target}")
-    if f.chart == target:
-        return f
-    return f.substitute(_coordinate_images(f.chart, target), target)
-
-
-def is_conj_fixed(f: Poly) -> bool:
-    """Reality test: f equals the conjugate of its complex-chart image."""
-    if f.chart.is_complex():
-        return f.conj() == f
-    g = convert_chart(f, Chart.complex(f.chart.n))
-    return g.conj() == g

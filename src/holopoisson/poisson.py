@@ -1,34 +1,34 @@
 """Holomorphic Poisson verification and structure theory.
 
-Covers the real/imaginary decomposition of a (2,0) bivector, the induced
-Poisson and Koszul brackets, Poisson-Nijenhuis compatibility against an
-almost complex structure, the generalized complex endomorphism with its
-Dirac structure, the antisymmetrized Courant bracket, inversion of
-constant symplectic forms and pointwise foliation ranks.
+Covers the real/imaginary decomposition of a (2,0) bivector, the Koszul
+bracket, Poisson-Nijenhuis compatibility against an almost complex
+structure, the antisymmetrized Courant bracket and pointwise foliation
+ranks.  The generalized complex endomorphism J_pi with its -i
+eigenbundle, the symplectic inverse and the Poisson bracket of two
+functions are test references (tests/oracles.py): no command computes
+them.
 
 A chart endomorphism, such as standard_j, is its square Poly matrix over
 the coordinate tangent frame.  Its Nijenhuis torsion and the Koszul
 compatibility of pn_check are the one Nijenhuis deformation of the
 algebroid layer (algebroid.tangent_algebroid, algebroid.koszul_algebroid),
-which pn_check imports when it is called, since algebroid imports this
-module.
+which takes the matrix itself and which pn_check imports when it is
+called, since algebroid imports this module.
 """
 
 from __future__ import annotations
 
-from .errors import ChartError, DegreeError, Record, StructureError
+from .errors import ChartError, DegreeError, Record
 from .exactalg import GQ, Chart, Poly, _poly
 from .linalg import (
     column_space_equal,
     dense_rank,
-    gq_mat_inverse,
     poly_mat_eq,
     poly_mat_eval,
     poly_mat_mul,
     poly_mat_scale,
     poly_mat_sub,
     poly_mat_transpose,
-    poly_mat_vec,
     poly_zero_matrix,
 )
 from .multivec import (
@@ -147,15 +147,6 @@ def decompose(pi: Multivector) -> PoissonPair:
 # ----------------------------------------------------------------------
 # brackets
 
-def poisson_bracket(pihat: Multivector, f: Poly, g: Poly) -> Poly:
-    """{f, g} = pihat(df, dg)."""
-    if pihat.degree != 2:
-        raise DegreeError("poisson_bracket needs a bivector")
-    if f.chart != pihat.chart or g.chart != pihat.chart:
-        raise ChartError("chart mismatch")
-    return pairing(differential(g), sharp(pihat, differential(f)))
-
-
 def koszul_bracket(pihat: Multivector, alpha: Form, beta: Form) -> Form:
     """[alpha, beta]_pihat = L_{pihat# alpha} beta - L_{pihat# beta} alpha
     - d(pihat(alpha, beta)).
@@ -198,7 +189,6 @@ def pn_check(pi_i: Multivector, n_matrix, schouten_zero=None) -> PNReport:
     """
     # algebroid imports this module at load time, so not the other way
     from .algebroid import (
-        EndoOnAlgebroid,
         _deformation,
         koszul_algebroid,
         nijenhuis_torsion_algebroid,
@@ -209,31 +199,27 @@ def pn_check(pi_i: Multivector, n_matrix, schouten_zero=None) -> PNReport:
         raise ChartError("pn_check runs on the real chart")
     if pi_i.degree != 2:
         raise DegreeError("pn_check needs a bivector")
-    chart = pi_i.chart
-    tangent = tangent_algebroid(chart)
-    n_field = EndoOnAlgebroid(tangent, n_matrix)
-    matrix = n_field.matrix
+    # the torsion first: it refuses a matrix of the wrong size
+    torsion_zero = not nijenhuis_torsion_algebroid(
+        tangent_algebroid(pi_i.chart), n_matrix)
     if schouten_zero is None:
         schouten_zero = schouten(pi_i, pi_i).is_zero()
 
     msharp = sharp_matrix(pi_i)
     sharp_intertwine = poly_mat_eq(
-        poly_mat_mul(matrix, msharp),
-        poly_mat_mul(msharp, poly_mat_transpose(matrix)))
-
-    torsion_zero = not nijenhuis_torsion_algebroid(tangent, n_field)
+        poly_mat_mul(n_matrix, msharp),
+        poly_mat_mul(msharp, poly_mat_transpose(n_matrix)))
 
     # the component matrix of pi_N, with pi_N# = pi# N*: N Pi (Pi, with
     # Pi[a][b] = pi(e^a, e^b), is the transpose of the sharp matrix),
     # antisymmetrized so the check stays defined when the intertwine
     # identity fails.
-    npi = poly_mat_mul(matrix, poly_mat_transpose(msharp))
+    npi = poly_mat_mul(n_matrix, poly_mat_transpose(msharp))
     pi_n = poly_mat_scale(poly_mat_sub(npi, poly_mat_transpose(npi)), HALF)
     del npi
 
     koszul = koszul_algebroid(pi_i)
-    deformed = _deformation(
-        koszul, EndoOnAlgebroid(koszul, poly_mat_transpose(matrix)))
+    deformed = _deformation(koszul, poly_mat_transpose(n_matrix))
     koszul_compat = all(differential(pi_n[a][b]).coefficients() == value
                         for (a, b), value in deformed.items())
     return PNReport(schouten_zero, sharp_intertwine, koszul_compat,
@@ -258,62 +244,6 @@ def pn_check_complex(pi: Multivector) -> PNReport:
 
 
 # ----------------------------------------------------------------------
-# generalized complex structure
-
-def gc_endomorphism(pi: Multivector):
-    """Block matrix [[J, 4 pi_I#], [0, -J*]] over the real chart frame of
-    TX + T*X.
-
-    The factor 4 makes the -i eigenbundle the Dirac structure that phi
-    maps the bowtie algebroid onto, the sections (X01 + pi# xi10, xi10).
-    The frame conversion d/dz = (d/dx - i d/dy)/2 puts a factor 1/4 into
-    pi_R and pi_I (criterion 1: omega_R^-1 = 4 pi_R), and for a (1,0)-form
-    pi# xi = 2i pi_I# xi.  With J = i on T^{1,0} and -i on T^{0,1}, the
-    top row J X + 4 pi_I# xi = -i X then holds for X = X01 + pi# xi.  The
-    unscaled block [[J, pi_I#], [0, -J*]] squares to -1 as well, but its
-    -i eigenbundle is not phi's image.
-    """
-    report = is_holomorphic_poisson(pi)
-    if not report.all_ok:
-        raise StructureError(
-            f"gc_endomorphism needs a holomorphic Poisson bivector: {report}")
-    n = pi.chart.n
-    real_chart = Chart.real(n)
-    pair = decompose(pi)
-    msharp = poly_mat_scale(sharp_matrix(pair.pi_I), GQ(4))
-    j = standard_j(real_chart)
-    minus_jt = poly_mat_scale(poly_mat_transpose(j), GQ(-1))
-    m = 2 * n
-    zero = Poly.zero(real_chart)
-    rows = []
-    for r in range(m):
-        rows.append(list(j[r]) + list(msharp[r]))
-    for r in range(m):
-        rows.append([zero] * m + list(minus_jt[r]))
-    return rows
-
-
-def gc_eigensection_check(pi: Multivector, section: GCSection) -> bool:
-    """The section, transported to the real chart, is a -i eigenvector of
-    gc_endomorphism(pi): it lies in the Dirac structure of J_pi."""
-    real_chart = Chart.real(pi.chart.n)
-    coeffs = (convert_alternating(section.vec, real_chart).coefficients()
-              + convert_alternating(section.form, real_chart).coefficients())
-    image = poly_mat_vec(gc_endomorphism(pi), coeffs)
-    return image == [c.scale(GQ(0, -1)) for c in coeffs]
-
-
-def gc_eigenspace_dimension(pi: Multivector, point) -> int:
-    """Dimension of the -i eigenspace of gc_endomorphism(pi) at a point."""
-    matrix = gc_endomorphism(pi)
-    values = poly_mat_eval(matrix, point)
-    m = len(values)
-    shifted = [[values[r][c] + (GQ(0, 1) if r == c else GQ(0))
-                for c in range(m)] for r in range(m)]
-    return m - dense_rank(shifted)
-
-
-# ----------------------------------------------------------------------
 # Courant bracket
 
 def courant_bracket(e1: GCSection, e2: GCSection) -> GCSection:
@@ -332,43 +262,7 @@ def courant_bracket(e1: GCSection, e2: GCSection) -> GCSection:
 
 
 # ----------------------------------------------------------------------
-# symplectic inversion and foliations
-
-def symplectic_inverse(omega: Form) -> Multivector:
-    """Invert a constant-coefficient symplectic 2-form.
-
-    Returns the bivector pi with omega_flat . pi_sharp = identity, i.e.
-    pi's component matrix is the inverse of omega's.
-    """
-    if omega.degree != 2:
-        raise DegreeError("symplectic_inverse needs a 2-form")
-    chart = omega.chart
-    if chart.is_complex():
-        # a holomorphic symplectic form pairs the z-block with itself
-        if omega.bidegree() not in ((2, 0), None) or any(
-                k >= chart.n for idx in omega.comps for k in idx):
-            raise DegreeError(
-                "on a complex chart symplectic_inverse needs a (2,0)-form")
-        m = chart.n
-    else:
-        m = chart.nvars
-    mat = [[GQ(0)] * m for _ in range(m)]
-    for (a, b), coeff in omega.comps.items():
-        if coeff.degree() > 0:
-            raise StructureError(
-                "symplectic_inverse requires constant coefficients "
-                "(Darboux-normalized input)")
-        value = coeff.terms.get((0,) * chart.nvars, GQ(0))
-        mat[a][b] = value
-        mat[b][a] = -value
-    inverse = gq_mat_inverse(mat)
-    comps = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            if not inverse[a][b].is_zero():
-                comps[(a, b)] = Poly.const(chart, inverse[a][b])
-    return Multivector(chart, 2, comps)
-
+# foliations
 
 def foliation_rank(pi: Multivector, point) -> FoliationReport:
     """Evaluate pi_R#, pi_I# at a rational point of the real chart and

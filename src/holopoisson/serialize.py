@@ -7,14 +7,9 @@ byte-stable.
 
 from __future__ import annotations
 
-from .algebroid import (
-    AlgebroidChart,
-    EndoOnAlgebroid,
-    LieAlgebra,
-    lie_algebra,
-)
+from .algebroid import AlgebroidChart, LieAlgebra, lie_algebra
 from .errors import ParseError
-from .exactalg import Chart, parse_gq, parse_poly
+from .exactalg import Chart, Poly, parse_gq, parse_poly
 from .multivec import Form, Multivector
 
 
@@ -153,8 +148,8 @@ def parse_liealgebra(doc) -> LieAlgebra:
                 or any(not isinstance(row, list) or len(row) != rank
                        for row in rows)):
             raise ParseError("lie_algebra: j must be rank x rank")
-        j = EndoOnAlgebroid(algebra, [[parse_gq(str(v)) for v in row]
-                                      for row in rows])
+        j = [[Poly.const(algebra.chart, parse_gq(str(v))) for v in row]
+             for row in rows]
     return LieAlgebra(algebra, j)
 
 

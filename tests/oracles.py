@@ -78,6 +78,11 @@ These deliberately take different routes from the library code:
   - N[e_i, e_j] and torsion value [N e_i, N e_j] - N[e_i, e_j]_N is taken
   through the algebroid's Leibniz-extended bracket, the definition.
 
+Fixtures shared by several test modules: frame_bivector, sl2, heisenberg,
+sl2_pi, darboux_symplectic_parts (the Darboux pi on C^2n with the real
+and imaginary parts of its inverse form), real_part, imaginary_part and
+quarter_factor_identities (the six quarter-factor bracket identities).
+
 Fixtures and references that no command needs, moved out of the library:
 
 * holomorphic_tangent_algebroid (T^{1,0}C^n) and linear_action_algebroid
@@ -89,7 +94,18 @@ Fixtures and references that no command needs, moved out of the library:
 * realified_cotangent, the underlying real algebroid of the cotangent
   algebroid, and conjugate_by_signs, which changes the signs of frame
   sections: acceptance criterion 9 and tests/test_algebroid.py compare
-  them with the Koszul algebroids of 4 pi_R and 4 pi_I.
+  them with the Koszul algebroids of 4 pi_R and 4 pi_I;
+* convert_chart, the ring isomorphism between the real and complex charts
+  of a dimension (Poly.substitute of exactalg's one coordinate change),
+  and is_conj_fixed, the reality test through it;
+* poisson_bracket {f, g} = pi(df, dg) and symplectic_inverse, the
+  bivector of a constant symplectic form: the factor identities of
+  criteria 2 and 1;
+* gc_endomorphism, the generalized complex endomorphism J_pi with its
+  4 pi_I# block, and gc_eigensection_check and gc_eigenspace_dimension,
+  its -i eigenbundle: criterion 7's Dirac statement;
+* deform_by, the algebroid deformed by an endomorphism of vanishing
+  torsion: criterion 9 and the deformation tests.
 """
 
 from fractions import Fraction
@@ -100,6 +116,8 @@ from holopoisson import cohomology
 from holopoisson.algebroid import (
     AlgebroidChart,
     MatchedPairData,
+    _deformation,
+    _torsion,
     RealPartsReport,
     RepData,
     YaoReport,
@@ -108,6 +126,7 @@ from holopoisson.algebroid import (
     canonical_matched_pair,
     complex_presentation,
     cotangent_algebroid,
+    lie_algebra,
     lie_poisson,
     realify_liealgebra,
     yao_phi,
@@ -126,13 +145,16 @@ from holopoisson.exactalg import (
     Chart,
     Poly,
     _accumulate,
-    convert_chart,
+    _coordinate_images,
     is_scalar,
 )
 from holopoisson.linalg import (
     SparseMatrix,
+    dense_rank,
+    gq_mat_inverse,
     poly_identity,
     poly_mat_eq,
+    poly_mat_eval,
     poly_mat_mul,
     poly_mat_scale,
     poly_mat_sub,
@@ -143,6 +165,7 @@ from holopoisson.multivec import (
     Form,
     Multivector,
     convert_alternating,
+    differential,
     exterior_d,
     insert_index,
     lie_derivative,
@@ -156,7 +179,8 @@ from holopoisson.poisson import (
     PNReport,
     courant_bracket,
     decompose,
-    poisson_bracket,
+    is_holomorphic_poisson,
+    standard_j,
 )
 
 # the references' own scalars, shared with no library route they check
@@ -836,14 +860,6 @@ def realified_cotangent(pi):
     n = pi.chart.n
     real = Chart.real(n)
     b = cotangent_algebroid(pi)
-    half = GQ(Fraction(1, 2))
-
-    def re_part(poly):
-        return convert_chart((poly + poly.conj()).scale(half), real)
-
-    def im_part(poly):
-        return convert_chart((poly - poly.conj()).scale(GQ(0, Fraction(-1, 2))),
-                             real)
 
     def real_field(v):
         # 2 Re(v) of a complex tangent field, on the real chart
@@ -865,8 +881,8 @@ def realified_cotangent(pi):
                   for p in b.structure[i][j]]
         out = [Poly.zero(real) for _ in range(2 * n)]
         for k in range(n):
-            out[k] = re_part(scaled[k])
-            out[n + k] = im_part(scaled[k])
+            out[k] = real_part(scaled[k])
+            out[n + k] = imaginary_part(scaled[k])
         return out
 
     return AlgebroidChart.from_frame_brackets(real, 2 * n, anchor, bracket_fn)
@@ -879,6 +895,217 @@ def conjugate_by_signs(a, signs):
                    for r in range(a.rank)] for t in range(a.rank)]
                  for s in range(a.rank)]
     return AlgebroidChart(a.chart, a.rank, anchor, structure)
+
+
+# ----------------------------------------------------------------------
+# fixtures shared by several test modules
+
+def frame_bivector(chart, a, b, coeff=None):
+    """coeff (1 if None) times the frame bivector e_a ^ e_b."""
+    one = Poly.one(chart) if coeff is None else coeff
+    return Multivector(chart, 2, {(a, b): one})
+
+
+def sl2():
+    return lie_algebra(3, [(1, 2, 2, GQ(2)), (1, 3, 3, GQ(-2)),
+                           (2, 3, 1, GQ(1))])
+
+
+def heisenberg():
+    return lie_algebra(3, [(1, 2, 3, GQ(1))])
+
+
+def sl2_pi():
+    return lie_poisson(sl2())
+
+
+def darboux_symplectic_parts(n):
+    """decompose of the Darboux pi = -sum_k d/dz_k ^ d/dz_{n+k} on C^2n,
+    with the real and imaginary parts omega_R, omega_I of its inverse
+    form sum_k dz_k ^ dz_{n+k}, on the real chart."""
+    chart = Chart.complex(2 * n)
+    real = Chart.real(2 * n)
+    pi = Multivector(chart, 2, {(k, n + k): Poly.const(chart, -1)
+                                for k in range(n)})
+    dx = [Form.frame(real, k) for k in range(4 * n)]
+    omega_r = Form.zero(real, 2)
+    omega_i = Form.zero(real, 2)
+    for k in range(n):
+        xp, xq = k, n + k
+        yp, yq = 2 * n + k, 3 * n + k
+        omega_r = omega_r + dx[xp].wedge(dx[xq]) - dx[yp].wedge(dx[yq])
+        omega_i = omega_i + dx[xp].wedge(dx[yq]) + dx[yp].wedge(dx[xq])
+    return decompose(pi), omega_r, omega_i
+
+
+def real_part(poly: Poly) -> Poly:
+    """Re p = (p + conj p)/2 of a complex-chart Poly, on the real chart."""
+    half = GQ(Fraction(1, 2))
+    return convert_chart((poly + poly.conj()).scale(half),
+                         Chart.real(poly.chart.n))
+
+
+def imaginary_part(poly: Poly) -> Poly:
+    """Im p = (p - conj p)/2i of a complex-chart Poly, on the real chart."""
+    return convert_chart((poly - poly.conj()).scale(GQ(0, Fraction(-1, 2))),
+                         Chart.real(poly.chart.n))
+
+
+def quarter_factor_identities(pi: Multivector, f: Poly, g: Poly):
+    """The six quarter-factor identities for holomorphic f, g, in order:
+    {Re f, Re g}_R = Re{f, g}/4, {Re f, Re g}_I = Im{f, g}/4,
+    {Im f, Im g}_R = -Re{f, g}/4, {Im f, Im g}_I = -Im{f, g}/4,
+    {Re f, Im g}_R = Im{f, g}/4 and {Re f, Im g}_I = -Re{f, g}/4, for
+    the brackets of pi_R and pi_I."""
+    pair = decompose(pi)
+    re_f, im_f = real_part(f), imaginary_part(f)
+    re_g, im_g = real_part(g), imaginary_part(g)
+    brack = poisson_bracket(pi, f, g)
+    re_b, im_b = real_part(brack), imaginary_part(brack)
+    quarter = GQ(Fraction(1, 4))
+    return [
+        poisson_bracket(pair.pi_R, re_f, re_g) == re_b.scale(quarter),
+        poisson_bracket(pair.pi_I, re_f, re_g) == im_b.scale(quarter),
+        poisson_bracket(pair.pi_R, im_f, im_g) == re_b.scale(-quarter),
+        poisson_bracket(pair.pi_I, im_f, im_g) == im_b.scale(-quarter),
+        poisson_bracket(pair.pi_R, re_f, im_g) == im_b.scale(quarter),
+        poisson_bracket(pair.pi_I, re_f, im_g) == re_b.scale(-quarter),
+    ]
+
+
+# ----------------------------------------------------------------------
+# library definitions that no command reaches, moved here
+
+def convert_chart(f: Poly, target: Chart) -> Poly:
+    """Ring isomorphism between real(n) and complex(n) polynomial charts
+    (see _coordinate_images).  Converting to the chart already underfoot is
+    the identity.
+    """
+    if f.chart.n != target.n:
+        raise ChartError(
+            f"dimension mismatch: {f.chart} cannot convert to {target}")
+    if f.chart == target:
+        return f
+    return f.substitute(_coordinate_images(f.chart, target), target)
+
+
+def is_conj_fixed(f: Poly) -> bool:
+    """Reality test: f equals the conjugate of its complex-chart image."""
+    if f.chart.is_complex():
+        return f.conj() == f
+    g = convert_chart(f, Chart.complex(f.chart.n))
+    return g.conj() == g
+
+
+def poisson_bracket(pihat: Multivector, f: Poly, g: Poly) -> Poly:
+    """{f, g} = pihat(df, dg)."""
+    if pihat.degree != 2:
+        raise DegreeError("poisson_bracket needs a bivector")
+    if f.chart != pihat.chart or g.chart != pihat.chart:
+        raise ChartError("chart mismatch")
+    return pairing(differential(g), sharp(pihat, differential(f)))
+
+
+def symplectic_inverse(omega: Form) -> Multivector:
+    """Invert a constant-coefficient symplectic 2-form.
+
+    Returns the bivector pi with omega_flat . pi_sharp = identity, i.e.
+    pi's component matrix is the inverse of omega's.
+    """
+    if omega.degree != 2:
+        raise DegreeError("symplectic_inverse needs a 2-form")
+    chart = omega.chart
+    if chart.is_complex():
+        # a holomorphic symplectic form pairs the z-block with itself
+        if omega.bidegree() not in ((2, 0), None) or any(
+                k >= chart.n for idx in omega.comps for k in idx):
+            raise DegreeError(
+                "on a complex chart symplectic_inverse needs a (2,0)-form")
+        m = chart.n
+    else:
+        m = chart.nvars
+    mat = [[GQ(0)] * m for _ in range(m)]
+    for (a, b), coeff in omega.comps.items():
+        if coeff.degree() > 0:
+            raise StructureError(
+                "symplectic_inverse requires constant coefficients "
+                "(Darboux-normalized input)")
+        value = coeff.terms.get((0,) * chart.nvars, GQ(0))
+        mat[a][b] = value
+        mat[b][a] = -value
+    inverse = gq_mat_inverse(mat)
+    comps = {}
+    for a in range(m):
+        for b in range(a + 1, m):
+            if not inverse[a][b].is_zero():
+                comps[(a, b)] = Poly.const(chart, inverse[a][b])
+    return Multivector(chart, 2, comps)
+
+
+def gc_endomorphism(pi: Multivector):
+    """Block matrix [[J, 4 pi_I#], [0, -J*]] over the real chart frame of
+    TX + T*X.
+
+    The factor 4 makes the -i eigenbundle the Dirac structure that phi
+    maps the bowtie algebroid onto, the sections (X01 + pi# xi10, xi10).
+    The frame conversion d/dz = (d/dx - i d/dy)/2 puts a factor 1/4 into
+    pi_R and pi_I (criterion 1: omega_R^-1 = 4 pi_R), and for a (1,0)-form
+    pi# xi = 2i pi_I# xi.  With J = i on T^{1,0} and -i on T^{0,1}, the
+    top row J X + 4 pi_I# xi = -i X then holds for X = X01 + pi# xi.  The
+    unscaled block [[J, pi_I#], [0, -J*]] squares to -1 as well, but its
+    -i eigenbundle is not phi's image.
+    """
+    report = is_holomorphic_poisson(pi)
+    if not report.all_ok:
+        raise StructureError(
+            f"gc_endomorphism needs a holomorphic Poisson bivector: {report}")
+    n = pi.chart.n
+    real_chart = Chart.real(n)
+    pair = decompose(pi)
+    msharp = poly_mat_scale(sharp_matrix(pair.pi_I), GQ(4))
+    j = standard_j(real_chart)
+    minus_jt = poly_mat_scale(poly_mat_transpose(j), GQ(-1))
+    m = 2 * n
+    zero = Poly.zero(real_chart)
+    rows = []
+    for r in range(m):
+        rows.append(list(j[r]) + list(msharp[r]))
+    for r in range(m):
+        rows.append([zero] * m + list(minus_jt[r]))
+    return rows
+
+
+def gc_eigensection_check(pi: Multivector, section) -> bool:
+    """The section, transported to the real chart, is a -i eigenvector of
+    gc_endomorphism(pi): it lies in the Dirac structure of J_pi."""
+    real_chart = Chart.real(pi.chart.n)
+    coeffs = (convert_alternating(section.vec, real_chart).coefficients()
+              + convert_alternating(section.form, real_chart).coefficients())
+    image = poly_mat_vec(gc_endomorphism(pi), coeffs)
+    return image == [c.scale(GQ(0, -1)) for c in coeffs]
+
+
+def gc_eigenspace_dimension(pi: Multivector, point) -> int:
+    """Dimension of the -i eigenspace of gc_endomorphism(pi) at a point."""
+    matrix = gc_endomorphism(pi)
+    values = poly_mat_eval(matrix, point)
+    m = len(values)
+    shifted = [[values[r][c] + (GQ(0, 1) if r == c else GQ(0))
+                for c in range(m)] for r in range(m)]
+    return m - dense_rank(shifted)
+
+
+def deform_by(a: AlgebroidChart, n) -> AlgebroidChart:
+    """Deformed algebroid (rho o N, [., .]_N) for an endomorphism N, its
+    square Poly matrix; requires vanishing torsion."""
+    brackets = _deformation(a, n)
+    if _torsion(a, n, brackets):
+        raise StructureError("nonzero Nijenhuis torsion: deformation "
+                             "does not yield a Lie algebroid")
+    anchor = [a.anchor_field(image).coefficients()
+              for image in poly_mat_transpose(n)]
+    return AlgebroidChart.from_frame_brackets(
+        a.chart, a.rank, anchor, lambda i, j: brackets[(i, j)])
 
 
 # ----------------------------------------------------------------------
@@ -1100,9 +1327,9 @@ def bivector_from_matrix(chart: Chart, mat) -> Multivector:
 
 def deformation_reference(a: AlgebroidChart, n):
     """The deformed brackets and the nonzero torsion values of an
-    EndoOnAlgebroid n on the frame pairs (i < j) of a, both dicts keyed
-    (i, j), through the generic bracket."""
-    images = [n.apply(a.frame_section(i)) for i in range(a.rank)]
+    endomorphism n (its square Poly matrix) on the frame pairs (i < j) of
+    a, both dicts keyed (i, j), through the generic bracket."""
+    images = [poly_mat_vec(n, a.frame_section(i)) for i in range(a.rank)]
     brackets = {}
     torsion = {}
     for i in range(a.rank):
@@ -1110,10 +1337,10 @@ def deformation_reference(a: AlgebroidChart, n):
             ei, ej = a.frame_section(i), a.frame_section(j)
             deformed = [x + y - z for x, y, z in zip(
                 a.bracket(images[i], ej), a.bracket(ei, images[j]),
-                n.apply(a.structure[i][j]))]
+                poly_mat_vec(n, a.structure[i][j]))]
             brackets[(i, j)] = deformed
             value = [x - y for x, y in zip(a.bracket(images[i], images[j]),
-                                           n.apply(deformed))]
+                                           poly_mat_vec(n, deformed))]
             if not a.section_is_zero(value):
                 torsion[(i, j)] = value
     return brackets, torsion
@@ -1280,7 +1507,7 @@ def realparts_liealgebra_check_reference(g) -> RealPartsReport:
             et = doubled.frame_section(t)
             bracket = constant_section(doubled.bracket(es, et))
             jbracket = constant_section(
-                realified.j.apply(doubled.bracket(es, et)))
+                poly_mat_vec(realified.j, doubled.bracket(es, et)))
             fs = lprime(constant_section(es))
             ft = lprime(constant_section(et))
             lhs_re = poisson_bracket(pair.pi_R, fs, ft)

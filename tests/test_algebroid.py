@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from holopoisson.algebroid import (
     AlgebroidChart,
-    EndoOnAlgebroid,
     LieAlgebra,
     MatchedPairData,
     RepData,
     _deformation,
     _f_tensor,
-    _frame_table,
     _realify,
     _s_tensor,
     antiholomorphic_tangent,
@@ -23,7 +21,6 @@ from holopoisson.algebroid import (
     check_representation,
     complex_presentation,
     cotangent_algebroid,
-    deform_by,
     holomorphic_matched_pair,
     koszul_algebroid,
     lie_algebra,
@@ -42,6 +39,7 @@ from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.linalg import (
     poly_mat_squares_to_minus_identity,
     poly_mat_transpose,
+    poly_mat_vec,
 )
 from holopoisson.multivec import (
     Form,
@@ -55,7 +53,6 @@ from holopoisson.poisson import (
     decompose,
     is_holomorphic_poisson,
     koszul_bracket,
-    poisson_bracket,
     standard_j,
 )
 
@@ -64,15 +61,21 @@ from oracles import (
     canonical_matched_pair_reference,
     check_representation_reference,
     conjugate_by_signs,
+    deform_by,
     deformation_reference,
+    frame_bivector,
+    heisenberg,
     matched_pair_F,
     matched_pair_S,
     nijenhuis_torsion_reference,
+    poisson_bracket,
     rand_multivector,
     rand_poly,
     realified_cotangent,
     realparts_liealgebra_check_reference,
     s_tensor_reference,
+    sl2,
+    sl2_pi,
     yao_isomorphism_check_reference,
 )
 
@@ -81,27 +84,9 @@ C3 = Chart.complex(3)
 R2 = Chart.real(2)
 
 
-def sl2():
-    return lie_algebra(3, [(1, 2, 2, GQ(2)), (1, 3, 3, GQ(-2)),
-                           (2, 3, 1, GQ(1))])
-
-
-def heisenberg():
-    return lie_algebra(3, [(1, 2, 3, GQ(1))])
-
-
 def constant(p):
     """The value of a constant structure function over a point."""
     return p.evaluate(())
-
-
-def sl2_pi():
-    return lie_poisson(sl2())
-
-
-def frame_bivector(chart, a, b, coeff=None):
-    one = Poly.one(chart) if coeff is None else coeff
-    return Multivector(chart, 2, {(a, b): one})
 
 
 # ----------------------------------------------------------------------
@@ -166,17 +151,32 @@ def test_anchor_morphism_failure_detected():
 
 def test_torsion_identity_endo():
     t = tangent_algebroid(C2)
-    eye = EndoOnAlgebroid(t, [[Poly.const(C2, 1 if i == j else 0)
-                               for j in range(4)] for i in range(4)])
+    eye = [[Poly.const(C2, 1 if i == j else 0) for j in range(4)]
+           for i in range(4)]
     assert nijenhuis_torsion_algebroid(t, eye) == {}
     assert deform_by(t, eye) == t
+
+
+def test_endomorphism_matrix_is_checked():
+    """An endomorphism is its square Poly matrix on the algebroid's chart:
+    another size, a scalar entry or an entry on another chart is
+    refused before any bracket is taken."""
+    t = tangent_algebroid(R2)
+    eye = [[Poly.const(R2, int(i == j)) for j in range(4)] for i in range(4)]
+    with pytest.raises(ShapeError, match="rank x rank"):
+        nijenhuis_torsion_algebroid(t, eye[:3])
+    for entry in (GQ(1), Poly.one(C2)):
+        bad = [row[:] for row in eye]
+        bad[0][0] = entry
+        with pytest.raises(ChartError, match="on the algebroid's chart"):
+            nijenhuis_torsion_algebroid(t, bad)
 
 
 def test_realified_j_torsion_vanishes():
     for g in (sl2(), heisenberg()):
         real = realify_liealgebra(g)
         assert nijenhuis_torsion_algebroid(real.algebroid, real.j) == {}
-        assert poly_mat_squares_to_minus_identity(real.j.matrix)
+        assert poly_mat_squares_to_minus_identity(real.j)
 
 
 def test_torsion_nonzero_on_random_endo():
@@ -184,18 +184,18 @@ def test_torsion_nonzero_on_random_endo():
     t = tangent_algebroid(R2)
     found = False
     for _ in range(10):
-        endo = EndoOnAlgebroid(t, [[rand_poly(rng, R2, deg=1)
-                                    for _ in range(4)] for _ in range(4)])
+        endo = [[rand_poly(rng, R2, deg=1) for _ in range(4)]
+                for _ in range(4)]
         torsion = nijenhuis_torsion_algebroid(t, endo)
         # cross-check each entry against the defining expression
         for (i, j), value in torsion.items():
             ei, ej = t.frame_section(i), t.frame_section(j)
-            nei, nej = endo.apply(ei), endo.apply(ej)
+            nei, nej = poly_mat_vec(endo, ei), poly_mat_vec(endo, ej)
             inner = [a + b - c for a, b, c in zip(
                 t.bracket(nei, ej), t.bracket(ei, nej),
-                endo.apply(t.bracket(ei, ej)))]
+                poly_mat_vec(endo, t.bracket(ei, ej)))]
             direct = [a - b for a, b in zip(t.bracket(nei, nej),
-                                            endo.apply(inner))]
+                                            poly_mat_vec(endo, inner))]
             assert value == direct
         if torsion:
             found = True
@@ -217,15 +217,15 @@ def test_deformation_matches_generic_bracket(rng, family):
     whose torsion is also the Schouten-bracket torsion of the reference."""
     if family == "realified":
         a = realify_liealgebra(rng.choice([sl2(), heisenberg()])).algebroid
-        matrix = [[GQ(rng.randint(-2, 2)) for _ in range(a.rank)]
-                  for _ in range(a.rank)]
+        matrix = [[Poly.const(a.chart, rng.randint(-2, 2))
+                   for _ in range(a.rank)] for _ in range(a.rank)]
     else:
         chart = C2 if family == "koszul-complex" else R2
         a = (tangent_algebroid(chart) if family == "tangent"
              else koszul_algebroid(rand_multivector(rng, chart, 2, deg=1)))
         matrix = [[rand_poly(rng, chart, deg=1, terms=2)
                    for _ in range(a.rank)] for _ in range(a.rank)]
-    n = EndoOnAlgebroid(a, matrix)
+    n = matrix
     brackets, torsion = deformation_reference(a, n)
     assert _deformation(a, n) == brackets
     assert nijenhuis_torsion_algebroid(a, n) == torsion
@@ -242,7 +242,7 @@ def test_deform_by_j_on_clinear_algebra_is_j_bracket():
     deformed = deform_by(real.algebroid, real.j)
     for a in range(6):
         for b in range(6):
-            want = real.j.apply(real.algebroid.structure[a][b])
+            want = poly_mat_vec(real.j, real.algebroid.structure[a][b])
             assert deformed.structure[a][b] == want
     assert verify_algebroid(deformed).all_ok
 
@@ -250,7 +250,7 @@ def test_deform_by_j_on_clinear_algebra_is_j_bracket():
 def test_deform_by_standard_j_on_tangent():
     t = tangent_algebroid(R2)
     jm = standard_j(R2)
-    deformed = deform_by(t, EndoOnAlgebroid(t, jm))
+    deformed = deform_by(t, jm)
     # anchor becomes J itself (row i is J e_i, column i of the matrix);
     # brackets of the flat frame stay zero
     for i in range(4):
@@ -263,9 +263,8 @@ def test_deform_by_standard_j_on_tangent():
 def test_double_deformation_negates():
     # with j^2 = -1 and C-linearity, deforming twice negates bracket/anchor
     real = realify_liealgebra(sl2())
-    once = deform_by(real.algebroid, EndoOnAlgebroid(real.algebroid,
-                                                     real.j.matrix))
-    j_on_once = EndoOnAlgebroid(once, real.j.matrix)
+    once = deform_by(real.algebroid, real.j)
+    j_on_once = real.j
     assert nijenhuis_torsion_algebroid(once, j_on_once) == {}
     twice = deform_by(once, j_on_once)
     for a in range(6):
@@ -395,7 +394,8 @@ def test_realparts_rejects_non_clinear_j():
         3, [(1, 2, 3, GQ(1)), (2, 3, 1, GQ(1)), (3, 1, 2, GQ(1))])
     jm = [[GQ(0), GQ(-1), GQ(0)], [GQ(1), GQ(0), GQ(0)],
           [GQ(0), GQ(0), GQ(0)]]
-    with_j = LieAlgebra(so3, EndoOnAlgebroid(so3, jm))
+    with_j = LieAlgebra(so3, [[Poly.const(so3.chart, v) for v in row]
+                              for row in jm])
     with pytest.raises(StructureError):
         realparts_liealgebra_check(with_j)
 
@@ -612,7 +612,7 @@ def test_frame_tables_match_reference(case):
     for rep in (mp.nablaAB, mp.nablaBA, self_action):
         assert check_representation(rep) == \
             check_representation_reference(rep).flat, name
-    ab, ba = _frame_table(mp.nablaAB), _frame_table(mp.nablaBA)
+    ab, ba = mp.nablaAB.gamma, mp.nablaBA.gamma
     assert _s_tensor(mp, ab, ba) == s_tensor_reference(mp), name
     swapped = mp.swapped()
     assert _s_tensor(swapped, ba, ab) == s_tensor_reference(swapped), name
@@ -631,7 +631,7 @@ def test_f_table_matches_matched_pair_F(case):
                                    mp.B.frame_section(j))
             if not value.is_zero():
                 want[(i, j)] = value
-    ab, ba = _frame_table(mp.nablaAB), _frame_table(mp.nablaBA)
+    ab, ba = mp.nablaAB.gamma, mp.nablaBA.gamma
     assert _f_tensor(mp, ab, ba) == want, name
 
 
@@ -667,8 +667,6 @@ def test_check_representation_builds_one_frame_table(monkeypatch):
     for rep, applies in cases:
         calls.clear()
         checked.clear()
-        table = _frame_table(rep)
-        assert table is rep.gamma
         assert check_representation(rep)
         assert len(calls) == applies
         assert not checked
@@ -714,7 +712,7 @@ def test_trusted_builds_equal_validated(case):
     for a in built:
         assert revalidated(a) == a, name
     for rep in (mp.nablaAB, mp.nablaBA, self_action):
-        table = _frame_table(rep)
+        table = rep.gamma
         for i in range(rep.acting.rank):
             for m in range(rep.module.rank):
                 assert table[i][m] == rep.apply(
@@ -1079,7 +1077,7 @@ def test_imaginary_part_deformation_is_four_pi_i(which):
     real = Chart.real(n)
     a_r = realified_cotangent(pi)
     jt = poly_mat_transpose(standard_j(real))
-    a_i = deform_by(a_r, EndoOnAlgebroid(a_r, jt))
+    a_i = deform_by(a_r, jt)
     pair = decompose(pi)
     signs = [GQ(1)] * n + [GQ(-1)] * n
     assert conjugate_by_signs(a_i, signs) == koszul_algebroid(

@@ -1,16 +1,23 @@
+import copy
+import functools
 import gc
 import json
+import operator
 import os
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holopoisson
 from holopoisson.cli import (
+    COMMANDS,
     INPUT_ERRORS,
     VERIFY_ERRORS,
+    _load,
     corpus,
     corpus_path,
     run_job,
@@ -608,6 +615,52 @@ def test_chart_endo_reports_are_pinned(tmp_path, command, doc, report,
     want = dict(report, command=command, input="endo.json")
     assert code == want_code
     assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+# ROADMAP item 11's fuzz: one node of a document deleted or replaced.  The
+# corpus has no endo, so the pinned chart documents are added, for
+# parse_endo, real-chart pn-check and chart torsion.
+FUZZ_DOCUMENTS = ([_load(corpus_path(name)) for name in corpus()]
+                  + [doc for _, doc, _, _ in PINNED_REPORTS])
+DELETE = "(delete)"
+FUZZ_VALUES = [DELETE, None, True, 2 ** 70, "", "z0", "z99", "1/0", "1e3",
+               [], 1.5]
+
+
+def node_paths(node, path=()):
+    """The path of every dict value and list entry under node, but not
+    under "expected", which no command reads."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    return [p for key, value in items if key != "expected"
+            for p in [path + (key,)] + node_paths(value, path + (key,))]
+
+
+@settings(max_examples=200, deadline=5000)
+@given(st.data())
+def test_a_mutated_document_gives_a_report_or_a_known_error(data):
+    """Every command returns a report or raises one of INPUT_ERRORS and
+    VERIFY_ERRORS, within the deadline; cohomology runs at weight 1 and
+    foliation-rank at a point of the unmutated document's dimension."""
+    doc = data.draw(st.sampled_from(FUZZ_DOCUMENTS))
+    *path, last = data.draw(st.sampled_from(node_paths(doc)))
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
+    bad = copy.deepcopy(doc)
+    parent = functools.reduce(operator.getitem, path, bad)
+    if value == DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    n = doc["chart"]["n"] if "chart" in doc else doc["lie_algebra"]["rank"]
+    options = {"cohomology": {"weight": 1},
+               "foliation-rank": {"point": ",".join(["1"] * (2 * n))}}
+    for command in COMMANDS:
+        try:
+            report, code = run_job({"command": command, "input": bad,
+                                    "options": options.get(command, {})})
+        except INPUT_ERRORS + VERIFY_ERRORS:
+            continue
+        assert code in (0, 2) and report["command"] == command
 
 
 def test_methods_agree_via_cli(tmp_path):

@@ -41,11 +41,13 @@ from oracles import (
     bicochain_as_total,
     ce_differential,
     cell_matrix_reference,
+    frame_bivector,
     partial_A,
     partial_A_reference,
     partial_B,
     partial_B_reference,
     rand_poly,
+    sl2_pi,
     total_as_bicochain_parts,
     total_differential,
     total_matrix_oracle,
@@ -54,17 +56,6 @@ from oracles import (
 C1 = Chart.complex(1)
 C2 = Chart.complex(2)
 C3 = Chart.complex(3)
-
-
-def sl2_pi():
-    g = lie_algebra(
-        3, [(1, 2, 2, GQ(2)), (1, 3, 3, GQ(-2)), (2, 3, 1, GQ(1))])
-    return lie_poisson(g)
-
-
-def frame_bivector(chart, a, b, coeff=None):
-    one = Poly.one(chart) if coeff is None else coeff
-    return Multivector(chart, 2, {(a, b): one})
 
 
 def corpus_pairs():

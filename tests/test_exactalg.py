@@ -14,16 +14,20 @@ from holopoisson.exactalg import (
     GQ,
     Chart,
     Poly,
-    convert_chart,
     format_gq,
-    is_conj_fixed,
     parse_gq,
     parse_poly,
 )
 
 from holopoisson.serialize import parse_chart
 
-from oracles import FractionGQ, format_fraction_gq, rand_poly
+from oracles import (
+    FractionGQ,
+    convert_chart,
+    format_fraction_gq,
+    is_conj_fixed,
+    rand_poly,
+)
 
 
 def C(n):
