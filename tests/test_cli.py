@@ -553,6 +553,25 @@ def test_empty_brackets_are_the_abelian_algebra(tmp_path):
     assert json.loads(out)["verdicts"]["torsion_zero"] is True
 
 
+LIE_CORPUS = [name for name in corpus()
+              if "lie_algebra" in _load(corpus_path(name))]
+
+
+def test_lie_poisson_is_check_poisson_of_a_lie_document():
+    """On every corpus Lie-algebra document (sl2_realified.json with its
+    j among them) lie-poisson gives check-poisson's report, exit code and
+    all, apart from the command key."""
+    assert "sl2_realified.json" in LIE_CORPUS
+    for name in LIE_CORPUS:
+        doc = _load(corpus_path(name))
+        lie, lie_code = run_job({"command": "lie-poisson", "input": doc})
+        check, check_code = run_job({"command": "check-poisson",
+                                     "input": doc})
+        assert lie.pop("command") == "lie-poisson"
+        assert check.pop("command") == "check-poisson"
+        assert (lie, lie_code) == (check, check_code), name
+
+
 def test_pn_check_of_non_poisson_bivector_fails(tmp_path):
     doc = write_doc(tmp_path, "pi.json", {
         "chart": {"kind": "complex", "n": 3},
@@ -569,11 +588,13 @@ def _frames(*pairs):
     return [{"coeff": coeff, "frame": [frame]} for frame, coeff in pairs]
 
 
-# Chart documents with an endo matrix, which no corpus document has, and
-# the exact report each prints: torsion on a real and on a complex chart
-# with nonzero torsion, and pn-check with mixed verdicts (pi = x1
-# dx1^dy1 is Poisson on R^2, but N neither intertwines nor is torsion
-# free).  The reports are compared as canonical JSON text, byte for byte.
+# Chart documents with an endo matrix or with the 1-forms of koszul, which
+# no corpus document has, and the exact report each prints: torsion on a
+# real and on a complex chart with nonzero torsion, pn-check with mixed
+# verdicts (pi = x1 dx1^dy1 is Poisson on R^2, but N neither intertwines
+# nor is torsion free), and koszul of a non-Poisson pi on C^2 with zb in
+# its coefficients and in both forms, on R^2, and with a zero bracket.
+# The reports are compared as canonical JSON text, byte for byte.
 PINNED_REPORTS = [
     ("torsion", {
         "chart": {"kind": "real", "n": 2},
@@ -602,12 +623,39 @@ PINNED_REPORTS = [
                                    "schouten_zero": True,
                                    "sharp_intertwine": False,
                                    "torsion_zero": False}}, 2),
+    ("koszul", {
+        "chart": {"kind": "complex", "n": 2},
+        "pi": [{"frame": ["z1", "z2"], "coeff": "z1 zb2"},
+               {"frame": ["z2", "zb1"], "coeff": "z1"},
+               {"frame": ["z1", "zb2"], "coeff": "zb1"}],
+        "alpha": _frames(("z1", "zb1"), ("zb2", "z2")),
+        "beta": _frames(("z2", "z1 zb1"), ("zb1", "1"))},
+     {"data": {"bracket": _frames(("z1", "z1 zb1^2 zb2 + -z1^2 zb1"),
+                                  ("z2", "-z2 zb1^2"),
+                                  ("zb2", "z1^2 zb1^2 + z1"))},
+      "ok": True, "verdicts": {}}, 0),
+    ("koszul", {
+        "chart": {"kind": "real", "n": 2},
+        "pi": [{"frame": ["x1", "x2"], "coeff": "x1"},
+               {"frame": ["x2", "y2"], "coeff": "y1"},
+               {"frame": ["x1", "y1"], "coeff": "x2"}],
+        "alpha": _frames(("x1", "x2"), ("y1", "1")),
+        "beta": _frames(("x2", "y2"), ("y2", "x1"))},
+     {"data": {"bracket": _frames(("x1", "x1 y1 + x2 y2"), ("y2", "-x2"))},
+      "ok": True, "verdicts": {}}, 0),
+    ("koszul", {
+        "chart": {"kind": "real", "n": 1},
+        "pi": [{"frame": ["x1", "y1"], "coeff": "1"}],
+        "alpha": _frames(("x1", "1")),
+        "beta": _frames(("y1", "1"))},
+     {"data": {"bracket": []}, "ok": True, "verdicts": {}}, 0),
 ]
 
 
 @pytest.mark.parametrize("command,doc,report,want_code", PINNED_REPORTS,
                          ids=["torsion-real", "torsion-complex",
-                              "pn-check-real"])
+                              "pn-check-real", "koszul-complex",
+                              "koszul-real", "koszul-zero"])
 def test_chart_endo_reports_are_pinned(tmp_path, command, doc, report,
                                        want_code):
     path = write_doc(tmp_path, "endo.json", doc)
@@ -618,8 +666,8 @@ def test_chart_endo_reports_are_pinned(tmp_path, command, doc, report,
 
 
 # ROADMAP item 11's fuzz: one node of a document deleted or replaced.  The
-# corpus has no endo, so the pinned chart documents are added, for
-# parse_endo, real-chart pn-check and chart torsion.
+# corpus has no endo and no 1-forms, so the pinned chart documents are
+# added, for parse_endo, real-chart pn-check, chart torsion and koszul.
 FUZZ_DOCUMENTS = ([_load(corpus_path(name)) for name in corpus()]
                   + [doc for _, doc, _, _ in PINNED_REPORTS])
 DELETE = "(delete)"

@@ -137,6 +137,38 @@ def test_sparse_rank_keeps_fill_in():
     assert matrix.rank("sparse") == 2 == dense_rank(matrix.rows())
 
 
+def _from_rows(nrows, ncols, rows):
+    return SparseMatrix(nrows, ncols, {(i, j): value
+                                       for i, row in rows.items()
+                                       for j, value in row.items()})
+
+
+@pytest.mark.parametrize("nrows,ncols,rows,rank,pivots", [
+    # column singletons alone: column 4 pivots on row 2, which leaves
+    # column 3 a singleton (row 0), which leaves column 2 one (row 1)
+    (4, 5, {0: {0: 1, 2: 1, 3: 1}, 1: {1: 1, 2: 1}, 2: {2: 1, 3: 1, 4: 1}},
+     3, {0, 1, 2}),
+    # column 0 pivots on row 0; then rows 1, 2 and 4 are row singletons,
+    # row 1 goes first and makes row 3 one, which takes column 2 before
+    # row 4 can
+    (5, 3, {0: {0: 1, 1: 1}, 1: {1: 1}, 2: {1: 2}, 3: {1: 3, 2: 1},
+            4: {2: 5}},
+     3, {0, 1, 3}),
+    # no singleton: the bucket loop pivots on (2, 3) first, which fills
+    # (3, 2), and row 4 is the one left out
+    (5, 4, {0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}, 2: {2: 1, 3: 1},
+            3: {3: 1, 0: -1}, 4: {0: 1, 2: 1}},
+     4, {0, 1, 2, 3}),
+], ids=["column-singletons", "row-singletons", "bucket-fill-in"])
+def test_sparse_rank_pivot_rows_are_pinned(nrows, ncols, rows, rank, pivots):
+    """The rank and pivot rows of three hand-built matrices.  A reordered
+    peel can keep the rank and change the pivot rows, which become the
+    skipped columns of the next rank through the complex."""
+    matrix = _from_rows(nrows, ncols, rows)
+    assert matrix.rank("sparse") == rank == dense_rank(matrix.rows())
+    assert matrix.pivot_rows == pivots
+
+
 # ----------------------------------------------------------------------
 # property: the sparse route agrees with the dense oracle
 
