@@ -2,14 +2,17 @@
 
 An algebroid is given by its anchor matrix (one row per frame section,
 columns over the chart tangent frame) and antisymmetric structure functions;
-brackets of arbitrary sections follow from the Leibniz rule.  On top of
+brackets of arbitrary sections follow from the Leibniz rule.  One Leibniz
+extension (_leibniz) takes a frame table to sections: the structure
+functions to the bracket, and a connection's gamma to its apply.  On top of
 that sit the tangent algebroid of a chart, Nijenhuis deformation, the
 cotangent algebroid of a holomorphic Poisson structure (its bracket is
-the Koszul bracket) and the Koszul algebroid of a real bivector,
-Lie-Poisson duality for finite-dimensional complex Lie algebras, matched
-pairs with their F/S/T obstruction tensors, the direct-sum algebroid of a
-matched pair, and the isomorphism onto the Dirac structure of the
-associated generalized complex structure.
+the Koszul bracket) and the Koszul algebroid of any bivector (whose
+bracket the koszul command computes), Lie-Poisson duality for
+finite-dimensional complex Lie algebras, matched pairs with their F/S/T
+obstruction tensors, the direct-sum algebroid of a matched pair, and the
+isomorphism onto the Dirac structure of the associated generalized
+complex structure.
 
 An endomorphism N of an algebroid, a bundle map over the identity, is
 its square Poly matrix: N[r][c] is the e_r coefficient of N e_c, so N
@@ -27,7 +30,7 @@ holomorphic_matched_pair builds it from A's data on a holomorphic frame,
 where both actions are zero on frames, and canonical_matched_pair is the
 case A = (T*X)_pi.  A connection is flat or not (check_representation,
 which reads gamma); the Leibniz rule holds by construction, as
-RepData.apply extends gamma by it.
+RepData.apply is the Leibniz extension of gamma.
 
 The public constructors (AlgebroidChart, RepData) check and coerce their
 input, once.  The algebroids the module builds itself are valid by
@@ -222,28 +225,12 @@ class AlgebroidChart:
 
     def _bracket(self, u, v):
         """bracket of two sections already coerced: Poly lists of the
-        rank on this chart (frames, structure vectors, images of them)."""
-        out = self.zero_section()
-        for j in range(self.rank):
-            if not v[j].is_zero():
-                out[j] = out[j] + self.anchor_apply(u, v[j])
-        for i in range(self.rank):
-            if not u[i].is_zero():
-                out[i] = out[i] - self.anchor_apply(v, u[i])
-        for i in range(self.rank):
-            if u[i].is_zero():
-                continue
-            for j in range(self.rank):
-                if v[j].is_zero() or i == j:
-                    continue
-                factor = u[i] * v[j]
-                if factor.is_zero():
-                    continue
-                for k in range(self.rank):
-                    ck = self.structure[i][j][k]
-                    if not ck.is_zero():
-                        out[k] = out[k] + factor * ck
-        return out
+        rank on this chart (frames, structure vectors, images of them).
+        _leibniz with the structure functions as the table, less
+        sum_i rho(v)(u_i) e_i."""
+        out = _leibniz(self, self.structure, u, v)
+        return [x - self.anchor_apply(v, p) if p.terms else x
+                for x, p in zip(out, u)]
 
     def section_is_zero(self, section) -> bool:
         return all(p.is_zero() for p in section)
@@ -254,6 +241,27 @@ class AlgebroidChart:
         return (self.chart == other.chart and self.rank == other.rank
                 and self.anchor == other.anchor
                 and self.structure == other.structure)
+
+
+def _leibniz(acting: AlgebroidChart, table, u, s):
+    """sum_j rho(u)(s_j) f_j + sum_{i,j} u_i s_j table[i][j]: the Leibniz
+    extension of a frame table (table[i][j] the coefficient vector of e_i
+    of the acting algebroid on a frame f_j) to coerced sections u and s."""
+    out = [Poly.zero(acting.chart)] * len(s)
+    support = [j for j, p in enumerate(s) if p.terms]
+    for j in support:
+        out[j] = out[j] + acting.anchor_apply(u, s[j])
+    for i, ui in enumerate(u):
+        if not ui.terms:
+            continue
+        for j in support:
+            factor = ui * s[j]
+            if not factor.terms:
+                continue
+            for k, ck in enumerate(table[i][j]):
+                if ck.terms:
+                    out[k] = out[k] + factor * ck
+    return out
 
 
 def tangent_algebroid(chart: Chart) -> AlgebroidChart:
@@ -396,8 +404,8 @@ def cotangent_algebroid(pi: Multivector) -> AlgebroidChart:
 
 
 def koszul_algebroid(pihat: Multivector) -> AlgebroidChart:
-    """The cotangent algebroid of a real bivector on the full coordinate
-    coframe: anchor pihat_sharp, bracket the Koszul bracket."""
+    """The cotangent algebroid of a bivector on the full coordinate
+    coframe of its chart: anchor pihat_sharp, bracket the Koszul bracket."""
     if pihat.degree != 2:
         raise DegreeError("koszul_algebroid needs a bivector")
     return _coframe_algebroid(pihat, pihat.chart.nvars)
@@ -405,8 +413,8 @@ def koszul_algebroid(pihat: Multivector) -> AlgebroidChart:
 
 def _coframe_algebroid(pi: Multivector, rank: int) -> AlgebroidChart:
     """Anchor pi# and Koszul bracket on the first rank coordinate
-    coframes, where [e^i, e^j] = d pi^{ij} (see koszul_bracket).  The
-    anchor row of e^i is pi# e^i, column i of the sharp matrix."""
+    coframes, where [e^i, e^j] = d pi^{ij}.  The anchor row of e^i is
+    pi# e^i, column i of the sharp matrix."""
     chart = pi.chart
     anchor = poly_mat_transpose(sharp_matrix(pi))[:rank]
     return AlgebroidChart.from_frame_brackets(
@@ -685,22 +693,9 @@ class RepData:
 
     def _apply(self, u, s):
         """apply on sections already coerced: Poly lists of the acting and
-        module ranks on the common chart (frames, table entries)."""
-        out = self.module.zero_section()
-        support = [j for j in range(self.module.rank) if not s[j].is_zero()]
-        for j in support:
-            out[j] = out[j] + self.acting.anchor_apply(u, s[j])
-        for i in range(self.acting.rank):
-            if u[i].is_zero():
-                continue
-            for j in support:
-                factor = u[i] * s[j]
-                if factor.is_zero():
-                    continue
-                for k, ck in enumerate(self.gamma[i][j]):
-                    if not ck.is_zero():
-                        out[k] = out[k] + factor * ck
-        return out
+        module ranks on the common chart (frames, table entries), by
+        _leibniz with gamma as the table."""
+        return _leibniz(self.acting, self.gamma, u, s)
 
 
 def check_representation(rep: RepData) -> bool:

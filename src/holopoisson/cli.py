@@ -46,7 +46,7 @@ from .errors import (
 )
 from .exactalg import Chart, parse_gq
 from .linalg import poly_mat_squares_to_minus_identity
-from .multivec import Multivector
+from .multivec import Form, Multivector
 from .serialize import (
     algebroid_dict,
     alternating_dict,
@@ -210,9 +210,10 @@ def cmd_koszul(doc, options):
                               1, "form")
     beta = parse_alternating(chart, require_field(doc, "beta", context),
                              1, "form")
-    value = poi.koszul_bracket(pi, alpha, beta)
-    return {"verdicts": {},
-            "data": {"bracket": alternating_dict(value)}}, True
+    value = alg.koszul_algebroid(pi).bracket(alpha.coefficients(),
+                                             beta.coefficients())
+    return {"verdicts": {}, "data": {"bracket": alternating_dict(
+        Form.from_components(chart, value))}}, True
 
 
 def cmd_cotangent(doc, options):
@@ -252,14 +253,10 @@ def cmd_yao_check(doc, options):
 
 
 def cmd_lie_poisson(doc, options):
+    """check-poisson of a document that must be a Lie algebra's."""
     require_keys(doc, {"lie_algebra", "expected"}, "lie-poisson input")
-    g = parse_liealgebra(require_field(doc, "lie_algebra",
-                                       "lie-poisson input"))
-    pi = alg.lie_poisson(alg.complex_presentation(g))
-    report = poi.is_holomorphic_poisson(pi)
-    return {"verdicts": report.as_dict(),
-            "data": {"chart": chart_dict(pi.chart),
-                     "pi": alternating_dict(pi)}}, report.all_ok
+    require_field(doc, "lie_algebra", "lie-poisson input")
+    return cmd_check_poisson(doc, options)
 
 
 def cmd_realparts_check(doc, options):

@@ -5,9 +5,10 @@ components on pairs of increasing frame index sets.  The two coboundary
 operators of the matched-pair double complex, partial_A and partial_B,
 are linear differential operators with polynomial coefficients, so each
 cell's operator is read off the matched-pair data once, into a table from
-each source frame pair (I, J) to its target pairs (I', J'): an anchor part
-(the vector field rho(a_i), as variables with coefficient terms) and one
-summed multiplier for the connection and structure terms.  The data the
+each source frame pair (I, J) to its target pairs (I', J').  Each target
+has one list of terms (shift, v, c): first those of the vector field
+rho(a_i), which differentiate along x_v, then those of one summed
+multiplier for the connection and structure terms (v None).  The data the
 tables read (anchor terms, signed connection and structure lists) is read
 once per direction.  A matched pair (A, B) is symmetric: (B, A) is one
 too, so the B-direction table is the A-direction table of the swapped pair
@@ -145,19 +146,13 @@ def _signed(polys) -> list:
 
 
 def _anchor_terms(row) -> tuple:
-    """The anchor field sum_v row[v] d/dx_v as table terms, grouped by v:
-    (v, ((shift, c), ...)) with x^(shift + 1_v) = each term's monomial,
-    and the same for the negated field."""
-    plus, minus = [], []
-    for v, poly in enumerate(row):
-        if poly.is_zero():
-            continue
-        terms = tuple((tuple(e - 1 if w == v else e
-                             for w, e in enumerate(exps)), c)
-                      for exps, c in poly.terms.items())
-        plus.append((v, terms))
-        minus.append((v, tuple((shift, -c) for shift, c in terms)))
-    return tuple(plus), tuple(minus)
+    """The anchor field sum_v row[v] d/dx_v as table terms (shift, v, c),
+    by variable v, with x^(shift + 1_v) = each term's monomial, and the
+    same for the negated field."""
+    plus = tuple((tuple(e - 1 if w == v else e for w, e in enumerate(exps)),
+                  v, c)
+                 for v, poly in enumerate(row) for exps, c in poly.terms.items())
+    return plus, tuple((shift, v, -c) for shift, v, c in plus)
 
 
 def _direction_data(mp: MatchedPairData, direction: str) -> tuple:
@@ -185,10 +180,11 @@ def _coboundary_table(data: tuple, k: int, l: int) -> dict:
     Each term takes the component of alpha on one source frame pair (I, J)
     into one target pair (I', J'), either through the anchor (a vector
     field) or by multiplication with a polynomial.  The table maps each
-    source pair to a tuple of entries (target, anchor, mult): anchor holds
-    for each variable v the terms (shift, c) of its part of the field,
-    sum c x^(shift + 1_v) d/dx_v, and mult the terms (exponents, c) of the
-    summed multiplier.  A source and a target differ in one A-index, so
+    source pair to a tuple of entries (target, terms), each term
+    (shift, v, c) taking x^e to c e_v x^(e + shift) (the field's term
+    c x^(shift + 1_v) d/dx_v), or, with v None, to c x^(e + shift) (a term
+    of the summed multiplier).  The field's terms come first, by variable,
+    then the multiplier's.  A source and a target differ in one A-index, so
     the anchor part of each pair is one frame's anchor field, signed; the
     structure terms, which do not depend on the B-indices, are read once
     per A-index tuple.
@@ -232,13 +228,12 @@ def _coboundary_table(data: tuple, k: int, l: int) -> dict:
                 _accumulate(mults, ((key, J_out), target), c)
     grouped: dict = {}
     for (source, target), terms in fields.items():
-        grouped.setdefault(source, {})[target] = (terms, ())
+        grouped.setdefault(source, {})[target] = terms
     for (source, target), poly in mults.items():
         targets = grouped.setdefault(source, {})
-        terms = targets.get(target, ((), ()))[0]
-        targets[target] = (terms, tuple(poly.terms.items()))
-    return {source: tuple((target, anchor, mult)
-                          for target, (anchor, mult) in targets.items())
+        targets[target] = targets.get(target, ()) + tuple(
+            (exps, None, c) for exps, c in poly.terms.items())
+    return {source: tuple(targets.items())
             for source, targets in grouped.items()}
 
 
@@ -251,8 +246,7 @@ def _cell_table(data: tuple, cell, direction: str) -> dict:
     if direction == "A":
         return _coboundary_table(data, k, l)
     swapped = _coboundary_table(data, l, k)
-    return {(I, J): tuple(((I2, J2), anchor, mult)
-                          for (J2, I2), anchor, mult in entries)
+    return {(I, J): tuple(((I2, J2), terms) for (J2, I2), terms in entries)
             for (J, I), entries in swapped.items()}
 
 
@@ -618,19 +612,14 @@ class _Block:
                 continue
             col = col_start + p * size
             escapes = {}
-            for goal_pair, anchor, mult in entries:
+            for goal_pair, terms in entries:
                 q = pair_index.get(goal_pair)
                 if q is None:
                     into, row = None, 0
                 else:
                     into, row = goal, row_start + q * width
-                for v, terms in anchor:
-                    for shift, c in terms:
-                        _place(rows, run(source, into, shift, v,
-                                         -c if negate else c),
-                               row, col, escapes, (goal_pair, shift))
-                for shift, c in mult:
-                    _place(rows, run(source, into, shift, None,
+                for shift, v, c in terms:
+                    _place(rows, run(source, into, shift, v,
                                      -c if negate else c),
                            row, col, escapes, (goal_pair, shift))
             if escapes:

@@ -13,7 +13,8 @@ Two independent routes are kept deliberately separate:
   first peels the singletons, pivots of Markowitz cost 0 that need no
   arithmetic: columns with one nonzero, then rows with one nonzero, each
   kind until none is left, on counts over the matrix's rows, which it
-  leaves as they are.  It copies only the rows left after the peel, with
+  leaves as they are.  One loop peels both kinds, the rows' on the
+  transposed incidence.  It copies only the rows left after the peel, with
   a column -> rows index.  The columns left are kept in buckets by
   nonzero count; each further pivot is in a column of least count, on
   its shortest row (ties to the smaller row index), found with no scan
@@ -167,6 +168,37 @@ def dense_rank(rows) -> int:
 # sparse elimination over GQ: singletons peeled, then pivots from
 # column-count buckets
 
+def _peel(count, index, length, source, stack) -> list:
+    """Peel the column singletons (count and index by column, length and
+    source by row), or with the two swapped the row singletons.  Each
+    line popped from stack that has not left pivots on its one live cross
+    line, which leaves, so the lines of that cross line lose one count
+    each (pushed at 1, gone at 0).  Returns the (line, cross line) pivots
+    in order."""
+    pivots = []
+    while stack:
+        line = stack.pop()
+        if count.pop(line, None) is None:
+            continue  # its one cross line was an earlier pivot's
+        for cross in index[line]:
+            if cross in length:
+                break
+        del length[cross]
+        for j in source[cross]:
+            n = count.get(j)
+            if n is None:
+                continue
+            if n == 2:
+                count[j] = 1
+                stack.append(j)
+            elif n == 1:
+                del count[j]
+            else:
+                count[j] = n - 1
+        pivots.append((line, cross))
+    return pivots
+
+
 def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     """Rank of a sparse GQ matrix by Gaussian elimination over GQ.
 
@@ -178,8 +210,9 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     singleton is left: a column with one live row pivots on that row,
     which leaves (its columns' counts drop); then a row with one live
     column pivots on that entry, and its column leaves every other row
-    (their lengths drop).  Each removal can make a new singleton of its
-    own kind, never one of the other, so one pass of each peels them all.
+    (their lengths drop), the same loop (_peel) on the transpose.  Each
+    removal can make a new singleton of its own kind, never one of the
+    other, so one pass of each peels them all.
 
     Only the rows left after the peel are copied, with the skipped and
     peeled columns filtered out, into row dicts ``col -> value`` with a
@@ -225,61 +258,20 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     # columns that have left are absent, so a live row's live columns are
     # its columns with a count
     count = {j: len(col) for j, col in index.items()}
-    rank = 0
     # Column singletons: each pivots on its one live row, which leaves, so
     # only that row's columns lose count (new column singletons, no new
-    # row singleton).  Stacks hold singletons pushed at count 1; one
-    # popped after its count reached 0 has left.
-    stack = [j for j in sorted(count) if count[j] == 1]
-    while stack:
-        pc = stack.pop()
-        if count.pop(pc, None) is None:
-            continue  # its one row was an earlier pivot row
-        for pr in index[pc]:
-            if pr in length:
-                break
-        del length[pr]
-        for j in source[pr]:
-            n = count.get(j)
-            if n is None:
-                continue
-            if n == 2:
-                count[j] = 1
-                stack.append(j)
-            elif n == 1:
-                del count[j]
-            else:
-                count[j] = n - 1
-        if pivot_rows is not None:
-            pivot_rows.add(pr)
-        rank += 1
+    # row singleton).
+    peeled = [pr for _, pr in _peel(count, index, length, source, [
+        j for j in sorted(count) if count[j] == 1])]
     # Row singletons, smaller row index first (the bucket loop's tie
     # rule): eliminating with a one-entry row deletes its column from
     # every other row, so only rows shorten (new row singletons, and still
     # no column singleton).
-    stack = [i for i in sorted(length, reverse=True) if length[i] == 1]
-    while stack:
-        pr = stack.pop()
-        if length.pop(pr, None) is None:
-            continue  # its one column was an earlier pivot column
-        for pc in source[pr]:
-            if pc in count:
-                break
-        del count[pc]
-        for i in index[pc]:
-            n = length.get(i)
-            if n is None:
-                continue
-            if n == 2:
-                length[i] = 1
-                stack.append(i)
-            elif n == 1:
-                del length[i]
-            else:
-                length[i] = n - 1
-        if pivot_rows is not None:
-            pivot_rows.add(pr)
-        rank += 1
+    peeled += [pr for pr, _ in _peel(length, source, count, index, [
+        i for i in sorted(length, reverse=True) if length[i] == 1])]
+    if pivot_rows is not None:
+        pivot_rows.update(peeled)
+    rank = len(peeled)
     if not length:
         return rank
     rows: dict = {}

@@ -1,9 +1,8 @@
 """Holomorphic Poisson verification and structure theory.
 
-Covers the real/imaginary decomposition of a (2,0) bivector, the Koszul
-bracket, Poisson-Nijenhuis compatibility against an almost complex
-structure, the antisymmetrized Courant bracket and pointwise foliation
-ranks.  The generalized complex endomorphism J_pi with its -i
+Covers the real/imaginary decomposition of a (2,0) bivector,
+Poisson-Nijenhuis compatibility against an almost complex structure, the
+antisymmetrized Courant bracket and pointwise foliation ranks.  The generalized complex endomorphism J_pi with its -i
 eigenbundle, the symplectic inverse and the Poisson bracket of two
 functions are test references (tests/oracles.py): no command computes
 them.
@@ -38,11 +37,9 @@ from .multivec import (
     convert_alternating,
     differential,
     exterior_d,
-    interior,
     lie_derivative,
     pairing,
     schouten,
-    sharp,
     sharp_matrix,
 )
 
@@ -145,30 +142,6 @@ def decompose(pi: Multivector) -> PoissonPair:
 
 
 # ----------------------------------------------------------------------
-# brackets
-
-def koszul_bracket(pihat: Multivector, alpha: Form, beta: Form) -> Form:
-    """[alpha, beta]_pihat = L_{pihat# alpha} beta - L_{pihat# beta} alpha
-    - d(pihat(alpha, beta)).
-
-    With the Cartan formula and beta(pihat# alpha) = pihat(alpha, beta)
-    = -alpha(pihat# beta), this is i_{pihat# alpha} d beta
-    - i_{pihat# beta} d alpha + d(pihat(alpha, beta)), which is how it is
-    computed: three exterior derivatives in place of five.  On coordinate
-    coframes it is [e^a, e^b] = d(pihat^{ab}), which the checks read."""
-    if pihat.degree != 2:
-        raise DegreeError("koszul_bracket needs a bivector")
-    if alpha.degree != 1 or beta.degree != 1:
-        raise DegreeError("koszul_bracket needs 1-forms")
-    if alpha.chart != pihat.chart or beta.chart != pihat.chart:
-        raise ChartError("chart mismatch")
-    sa = sharp(pihat, alpha)
-    sb = sharp(pihat, beta)
-    return (interior(sa, exterior_d(beta)) - interior(sb, exterior_d(alpha))
-            + exterior_d(Form(pihat.chart, 0, {(): pairing(beta, sa)})))
-
-
-# ----------------------------------------------------------------------
 # Poisson-Nijenhuis compatibility
 
 def pn_check(pi_i: Multivector, n_matrix, schouten_zero=None) -> PNReport:
@@ -183,9 +156,9 @@ def pn_check(pi_i: Multivector, n_matrix, schouten_zero=None) -> PNReport:
     in the algebroid layer: the torsion is that of N on the tangent
     algebroid, and the compatibility says that the Koszul algebroid of
     pi_N is the deformation of the Koszul algebroid of pi_I by N* (the
-    matrix N^T on the coframe).  Its coframe brackets are d(pi_N^{ab})
-    (see koszul_bracket), so the check compares them with the deformed
-    brackets on all coframe pairs, which suffices by tensoriality.
+    matrix N^T on the coframe).  Its coframe brackets are d(pi_N^{ab}),
+    so the check compares them with the deformed brackets on all coframe
+    pairs, which suffices by tensoriality.
     """
     # algebroid imports this module at load time, so not the other way
     from .algebroid import (

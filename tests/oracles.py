@@ -56,6 +56,10 @@ These deliberately take different routes from the library code:
   library computed it before it used zero connections on the holomorphic
   frame: the Lie derivative (Cartan formula) for T^{0,1} acting on the
   coframe, and pr^{0,1} of a Schouten bracket for the action back.
+* koszul_bracket is the koszul command's route, the Koszul algebroid's
+  Leibniz-extended bracket on the forms' coefficient lists, for the tests
+  of the bracket's identities; the library has no Koszul bracket of forms
+  apart from the algebroid's.
 * koszul_bracket_reference, pn_check_reference,
   realparts_liealgebra_check_reference and yao_isomorphism_check_reference
   are the library's Koszul bracket (two Lie derivatives by the Cartan
@@ -126,6 +130,7 @@ from holopoisson.algebroid import (
     canonical_matched_pair,
     complex_presentation,
     cotangent_algebroid,
+    koszul_algebroid,
     lie_algebra,
     lie_poisson,
     realify_liealgebra,
@@ -470,15 +475,12 @@ def _image(entries, exps) -> dict:
     """The coboundary of the monomial x^exps on the source frame pair whose
     table entries are given, as {(I', J', exponents): coefficient}."""
     out: dict = {}
-    for (I, J), anchor, mult in entries:
-        for v, terms in anchor:
-            e = exps[v]
+    for (I, J), terms in entries:
+        for shift, v, c in terms:
+            e = 1 if v is None else exps[v]
             if e:
-                for shift, c in terms:
-                    _accumulate(out, (I, J, tuple(map(add, exps, shift))),
-                                c if e == 1 else c * e)
-        for shift, c in mult:
-            _accumulate(out, (I, J, tuple(map(add, exps, shift))), c)
+                _accumulate(out, (I, J, tuple(map(add, exps, shift))),
+                            c if e == 1 else c * e)
     return out
 
 
@@ -1298,6 +1300,14 @@ def canonical_matched_pair_reference(pi: Multivector) -> MatchedPairData:
 # ----------------------------------------------------------------------
 # structural checks before the frame tables
 
+def koszul_bracket(pihat: Multivector, alpha: Form, beta: Form) -> Form:
+    """The koszul command's route: the Leibniz-extended bracket of the
+    Koszul algebroid of pihat on the coefficient lists of the forms."""
+    value = koszul_algebroid(pihat).bracket(alpha.coefficients(),
+                                            beta.coefficients())
+    return Form.from_components(pihat.chart, value)
+
+
 def koszul_bracket_reference(pihat: Multivector, alpha: Form,
                              beta: Form) -> Form:
     """[alpha, beta]_pihat = L_{pihat# alpha} beta - L_{pihat# beta} alpha
@@ -1453,16 +1463,16 @@ def pn_check_reference(pi_i: Multivector, n_matrix,
                           GQ(HALF))
     pi_n = bivector_from_matrix(chart, anti)
 
-    koszul_bracket = koszul_bracket_reference
+    bracket = koszul_bracket_reference
     koszul_compat = True
     coframe = [Form.frame(chart, k) for k in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
             alpha, beta = coframe[a], coframe[b]
-            lhs_form = koszul_bracket(pi_n, alpha, beta)
-            rhs_form = (koszul_bracket(pi_i, n_field.apply_form(alpha), beta)
-                        + koszul_bracket(pi_i, alpha, n_field.apply_form(beta))
-                        - n_field.apply_form(koszul_bracket(pi_i, alpha, beta)))
+            lhs_form = bracket(pi_n, alpha, beta)
+            rhs_form = (bracket(pi_i, n_field.apply_form(alpha), beta)
+                        + bracket(pi_i, alpha, n_field.apply_form(beta))
+                        - n_field.apply_form(bracket(pi_i, alpha, beta)))
             if lhs_form != rhs_form:
                 koszul_compat = False
                 break

@@ -32,7 +32,6 @@ from holopoisson.poisson import (
     decompose,
     foliation_rank,
     is_holomorphic_poisson,
-    koszul_bracket,
     pn_check,
     pn_check_complex,
     standard_j,
@@ -46,6 +45,7 @@ from oracles import (
     gc_eigensection_check,
     gc_eigenspace_dimension,
     gc_endomorphism,
+    koszul_bracket,
     koszul_bracket_reference,
     multivector_conj,
     multivector_conj_reference,
@@ -427,8 +427,10 @@ def test_pn_check_matches_reference(case):
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_koszul_bracket_matches_reference(rng, real):
-    """koszul_bracket's i_{pi# a} d b - i_{pi# b} d a + d pi(a, b) is the
-    Cartan-formula bracket of the reference, on random 1-forms."""
+    """The koszul command's bracket, the Koszul algebroid's Leibniz
+    extension of [e^a, e^b] = d(pi^{ab}), is the Cartan-formula bracket of
+    the reference, on random 1-forms and random bivectors, mostly not
+    Poisson."""
     chart = R2 if real else C2
     pi = rand_multivector(rng, chart, 2)
     alpha = rand_form(rng, chart, 1)
@@ -441,9 +443,10 @@ def test_koszul_bracket_matches_reference(rng, real):
 @given(st.randoms(use_true_random=False),
        st.sampled_from(["real", "complex", "holomorphic"]))
 def test_koszul_bracket_of_coframes_is_differential(rng, kind):
-    """[e^a, e^b]_pi = d(pi^{ab}) on every ordered pair of coordinate
-    coframes, the identity pn_check, cotangent_algebroid and
-    koszul_algebroid read in place of the bracket: random bivectors on
+    """[e^a, e^b]_pi = d(pi^{ab}) for the Cartan-formula bracket on every
+    ordered pair of coordinate coframes, the identity pn_check,
+    cotangent_algebroid and koszul_algebroid (and so the koszul command)
+    read in place of the bracket: random bivectors on
     R^2 and C^2, mostly not Poisson, and holomorphic (2,0) bivectors on
     C^2, which are."""
     if kind == "holomorphic":
@@ -458,31 +461,8 @@ def test_koszul_bracket_of_coframes_is_differential(rng, kind):
         for b, beta in enumerate(coframe):
             component = (pi.component((a, b)) if a < b
                          else -pi.component((b, a)))
-            assert koszul_bracket(pi, alpha, beta) == differential(component)
-
-
-def test_structural_checks_take_no_koszul_bracket(monkeypatch):
-    """pn_check, cotangent_algebroid and koszul_algebroid read each
-    coframe bracket as d(pi^{ab}) and call koszul_bracket not once."""
-    from holopoisson import algebroid, poisson
-
-    calls = []
-    original = poisson.koszul_bracket
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(poisson, "koszul_bracket", counting)
-    monkeypatch.setattr(algebroid, "koszul_bracket", counting, raising=False)
-    c3 = Chart.complex(3)
-    pi = Multivector(c3, 2, {(0, 1): Poly.var(c3, 1).scale(GQ(2)),
-                             (0, 2): Poly.var(c3, 2).scale(GQ(-2)),
-                             (1, 2): Poly.var(c3, 0)})
-    assert pn_check_complex(pi).all_ok
-    algebroid.cotangent_algebroid(pi)
-    algebroid.koszul_algebroid(decompose(pi).pi_I)
-    assert calls == []
+            assert (koszul_bracket_reference(pi, alpha, beta)
+                    == differential(component))
 
 
 def test_pngc_equivalence_small_sample():
