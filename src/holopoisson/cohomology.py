@@ -33,8 +33,10 @@ the pair's anchors, brackets or connections, so that they check the
 tables (applied to a BiCochain by the tests' partial_A and partial_B)
 rather than share code with them.
 
-Betti numbers are computed per truncation block, one total degree at a
-time: the partial_A and partial_B matrices of that degree's cells are built
+A truncation whose basis dimension, counted before any block is built
+(basis_size), is above MAX_BASIS is a TruncationError.  Otherwise Betti
+numbers are computed per truncation block, one total degree at a time:
+the partial_A and partial_B matrices of that degree's cells are built
 once, already in the coordinates of the degree's total matrix (rows from
 the target cell's start, columns from the source cell's start, partial_B
 negated at odd k), ranked for the cell reports, and then merged in place
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import combinations
+from math import comb
 from operator import add
 
 from .algebroid import MatchedPairData
@@ -690,6 +693,34 @@ def _canonical_cells(mp):
             for l in range(mp.B.rank + 1)]
 
 
+# The most basis elements betti takes, over all blocks of a truncation:
+# so4 at weight 4 has 396 160 and takes about 2 s, and quadratic.json at
+# weight 60, which ran past a minute, has 10 181 632.
+MAX_BASIS = 500_000
+
+
+def _at_most(nvars: int, degree: int) -> int:
+    """The number of monomials in nvars variables of degree <= degree."""
+    return comb(degree + nvars, nvars) if degree >= 0 else 0
+
+
+def basis_size(mp: MatchedPairData, truncation: Truncation) -> int:
+    """The truncation's basis dimension, summed over its blocks, by
+    counting: cell (k, l) has C(r_A, k) C(r_B, l) frame pairs, each with
+    the monomials whose degree is bound - c_A k - c_B l or less (c_A and
+    c_B 0 in total-degree mode) and, in weight mode, w - c_A k - c_B l >= 0
+    for a weight w >= 0."""
+    if truncation.mode == "weight":
+        c_a, c_b = weight_exponents(mp)
+    else:
+        c_a = c_b = 0
+    nvars = mp.A.chart.nvars
+    return sum(comb(mp.A.rank, k) * comb(mp.B.rank, l)
+               * (_at_most(nvars, truncation.bound - c_a * k - c_b * l)
+                  - _at_most(nvars, -c_a * k - c_b * l - 1))
+               for k, l in _canonical_cells(mp))
+
+
 def build_block(mp: MatchedPairData, truncation: Truncation, weight=None,
                 layout=None):
     """Enumerate the frozen basis of one block; layout holds the frame
@@ -796,6 +827,11 @@ def betti(mp: MatchedPairData, truncation: Truncation,
     """
     if method not in ("sparse", "oracle"):
         raise TruncationError(f"unknown method {method!r}")
+    size = basis_size(mp, truncation)
+    if size > MAX_BASIS:
+        raise TruncationError(
+            f"the truncation has {size} basis elements, more than the "
+            f"{MAX_BASIS} cohomology takes; choose a smaller bound")
     reports = [_block_report(block, method, on_total)
                for block in _blocks_for(mp, truncation)]
     label = ("exact_weight_graded" if truncation.mode == "weight"

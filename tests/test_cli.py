@@ -387,6 +387,16 @@ def test_unsupported_truncation_is_input_error(tmp_path):
     assert "input error: weight mode requires homogeneous structure" in err
 
 
+def test_oversized_truncation_is_input_error():
+    """quadratic.json at weight 60, which ran past a minute, is refused by
+    counting its basis: exit 1 with one input error line."""
+    code, out, err = run_cli(["cohomology", corpus_path("quadratic.json"),
+                              "--weight", "60"])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: the truncation has ")
+
+
 def test_cohomology_requires_truncation(tmp_path):
     doc = write_doc(tmp_path, "pi.json", {
         "chart": {"kind": "complex", "n": 1}, "pi": []})

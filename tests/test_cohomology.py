@@ -18,11 +18,13 @@ from holopoisson.algebroid import (
     lie_algebra,
     lie_poisson,
 )
-from holopoisson.cli import corpus_path
+from holopoisson.cli import _doc_chart_pi, _load, corpus, corpus_path, run_job
 from holopoisson.cohomology import (
+    MAX_BASIS,
     BiCochain,
     Truncation,
     assemble_total,
+    basis_size,
     betti,
     build_block,
     d_pi,
@@ -31,7 +33,7 @@ from holopoisson.cohomology import (
     monomials_up_to_degree,
     weight_exponents,
 )
-from holopoisson.errors import StructureError, TruncationError
+from holopoisson.errors import ParseError, StructureError, TruncationError
 from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.multivec import Multivector
 from holopoisson.serialize import parse_liealgebra
@@ -779,6 +781,47 @@ def test_betti_report_invariants():
         for cell in block.cells:
             assert 0 <= cell.ker_A <= cell.dim
             assert cell.rank_A == cell.dim - cell.ker_A
+
+
+def _corpus_pair(name):
+    return canonical_matched_pair(
+        _doc_chart_pi(_load(corpus_path(name)), name)[1])
+
+
+def test_basis_size_is_the_reports_total_dimension():
+    """The counted basis dimension is the sum of the report's total_dims
+    over its blocks, on every corpus document that has a report at
+    --weight 2 and at --max-degree 1."""
+    compared = 0
+    for name in corpus():
+        doc = _load(corpus_path(name))
+        for options, truncation in (({"weight": 2}, Truncation("weight", 2)),
+                                    ({"max_degree": 1},
+                                     Truncation("total_degree", 1))):
+            try:
+                report, _ = run_job({"command": "cohomology", "input": doc,
+                                     "options": options})
+            except (StructureError, ParseError):
+                continue  # not Poisson, or an escaping truncation
+            dims = sum(sum(block["total_dims"])
+                       for block in report["data"]["blocks"])
+            assert basis_size(_corpus_pair(name), truncation) == dims, name
+            compared += 1
+    assert compared >= 18
+
+
+def test_basis_budget_admits_the_ladder_and_refuses_weight_60():
+    """The budget admits the largest cases on the cold ladder and refuses
+    quadratic.json at weight 60 before any block is built."""
+    for name, truncation in (("sl2.json", Truncation("weight", 9)),
+                             ("so4.json", Truncation("weight", 4)),
+                             ("darboux_n2.json",
+                              Truncation("total_degree", 4))):
+        assert basis_size(_corpus_pair(name), truncation) <= MAX_BASIS
+    mp = _corpus_pair("quadratic.json")
+    assert basis_size(mp, Truncation("weight", 60)) > MAX_BASIS
+    with pytest.raises(TruncationError, match="basis elements"):
+        betti(mp, Truncation("weight", 60))
 
 
 def test_empty_block_is_dimension_zero():
