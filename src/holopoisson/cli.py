@@ -210,10 +210,10 @@ def cmd_koszul(doc, options):
                               1, "form")
     beta = parse_alternating(chart, require_field(doc, "beta", context),
                              1, "form")
-    value = alg.koszul_algebroid(pi).bracket(alpha.coefficients(),
-                                             beta.coefficients())
-    return {"verdicts": {}, "data": {"bracket": alternating_dict(
-        Form.from_components(chart, value))}}, True
+    bracket = Form.from_components(chart, alg.koszul_algebroid(pi).bracket(
+        alpha.coefficients(), beta.coefficients()))
+    return {"verdicts": {},
+            "data": {"bracket": alternating_dict(bracket)}}, True
 
 
 def cmd_cotangent(doc, options):

@@ -707,9 +707,8 @@ def _at_most(nvars: int, degree: int) -> int:
 def basis_size(mp: MatchedPairData, truncation: Truncation) -> int:
     """The truncation's basis dimension, summed over its blocks, by
     counting: cell (k, l) has C(r_A, k) C(r_B, l) frame pairs, each with
-    the monomials whose degree is bound - c_A k - c_B l or less (c_A and
-    c_B 0 in total-degree mode) and, in weight mode, w - c_A k - c_B l >= 0
-    for a weight w >= 0."""
+    the monomials of degree w - c_A k - c_B l for each weight
+    0 <= w <= bound.  Total-degree mode is the case c_A = c_B = 0."""
     if truncation.mode == "weight":
         c_a, c_b = weight_exponents(mp)
     else:
