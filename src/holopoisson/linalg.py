@@ -168,14 +168,14 @@ def dense_rank(rows) -> int:
 # sparse elimination over GQ: singletons peeled, then pivots from
 # column-count buckets
 
-def _peel(count, index, length, source, stack) -> list:
+def _peel(count, index, length, source, stack) -> dict:
     """Peel the column singletons (count and index by column, length and
     source by row), or with the two swapped the row singletons.  Each
     line popped from stack that has not left pivots on its one live cross
     line, which leaves, so the lines of that cross line lose one count
-    each (pushed at 1, gone at 0).  Returns the (line, cross line) pivots
-    in order."""
-    pivots = []
+    each (pushed at 1, gone at 0).  Returns the pivots, line -> cross
+    line."""
+    pivots = {}
     while stack:
         line = stack.pop()
         if count.pop(line, None) is None:
@@ -195,7 +195,7 @@ def _peel(count, index, length, source, stack) -> list:
                 del count[j]
             else:
                 count[j] = n - 1
-        pivots.append((line, cross))
+        pivots[line] = cross
     return pivots
 
 
@@ -261,17 +261,18 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     # Column singletons: each pivots on its one live row, which leaves, so
     # only that row's columns lose count (new column singletons, no new
     # row singleton).
-    peeled = [pr for _, pr in _peel(count, index, length, source, [
-        j for j in sorted(count) if count[j] == 1])]
+    by_column = _peel(count, index, length, source, [
+        j for j in sorted(count) if count[j] == 1])
     # Row singletons, smaller row index first (the bucket loop's tie
     # rule): eliminating with a one-entry row deletes its column from
     # every other row, so only rows shorten (new row singletons, and still
     # no column singleton).
-    peeled += [pr for pr, _ in _peel(length, source, count, index, [
-        i for i in sorted(length, reverse=True) if length[i] == 1])]
+    by_row = _peel(length, source, count, index, [
+        i for i in sorted(length, reverse=True) if length[i] == 1])
     if pivot_rows is not None:
-        pivot_rows.update(peeled)
-    rank = len(peeled)
+        pivot_rows.update(by_column.values())
+        pivot_rows.update(by_row)
+    rank = len(by_column) + len(by_row)
     if not length:
         return rank
     rows: dict = {}
