@@ -694,8 +694,9 @@ def _canonical_cells(mp):
 
 
 # The most basis elements betti takes, over all blocks of a truncation:
-# so4 at weight 4 has 396 160 and takes about 2 s, and quadratic.json at
-# weight 60, which ran past a minute, has 10 181 632.
+# so4 at weight 4 has 396 160 and takes about 2 s cold on a 2-CPU x86-64
+# host, and quadratic.json at weight 60, which ran past a minute there,
+# has 10 181 632.
 MAX_BASIS = 500_000
 
 
