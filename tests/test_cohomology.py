@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -715,6 +716,28 @@ def test_sparse_route_through_the_complex_equals_oracle_on_corpus(
     assert any(cell["rank_A"] or cell["rank_B"]
                for block in data["sparse"]["blocks"]
                for cell in block["cells"])
+
+
+# Whole reports past the golden file's weights, recorded from the double
+# complex (every cell ranked) before weight mode took the reduced route:
+# sl2, Heisenberg and quadratic at weight 4-6, so4 at 2, the oscillator
+# at 4, and the benchmark's re-based sl2 (seed 11) at 3, inline.
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "pinned_betti.json"), encoding="utf-8") as _handle:
+    PINNED_BETTI = json.load(_handle)
+
+
+@pytest.mark.parametrize("case", PINNED_BETTI,
+                         ids=[case["id"] for case in PINNED_BETTI])
+def test_betti_reports_are_pinned(case):
+    job = {"command": "cohomology", "options": {"weight": case["weight"]}}
+    if "corpus" in case:
+        job["input_path"] = corpus_path(case["corpus"])
+    else:
+        job["input"] = case["input"]
+    report, code = run_job(job)
+    assert code == 0
+    assert report["data"] == case["data"]
 
 
 def test_betti_sl2_weight_two_casimir_line():
