@@ -706,8 +706,12 @@ def check_representation(rep: RepData) -> bool:
     rho(e_i)(1) = 0 to 1 * gamma[i][m]).  apply is tensorial in its first
     argument, so nabla_[ei,ej] e_m = sum_k c_ij^k nabla_{e_k} e_m, and a
     zero table entry is not applied to, since nabla_u 0 = 0.  The Leibniz
-    rule needs no check: apply is the Leibniz extension of gamma."""
+    rule needs no check: apply is the Leibniz extension of gamma.  An
+    all-zero table, as both connections of a canonical pair have, is flat
+    at once: both sides are zero."""
     a, b, table = rep.acting, rep.module, rep.gamma
+    if all(not p.terms for row in table for s in row for p in s):
+        return True
     frames = [a.frame_section(i) for i in range(a.rank)]
     columns = [[row[m] for row in table] for m in range(b.rank)]
     zero = b.zero_section()
