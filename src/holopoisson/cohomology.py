@@ -33,11 +33,24 @@ the pair's anchors, brackets or connections, so that they check the
 tables (applied to a BiCochain by the tests' partial_A and partial_B)
 rather than share code with them.
 
-A truncation whose basis dimension, counted before any block is built
-(basis_size), is above MAX_BASIS is a TruncationError.  Otherwise Betti
-numbers are computed per truncation block, one total degree at a time:
-the partial_A and partial_B matrices of that degree's cells are built
-once, already in the coordinates of the degree's total matrix (rows from
+In weight mode with method "sparse" and no on_total, the double complex
+of a pair with the canonical pair's shape (_reduces: A is T^{0,1}X on its
+d/dzb frame, both connections are zero, B is holomorphic) is not built.
+Its columns are the polynomial de Rham complex in zb, exact above k = 0,
+and its rows are d_pi on holomorphic polyvectors, so _reduced_reports
+fills every cell and total_betti by counting from the ranks r(l, b) of
+d_pi on holomorphic l-polyvectors with coefficients of degree b, which
+_reduced_ranks builds as partial_B cell matrices on cells of holomorphic
+monomials.  Every other case, --method oracle and the dumps included,
+ranks the double complex.
+
+A truncation whose basis, counted before any block is built, is above
+MAX_BASIS is a TruncationError: the double complex's (basis_size), or the
+polyvectors the reduced route ranks (_reduced_size).  So is one whose
+report would hold more than MAX_CELLS cells.  Otherwise, on the double
+complex, Betti numbers are computed per truncation block, one total degree
+at a time: the partial_A and partial_B matrices of that degree's cells are
+built once, already in the coordinates of the degree's total matrix (rows from
 the target cell's start, columns from the source cell's start, partial_B
 negated at odd k), ranked for the cell reports, and then merged in place
 into the total matrix.  The blocks of one truncation share a layout: the
@@ -446,12 +459,14 @@ class _Layout:
     use: the frame pairs of each cell, the monomials of each degree range
     with their positions, each direction's data, the coboundary table of
     each (cell, direction), and the sparse runs of the table terms that
-    cell matrices read."""
+    cell matrices read.  A holomorphic layout's monomials are those of
+    z_1..z_n, with zero zb exponents."""
 
-    __slots__ = ("mp", "pairs", "monos", "data", "tables", "runs")
+    __slots__ = ("mp", "zeros", "pairs", "monos", "data", "tables", "runs")
 
-    def __init__(self, mp: MatchedPairData):
+    def __init__(self, mp: MatchedPairData, holomorphic=False):
         self.mp = mp
+        self.zeros = (0,) * mp.A.chart.n if holomorphic else None
         self.pairs = {}
         self.monos = {}
         self.data = {}
@@ -465,13 +480,16 @@ class _Layout:
         degrees = (low, high)
         found = self.monos.get(degrees)
         if found is None:
-            nvars = self.mp.A.chart.nvars
+            zeros = self.zeros
+            nvars = self.mp.A.chart.nvars if zeros is None else len(zeros)
             if high < 0:
                 monos = []
             elif low == high:
                 monos = monomials_of_degree(nvars, low)
             else:
                 monos = monomials_up_to_degree(nvars, high)
+            if zeros:
+                monos = [exps + zeros for exps in monos]
             found = self.monos[degrees] = (
                 monos, {exps: m for m, exps in enumerate(monos)})
         monos, positions = found
@@ -693,11 +711,24 @@ def _canonical_cells(mp):
             for l in range(mp.B.rank + 1)]
 
 
-# The most basis elements betti takes, over all blocks of a truncation:
-# so4 at weight 4 has 396 160 and takes about 2 s cold on a 2-CPU x86-64
-# host, and quadratic.json at weight 60, which ran past a minute there,
-# has 10 181 632.
+# The most basis elements betti takes, over all blocks of a truncation, as
+# its route counts them.  On the double complex, so4 at weight 4 has
+# 396 160 and takes about 2 s cold on a 2-CPU x86-64 host, and
+# quadratic.json at weight 60, which ran past a minute there, has
+# 10 181 632.  The slowest corpus case that the reduced route's count
+# admits is sl2_realified.json at its top weight, 73 (492 100 polyvectors
+# ranked): 7.0-9.7 s cold there (the CLI's elapsed, 6 runs), 46 MB peak
+# RSS.  so4 at its top weight, 9 (315 315), took 1.23 s (median of 5).
 MAX_BASIS = 500_000
+
+# The most cells a report holds, (bound + 1)(r_A + 1)(r_B + 1), on every
+# route: a chart with no variables has a one-element basis at any bound,
+# which MAX_BASIS cannot refuse.  The largest report that the tests and
+# the cold ladder ask for, quadratic.json at weight 60, has 549 cells,
+# 1/21 of this.  A Lie algebra of rank 0 at 12 000 cells (weight 11 999)
+# took 0.35 s cold on the reduced route and 0.65 s on the double complex,
+# on the same host.
+MAX_CELLS = 12_000
 
 
 def _at_most(nvars: int, degree: int) -> int:
@@ -796,6 +827,132 @@ def _block_report(block: _Block, method: str, on_total=None) -> BlockReport:
     return BlockReport(block.weight, tuple(cells), tuple(dims), tuple(betti))
 
 
+def _reduces(mp: MatchedPairData) -> bool:
+    """Whether the double complex of mp collapses to the reduced complex
+    of B, checked exactly on the data: A's anchor is the d/dzb frame and
+    its structure functions are zero, both connections are zero on frames,
+    and B's anchor and structure functions have no zb and no d/dzb entry.
+    Every pair of holomorphic_matched_pair with holomorphic data passes,
+    the canonical pairs included."""
+    a, b = mp.A, mp.B
+    chart = a.chart
+    n = chart.n
+    if not chart.is_complex() or a.rank != n:
+        return False
+    one = Poly.one(chart)
+    if any(entry != one if v == n + k else entry.terms
+           for k, row in enumerate(a.anchor) for v, entry in enumerate(row)):
+        return False
+    if any(p.terms for table in (a.structure, mp.nablaAB.gamma,
+                                 mp.nablaBA.gamma)
+           for row in table for section in row for p in section):
+        return False
+    return (all(not p.terms for row in b.anchor for p in row[n:])
+            and all(p.is_holomorphic()
+                    for section in b.anchor + [v for row in b.structure
+                                               for v in row]
+                    for p in section))
+
+
+def _reduced_size(mp: MatchedPairData, bound: int, c_b: int) -> int:
+    """The basis that _reduced_ranks ranks, by counting: the C(r_B, l)
+    frames of each l < r_B, each with the holomorphic monomials of degree
+    b for 0 <= b <= bound - c_b l."""
+    r_b = mp.B.rank
+    return sum(comb(r_b, l) * _at_most(mp.A.chart.n, bound - c_b * l)
+               for l in range(r_b))
+
+
+def _reduced_ranks(mp: MatchedPairData, bound: int, c_b: int) -> dict:
+    """r[(l, b)]: the rank of d_pi from holomorphic l-polyvectors with
+    coefficients of degree b, for 0 <= l < r_B and 0 <= b <= bound - c_b l
+    (a missing key is rank 0).  Each is a partial_B cell matrix on the
+    k = 0 row, built from B's coboundary table and runs on cells of
+    holomorphic monomials.  The (l, b) lie on the chains b + c_b l = t, the
+    reduced complex of weight t, and each chain is ranked through the
+    complex as a block is: each matrix without the previous pivot rows."""
+    r_b = mp.B.rank
+    layout = _Layout(mp, holomorphic=True)
+    ranks = {}
+    for t in range(min(0, c_b * (r_b - 1)), bound + 1) if r_b else ():
+        degrees = [t - c_b * l for l in range(r_b + 1)]
+        block = _Block(mp, t, {(0, l): layout.cell(0, l, degree, degree)
+                               for l, degree in enumerate(degrees)}, layout)
+        pivots = None
+        for l, degree in enumerate(degrees[:-1]):
+            if degree < 0:
+                pivots = None
+                continue
+            matrix = block.cell_matrix((0, l), "B").without_columns(pivots)
+            ranks[(l, degree)] = matrix.rank("sparse")
+            pivots = matrix.pivot_rows
+        # the chains of a linear pi share no degree, so no run is read
+        # again: keep one chain's runs at a time
+        layout.runs.clear()
+    return ranks
+
+
+def _reduced_reports(mp: MatchedPairData, bound: int, c_a: int,
+                     c_b: int) -> list:
+    """The block reports of weights 0..bound of a pair that _reduces, from
+    counting and the ranks r(l, b) of _reduced_ranks alone.
+
+    A cochain of cell (k, l) and degree D = w - c_A k - c_B l is a sum of
+    zb^a z^b dzb_I (x) e_J with a + b = D; write #(m) for the monomials of
+    degree m in n variables.  partial_A is d on the polynomial k-forms in
+    zb, the identity on z^b e_J.  Its rank on degree a is rho(k, a), and
+    the polynomial Poincare lemma (d exact on forms of weight a + k >= 1)
+    gives rho(k, a) = C(n, k) #(a) - rho(k - 1, a + 1), with rho(-1, .) =
+    rho(0, 0) = 0.  Summed over a + b = D with the weights C(r_B, l) #(b),
+    that is rank_A(k, l) = dim(k, l) - rank_A(k - 1, l), one degree up,
+    for k >= 1 (rho(k - 1, 0) = 0), and rank_A(0, l) = dim(0, l) -
+    C(r_B, l) #(D).  partial_B is d_pi on z^b e_J, the identity on
+    zb^a dzb_I, so rank_B = C(n, k) sum #(a) r(l, b).  The columns are
+    exact above k = 0 and the k = 0 row is the reduced complex, so the
+    spectral sequence stops at E2: total_betti at degree d is the reduced
+    complex's H^d at coefficient degree w - c_B d."""
+    n, r_b = mp.A.rank, mp.B.rank
+    nvars = mp.A.chart.nvars
+    ranks = _reduced_ranks(mp, bound, c_b)
+    nonzero = [[(b, r) for (j, b), r in sorted(ranks.items()) if j == l and r]
+               for l in range(r_b + 1)]
+    convolved = {}  # (l, D) -> sum over a + b = D of #(a) r(l, b)
+
+    def count(degree, nvars=n):
+        return _at_most(nvars, degree) - _at_most(nvars, degree - 1)
+
+    reports = []
+    for weight in range(bound + 1):
+        cells = []
+        dims = [0] * (n + r_b + 1)
+        column = [0] * (r_b + 1)  # rank_A(k - 1, l) for each l
+        for k in range(n + 1):
+            for l in range(r_b + 1):
+                degree = weight - c_a * k - c_b * l
+                dim = comb(n, k) * comb(r_b, l) * count(degree, nvars)
+                rank_a = column[l] = dim - (
+                    column[l] if k else comb(r_b, l) * count(degree))
+                key = (l, degree)
+                found = convolved.get(key)
+                if found is None:
+                    found = convolved[key] = sum(
+                        count(degree - b) * r for b, r in nonzero[l]
+                        if b <= degree)
+                rank_b = comb(n, k) * found
+                cells.append(CellReport(k, l, dim, dim - rank_a, rank_a,
+                                        dim - rank_b, rank_b))
+                dims[k + l] += dim
+        betti = [0] * len(dims)
+        for d in range(r_b + 1):
+            degree = weight - c_b * d
+            betti[d] = (comb(r_b, d) * count(degree)
+                        - ranks.get((d, degree), 0)
+                        - ranks.get((d - 1, degree + c_b), 0))
+        reports.append(BlockReport(weight, tuple(cells), tuple(dims),
+                                   tuple(betti)))
+    return reports
+
+
 def assemble_total(mp: MatchedPairData, truncation: Truncation):
     """All total-differential matrices of the truncation, labeled.
 
@@ -823,17 +980,34 @@ def betti(mp: MatchedPairData, truncation: Truncation,
     Weight mode is exact per weight block for the polynomial model;
     total_degree mode computes the truncated subcomplex and is labeled a
     filtered approximation.  on_total, if given, is called with each
-    (label, total matrix) of assemble_total as it is ranked.
+    (label, total matrix) of assemble_total as it is ranked.  In weight
+    mode with method "sparse" and no on_total, a pair that _reduces is
+    ranked on its reduced complex (_reduced_reports); every other case
+    ranks the double complex.
     """
     if method not in ("sparse", "oracle"):
         raise TruncationError(f"unknown method {method!r}")
-    size = basis_size(mp, truncation)
+    reduced = (truncation.mode == "weight" and method == "sparse"
+               and on_total is None and _reduces(mp))
+    if reduced:
+        c_a, c_b = weight_exponents(mp)
+        size = _reduced_size(mp, truncation.bound, c_b)
+    else:
+        size = basis_size(mp, truncation)
     if size > MAX_BASIS:
         raise TruncationError(
             f"the truncation has {size} basis elements, more than the "
             f"{MAX_BASIS} cohomology takes; choose a smaller bound")
-    reports = [_block_report(block, method, on_total)
-               for block in _blocks_for(mp, truncation)]
+    cells = (truncation.bound + 1) * (mp.A.rank + 1) * (mp.B.rank + 1)
+    if cells > MAX_CELLS:
+        raise TruncationError(
+            f"the truncation has {cells} cells, more than the {MAX_CELLS} "
+            "cohomology takes; choose a smaller bound")
+    if reduced:
+        reports = _reduced_reports(mp, truncation.bound, c_a, c_b)
+    else:
+        reports = [_block_report(block, method, on_total)
+                   for block in _blocks_for(mp, truncation)]
     label = ("exact_weight_graded" if truncation.mode == "weight"
              else "filtered_approximation")
     return BettiReport(truncation.mode, truncation.bound, method, label,

@@ -327,7 +327,8 @@ def test_cohomology_with_dump(tmp_path):
 
 def test_dump_builds_each_cell_matrix_once(tmp_path, monkeypatch, capsys):
     """--dump-matrices writes the total matrices that betti ranks, so it
-    builds no cell matrix twice."""
+    builds no cell matrix twice: the same cell matrices, each once, as the
+    double complex of --method oracle.  The dump changes no report."""
     from holopoisson import cli, cohomology
 
     calls = []
@@ -340,13 +341,15 @@ def test_dump_builds_each_cell_matrix_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cohomology._Block, "cell_matrix", counting)
     args = ["cohomology", corpus_path("sl2.json"), "--weight", "2"]
     counts, outs = [], []
-    for extra in ([], ["--dump-matrices", str(tmp_path / "mats")]):
+    for extra in (["--method", "oracle"], [],
+                  ["--dump-matrices", str(tmp_path / "mats")]):
         calls.clear()
         assert cli.main(args + extra) == 0
         outs.append(capsys.readouterr().out)
         counts.append(list(calls))
-    assert counts[0] and counts[1] == counts[0]
-    assert outs[1] == outs[0]
+    assert counts[0] and counts[2] == counts[0]
+    assert len(set(counts[2])) == len(counts[2])
+    assert outs[2] == outs[1]
     assert sorted(p.name for p in (tmp_path / "mats").iterdir()) == [
         f"w{w}_d{d}.txt" for w in range(3) for d in range(7)]
 
@@ -388,13 +391,17 @@ def test_unsupported_truncation_is_input_error(tmp_path):
 
 
 def test_oversized_truncation_is_input_error():
-    """quadratic.json at weight 60, which ran past a minute, is refused by
-    counting its basis: exit 1 with one input error line."""
-    code, out, err = run_cli(["cohomology", corpus_path("quadratic.json"),
-                              "--weight", "60"])
-    assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1
-    assert err.startswith("input error: the truncation has ")
+    """A truncation is refused by counting its basis: exit 1 with one
+    input error line.  The double complex of quadratic.json at weight 60
+    ran past a minute; so4 at weight 10 is past the reduced route's
+    count."""
+    for name, args in (("quadratic.json", ["--weight", "60",
+                                           "--method", "oracle"]),
+                       ("so4.json", ["--weight", "10"])):
+        code, out, err = run_cli(["cohomology", corpus_path(name), *args])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("input error: the truncation has ")
 
 
 def test_cohomology_requires_truncation(tmp_path):

@@ -289,7 +289,8 @@ def test_tables_only_for_nonempty_source_cells(monkeypatch):
                 nonempty.add(cell)
             else:
                 assert block.basis[cell].pairs == ()
-    report = betti(mp, Truncation("weight", 2))
+    # an on_total keeps betti on the double complex
+    report = betti(mp, Truncation("weight", 2), on_total=lambda *_: None)
     assert len(built) == 2 * len(nonempty)
     assert 0 < len(nonempty) < 121
     assert report.block(2).total_dims[0] == 210  # quadratic monomials
@@ -835,7 +836,9 @@ def test_basis_size_is_the_reports_total_dimension():
 
 def test_basis_budget_admits_the_ladder_and_refuses_weight_60():
     """The budget admits the largest cases on the cold ladder and refuses
-    quadratic.json at weight 60 before any block is built."""
+    quadratic.json at weight 60 on the double complex before any block is
+    built, and so4 at weight 10 on the reduced route, whose count is
+    63 C(16, 6) = 504 504."""
     for name, truncation in (("sl2.json", Truncation("weight", 9)),
                              ("so4.json", Truncation("weight", 4)),
                              ("darboux_n2.json",
@@ -844,7 +847,9 @@ def test_basis_budget_admits_the_ladder_and_refuses_weight_60():
     mp = _corpus_pair("quadratic.json")
     assert basis_size(mp, Truncation("weight", 60)) > MAX_BASIS
     with pytest.raises(TruncationError, match="basis elements"):
-        betti(mp, Truncation("weight", 60))
+        betti(mp, Truncation("weight", 60), method="oracle")
+    with pytest.raises(TruncationError, match="504504 basis elements"):
+        betti(_corpus_pair("so4.json"), Truncation("weight", 10))
 
 
 def test_empty_block_is_dimension_zero():
