@@ -71,10 +71,10 @@ from .exactalg import GQ, Chart, Poly, _normal, is_scalar
 from .linalg import (
     dense_rank,
     gq_mat_inverse,
+    poly_combine,
     poly_identity,
     poly_mat_squares_to_minus_identity,
     poly_mat_transpose,
-    poly_mat_vec,
 )
 from .multivec import (
     Form,
@@ -324,14 +324,6 @@ def verify_algebroid(a: AlgebroidChart) -> AlgebroidReport:
 # ----------------------------------------------------------------------
 # Nijenhuis deformation
 
-def _combine(coeffs, rows, out):
-    """out + sum_k coeffs[k] rows[k], for sections rows[k]."""
-    for c, row in zip(coeffs, rows):
-        if c.terms:
-            out = [x + c * y if y.terms else x for x, y in zip(out, row)]
-    return out
-
-
 def _deformation(a: AlgebroidChart, n):
     """The deformed brackets [e_i, e_j]_N = [N e_i, e_j] + [e_i, N e_j]
     - N[e_i, e_j] on frame pairs (i < j), from the frame data alone.
@@ -355,16 +347,15 @@ def _deformation(a: AlgebroidChart, n):
     brackets = {}
     for i in range(rank):
         for j in range(i + 1, rank):
-            value = _combine(columns[i], [row[j] for row in a.structure],
-                             zero)
-            value = _combine(columns[j], a.structure[i], value)
+            value = poly_combine(columns[i],
+                                 [row[j] for row in a.structure], zero)
+            value = poly_combine(columns[j], a.structure[i], value)
             if not constant:
                 value = [x + a.anchor_apply(frames[i], n[c][j])
                          - a.anchor_apply(frames[j], n[c][i])
                          for c, x in enumerate(value)]
-            n_cij = poly_mat_vec(n, a.structure[i][j])
-            brackets[(i, j)] = [x - y if not y.is_zero() else x
-                                for x, y in zip(value, n_cij)]
+            brackets[(i, j)] = poly_combine(
+                [-p for p in a.structure[i][j]], columns, value)
     return brackets
 
 
@@ -374,8 +365,8 @@ def _torsion(a: AlgebroidChart, n, brackets):
     columns = poly_mat_transpose(n)
     torsion = {}
     for (i, j), deformed in brackets.items():
-        value = [x - y for x, y in zip(a._bracket(columns[i], columns[j]),
-                                       poly_mat_vec(n, deformed))]
+        value = poly_combine([-p for p in deformed], columns,
+                             a._bracket(columns[i], columns[j]))
         if not a.section_is_zero(value):
             torsion[(i, j)] = value
     return torsion
@@ -533,8 +524,9 @@ def _is_complex_structure(g: LieAlgebra) -> bool:
         return False
     frames = [a.frame_section(x) for x in range(a.rank)]
     columns = poly_mat_transpose(j)
+    zero = a.zero_section()
     return all(a._bracket(columns[x], frames[y])
-               == poly_mat_vec(j, a.structure[x][y])
+               == poly_combine(a.structure[x][y], columns, zero)
                for x in range(a.rank) for y in range(a.rank))
 
 
@@ -725,7 +717,7 @@ def check_representation(rep: RepData) -> bool:
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             for m in range(b.rank):
-                lhs = _combine(a.structure[i][j], columns[m], zero)
+                lhs = poly_combine(a.structure[i][j], columns[m], zero)
                 rhs = [x - y for x, y in zip(nabla(i, table[j][m]),
                                              nabla(j, table[i][m]))]
                 if any(x != y for x, y in zip(lhs, rhs)):
@@ -826,8 +818,9 @@ def _s_tensor(mp: MatchedPairData, ab, ba) -> dict:
                 if not b.section_is_zero(ab[i][j2]):
                     value = [p + q for p, q in
                              zip(value, b._bracket(y1, ab[i][j2]))]
-                value = _combine(ba[j2][i], columns[j1], value)
-                value = _combine([-p for p in ba[j1][i]], columns[j2], value)
+                value = poly_combine(ba[j2][i], columns[j1], value)
+                value = poly_combine([-p for p in ba[j1][i]], columns[j2],
+                                     value)
                 if not b.section_is_zero(value):
                     S[(i, j1, j2)] = value
     return S

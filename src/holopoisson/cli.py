@@ -306,15 +306,14 @@ def cmd_cohomology(doc, options):
     mp = alg.canonical_matched_pair(pi)
     truncation = coho.Truncation(mode, bound)
     dumps = {}
-
-    def keep(label, matrix):
-        dumps[label] = _dump_text(matrix)
-
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
     try:
-        report = coho.betti(mp, truncation, method=method,
-                            on_total=keep if dump_dir else None)
+        if dump_dir:
+            # first, so that a dump above budget is refused before any rank
+            dumps = {label: _dump_text(matrix) for label, matrix
+                     in coho.assemble_total(mp, truncation)}
+        report = coho.betti(mp, truncation, method=method)
     except TruncationError as exc:
         # the structure does not support the requested truncation: the
         # request is at fault, no verification failed

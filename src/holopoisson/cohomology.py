@@ -1,6 +1,6 @@
 """Double-complex differentials and exact Betti numbers of a matched pair.
 
-BiCochains are sections of Lambda^k A* (x) Lambda^l B* presented by
+A (k, l) cochain is a section of Lambda^k A* (x) Lambda^l B* presented by
 components on pairs of increasing frame index sets.  The two coboundary
 operators of the matched-pair double complex, partial_A and partial_B,
 are linear differential operators with polynomial coefficients, so each
@@ -24,38 +24,32 @@ not send to zero.  The cell matrices are written from the runs straight
 into their row dicts, with no key built per term.  A cell with no
 monomial has no frame pairs, and its matrix is empty with no table.
 
-The (q, p) cell of the canonical pair (T^{0,1}X, (T*X)_pi) is
-Omega^{0,q}(X, Lambda^p T^{1,0}X): a BiCochain keyed (dzb-indices,
-d/dz-indices).  dbar_mixed (the Dolbeault operator on coefficients) and
-d_pi (the degree-raising operator of holomorphic Poisson cohomology) act on
-these BiCochains by their own formulas, reading the chart and pi but not
-the pair's anchors, brackets or connections, so that they check the
-tables (applied to a BiCochain by the tests' partial_A and partial_B)
-rather than share code with them.
-
-In weight mode with method "sparse" and no on_total, the double complex
-of a pair with the canonical pair's shape (_reduces: A is T^{0,1}X on its
-d/dzb frame, both connections are zero, B is holomorphic) is not built.
-Its columns are the polynomial de Rham complex in zb, exact above k = 0,
-and its rows are d_pi on holomorphic polyvectors, so _reduced_reports
-fills every cell and total_betti by counting from the ranks r(l, b) of
-d_pi on holomorphic l-polyvectors with coefficients of degree b, which
-_reduced_ranks builds as partial_B cell matrices on cells of holomorphic
-monomials.  Every other case, --method oracle and the dumps included,
-ranks the double complex.
+The route depends on the pair, the mode and the method alone.  In weight
+mode with method "sparse", the double complex of a pair with the
+canonical pair's shape (_reduces: A is T^{0,1}X on its d/dzb frame, both
+connections are zero, B is holomorphic) is not built.  Its columns are
+the polynomial de Rham complex in zb, exact above k = 0, and its rows are
+d_pi on holomorphic polyvectors, so _reduced_reports fills every cell and
+total_betti by counting from the ranks r(l, b) of d_pi on holomorphic
+l-polyvectors with coefficients of degree b, which _reduced_ranks builds
+as partial_B cell matrices on cells of holomorphic monomials.  Every other
+case, --method oracle and total-degree mode, ranks the double complex.
+The matrix dumps are the double complex's total matrices on every route:
+assemble_total builds them.
 
 A truncation whose basis, counted before any block is built, is above
-MAX_BASIS is a TruncationError: the double complex's (basis_size), or the
-polyvectors the reduced route ranks (_reduced_size).  So is one whose
-report would hold more than MAX_CELLS cells.  Otherwise, on the double
-complex, Betti numbers are computed per truncation block, one total degree
-at a time: the partial_A and partial_B matrices of that degree's cells are
-built once, already in the coordinates of the degree's total matrix (rows from
-the target cell's start, columns from the source cell's start, partial_B
-negated at odd k), ranked for the cell reports, and then merged in place
-into the total matrix.  The blocks of one truncation share a layout: the
-cells' frame pairs, the monomials of each degree, the tables and the
-runs.
+MAX_BASIS is a TruncationError: the double complex's (basis_size, checked
+by _blocks_for, which the double-complex route and assemble_total both go
+through), or the polyvectors the reduced route ranks (_reduced_size).  So
+is one whose report would hold more than MAX_CELLS cells.  Otherwise, on
+the double complex, Betti numbers are computed per truncation block, one
+total degree at a time: the partial_A and partial_B matrices of that
+degree's cells are built once, already in the coordinates of the degree's
+total matrix (rows from the target cell's start, columns from the source
+cell's start, partial_B negated at odd k), ranked for the cell reports,
+and then merged in place into the total matrix.  The blocks of one
+truncation share a layout: the cells' frame pairs, the monomials of each
+degree, the tables and the runs.
 Ranks come from two independent elimination routes over GQ: sparse
 elimination (method "sparse"), which first peels the row and column
 singletons (pivots that need no arithmetic) and then takes each pivot
@@ -73,87 +67,20 @@ partial_A before it, and each partial_B at fixed k likewise; all of them
 are in degree coordinates, so the pivot rows of D_d are columns of
 degree d + 1 as they are.  Every image
 is computed in full all the same, so the escape check sees every column.
-The oracle ranks every full matrix, and on_total (the dumps) receives the
-full total matrices.
+The oracle ranks every full matrix.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import combinations
 from math import comb
 from operator import add
 
 from .algebroid import MatchedPairData
-from .errors import (
-    ChartError,
-    DegreeError,
-    Record,
-    StructureError,
-    TruncationError,
-)
-from .exactalg import GQ, Poly, _accumulate
+from .errors import Record, TruncationError
+from .exactalg import Poly, _accumulate
 from .linalg import SparseMatrix
-from .multivec import Form, Multivector, insert_index, schouten, sharp
-from .poisson import is_holomorphic_poisson
-
-
-class BiCochain:
-    """Element of Gamma(Lambda^k A* (x) Lambda^l B*) of a matched pair."""
-
-    __slots__ = ("mp", "k", "l", "comps")
-
-    def __init__(self, mp: MatchedPairData, k: int, l: int, comps=None):
-        if k < 0 or l < 0:
-            raise DegreeError("negative bidegree")
-        chart = mp.A.chart
-        clean = {}
-        if comps:
-            for key, poly in comps.items():
-                I, J = tuple(key[0]), tuple(key[1])
-                if len(I) != k or len(J) != l:
-                    raise DegreeError("component does not match bidegree")
-                for t, bound in ((I, mp.A.rank), (J, mp.B.rank)):
-                    if list(t) != sorted(set(t)):
-                        raise DegreeError(f"index tuple {t} not increasing")
-                    if any(not 0 <= v < bound for v in t):
-                        raise DegreeError("frame index out of range")
-                if isinstance(poly, (int, GQ)):
-                    poly = Poly.const(chart, poly)
-                if poly.chart != chart:
-                    raise ChartError("component on wrong chart")
-                if not poly.is_zero():
-                    clean[(I, J)] = poly
-        self.mp = mp
-        self.k = k
-        self.l = l
-        self.comps = clean
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other):
-        if not isinstance(other, BiCochain):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return (self.k, self.l) == (other.k, other.l) and self.comps == other.comps
-
-    def __add__(self, other):
-        if (self.k, self.l) != (other.k, other.l):
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise DegreeError("cannot add different bidegrees")
-        comps = dict(self.comps)
-        for key, poly in other.comps.items():
-            _accumulate(comps, key, poly)
-        return BiCochain(self.mp, self.k, self.l, comps)
-
-    def __neg__(self):
-        return BiCochain(self.mp, self.k, self.l,
-                         {key: -p for key, p in self.comps.items()})
+from .multivec import insert_index
 
 
 def _signed(polys) -> list:
@@ -267,62 +194,6 @@ def _cell_table(data: tuple, cell, direction: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# the canonical-pair operators dbar_mixed and d_pi
-
-def dbar_mixed(c: BiCochain) -> BiCochain:
-    """The Dolbeault column operator on a cochain of the canonical pair:
-    dbar acts on the coefficients, and each dzb_b it produces joins the
-    A-indices (the d/dz slots of the B-indices are a holomorphic frame)."""
-    chart = c.mp.A.chart
-    n = chart.n
-    comps: dict = {}
-    for (I, J), coeff in c.comps.items():
-        for b in range(n):
-            dcoeff = coeff.diff(n + b)
-            if dcoeff.is_zero():
-                continue
-            merged = insert_index(b, I)
-            if merged is None:
-                continue
-            new_I, sign = merged
-            _accumulate(comps, (new_I, J), dcoeff if sign > 0 else -dcoeff)
-    return BiCochain(c.mp, c.k + 1, c.l, comps)
-
-
-def d_pi(c: BiCochain, pi: Multivector) -> BiCochain:
-    """Polyvector-degree-raising differential of holomorphic Poisson
-    cohomology on a cochain of the canonical pair of pi: on a decomposable
-    cell omega (x) P it is
-    omega (x) [pi, P] + sum_i (i_{pi#(dz^i)} d omega) (x) (e_i ^ P)."""
-    report = is_holomorphic_poisson(pi)
-    if not report.all_ok:
-        raise StructureError("d_pi needs a holomorphic Poisson bivector")
-    chart = pi.chart
-    if c.mp.A.chart != chart:
-        raise ChartError("chart mismatch")
-    n = chart.n
-    hamiltonian = [sharp(pi, Form.frame(chart, i)) for i in range(n)]
-    comps = {}
-    for (I, J), f in c.comps.items():
-        frame_vec = Multivector(chart, len(J), {J: Poly.one(chart)})
-        bracket = schouten(pi, frame_vec)
-        for idx, coeff in bracket.comps.items():
-            if any(v >= n for v in idx):
-                raise StructureError("d_pi left the holomorphic polyvectors")
-            _accumulate(comps, (I, idx), f * coeff)
-        for i in range(n):
-            deriv = hamiltonian[i].apply_to(f)
-            if deriv.is_zero():
-                continue
-            merged = insert_index(i, J)
-            if merged is None:
-                continue
-            new_J, sign = merged
-            _accumulate(comps, (I, new_J), deriv if sign > 0 else -deriv)
-    return BiCochain(c.mp, c.k, c.l + 1, comps)
-
-
-# ----------------------------------------------------------------------
 # truncation and basis enumeration
 
 class Truncation(Record):
@@ -423,11 +294,10 @@ class BettiReport(Record):
         raise KeyError(weight)
 
 
-class _Cell(Sequence):
+class _Cell:
     """The frozen basis of one cell, frame pairs outer and monomials
     inner: position p * len(monos) + m holds (I, J, monos[m]) for
-    (I, J) = pairs[p], and it reads as that sequence of triples.
-    pair_index maps each pair to its p, positions each monomial to its m;
+    (I, J) = pairs[p].  pair_index maps each pair to its p, positions each monomial to its m;
     degrees is the (low, high) range of the monomials' degrees.  A cell
     with no monomial has no pairs."""
 
@@ -442,16 +312,6 @@ class _Cell(Sequence):
 
     def __len__(self):
         return len(self.pairs) * len(self.monos)
-
-    def __getitem__(self, pos):
-        size = len(self)
-        if pos < 0:
-            pos += size
-        if not 0 <= pos < size:
-            raise IndexError("cell basis index out of range")
-        p, m = divmod(pos, len(self.monos))
-        I, J = self.pairs[p]
-        return I, J, self.monos[m]
 
 
 class _Layout:
@@ -711,8 +571,8 @@ def _canonical_cells(mp):
             for l in range(mp.B.rank + 1)]
 
 
-# The most basis elements betti takes, over all blocks of a truncation, as
-# its route counts them.  On the double complex, so4 at weight 4 has
+# The most basis elements betti and assemble_total take, over all blocks
+# of a truncation, as the route counts them.  On the double complex, so4 at weight 4 has
 # 396 160 and takes about 2 s cold on a 2-CPU x86-64 host, and
 # quadratic.json at weight 60, which ran past a minute there, has
 # 10 181 632.  The slowest corpus case that the reduced route's count
@@ -773,13 +633,7 @@ def build_block(mp: MatchedPairData, truncation: Truncation, weight=None,
     return _Block(mp, weight, basis, layout)
 
 
-def _total_label(block: _Block, degree: int) -> str:
-    if block.weight is None:
-        return f"d{degree}"
-    return f"w{block.weight}_d{degree}"
-
-
-def _block_report(block: _Block, method: str, on_total=None) -> BlockReport:
+def _block_report(block: _Block, method: str) -> BlockReport:
     """Ranks and Betti numbers of one block, one total degree at a time.
 
     A rank goes through the complex: the pivot rows P of a differential
@@ -812,8 +666,6 @@ def _block_report(block: _Block, method: str, on_total=None) -> BlockReport:
             cells.append(CellReport(k, l, dim, dim - rank_a, rank_a,
                                     dim - rank_b, rank_b))
         total = block.total_matrix(degree, matrices)
-        if on_total is not None:
-            on_total(_total_label(block, degree), total)
         dims.append(total.ncols)
         total = total.without_columns(previous.get("total"))
         ranks.append(total.rank(method))
@@ -954,46 +806,23 @@ def _reduced_reports(mp: MatchedPairData, bound: int, c_a: int,
 
 
 def assemble_total(mp: MatchedPairData, truncation: Truncation):
-    """All total-differential matrices of the truncation, labeled.
+    """All total-differential matrices of the truncation, labeled
+    d<degree>, or w<weight>_d<degree> in weight mode: the double complex's
+    on every route, refused above budget as betti's double complex is.
 
     Returns a list of (label, SparseMatrix) with consecutive matrices
     composing to zero (verified exactly by the caller's tests).
     """
-    return [(_total_label(block, degree), block.total_matrix(degree))
+    return [(f"d{degree}" if block.weight is None
+             else f"w{block.weight}_d{degree}", block.total_matrix(degree))
             for block in _blocks_for(mp, truncation)
             for degree in range(block.max_total_degree() + 1)]
 
 
-def _blocks_for(mp, truncation):
-    """The truncation's blocks, sharing one layout."""
-    layout = _Layout(mp)
-    if truncation.mode == "total_degree":
-        return [build_block(mp, truncation, layout=layout)]
-    return [build_block(mp, truncation, weight=w, layout=layout)
-            for w in range(truncation.bound + 1)]
-
-
-def betti(mp: MatchedPairData, truncation: Truncation,
-          method: str = "sparse", *, on_total=None) -> BettiReport:
-    """Betti numbers of the truncated double complex.
-
-    Weight mode is exact per weight block for the polynomial model;
-    total_degree mode computes the truncated subcomplex and is labeled a
-    filtered approximation.  on_total, if given, is called with each
-    (label, total matrix) of assemble_total as it is ranked.  In weight
-    mode with method "sparse" and no on_total, a pair that _reduces is
-    ranked on its reduced complex (_reduced_reports); every other case
-    ranks the double complex.
-    """
-    if method not in ("sparse", "oracle"):
-        raise TruncationError(f"unknown method {method!r}")
-    reduced = (truncation.mode == "weight" and method == "sparse"
-               and on_total is None and _reduces(mp))
-    if reduced:
-        c_a, c_b = weight_exponents(mp)
-        size = _reduced_size(mp, truncation.bound, c_b)
-    else:
-        size = basis_size(mp, truncation)
+def _check_budget(mp: MatchedPairData, truncation: Truncation, size: int):
+    """Refuse a truncation of size basis elements, as its route counts
+    them, above MAX_BASIS, or one whose report would hold more than
+    MAX_CELLS cells."""
     if size > MAX_BASIS:
         raise TruncationError(
             f"the truncation has {size} basis elements, more than the "
@@ -1003,10 +832,39 @@ def betti(mp: MatchedPairData, truncation: Truncation,
         raise TruncationError(
             f"the truncation has {cells} cells, more than the {MAX_CELLS} "
             "cohomology takes; choose a smaller bound")
-    if reduced:
+
+
+def _blocks_for(mp, truncation):
+    """The truncation's blocks of the double complex, sharing one layout,
+    once its counted basis (basis_size) and cells are within budget."""
+    _check_budget(mp, truncation, basis_size(mp, truncation))
+    layout = _Layout(mp)
+    if truncation.mode == "total_degree":
+        return [build_block(mp, truncation, layout=layout)]
+    return [build_block(mp, truncation, weight=w, layout=layout)
+            for w in range(truncation.bound + 1)]
+
+
+def betti(mp: MatchedPairData, truncation: Truncation,
+          method: str = "sparse") -> BettiReport:
+    """Betti numbers of the truncated double complex.
+
+    Weight mode is exact per weight block for the polynomial model;
+    total_degree mode computes the truncated subcomplex and is labeled a
+    filtered approximation.  In weight mode with method "sparse", a pair
+    that _reduces is ranked on its reduced complex (_reduced_reports);
+    every other case ranks the double complex.
+    """
+    if method not in ("sparse", "oracle"):
+        raise TruncationError(f"unknown method {method!r}")
+    if (truncation.mode == "weight" and method == "sparse"
+            and _reduces(mp)):
+        c_a, c_b = weight_exponents(mp)
+        _check_budget(mp, truncation,
+                      _reduced_size(mp, truncation.bound, c_b))
         reports = _reduced_reports(mp, truncation.bound, c_a, c_b)
     else:
-        reports = [_block_report(block, method, on_total)
+        reports = [_block_report(block, method)
                    for block in _blocks_for(mp, truncation)]
     label = ("exact_weight_graded" if truncation.mode == "weight"
              else "filtered_approximation")

@@ -193,9 +193,6 @@ class GQ:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_real(self) -> bool:
-        return self.b == 0
-
     def __eq__(self, other):
         if type(other) is GQ:
             return (self.a == other.a and self.b == other.b

@@ -417,18 +417,12 @@ def poly_mat_mul(a, b):
     return out
 
 
-def poly_mat_vec(a, v):
-    """The product a v of a polynomial matrix and a coefficient list."""
-    if not a:
-        return []
-    chart = a[0][0].chart
-    out = []
-    for row in a:
-        acc = Poly.zero(chart)
-        for entry, x in zip(row, v):
-            if not entry.is_zero() and not x.is_zero():
-                acc = acc + entry * x
-        out.append(acc)
+def poly_combine(coeffs, vectors, out):
+    """out + sum_k coeffs[k] vectors[k], for Poly coefficients and vectors
+    of Polys; a matrix a times v is poly_combine(v, the columns of a, 0)."""
+    for c, vector in zip(coeffs, vectors):
+        if c.terms:
+            out = [x + c * y if y.terms else x for x, y in zip(out, vector)]
     return out
 
 
@@ -444,19 +438,12 @@ def poly_mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def poly_mat_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-               for ra, rb in zip(a, b))
-
-
 def poly_mat_squares_to_minus_identity(a) -> bool:
     """a a = -1 exactly; true for the empty matrix."""
     if not a:
         return True
     minus_one = poly_mat_scale(poly_identity(a[0][0].chart, len(a)), GQ(-1))
-    return poly_mat_eq(poly_mat_mul(a, a), minus_one)
+    return poly_mat_mul(a, a) == minus_one
 
 
 def poly_mat_eval(a, point):

@@ -22,7 +22,6 @@ from .exactalg import GQ, Chart, Poly, _poly
 from .linalg import (
     column_space_equal,
     dense_rank,
-    poly_mat_eq,
     poly_mat_eval,
     poly_mat_mul,
     poly_mat_scale,
@@ -179,9 +178,8 @@ def pn_check(pi_i: Multivector, n_matrix, schouten_zero=None) -> PNReport:
         schouten_zero = schouten(pi_i, pi_i).is_zero()
 
     msharp = sharp_matrix(pi_i)
-    sharp_intertwine = poly_mat_eq(
-        poly_mat_mul(n_matrix, msharp),
-        poly_mat_mul(msharp, poly_mat_transpose(n_matrix)))
+    sharp_intertwine = (poly_mat_mul(n_matrix, msharp)
+                        == poly_mat_mul(msharp, poly_mat_transpose(n_matrix)))
 
     # the component matrix of pi_N, with pi_N# = pi# N*: N Pi (Pi, with
     # Pi[a][b] = pi(e^a, e^b), is the transpose of the sharp matrix),

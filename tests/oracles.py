@@ -2,6 +2,18 @@
 
 These deliberately take different routes from the library code:
 
+* BiCochain is a section of Lambda^k A* (x) Lambda^l B* of a matched
+  pair, by its components on pairs of increasing frame index sets; the
+  library assembles its matrices by position and has no cochain type.
+  The (q, p) cell of the canonical pair (T^{0,1}X, (T*X)_pi) is
+  Omega^{0,q}(X, Lambda^p T^{1,0}X): a BiCochain keyed (dzb-indices,
+  d/dz-indices).  dbar_mixed (the Dolbeault operator on coefficients) and
+  d_pi (the degree-raising operator of holomorphic Poisson cohomology) act
+  on these BiCochains by their own formulas, reading the chart and pi but
+  not the pair's anchors, brackets or connections, so that they check the
+  tables (applied to a BiCochain by partial_A and partial_B below) rather
+  than share code with them.  No command reached the three, so they left
+  the library.
 * schouten_oracle builds the bracket recursively from the defining axioms
   ([X, f] = X(f), [X, Y] = Lie bracket, graded Leibniz and antisymmetry)
   instead of the closed coordinate formula.
@@ -23,6 +35,10 @@ These deliberately take different routes from the library code:
 * cell_matrix_reference and total_matrix_oracle build a block's cell and
   total matrices one basis vector at a time through the reference
   coboundary, instead of reading the operator tables and assembling.
+* double_complex_betti is betti's report on the double complex, whatever
+  route betti takes for the pair: every block of cohomology._blocks_for
+  ranked by cohomology._block_report.  The reduced route is checked
+  against it where the dense oracle is out of reach.
 * markowitz_rank_reference is the library's sparse rank before it took
   its pivots from column-count buckets: every step scans all remaining
   nonzeros for the least Markowitz cost (r - 1)(c - 1), frozen here as a
@@ -136,7 +152,6 @@ from holopoisson.algebroid import (
     realify_liealgebra,
     yao_phi,
 )
-from holopoisson.cohomology import BiCochain
 from holopoisson.errors import (
     ChartError,
     DegreeError,
@@ -158,13 +173,11 @@ from holopoisson.linalg import (
     dense_rank,
     gq_mat_inverse,
     poly_identity,
-    poly_mat_eq,
     poly_mat_eval,
     poly_mat_mul,
     poly_mat_scale,
     poly_mat_sub,
     poly_mat_transpose,
-    poly_mat_vec,
 )
 from holopoisson.multivec import (
     Form,
@@ -195,6 +208,12 @@ QUARTER = Fraction(1, 4)
 
 def sgn(x: int) -> int:
     return -1 if x % 2 else 1
+
+
+def poly_mat_vec(a, v):
+    """The product a v of a Poly matrix and a Poly list, as the one column
+    of the matrix product."""
+    return [row[0] for row in poly_mat_mul(a, [[x] for x in v])]
 
 
 def rand_poly(rng, chart, deg=2, terms=3, holomorphic=False):
@@ -294,6 +313,120 @@ def contract_oracle(xi: Form, P: Multivector) -> Multivector:
                                {idx[:a - 1] + idx[a:]: coeff * pair})
             out = out + rest.scale(sgn(a - 1))
     return out
+
+
+# ----------------------------------------------------------------------
+# cochains of the double complex and the canonical-pair operators
+
+class BiCochain:
+    """Element of Gamma(Lambda^k A* (x) Lambda^l B*) of a matched pair."""
+
+    __slots__ = ("mp", "k", "l", "comps")
+
+    def __init__(self, mp: MatchedPairData, k: int, l: int, comps=None):
+        if k < 0 or l < 0:
+            raise DegreeError("negative bidegree")
+        chart = mp.A.chart
+        clean = {}
+        if comps:
+            for key, poly in comps.items():
+                I, J = tuple(key[0]), tuple(key[1])
+                if len(I) != k or len(J) != l:
+                    raise DegreeError("component does not match bidegree")
+                for t, bound in ((I, mp.A.rank), (J, mp.B.rank)):
+                    if list(t) != sorted(set(t)):
+                        raise DegreeError(f"index tuple {t} not increasing")
+                    if any(not 0 <= v < bound for v in t):
+                        raise DegreeError("frame index out of range")
+                if isinstance(poly, (int, GQ)):
+                    poly = Poly.const(chart, poly)
+                if poly.chart != chart:
+                    raise ChartError("component on wrong chart")
+                if not poly.is_zero():
+                    clean[(I, J)] = poly
+        self.mp = mp
+        self.k = k
+        self.l = l
+        self.comps = clean
+
+    def is_zero(self) -> bool:
+        return not self.comps
+
+    def __eq__(self, other):
+        if not isinstance(other, BiCochain):
+            return NotImplemented
+        if self.is_zero() and other.is_zero():
+            return True
+        return (self.k, self.l) == (other.k, other.l) and self.comps == other.comps
+
+    def __add__(self, other):
+        if (self.k, self.l) != (other.k, other.l):
+            if self.is_zero():
+                return other
+            if other.is_zero():
+                return self
+            raise DegreeError("cannot add different bidegrees")
+        comps = dict(self.comps)
+        for key, poly in other.comps.items():
+            _accumulate(comps, key, poly)
+        return BiCochain(self.mp, self.k, self.l, comps)
+
+    def __neg__(self):
+        return BiCochain(self.mp, self.k, self.l,
+                         {key: -p for key, p in self.comps.items()})
+
+
+def dbar_mixed(c: BiCochain) -> BiCochain:
+    """The Dolbeault column operator on a cochain of the canonical pair:
+    dbar acts on the coefficients, and each dzb_b it produces joins the
+    A-indices (the d/dz slots of the B-indices are a holomorphic frame)."""
+    chart = c.mp.A.chart
+    n = chart.n
+    comps: dict = {}
+    for (I, J), coeff in c.comps.items():
+        for b in range(n):
+            dcoeff = coeff.diff(n + b)
+            if dcoeff.is_zero():
+                continue
+            merged = insert_index(b, I)
+            if merged is None:
+                continue
+            new_I, sign = merged
+            _accumulate(comps, (new_I, J), dcoeff if sign > 0 else -dcoeff)
+    return BiCochain(c.mp, c.k + 1, c.l, comps)
+
+
+def d_pi(c: BiCochain, pi: Multivector) -> BiCochain:
+    """Polyvector-degree-raising differential of holomorphic Poisson
+    cohomology on a cochain of the canonical pair of pi: on a decomposable
+    cell omega (x) P it is
+    omega (x) [pi, P] + sum_i (i_{pi#(dz^i)} d omega) (x) (e_i ^ P)."""
+    report = is_holomorphic_poisson(pi)
+    if not report.all_ok:
+        raise StructureError("d_pi needs a holomorphic Poisson bivector")
+    chart = pi.chart
+    if c.mp.A.chart != chart:
+        raise ChartError("chart mismatch")
+    n = chart.n
+    hamiltonian = [sharp(pi, Form.frame(chart, i)) for i in range(n)]
+    comps = {}
+    for (I, J), f in c.comps.items():
+        frame_vec = Multivector(chart, len(J), {J: Poly.one(chart)})
+        bracket = schouten(pi, frame_vec)
+        for idx, coeff in bracket.comps.items():
+            if any(v >= n for v in idx):
+                raise StructureError("d_pi left the holomorphic polyvectors")
+            _accumulate(comps, (I, idx), f * coeff)
+        for i in range(n):
+            deriv = hamiltonian[i].apply_to(f)
+            if deriv.is_zero():
+                continue
+            merged = insert_index(i, J)
+            if merged is None:
+                continue
+            new_J, sign = merged
+            _accumulate(comps, (I, new_J), deriv if sign > 0 else -deriv)
+    return BiCochain(c.mp, c.k, c.l + 1, comps)
 
 
 # ----------------------------------------------------------------------
@@ -586,6 +719,12 @@ def markowitz_rank_reference(matrix: SparseMatrix) -> int:
 # ----------------------------------------------------------------------
 # matrices of a truncation block, basis vector by basis vector
 
+def _cell_keys(cell):
+    """The basis of a cohomology._Cell as (I, J, exponents) triples, in its
+    order: frame pairs outer, monomials inner."""
+    return [(I, J, exps) for I, J in cell.pairs for exps in cell.monos]
+
+
 def _basis_cochain(block, cell, key):
     I, J, exps = key
     return BiCochain(block.mp, cell[0], cell[1],
@@ -599,9 +738,11 @@ def cell_matrix_reference(block, cell, direction):
     k, l = cell
     target = (k + 1, l) if direction == "A" else (k, l + 1)
     partial = partial_A_reference if direction == "A" else partial_B_reference
-    rows = {key: pos for pos, key in enumerate(block.basis.get(target, []))}
+    goal = block.basis.get(target)
+    rows = {key: pos for pos, key in
+            enumerate(_cell_keys(goal) if goal is not None else [])}
     entries = {}
-    for col, key in enumerate(block.basis.get(cell, [])):
+    for col, key in enumerate(_cell_keys(block.basis[cell])):
         image = partial(_basis_cochain(block, cell, key))
         for (I, J), poly in image.comps.items():
             for exps, coeff in poly.terms.items():
@@ -610,7 +751,7 @@ def cell_matrix_reference(block, cell, direction):
                         "differential escapes the truncated basis; "
                         "choose a compatible truncation")
                 entries[(rows[(I, J, exps)], col)] = coeff
-    return SparseMatrix(len(rows), len(block.basis.get(cell, [])), entries)
+    return SparseMatrix(len(rows), len(block.basis[cell]), entries)
 
 
 def total_matrix_oracle(block, degree):
@@ -630,20 +771,31 @@ def total_matrix_oracle(block, degree):
     row_offset, nrows = offsets(degree + 1)
     entries = {}
     for (k, l), col_base in col_offset.items():
-        for col, key in enumerate(block.basis[(k, l)]):
+        for col, key in enumerate(_cell_keys(block.basis[(k, l)])):
             cochain = _basis_cochain(block, (k, l), key)
             db = partial_B_reference(cochain)
             for image in (partial_A_reference(cochain), -db if k % 2 else db):
                 if image.is_zero():
                     continue
                 target = (image.k, image.l)
-                items = block.basis[target]
+                items = _cell_keys(block.basis[target])
                 for (I2, J2), poly in image.comps.items():
                     for exps2, coeff in poly.terms.items():
                         row = items.index((I2, J2, exps2))
                         entries[(row_offset[target] + row,
                                  col_base + col)] = coeff
     return (nrows, ncols), entries
+
+
+def double_complex_betti(mp, truncation, method="sparse"):
+    """betti's report ranked on the double complex, on a pair and mode
+    that betti would take to the reduced route too."""
+    reports = [cohomology._block_report(block, method)
+               for block in cohomology._blocks_for(mp, truncation)]
+    label = ("exact_weight_graded" if truncation.mode == "weight"
+             else "filtered_approximation")
+    return cohomology.BettiReport(truncation.mode, truncation.bound, method,
+                                  label, tuple(reports))
 
 
 class FractionGQ:
@@ -1450,7 +1602,7 @@ def pn_check_reference(pi_i: Multivector, n_matrix,
     msharp = sharp_matrix(pi_i)
     lhs = poly_mat_mul(n_field.matrix, msharp)
     rhs = poly_mat_mul(msharp, poly_mat_transpose(n_field.matrix))
-    sharp_intertwine = poly_mat_eq(lhs, rhs)
+    sharp_intertwine = lhs == rhs
 
     torsion_zero = not nijenhuis_torsion_reference(n_field)
 

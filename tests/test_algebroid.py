@@ -39,7 +39,6 @@ from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.linalg import (
     poly_mat_squares_to_minus_identity,
     poly_mat_transpose,
-    poly_mat_vec,
 )
 from holopoisson.multivec import (
     Form,
@@ -68,6 +67,7 @@ from oracles import (
     matched_pair_F,
     matched_pair_S,
     nijenhuis_torsion_reference,
+    poly_mat_vec,
     poisson_bracket,
     rand_multivector,
     rand_poly,

@@ -17,12 +17,16 @@ from holopoisson.cli import (
     COMMANDS,
     INPUT_ERRORS,
     VERIFY_ERRORS,
+    _doc_chart_pi,
     _load,
     corpus,
     corpus_path,
     run_job,
 )
-from holopoisson.algebroid import nijenhuis_torsion_algebroid
+from holopoisson.algebroid import (
+    canonical_matched_pair,
+    nijenhuis_torsion_algebroid,
+)
 from holopoisson.errors import ParseError
 from holopoisson.exactalg import Chart
 from holopoisson.serialize import (
@@ -325,33 +329,73 @@ def test_cohomology_with_dump(tmp_path):
         assert 0 <= int(i) < rows and 0 <= int(j) < cols
 
 
-def test_dump_builds_each_cell_matrix_once(tmp_path, monkeypatch, capsys):
-    """--dump-matrices writes the total matrices that betti ranks, so it
-    builds no cell matrix twice: the same cell matrices, each once, as the
-    double complex of --method oracle.  The dump changes no report."""
+def test_dump_writes_assemble_total(tmp_path, monkeypatch, capsys):
+    """--dump-matrices writes the total matrices of assemble_total, one
+    _dump_text file per label, and changes no report byte.  The report
+    takes its own route: a weight-mode dump still ranks the reduced
+    complex (_reduced_ranks), and a total-degree one the double complex."""
     from holopoisson import cli, cohomology
+    from holopoisson.cli import _dump_text
 
-    calls = []
-    original = cohomology._Block.cell_matrix
+    reduced = []
+    reduced_ranks = cohomology._reduced_ranks
 
-    def counting(self, cell, direction, *args):
-        calls.append((self.weight, cell, direction))
-        return original(self, cell, direction, *args)
+    def counting(*args):
+        reduced.append(args)
+        return reduced_ranks(*args)
 
-    monkeypatch.setattr(cohomology._Block, "cell_matrix", counting)
-    args = ["cohomology", corpus_path("sl2.json"), "--weight", "2"]
-    counts, outs = [], []
-    for extra in (["--method", "oracle"], [],
-                  ["--dump-matrices", str(tmp_path / "mats")]):
-        calls.clear()
-        assert cli.main(args + extra) == 0
-        outs.append(capsys.readouterr().out)
-        counts.append(list(calls))
-    assert counts[0] and counts[2] == counts[0]
-    assert len(set(counts[2])) == len(counts[2])
-    assert outs[2] == outs[1]
-    assert sorted(p.name for p in (tmp_path / "mats").iterdir()) == [
-        f"w{w}_d{d}.txt" for w in range(3) for d in range(7)]
+    monkeypatch.setattr(cohomology, "_reduced_ranks", counting)
+    for name, mode, flag, bound in (
+            ("sl2.json", "weight", "--weight", 2),
+            ("darboux_n1.json", "total_degree", "--max-degree", 2)):
+        args = ["cohomology", corpus_path(name), flag, str(bound)]
+        dump_dir = tmp_path / mode
+        outs = []
+        for extra in ([], ["--dump-matrices", str(dump_dir)]):
+            reduced.clear()
+            assert cli.main(args + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+        assert bool(reduced) == (mode == "weight")
+        mp = canonical_matched_pair(
+            _doc_chart_pi(_load(corpus_path(name)), name)[1])
+        want = {f"{label}.txt": _dump_text(matrix) for label, matrix in
+                cohomology.assemble_total(mp,
+                                          cohomology.Truncation(mode, bound))}
+        assert len(want) == (3 * 7 if mode == "weight" else 5)
+        assert {path.name: path.read_text(encoding="utf-8")
+                for path in dump_dir.iterdir()} == want
+
+
+def test_dump_above_budget_is_refused_before_any_rank(tmp_path, monkeypatch,
+                                                      capsys):
+    """A dump is the double complex's, so basis_size is its budget on
+    every route: so4 at weight 5, whose report alone the reduced route
+    would rank on 29 106 polyvectors, is refused (exit 1, one input error
+    line) before any rank and with no dump file."""
+    from holopoisson import cli, cohomology
+    from holopoisson.linalg import SparseMatrix
+
+    path = corpus_path("so4.json")
+    mp = canonical_matched_pair(_doc_chart_pi(_load(path), "so4.json")[1])
+    truncation = cohomology.Truncation("weight", 5)
+    assert cohomology.basis_size(mp, truncation) > cohomology.MAX_BASIS
+    c_b = cohomology.weight_exponents(mp)[1]
+    assert cohomology._reduced_size(mp, 5, c_b) <= cohomology.MAX_BASIS
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ranked")
+
+    monkeypatch.setattr(SparseMatrix, "rank", refuse)
+    dump_dir = tmp_path / "mats"
+    assert cli.main(["cohomology", path, "--weight", "5",
+                     "--dump-matrices", str(dump_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: the truncation has 1661056 basis "
+                          "elements")
+    assert not dump_dir.exists() or not any(dump_dir.iterdir())
 
 
 def test_dump_text_reads_the_entries_once():

@@ -22,14 +22,11 @@ from holopoisson.algebroid import (
 from holopoisson.cli import _doc_chart_pi, _load, corpus, corpus_path, run_job
 from holopoisson.cohomology import (
     MAX_BASIS,
-    BiCochain,
     Truncation,
     assemble_total,
     basis_size,
     betti,
     build_block,
-    d_pi,
-    dbar_mixed,
     monomials_of_degree,
     monomials_up_to_degree,
     weight_exponents,
@@ -41,9 +38,13 @@ from holopoisson.serialize import parse_liealgebra
 
 import oracles
 from oracles import (
+    BiCochain,
     bicochain_as_total,
     ce_differential,
     cell_matrix_reference,
+    d_pi,
+    dbar_mixed,
+    double_complex_betti,
     frame_bivector,
     partial_A,
     partial_A_reference,
@@ -289,8 +290,7 @@ def test_tables_only_for_nonempty_source_cells(monkeypatch):
                 nonempty.add(cell)
             else:
                 assert block.basis[cell].pairs == ()
-    # an on_total keeps betti on the double complex
-    report = betti(mp, Truncation("weight", 2), on_total=lambda *_: None)
+    report = double_complex_betti(mp, Truncation("weight", 2))
     assert len(built) == 2 * len(nonempty)
     assert 0 < len(nonempty) < 121
     assert report.block(2).total_dims[0] == 210  # quadratic monomials
@@ -614,20 +614,27 @@ def test_total_matrix_equals_basis_vector_assembly():
                 assert matrix.entries == entries
 
 
-def test_betti_total_matrices_equal_basis_vector_assembly():
-    """The total matrices betti ranks (merged in place from the cell
-    matrices it ranked first) are the basis-vector assembly; on darboux_n1
-    and sl2 partial_A and partial_B reach rows in common."""
+def test_betti_total_matrices_equal_basis_vector_assembly(monkeypatch):
+    """The total matrices that the double complex ranks (merged in place
+    from the cell matrices it ranked first) are the basis-vector assembly;
+    on darboux_n1 and sl2 partial_A and partial_B reach rows in common."""
+    got = {}
+    total_matrix = cohomology._Block.total_matrix
+
+    def keep(block, degree, *args):
+        matrix = total_matrix(block, degree, *args)
+        label = (f"d{degree}" if block.weight is None
+                 else f"w{block.weight}_d{degree}")
+        got[label] = ((matrix.nrows, matrix.ncols), matrix.entries)
+        return matrix
+
+    monkeypatch.setattr(cohomology._Block, "total_matrix", keep)
     darboux = frame_bivector(C2, 0, 1, Poly.const(C2, -1))
     for pi, truncation in ((sl2_pi(), Truncation("weight", 2)),
                            (darboux, Truncation("total_degree", 1))):
         mp = canonical_matched_pair(pi)
-        got = {}
-
-        def keep(label, matrix):
-            got[label] = ((matrix.nrows, matrix.ncols), matrix.entries)
-
-        betti(mp, truncation, on_total=keep)
+        got.clear()
+        double_complex_betti(mp, truncation)
         want = {}
         shared = False
         weights = (range(truncation.bound + 1)

@@ -150,7 +150,7 @@ def test_gq_agrees_with_fraction_reference(x, y, n):
     else:
         _same(a / b, fa / fb)
         _same(n / b, n / fb)
-    assert a.is_zero() == fa.is_zero() and a.is_real() == fa.is_real()
+    assert a.is_zero() == fa.is_zero() and (a.im == 0) == fa.is_real()
     # equality and hashing, also against ints and Fractions
     assert (a == b) == (fa == fb)
     if a == b:

@@ -55,10 +55,9 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["system", "schouten"]
 
 
-# Kept though no command reaches them: bench/oracle.py imports
-# assemble_total; BiCochain, dbar_mixed and d_pi are the cochain type and
-# the independent checks that the tests compare the coboundaries with.
-KEPT = ["BiCochain", "assemble_total", "d_pi", "dbar_mixed"]
+# Kept though no command reaches them: none, since what only the tests
+# read lives in tests/oracles.py.
+KEPT = []
 
 
 def unreached(sources):

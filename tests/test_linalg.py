@@ -14,11 +14,10 @@ from holopoisson.linalg import (
     dense_rank,
     gq_mat_inverse,
     markowitz_rank,
+    poly_combine,
     poly_identity,
-    poly_mat_eq,
     poly_mat_mul,
     poly_mat_transpose,
-    poly_mat_vec,
 )
 from holopoisson.multivec import Form, Multivector, pairing
 
@@ -90,8 +89,9 @@ def test_poly_matrix_helpers():
     eye = poly_identity(chart, 2)
     x = Poly.var(chart, 0)
     m = [[x, Poly.one(chart)], [Poly.zero(chart), x]]
-    assert poly_mat_eq(poly_mat_mul(eye, m), m)
-    assert poly_mat_eq(poly_mat_transpose(poly_mat_transpose(m)), m)
+    assert poly_mat_mul(eye, m) == m
+    assert poly_mat_transpose(poly_mat_transpose(m)) == m
+    assert m != [m[0]] and m != [row[:1] for row in m]
 
 
 def test_sparse_rank_empty_and_zero():
@@ -518,10 +518,15 @@ def matrix_vector_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(matrix_vector_cases())
-def test_poly_mat_vec_is_one_column_product(case):
+def test_poly_combine_is_one_column_product(case):
+    """poly_combine of v over a's columns, from zero, is a v; from an out,
+    it adds a v to out."""
     rows, vec = case
-    column = poly_mat_mul(rows, [[x] for x in vec])
-    assert poly_mat_vec(rows, vec) == [row[0] for row in column]
+    column = [row[0] for row in poly_mat_mul(rows, [[x] for x in vec])]
+    zero = [Poly.zero(vec[0].chart)] * len(rows)
+    columns = poly_mat_transpose(rows)
+    assert poly_combine(vec, columns, zero) == column
+    assert poly_combine(vec, columns, column) == [x + x for x in column]
 
 
 @st.composite

@@ -12,7 +12,6 @@ from holopoisson.algebroid import (
 from holopoisson.errors import ChartError, DegreeError, SingularError, StructureError
 from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.linalg import (
-    poly_mat_eq,
     poly_mat_mul,
     poly_mat_squares_to_minus_identity,
     poly_mat_transpose,
@@ -476,8 +475,8 @@ def test_pngc_equivalence_small_sample():
         rep = is_holomorphic_poisson(pi)
         pair = decompose(pi)
         pn = pn_check(pair.pi_I, j)
-        sharp_rel = poly_mat_eq(sharp_matrix(pair.pi_R),
-                                poly_mat_mul(sharp_matrix(pair.pi_I), jt))
+        sharp_rel = (sharp_matrix(pair.pi_R)
+                     == poly_mat_mul(sharp_matrix(pair.pi_I), jt))
         assert sharp_rel  # automatic for (2,0) input (Lemma content)
         assert rep.all_ok == (pn.all_ok and sharp_rel)
 
@@ -499,8 +498,7 @@ def test_lemma_membership_sharp_relation():
         half = GQ(Fraction(1, 2))
         pi_r = convert_alternating((pi + conj_pi).scale(half), R2)
         pi_i = convert_alternating((pi - conj_pi).scale(GQ(0, Fraction(-1, 2))), R2)
-        rel = poly_mat_eq(sharp_matrix(pi_r),
-                          poly_mat_mul(sharp_matrix(pi_i), jt))
+        rel = sharp_matrix(pi_r) == poly_mat_mul(sharp_matrix(pi_i), jt)
         assert rel == is_20
 
 

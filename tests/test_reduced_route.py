@@ -1,13 +1,13 @@
 """Weight-mode cohomology through the reduced complex, against the double
 complex.
 
-In weight mode with method "sparse" and no on_total, betti ranks only d_pi
-on holomorphic polyvectors (the reduced complex) of a pair that _reduces,
-and fills every other number of the report by counting.  These tests
-compare its whole report, record for record, with the double complex's:
-method "oracle" (every full matrix ranked densely), or, where the dense
-oracle is out of reach, the double complex's sparse ranks, which an
-on_total keeps.
+In weight mode with method "sparse", betti ranks only d_pi on holomorphic
+polyvectors (the reduced complex) of a pair that _reduces, and fills
+every other number of the report by counting.  These tests compare its
+whole report, record for record, with the double complex's: method
+"oracle" (every full matrix ranked densely), or, where the dense oracle
+is out of reach, the double complex's sparse ranks
+(oracles.double_complex_betti).
 """
 
 import json
@@ -36,6 +36,7 @@ from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.multivec import Multivector
 
 from oracles import (
+    double_complex_betti,
     holomorphic_tangent_algebroid,
     linear_action_algebroid,
     sl2,
@@ -43,12 +44,6 @@ from oracles import (
 
 C2 = Chart.complex(2)
 C3 = Chart.complex(3)
-
-
-def double_complex(mp, truncation):
-    """betti on the double complex with sparse ranks: an on_total keeps
-    betti off the reduced route."""
-    return betti(mp, truncation, on_total=lambda label, matrix: None)
 
 
 def corpus_poisson_pairs():
@@ -83,7 +78,7 @@ def test_reduced_route_equals_double_complex_on_corpus(name, mp):
         low = Truncation("weight", 1)
         assert (betti(mp, low).blocks
                 == betti(mp, low, method="oracle").blocks)
-        want = double_complex(mp, truncation)
+        want = double_complex_betti(mp, truncation)
     else:
         want = betti(mp, truncation, method="oracle")
     assert report.blocks == want.blocks
@@ -248,7 +243,7 @@ def test_reduced_route_equals_double_complex_on_random_structures(pi,
                                                                   bound):
     mp = canonical_matched_pair(pi)
     truncation = Truncation("weight", bound)
-    assert betti(mp, truncation).blocks == double_complex(
+    assert betti(mp, truncation).blocks == double_complex_betti(
         mp, truncation).blocks
 
 
