@@ -67,7 +67,7 @@ the Koszul algebroids of 4 pi_R and 4 pi_I.
 from __future__ import annotations
 
 from .errors import ChartError, DegreeError, Record, ShapeError, StructureError
-from .exactalg import GQ, Chart, Poly, _normal, is_scalar
+from .exactalg import GQ, Chart, Poly, _coordinate_images, _normal, is_scalar
 from .linalg import (
     dense_rank,
     gq_mat_inverse,
@@ -87,8 +87,8 @@ from .multivec import (
 )
 from .poisson import (
     GCSection,
+    complex_parts,
     courant_bracket,
-    decompose,
     is_holomorphic_poisson,
 )
 
@@ -190,12 +190,13 @@ class AlgebroidChart:
     def anchor_field(self, section) -> Multivector:
         """rho applied to a section, as a tangent vector field."""
         section = self.coerce_section(section)
+        rows = [(s, row) for s, row in zip(section, self.anchor) if s.terms]
         comps = {}
         for a in range(self.chart.nvars):
             acc = Poly.zero(self.chart)
-            for i in range(self.rank):
-                if not section[i].is_zero() and not self.anchor[i][a].is_zero():
-                    acc = acc + section[i] * self.anchor[i][a]
+            for s, row in rows:
+                if row[a].terms:
+                    acc = acc + s * row[a]
             if not acc.is_zero():
                 comps[(a,)] = acc
         return Multivector(self.chart, 1, comps)
@@ -601,52 +602,56 @@ def realparts_liealgebra_check(g: LieAlgebra) -> RealPartsReport:
 
     Only the pairs s < t are evaluated: both sides are antisymmetric in
     (V, W), the Poisson brackets because pi_R and pi_I are bivectors and
-    the right-hand sides because AlgebroidChart enforces a zero diagonal
-    and antisymmetric structure functions.  d l'(e_s) and the Hamiltonian
-    fields pi_R# d l'(e_s), pi_I# d l'(e_s) are tabled once per s, so each
-    left-hand side is one pairing {f, g} = <dg, pi# df>.  The realified
-    bracket is C-bilinear by construction, so [V, W]_j = j[V, W]
-    = [V, jW] is read from the data: with j e_t = e_{t+r} and
-    j e_{t+r} = -e_t, it is the structure vector of (s, t + r), or minus
-    that of (s, t - r)."""
+    the right-hand sides because the brackets are.  d l'(e_s) and the
+    Hamiltonian fields pi_R# d l'(e_s), pi_I# d l'(e_s) are tabled once per
+    s, so each left-hand side is one pairing {f, g} = <dg, pi# df>.
+
+    Everything is read on the complex chart of the Lie-Poisson structure,
+    where complex_parts gives pi_R and pi_I with no chart conversion: the
+    identities are between polynomials, which the coordinate change
+    z = x + iy carries to the same identities on the real chart.  A
+    doubled section with parts (Re w, Im w) over (e_1..e_r, je_1..je_r) is
+    the complex combination w, and l' of it is sum_a Re(w_a) x_a
+    - Im(w_a) y_a, with x_a and y_a written in z and zb.  The doubled basis
+    is u e_x with u = 1 or i, and the realified bracket is C-bilinear, so
+    [u e_x, u' e_y] = u u' c_xy and [V, W]_j = [V, jW] = i [V, W] are read
+    from gc's structure constants c_xy."""
     gc = complex_presentation(g)
     _jacobi(gc)
-    pi = _lie_poisson(gc)
-    pair = decompose(pi)
-    real_chart = pair.pi_R.chart
+    pair = complex_parts(_lie_poisson(gc))
     r = gc.rank
+    chart = pair.pi_R.chart
+    images = _coordinate_images(Chart.real(r), chart)
+    x, y = images[:r], images[r:]
 
-    def lprime(section):
-        # e_a -> x_a ; je_a -> -y_a on the transported dual chart
-        out = Poly.zero(real_chart)
-        for a in range(r):
-            if not section[a].is_zero():
-                out = out + Poly.var(real_chart, a).scale(section[a])
-            if not section[r + a].is_zero():
-                out = out - Poly.var(real_chart, r + a).scale(section[r + a])
+    def lprime(w):
+        out = Poly.zero(chart)
+        for a, v in enumerate(w):
+            if v.a:
+                out = out + x[a].scale(_normal(v.a, 0, v.d))
+            if v.b:
+                out = out - y[a].scale(_normal(v.b, 0, v.d))
         return out
 
-    doubled = _realify(gc).algebroid
-
-    frames = [doubled.frame_section(s) for s in range(2 * r)]
-    dl = [differential(lprime(_constants(es))) for es in frames]
+    units = [GQ(1)] * r + [GQ(0, 1)] * r
+    dl = [differential(lprime([units[s] if a == s % r else GQ(0)
+                               for a in range(r)])) for s in range(2 * r)]
     ham_re = [sharp(pair.pi_R, d) for d in dl]
     ham_im = [sharp(pair.pi_I, d) for d in dl]
+    minus_quarter_i = GQ(0, -1) * QUARTER
     ok_re = True
     ok_im = True
     for s in range(2 * r):
         for t in range(s + 1, 2 * r):
-            bracket = _constants(doubled.structure[s][t])
-            if t < r:
-                jbracket, factor = doubled.structure[s][t + r], -QUARTER
-            else:
-                jbracket, factor = doubled.structure[s][t - r], QUARTER
+            unit = units[s] * units[t]
+            bracket = [unit * v
+                       for v in _constants(gc.structure[s % r][t % r])]
             lhs_re = pairing(dl[t], ham_re[s])
             rhs_re = lprime([v * QUARTER for v in bracket])
             if lhs_re != rhs_re:
                 ok_re = False
             lhs_im = pairing(dl[t], ham_im[s])
-            rhs_im = lprime([v * factor for v in _constants(jbracket)])
+            rhs_im = lprime([v * minus_quarter_i for v in bracket])
             if lhs_im != rhs_im:
                 ok_im = False
         if not (ok_re or ok_im):
@@ -798,32 +803,57 @@ def _s_tensor(mp: MatchedPairData, ab, ba) -> dict:
     on the swapped pair these are the values of T.  S(X;Y1,Y2) is
     [nabla_X Y1, Y2] + [Y1, nabla_X Y2] - nabla_X [Y1,Y2]
     + nabla_{nabla_{Y2} X} Y1 - nabla_{nabla_{Y1} X} Y2, a B-section, read
-    from the frame tables as in _f_tensor.  By tensoriality in the acting
-    argument, nabla_{nabla_{Y} X} Y' = sum_m (nabla_Y X)_m nabla_{e_m} Y';
-    a zero table entry drops its bracket term."""
+    from the frame tables as in _f_tensor.  nabla_{e_i} of a structure
+    vector c = sum_k c_k f_k is sum_k rho(e_i)(c_k) f_k + sum_k c_k ab[i][k],
+    from anchor row i and the nonzero entries of row i of the table.  By
+    tensoriality in the acting argument, nabla_{nabla_{Y} X} Y'
+    = sum_m (nabla_Y X)_m nabla_{e_m} Y'.  Each table term is added only
+    where its entry is nonzero."""
     a, b = mp.A, mp.B
-    a_frames = [a.frame_section(i) for i in range(a.rank)]
+    zero = Poly.zero(b.chart)
     b_frames = [b.frame_section(j) for j in range(b.rank)]
     columns = [[row[j] for row in ab] for j in range(b.rank)]
+    ab_nonzero = [{k: vec for k, vec in enumerate(row)
+                   if not b.section_is_zero(vec)} for row in ab]
+    ba_nonzero = [[not a.section_is_zero(vec) for vec in row] for row in ba]
     S = {}
-    for i, x in enumerate(a_frames):
-        for j1, y1 in enumerate(b_frames):
+    for i in range(a.rank):
+        anchor = [(v, p) for v, p in enumerate(a.anchor[i]) if p.terms]
+        table = ab_nonzero[i]
+        for j1 in range(b.rank):
             for j2 in range(j1 + 1, b.rank):
-                y2 = b_frames[j2]
-                value = [-p for p in
-                         mp.nablaAB._apply(x, b.structure[j1][j2])]
-                if not b.section_is_zero(ab[i][j1]):
+                # -nabla_{e_i} [f_j1, f_j2]
+                c = b.structure[j1][j2]
+                value = [-_derivative(anchor, p) if p.terms else zero
+                         for p in c]
+                for k, vec in table.items():
+                    if c[k].terms:
+                        value = [x - c[k] * y if y.terms else x
+                                 for x, y in zip(value, vec)]
+                if j1 in table:
                     value = [p + q for p, q in
-                             zip(value, b._bracket(ab[i][j1], y2))]
-                if not b.section_is_zero(ab[i][j2]):
+                             zip(value, b._bracket(table[j1], b_frames[j2]))]
+                if j2 in table:
                     value = [p + q for p, q in
-                             zip(value, b._bracket(y1, ab[i][j2]))]
-                value = poly_combine(ba[j2][i], columns[j1], value)
-                value = poly_combine([-p for p in ba[j1][i]], columns[j2],
-                                     value)
+                             zip(value, b._bracket(b_frames[j1], table[j2]))]
+                if ba_nonzero[j2][i]:
+                    value = poly_combine(ba[j2][i], columns[j1], value)
+                if ba_nonzero[j1][i]:
+                    value = poly_combine([-p for p in ba[j1][i]],
+                                         columns[j2], value)
                 if not b.section_is_zero(value):
                     S[(i, j1, j2)] = value
     return S
+
+
+def _derivative(anchor, f: Poly) -> Poly:
+    """rho(e)(f) for the nonzero entries (v, p) of e's anchor row."""
+    out = Poly.zero(f.chart)
+    for v, p in anchor:
+        df = f.diff(v)
+        if df.terms:
+            out = out + p * df
+    return out
 
 
 def bowtie(mp: MatchedPairData) -> AlgebroidChart:

@@ -305,23 +305,23 @@ def cmd_cohomology(doc, options):
     chart, pi = _doc_chart_pi(doc, "cohomology input")
     mp = alg.canonical_matched_pair(pi)
     truncation = coho.Truncation(mode, bound)
-    dumps = {}
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
     try:
-        if dump_dir:
-            # first, so that a dump above budget is refused before any rank
-            dumps = {label: _dump_text(matrix) for label, matrix
-                     in coho.assemble_total(mp, truncation)}
+        # the dump's budget first, so that a dump above it is refused
+        # before any rank; its matrices are built and written one at a
+        # time once the report is made
+        totals = coho.assemble_total(mp, truncation) if dump_dir else ()
         report = coho.betti(mp, truncation, method=method)
+        for label, matrix in totals:
+            path = os.path.join(dump_dir, f"{label}.txt")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(_dump_text(matrix))
+            del matrix  # not alive while the next one is built
     except TruncationError as exc:
         # the structure does not support the requested truncation: the
         # request is at fault, no verification failed
         raise ParseError(str(exc)) from exc
-    for label, text in dumps.items():
-        path = os.path.join(dump_dir, f"{label}.txt")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
     return {"verdicts": {},
             "data": report.as_dict()}, True
 

@@ -35,7 +35,7 @@ l-polyvectors with coefficients of degree b, which _reduced_ranks builds
 as partial_B cell matrices on cells of holomorphic monomials.  Every other
 case, --method oracle and total-degree mode, ranks the double complex.
 The matrix dumps are the double complex's total matrices on every route:
-assemble_total builds them.
+assemble_total builds them, one at a time as its caller reaches them.
 
 A truncation whose basis, counted before any block is built, is above
 MAX_BASIS is a TruncationError: the double complex's (basis_size, checked
@@ -808,15 +808,18 @@ def _reduced_reports(mp: MatchedPairData, bound: int, c_a: int,
 def assemble_total(mp: MatchedPairData, truncation: Truncation):
     """All total-differential matrices of the truncation, labeled
     d<degree>, or w<weight>_d<degree> in weight mode: the double complex's
-    on every route, refused above budget as betti's double complex is.
+    on every route, refused above budget as betti's double complex is,
+    when assemble_total is called.
 
-    Returns a list of (label, SparseMatrix) with consecutive matrices
-    composing to zero (verified exactly by the caller's tests).
+    Returns an iterator of (label, SparseMatrix) in degree order, block by
+    block, that builds each matrix when it is reached, so a caller that
+    writes each one out holds one at a time.  Consecutive matrices compose
+    to zero (verified exactly by the caller's tests).
     """
-    return [(f"d{degree}" if block.weight is None
+    return ((f"d{degree}" if block.weight is None
              else f"w{block.weight}_d{degree}", block.total_matrix(degree))
             for block in _blocks_for(mp, truncation)
-            for degree in range(block.max_total_degree() + 1)]
+            for degree in range(block.max_total_degree() + 1))
 
 
 def _check_budget(mp: MatchedPairData, truncation: Truncation, size: int):
@@ -836,13 +839,15 @@ def _check_budget(mp: MatchedPairData, truncation: Truncation, size: int):
 
 def _blocks_for(mp, truncation):
     """The truncation's blocks of the double complex, sharing one layout,
-    once its counted basis (basis_size) and cells are within budget."""
+    once its counted basis (basis_size) and cells are within budget.  The
+    budget is checked at the call; the weight blocks are built one at a
+    time, as the caller reaches them."""
     _check_budget(mp, truncation, basis_size(mp, truncation))
     layout = _Layout(mp)
     if truncation.mode == "total_degree":
         return [build_block(mp, truncation, layout=layout)]
-    return [build_block(mp, truncation, weight=w, layout=layout)
-            for w in range(truncation.bound + 1)]
+    return (build_block(mp, truncation, weight=w, layout=layout)
+            for w in range(truncation.bound + 1))
 
 
 def betti(mp: MatchedPairData, truncation: Truncation,

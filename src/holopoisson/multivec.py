@@ -1,7 +1,7 @@
 """Exterior calculus on a chart: multivector fields, differential forms,
-wedge, contraction, Lie derivative, the Schouten-Nijenhuis bracket, de Rham
-d, the sharp map of a bivector and the change of frames between the real
-and complex charts, derived from exactalg's one coordinate change.
+wedge, contraction, the Schouten-Nijenhuis bracket, de Rham d, the sharp
+map of a bivector and the change of frames between the real and complex
+charts, derived from exactalg's one coordinate change.
 
 Frame bookkeeping: on a chart of dimension n both the tangent and cotangent
 frames carry 2n slots.  On complex charts slot k < n is the holomorphic
@@ -360,18 +360,6 @@ def schouten(P: Multivector, Q: Multivector) -> Multivector:
     flip = -1 if ((p - 1) * (q - 1)) % 2 else 1
     one_side(Q, P, -flip)
     return _alternating(Multivector, P.chart, degree, comps)
-
-
-def lie_derivative(x: Multivector, target):
-    """Lie derivative along a degree-1 field; Cartan formula on forms,
-    Schouten bracket on multivectors."""
-    if x.degree != 1:
-        raise DegreeError("lie_derivative needs a degree-1 field")
-    if isinstance(target, Form):
-        return interior(x, exterior_d(target)) + exterior_d(interior(x, target))
-    if isinstance(target, Multivector):
-        return schouten(x, target)
-    raise DegreeError(f"cannot Lie-derive {type(target).__name__}")
 
 
 def sharp(pi: Multivector, xi: Form) -> Multivector:

@@ -2,7 +2,11 @@
 
 Covers the real/imaginary decomposition of a (2,0) bivector,
 Poisson-Nijenhuis compatibility against an almost complex structure, the
-antisymmetrized Courant bracket and pointwise foliation ranks.  The generalized complex endomorphism J_pi with its -i
+antisymmetrized Courant bracket and pointwise foliation ranks.  The parts
+are taken on the real chart (decompose, for the decompose command and the
+foliation ranks) or, with no chart conversion, on the bivector's own
+complex chart (complex_parts), where pn_check_complex and the realparts
+check read them.  The generalized complex endomorphism J_pi with its -i
 eigenbundle, the symplectic inverse and the Poisson bracket of two
 functions are test references (tests/oracles.py): no command computes
 them.
@@ -36,7 +40,7 @@ from .multivec import (
     convert_alternating,
     differential,
     exterior_d,
-    lie_derivative,
+    interior,
     pairing,
     schouten,
     sharp_matrix,
@@ -49,13 +53,19 @@ HALF = GQ(1) / 2
 # endomorphisms of the tangent frame
 
 def standard_j(chart: Chart):
-    """The standard almost complex structure on a real chart, as the square
-    Poly matrix over the coordinate tangent frame whose column c is the
-    image of frame vector c: J dx_k = dy_k, J dy_k = -dx_k."""
-    if chart.is_complex():
-        raise ChartError("standard_j is defined on a real chart")
+    """The standard almost complex structure of a chart, as the square Poly
+    matrix over the coordinate tangent frame whose column c is the image
+    of frame vector c.  On a real chart J d/dx_k = d/dy_k and
+    J d/dy_k = -d/dx_k.  On a complex chart the frames are its eigenvectors,
+    J d/dz_k = i d/dz_k and J d/dzb_k = -i d/dzb_k (d/dz_k is
+    (d/dx_k - i d/dy_k)/2), so the matrix is diag(i, ..., i, -i, ..., -i)."""
     n = chart.n
     rows = poly_zero_matrix(chart, 2 * n, 2 * n)
+    if chart.is_complex():
+        for k in range(n):
+            rows[k][k] = Poly.const(chart, GQ(0, 1))
+            rows[n + k][n + k] = Poly.const(chart, GQ(0, -1))
+        return rows
     for k in range(n):
         rows[n + k][k] = Poly.one(chart)
         rows[k][n + k] = Poly.const(chart, -1)
@@ -81,15 +91,17 @@ class FoliationReport(Record):
 
 
 class PoissonPair(Record):
-    """Real and imaginary parts of a (2,0) bivector, on the real chart."""
+    """Real and imaginary parts of a (2,0) bivector, on the real chart
+    (decompose) or on the bivector's own complex chart (complex_parts)."""
 
     __slots__ = ("pi_R", "pi_I")
 
 
 class GCSection:
-    """A section X + xi of TX + T*X."""
+    """A section X + xi of TX + T*X; d xi is taken once, when the Courant
+    bracket first needs it."""
 
-    __slots__ = ("vec", "form")
+    __slots__ = ("vec", "form", "_d_form")
 
     def __init__(self, vec: Multivector, form: Form):
         if vec.chart != form.chart:
@@ -98,6 +110,13 @@ class GCSection:
             raise DegreeError("GCSection needs degree-1 parts")
         self.vec = vec
         self.form = form
+        self._d_form = None
+
+    def d_form(self) -> Form:
+        """d xi, computed on the first call."""
+        if self._d_form is None:
+            self._d_form = exterior_d(self.form)
+        return self._d_form
 
 
 # ----------------------------------------------------------------------
@@ -140,24 +159,63 @@ def decompose(pi: Multivector) -> PoissonPair:
                        (p - p_bar).scale(GQ(0, -1) / 2))  # 1/(2i) = -i/2
 
 
+def complex_parts(pi: Multivector) -> PoissonPair:
+    """pi_R = (pi + conj pi)/2 and pi_I = (pi - conj pi)/2i on pi's own
+    complex chart, with no chart conversion.  conj pi has the conjugate
+    coefficients (Poly.conj, which also swaps z and zb) on the frames moved
+    from d/dz to d/dzb: component (a, b) goes to (a + n, b + n), still
+    increasing, so each part is pi's components and their images."""
+    _require_20(pi)
+    chart = pi.chart
+    n = chart.n
+    minus_half_i, half_i = GQ(0, -1) / 2, GQ(0, 1) / 2  # 1/(2i) = -i/2
+    re, im = {}, {}
+    for (a, b), coeff in pi.comps.items():
+        bar = coeff.conj()
+        re[(a, b)] = coeff.scale(HALF)
+        re[(a + n, b + n)] = bar.scale(HALF)
+        im[(a, b)] = coeff.scale(minus_half_i)
+        im[(a + n, b + n)] = bar.scale(half_i)
+    return PoissonPair(_alternating(Multivector, chart, 2, re),
+                       _alternating(Multivector, chart, 2, im))
+
+
 # ----------------------------------------------------------------------
 # Poisson-Nijenhuis compatibility
 
-def pn_check(pi_i: Multivector, n_matrix, schouten_zero=None) -> PNReport:
+def pn_check(pi_i: Multivector, n_matrix) -> PNReport:
     """Poisson-Nijenhuis check of (pi_I, N) on a real chart, for N a square
     Poly matrix over the coordinate tangent frame (column c the image of
-    frame vector c).
+    frame vector c): the verdicts of _pn_verdicts.  A complex chart's pair
+    (pi_I, J) is pn_check_complex's."""
+    if pi_i.chart.is_complex():
+        raise ChartError("pn_check runs on the real chart")
+    return _pn_verdicts(pi_i, n_matrix)
 
-    Checks [pi_I, pi_I] = 0 (unless the caller passes that verdict as
-    schouten_zero, see pn_check_complex), N pi# = pi# N* as an exact
-    matrix identity, the Koszul compatibility and vanishing of the
-    Nijenhuis torsion of N.  The last two are one Nijenhuis deformation
-    in the algebroid layer: the torsion is that of N on the tangent
-    algebroid, and the compatibility says that the Koszul algebroid of
-    pi_N is the deformation of the Koszul algebroid of pi_I by N* (the
-    matrix N^T on the coframe).  Its coframe brackets are d(pi_N^{ab}),
-    so the check compares them with the deformed brackets on all coframe
-    pairs, which suffices by tensoriality.
+
+def pn_check_complex(pi: Multivector) -> PNReport:
+    """pn_check of (pi_I, J) for a (2,0) bivector pi, checked on pi's own
+    complex chart: pi_I from complex_parts and J = diag(i, -i) from
+    standard_j.  Each verdict is an identity between tensors, which a
+    change of coordinates with constant Jacobian, z = x + iy, carries to
+    the same identity on the real chart, so the report is the real-chart
+    pn_check of decompose(pi).pi_I and the real J."""
+    return _pn_verdicts(complex_parts(pi).pi_I, standard_j(pi.chart))
+
+
+def _pn_verdicts(pi_i: Multivector, n_matrix) -> PNReport:
+    """The Poisson-Nijenhuis verdicts of (pi_I, N) on pi_I's chart, real
+    or complex, for N a square Poly matrix over its coordinate tangent
+    frame.
+
+    Checks [pi_I, pi_I] = 0, N pi# = pi# N* as an exact matrix identity,
+    the Koszul compatibility and vanishing of the Nijenhuis torsion of N.
+    The last two are one Nijenhuis deformation in the algebroid layer: the
+    torsion is that of N on the tangent algebroid, and the compatibility
+    says that the Koszul algebroid of pi_N is the deformation of the
+    Koszul algebroid of pi_I by N* (the matrix N^T on the coframe).  Its
+    coframe brackets are d(pi_N^{ab}), so the check compares them with the
+    deformed brackets on all coframe pairs, which suffices by tensoriality.
     """
     # algebroid imports this module at load time, so not the other way
     from .algebroid import (
@@ -167,15 +225,12 @@ def pn_check(pi_i: Multivector, n_matrix, schouten_zero=None) -> PNReport:
         tangent_algebroid,
     )
 
-    if pi_i.chart.is_complex():
-        raise ChartError("pn_check runs on the real chart")
     if pi_i.degree != 2:
         raise DegreeError("pn_check needs a bivector")
     # the torsion first: it refuses a matrix of the wrong size
     torsion_zero = not nijenhuis_torsion_algebroid(
         tangent_algebroid(pi_i.chart), n_matrix)
-    if schouten_zero is None:
-        schouten_zero = schouten(pi_i, pi_i).is_zero()
+    schouten_zero = schouten(pi_i, pi_i).is_zero()
 
     msharp = sharp_matrix(pi_i)
     sharp_intertwine = (poly_mat_mul(n_matrix, msharp)
@@ -197,37 +252,23 @@ def pn_check(pi_i: Multivector, n_matrix, schouten_zero=None) -> PNReport:
                     torsion_zero)
 
 
-def pn_check_complex(pi: Multivector) -> PNReport:
-    """pn_check of (pi_I, J) for a (2,0) bivector pi on a complex chart.
-
-    With holomorphic coefficients, [pi_I, pi_I] = 0 is decided by
-    [pi, pi] = 0 on the complex chart, which is much cheaper: [pi, conj pi]
-    vanishes, so [pi_R, pi_R] = -[pi_I, pi_I] and Re [pi, pi] is a nonzero
-    multiple of [pi_I, pi_I]; and the (3,0) field [pi, pi] is determined
-    by its real part.  Otherwise the bracket is taken on the real chart.
-    """
-    pair = decompose(pi)
-    schouten_zero = None
-    if all(coeff.is_holomorphic() for coeff in pi.comps.values()):
-        schouten_zero = schouten(pi, pi).is_zero()
-    return pn_check(pair.pi_I, standard_j(pair.pi_I.chart),
-                    schouten_zero=schouten_zero)
-
-
 # ----------------------------------------------------------------------
 # Courant bracket
 
 def courant_bracket(e1: GCSection, e2: GCSection) -> GCSection:
     """Antisymmetrized Courant bracket on TX + T*X:
-    [[X+xi, Y+eta]] = [X,Y] + L_X eta - L_Y xi + d(xi(Y) - eta(X))/2."""
+    [[X+xi, Y+eta]] = [X,Y] + L_X eta - L_Y xi + d(xi(Y) - eta(X))/2.
+    By the Cartan formula L_X eta = i_X d eta + d(eta(X)) the form part is
+    i_X d eta - i_Y d xi + d(eta(X) - xi(Y))/2, which reads each
+    section's d xi (GCSection.d_form) and takes one d of a function."""
     if e1.vec.chart != e2.vec.chart:
         raise ChartError("chart mismatch")
     chart = e1.vec.chart
     x, xi = e1.vec, e1.form
     y, eta = e2.vec, e2.form
     vec = schouten(x, y)
-    mixed = pairing(xi, y) - pairing(eta, x)
-    form = (lie_derivative(x, eta) - lie_derivative(y, xi)
+    mixed = pairing(eta, x) - pairing(xi, y)
+    form = (interior(x, e2.d_form()) - interior(y, e1.d_form())
             + exterior_d(Form(chart, 0, {(): mixed.scale(HALF)})))
     return GCSection(vec, form)
 

@@ -72,6 +72,11 @@ These deliberately take different routes from the library code:
   library computed it before it used zero connections on the holomorphic
   frame: the Lie derivative (Cartan formula) for T^{0,1} acting on the
   coframe, and pr^{0,1} of a Schouten bracket for the action back.
+* lie_derivative (the Cartan formula on forms, the Schouten bracket on
+  multivectors) and courant_bracket_reference, the Courant bracket
+  through two Lie derivatives, are the library's before its Courant
+  bracket came to read each section's d xi once (i_X d eta - i_Y d xi
+  + d(eta(X) - xi(Y))/2); no command takes a Lie derivative now.
 * koszul_bracket is the koszul command's route, the Koszul algebroid's
   Leibniz-extended bracket on the forms' coefficient lists, for the tests
   of the bracket's identities; the library has no Koszul bracket of forms
@@ -99,7 +104,8 @@ These deliberately take different routes from the library code:
   through the algebroid's Leibniz-extended bracket, the definition.
 
 Fixtures shared by several test modules: frame_bivector, sl2, heisenberg,
-sl2_pi, darboux_symplectic_parts (the Darboux pi on C^2n with the real
+sl2_pi, unequal_rank_pairs (matched pairs with rank A != rank B),
+darboux_symplectic_parts (the Darboux pi on C^2n with the real
 and imaginary parts of its inverse form), real_part, imaginary_part and
 quarter_factor_identities (the six quarter-factor bracket identities).
 
@@ -186,7 +192,7 @@ from holopoisson.multivec import (
     differential,
     exterior_d,
     insert_index,
-    lie_derivative,
+    interior,
     merge_indices,
     pairing,
     schouten,
@@ -214,6 +220,30 @@ def poly_mat_vec(a, v):
     """The product a v of a Poly matrix and a Poly list, as the one column
     of the matrix product."""
     return [row[0] for row in poly_mat_mul(a, [[x] for x in v])]
+
+
+def lie_derivative(x: Multivector, target):
+    """Lie derivative along a degree-1 field; Cartan formula on forms,
+    Schouten bracket on multivectors."""
+    if x.degree != 1:
+        raise DegreeError("lie_derivative needs a degree-1 field")
+    if isinstance(target, Form):
+        return interior(x, exterior_d(target)) + exterior_d(interior(x, target))
+    if isinstance(target, Multivector):
+        return schouten(x, target)
+    raise DegreeError(f"cannot Lie-derive {type(target).__name__}")
+
+
+def courant_bracket_reference(e1, e2):
+    """The vector and form parts of the antisymmetrized Courant bracket
+    [[X+xi, Y+eta]] = [X,Y] + L_X eta - L_Y xi + d(xi(Y) - eta(X))/2,
+    with both Lie derivatives taken by lie_derivative."""
+    x, xi = e1.vec, e1.form
+    y, eta = e2.vec, e2.form
+    mixed = pairing(xi, y) - pairing(eta, x)
+    form = (lie_derivative(x, eta) - lie_derivative(y, xi)
+            + exterior_d(Form(x.chart, 0, {(): mixed.scale(GQ(HALF))})))
+    return schouten(x, y), form
 
 
 def rand_poly(rng, chart, deg=2, terms=3, holomorphic=False):
@@ -1071,6 +1101,28 @@ def heisenberg():
 
 def sl2_pi():
     return lie_poisson(sl2())
+
+
+def unequal_rank_pairs():
+    """Matched pairs with rank A != rank B, each also swapped: the corpus
+    pairs all have rank A = rank B, where a mix-up of the two ranks (or of
+    k and l) goes unseen.  "line": T^{0,1}C^2 with a rank-1 B anchored at
+    z2 d/dz1, zero bracket and zero connections.  "borel": sl2 = b + n_-
+    with zero anchors, A = span(h, e), B = span(f), acting on each other
+    through the sl2 bracket."""
+    c1, c2 = Chart.complex(1), Chart.complex(2)
+    a = antiholomorphic_tangent(c2)
+    b = AlgebroidChart(c2, 1, [[Poly.var(c2, 1), 0, 0, 0]], [[[0]]])
+    line = MatchedPairData(a, b, RepData(a, b, [[[0]], [[0]]]),
+                           RepData(b, a, [[[0, 0], [0, 0]]]))
+    a = AlgebroidChart(c1, 2, [[0, 0], [0, 0]],
+                       [[[0, 0], [0, 2]], [[0, -2], [0, 0]]])
+    b = AlgebroidChart(c1, 1, [[0, 0]], [[[0]]])
+    # nabla_h f = -2 f, nabla_e f = 0; nabla_f h = 0, nabla_f e = -h
+    borel = MatchedPairData(a, b, RepData(a, b, [[[-2]], [[0]]]),
+                            RepData(b, a, [[[0, 0], [-1, 0]]]))
+    return [("line", line), ("line swapped", line.swapped()),
+            ("borel", borel), ("borel swapped", borel.swapped())]
 
 
 def darboux_symplectic_parts(n):

@@ -76,6 +76,7 @@ from oracles import (
     s_tensor_reference,
     sl2,
     sl2_pi,
+    unequal_rank_pairs,
     yao_isomorphism_check_reference,
 )
 
@@ -574,14 +575,24 @@ def corpus_matched_pairs():
                  for name, pi in corpus_poisson_bivectors())
 
 
+@lru_cache(maxsize=None)
+def frame_table_pairs():
+    """The corpus pairs, whose tables are zero, and the pairs beyond them:
+    the unequal-rank pairs (rank A != rank B; "line" anchors B at
+    z2 d/dz1, "borel" has nonzero structure constants and nonzero tables)
+    and the diagonal action over the point chart (nonzero tables)."""
+    return (corpus_matched_pairs() + tuple(unequal_rank_pairs())
+            + (("diagonal action", diagonal_action_pair()),))
+
+
 @st.composite
-def random_connections(draw):
-    """A corpus pair whose two connections, and a connection of B on
-    itself that starts from B's structure functions, get random
-    Gaussian-integer polynomials added to a few entries.  With no entry
-    changed the pair's connections are flat; a changed entry mostly
-    breaks flatness and the vanishing of S and T."""
-    name, mp = draw(st.sampled_from(corpus_matched_pairs()))
+def random_connections(draw, pairs=corpus_matched_pairs):
+    """A pair of pairs() (by default a corpus pair) whose two connections,
+    and a connection of B on itself that starts from B's structure
+    functions, get random Gaussian-integer polynomials added to a few
+    entries.  With no entry changed the pair's connections are flat; a
+    changed entry mostly breaks flatness and the vanishing of S and T."""
+    name, mp = draw(st.sampled_from(pairs()))
     chart = mp.A.chart
     small = st.integers(-3, 3)
     exps = st.tuples(*[st.integers(0, 1)] * chart.nvars)
@@ -603,12 +614,13 @@ def random_connections(draw):
     return name, pair, perturbed(mp.B, mp.B, mp.B.structure)
 
 
-@settings(max_examples=40, deadline=None)
-@given(random_connections())
+@settings(max_examples=60, deadline=None)
+@given(random_connections(frame_table_pairs))
 def test_frame_tables_match_reference(case):
     """check_representation and the S/T loop read frame tables of the
     covariant derivatives; the reference copies recompute every nabla
-    where it is used.  Verdicts and the S/T values must agree."""
+    where it is used.  Verdicts and the S/T values must agree, on the
+    corpus pairs and on pairs whose tables start nonzero."""
     name, mp, self_action = case
     for rep in (mp.nablaAB, mp.nablaBA, self_action):
         assert check_representation(rep) == \

@@ -367,6 +367,60 @@ def test_dump_writes_assemble_total(tmp_path, monkeypatch, capsys):
                 for path in dump_dir.iterdir()} == want
 
 
+def test_dump_builds_and_writes_one_matrix_at_a_time(tmp_path, monkeypatch,
+                                                     capsys):
+    """--dump-matrices builds each total matrix when it is written, after
+    the report is made: builds and writes alternate, and no built matrix
+    is alive while the next one is built.  assemble_total builds nothing
+    when it is called, only when its iterator is advanced."""
+    import weakref
+
+    from holopoisson import cli, cohomology
+    from holopoisson.linalg import SparseMatrix
+
+    class Tracked(SparseMatrix):
+        """A SparseMatrix that a weak reference can follow."""
+
+    events = []
+    alive = []
+    total_matrix = cohomology._Block.total_matrix
+    dump_text = cli._dump_text
+
+    def building(block, degree, cell_matrices=None):
+        events.append("build")
+        assert not any(ref() is not None for ref in alive)
+        built = total_matrix(block, degree, cell_matrices)
+        matrix = Tracked.from_rows(built.nrows, built.ncols, built.row_dicts)
+        alive.append(weakref.ref(matrix))
+        return matrix
+
+    def writing(matrix):
+        events.append("write")
+        return dump_text(matrix)
+
+    monkeypatch.setattr(cohomology._Block, "total_matrix", building)
+    monkeypatch.setattr(cli, "_dump_text", writing)
+    for name, flag, bound, files, ranked in (
+            ("sl2.json", "--weight", "2", 21, 0),
+            ("darboux_n1.json", "--max-degree", "2", 5, 5)):
+        events.clear()
+        args = ["cohomology", corpus_path(name), flag, bound,
+                "--dump-matrices", str(tmp_path / name)]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        # the report first: a total-degree one ranks the double complex's
+        # total matrices, a weight-mode one the reduced complex
+        assert events == ["build"] * ranked + ["build", "write"] * files
+        assert len(list((tmp_path / name).iterdir())) == files
+    mp = canonical_matched_pair(
+        _doc_chart_pi(_load(corpus_path("sl2.json")), "sl2.json")[1])
+    events.clear()
+    totals = cohomology.assemble_total(mp, cohomology.Truncation("weight", 2))
+    assert events == []
+    next(totals)
+    assert events == ["build"]
+
+
 def test_dump_above_budget_is_refused_before_any_rank(tmp_path, monkeypatch,
                                                       capsys):
     """A dump is the double complex's, so basis_size is its budget on

@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 
 from holopoisson import cohomology
 from holopoisson.algebroid import (
-    AlgebroidChart,
     MatchedPairData,
-    RepData,
-    antiholomorphic_tangent,
     canonical_matched_pair,
     lie_algebra,
     lie_poisson,
@@ -55,6 +52,7 @@ from oracles import (
     total_as_bicochain_parts,
     total_differential,
     total_matrix_oracle,
+    unequal_rank_pairs,
 )
 
 C1 = Chart.complex(1)
@@ -70,27 +68,6 @@ def corpus_pairs():
         ("quadratic", canonical_matched_pair(
             frame_bivector(C2, 0, 1, Poly.var(C2, 0) * Poly.var(C2, 0)))),
     ]
-
-
-def unequal_rank_pairs():
-    """Matched pairs with rank A != rank B, each also swapped: the corpus
-    pairs all have rank A = rank B, where a mix-up of the two ranks (or of
-    k and l) goes unseen.  "line": T^{0,1}C^2 with a rank-1 B anchored at
-    z2 d/dz1, zero bracket and zero connections.  "borel": sl2 = b + n_-
-    with zero anchors, A = span(h, e), B = span(f), acting on each other
-    through the sl2 bracket."""
-    a = antiholomorphic_tangent(C2)
-    b = AlgebroidChart(C2, 1, [[Poly.var(C2, 1), 0, 0, 0]], [[[0]]])
-    line = MatchedPairData(a, b, RepData(a, b, [[[0]], [[0]]]),
-                           RepData(b, a, [[[0, 0], [0, 0]]]))
-    a = AlgebroidChart(C1, 2, [[0, 0], [0, 0]],
-                       [[[0, 0], [0, 2]], [[0, -2], [0, 0]]])
-    b = AlgebroidChart(C1, 1, [[0, 0]], [[[0]]])
-    # nabla_h f = -2 f, nabla_e f = 0; nabla_f h = 0, nabla_f e = -h
-    borel = MatchedPairData(a, b, RepData(a, b, [[[-2]], [[0]]]),
-                            RepData(b, a, [[[0, 0], [-1, 0]]]))
-    return [("line", line), ("line swapped", line.swapped()),
-            ("borel", borel), ("borel swapped", borel.swapped())]
 
 
 def rand_bicochain(rng, mp, k, l, deg=2):

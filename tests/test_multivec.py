@@ -13,7 +13,6 @@ from holopoisson.multivec import (
     differential,
     exterior_d,
     interior,
-    lie_derivative,
     pairing,
     schouten,
     sharp,
@@ -23,6 +22,7 @@ from holopoisson.multivec import (
 from oracles import (
     contract_oracle,
     cotangent_images_reference,
+    lie_derivative,
     rand_form,
     rand_multivector,
     schouten_oracle,

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from holopoisson.poisson import (
 
 from oracles import (
     EndoFieldReference,
+    courant_bracket_reference,
     darboux_symplectic_parts,
     decompose_reference,
     frame_bivector,
@@ -286,8 +288,25 @@ def test_torsion_identity_and_standard_j():
            for i in range(4)]
     assert tangent_torsion(eye) == {}
     assert tangent_torsion(standard_j(R2)) == {}
-    with pytest.raises(ChartError, match="defined on a real chart"):
-        standard_j(C2)
+    i = GQ(0, 1)
+    assert standard_j(C2) == [
+        [Poly.const(C2, (i if r < 2 else -i) if r == c else 0)
+         for c in range(4)] for r in range(4)]
+    assert tangent_torsion(standard_j(C2)) == {}
+
+
+def test_standard_j_of_complex_chart_is_the_real_j():
+    """Column c of standard_j on C^2 is J of the frame d/dz or d/dzb of
+    slot c: the frame converted to R^2, mapped by the real standard_j and
+    converted back."""
+    jr = standard_j(R2)
+    jc = standard_j(C2)
+    for c in range(4):
+        frame = convert_alternating(Multivector.frame(C2, c), R2)
+        image = poly_mat_mul(jr, [[p] for p in frame.coefficients()])
+        back = convert_alternating(
+            Multivector.from_components(R2, [row[0] for row in image]), C2)
+        assert back.coefficients() == [row[c] for row in jc]
 
 
 def test_torsion_shear_matches_direct_evaluation():
@@ -358,14 +377,72 @@ def test_pn_check_rejects_non_poisson_pi_i():
     assert pn_check(pair.pi_I, standard_j(pair.pi_I.chart)) == rep
 
 
-def test_pn_check_complex_schouten_matches_real_chart():
-    rng = random.Random(53)
-    c3 = Chart.complex(3)
-    for holomorphic in (True, True, False):
-        pi = rand_bivector_20(rng, c3, holomorphic=holomorphic, deg=1)
-        pi_i = decompose(pi).pi_I
-        assert (pn_check_complex(pi).schouten_zero
-                == schouten(pi_i, pi_i).is_zero())
+@st.composite
+def bivectors_20(draw):
+    """A (2,0) bivector on C^1..C^3 with a few Gaussian-integer monomials
+    of degree <= 2 in each component, holomorphic (no zb) or not.  On C^3
+    a third of them are f d/dz_a ^ d/dz_b, which is Poisson when f is
+    holomorphic; most other ones on C^3 and the non-holomorphic ones are
+    not Poisson."""
+    n = draw(st.integers(1, 3))
+    chart = Chart.complex(n)
+    holomorphic = draw(st.booleans())
+    exps = st.tuples(*[st.integers(0, 2)] * n
+                     + [st.just(0) if holomorphic else st.integers(0, 1)] * n
+                     ).filter(lambda e: sum(e) <= 2)
+    small = st.integers(-2, 2)
+    coeffs = st.dictionaries(exps, st.tuples(small, small), min_size=1,
+                             max_size=2).map(lambda terms: Poly(chart, {
+                                 e: GQ(re, im) for e, (re, im)
+                                 in terms.items()}))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if n == 3 and draw(st.integers(0, 2)) == 0:
+        pairs = [draw(st.sampled_from(pairs))]
+    return Multivector(chart, 2, {idx: draw(coeffs) for idx in pairs
+                                  if draw(st.booleans())})
+
+
+@settings(max_examples=100, deadline=None)
+@given(bivectors_20())
+def test_pn_check_complex_matches_real_chart(pi):
+    """pn_check_complex checks (pi_I, J) on pi's complex chart, J the
+    diagonal standard_j there; the real-chart pn_check of decompose's
+    pi_I with the real J gives the same report, verdict by verdict."""
+    pi_i = decompose(pi).pi_I
+    assert pn_check_complex(pi) == pn_check(pi_i, standard_j(pi_i.chart))
+
+
+def test_pn_check_complex_converts_no_chart(monkeypatch, tmp_path):
+    """pn-check on a complex document reads pi_I and J on its own chart:
+    convert_alternating is not called, whether the verdicts hold (three
+    corpus documents) or not (a non-Poisson bivector on C^3, exit 2);
+    decompose still calls it."""
+    import json
+
+    from holopoisson import cli, multivec, poisson
+
+    calls = []
+    original = multivec.convert_alternating
+
+    def counting(obj, target):
+        calls.append(target)
+        return original(obj, target)
+
+    monkeypatch.setattr(multivec, "convert_alternating", counting)
+    monkeypatch.setattr(poisson, "convert_alternating", counting)
+    bad = tmp_path / "pi.json"
+    bad.write_text(json.dumps({
+        "chart": {"kind": "complex", "n": 3},
+        "pi": [{"frame": ["z1", "z2"], "coeff": "z1"},
+               {"frame": ["z1", "z3"], "coeff": "z2 zb3"}]}))
+    for path, code in ((cli.corpus_path("quadratic.json"), 0),
+                       (cli.corpus_path("darboux_n2.json"), 0),
+                       (cli.corpus_path("constant_symplectic.json"), 0),
+                       (str(bad), 2)):
+        assert cli.main(["pn-check", path, "-o", os.devnull]) == code
+    assert calls == []
+    decompose(frame_bivector(C2, 0, 1))
+    assert calls == [R2]
 
 
 def test_pn_check_requires_real_chart():
@@ -580,6 +657,20 @@ def test_courant_antisymmetry():
         ef = courant_bracket(e, f)
         fe = courant_bracket(f, e)
         assert ef.vec == -fe.vec and ef.form == -fe.form
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([C2, R2]))
+def test_courant_bracket_matches_reference(rng, chart):
+    """courant_bracket reads d xi and d eta once per section; the
+    reference takes L_X eta and L_Y xi by the Cartan formula on random
+    sections of both chart kinds, and the parts agree.  A second bracket
+    with the same sections reads their d xi from the first."""
+    e = GCSection(rand_multivector(rng, chart, 1), rand_form(rng, chart, 1))
+    f = GCSection(rand_multivector(rng, chart, 1), rand_form(rng, chart, 1))
+    for left, right in ((e, f), (f, e), (e, e)):
+        out = courant_bracket(left, right)
+        assert (out.vec, out.form) == courant_bracket_reference(left, right)
 
 
 def test_courant_reproduces_koszul_on_hamiltonian_pairs():
