@@ -38,7 +38,9 @@ construction and skip that check: from_frame_brackets (the cotangent,
 Koszul and bowtie algebroids), tangent_algebroid,
 antiholomorphic_tangent and the realification go through
 AlgebroidChart._build, and the checks call RepData._apply on sections
-that are already coerced.
+that are already coerced.  lie_poisson and realify_liealgebra refuse an
+algebra that fails the Jacobi identity, each once per call, and
+realparts_liealgebra_check has its algebra checked by lie_poisson.
 
 The structural checks read a frame bracket that is in the data (two
 frames: their structure vector; two coordinate coframes: d pi^{ij}) and
@@ -454,11 +456,6 @@ def lie_poisson(a: AlgebroidChart) -> Multivector:
     """Fiberwise-linear holomorphic Poisson structure on the dual chart of
     a Lie algebra: {z_i, z_j} = sum_k c_ij^k z_k."""
     _jacobi(a)
-    return _lie_poisson(a)
-
-
-def _lie_poisson(a: AlgebroidChart) -> Multivector:
-    """lie_poisson of an algebra whose Jacobi identity is checked."""
     chart = Chart.complex(a.rank)
     comps = {}
     for i in range(a.rank):
@@ -477,12 +474,6 @@ def realify_liealgebra(a: AlgebroidChart) -> LieAlgebra:
     basis becomes (e_1..e_r, je_1..je_r), the structure constants become
     real, and the doubled j matrix is returned with it."""
     _jacobi(a)
-    return _realify(a)
-
-
-def _realify(a: AlgebroidChart) -> LieAlgebra:
-    """realify_liealgebra of an algebra whose Jacobi identity is
-    checked."""
     r = a.rank
     chart = Chart.real(0)
     rank = 2 * r
@@ -617,8 +608,7 @@ def realparts_liealgebra_check(g: LieAlgebra) -> RealPartsReport:
     [u e_x, u' e_y] = u u' c_xy and [V, W]_j = [V, jW] = i [V, W] are read
     from gc's structure constants c_xy."""
     gc = complex_presentation(g)
-    _jacobi(gc)
-    pair = complex_parts(_lie_poisson(gc))
+    pair = complex_parts(lie_poisson(gc))
     r = gc.rank
     chart = pair.pi_R.chart
     images = _coordinate_images(Chart.real(r), chart)

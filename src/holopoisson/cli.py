@@ -153,12 +153,13 @@ def cmd_pn_check(doc, options):
         if "endo" in doc:
             raise ParseError("pn-check on a complex chart takes no endo "
                              "matrix: it checks the standard J")
-        report = poi.pn_check_complex(pi)
+        pi_i, endo = poi.complex_parts(pi).pi_I, poi.standard_j(chart)
         chart = Chart.real(chart.n)
     else:
         if "endo" not in doc:
             raise ParseError("pn-check on a real chart needs an endo matrix")
-        report = poi.pn_check(pi, parse_endo(chart, doc["endo"]))
+        pi_i, endo = pi, parse_endo(chart, doc["endo"])
+    report = poi.pn_check(pi_i, endo)
     return {"verdicts": report.as_dict(),
             "data": {"chart": chart_dict(chart)}}, report.all_ok
 

@@ -3,13 +3,13 @@
 Covers the real/imaginary decomposition of a (2,0) bivector,
 Poisson-Nijenhuis compatibility against an almost complex structure, the
 antisymmetrized Courant bracket and pointwise foliation ranks.  The parts
-are taken on the real chart (decompose, for the decompose command and the
-foliation ranks) or, with no chart conversion, on the bivector's own
-complex chart (complex_parts), where pn_check_complex and the realparts
-check read them.  The generalized complex endomorphism J_pi with its -i
-eigenbundle, the symplectic inverse and the Poisson bracket of two
-functions are test references (tests/oracles.py): no command computes
-them.
+are taken on the bivector's own complex chart (complex_parts), with no
+chart conversion, where the pn-check and realparts commands and the
+foliation ranks read them; decompose converts them to the real chart for
+the decompose command alone.  The generalized complex endomorphism J_pi
+with its -i eigenbundle, the symplectic inverse and the Poisson bracket
+of two functions are test references (tests/oracles.py): no command
+computes them.
 
 A chart endomorphism, such as standard_j, is its square Poly matrix over
 the coordinate tangent frame.  Its Nijenhuis torsion and the Koszul
@@ -22,7 +22,7 @@ called, since algebroid imports this module.
 from __future__ import annotations
 
 from .errors import ChartError, DegreeError, Record
-from .exactalg import GQ, Chart, Poly, _poly
+from .exactalg import GQ, Chart, Poly, _coordinate_images, _poly
 from .linalg import (
     column_space_equal,
     dense_rank,
@@ -184,29 +184,9 @@ def complex_parts(pi: Multivector) -> PoissonPair:
 # Poisson-Nijenhuis compatibility
 
 def pn_check(pi_i: Multivector, n_matrix) -> PNReport:
-    """Poisson-Nijenhuis check of (pi_I, N) on a real chart, for N a square
-    Poly matrix over the coordinate tangent frame (column c the image of
-    frame vector c): the verdicts of _pn_verdicts.  A complex chart's pair
-    (pi_I, J) is pn_check_complex's."""
-    if pi_i.chart.is_complex():
-        raise ChartError("pn_check runs on the real chart")
-    return _pn_verdicts(pi_i, n_matrix)
-
-
-def pn_check_complex(pi: Multivector) -> PNReport:
-    """pn_check of (pi_I, J) for a (2,0) bivector pi, checked on pi's own
-    complex chart: pi_I from complex_parts and J = diag(i, -i) from
-    standard_j.  Each verdict is an identity between tensors, which a
-    change of coordinates with constant Jacobian, z = x + iy, carries to
-    the same identity on the real chart, so the report is the real-chart
-    pn_check of decompose(pi).pi_I and the real J."""
-    return _pn_verdicts(complex_parts(pi).pi_I, standard_j(pi.chart))
-
-
-def _pn_verdicts(pi_i: Multivector, n_matrix) -> PNReport:
-    """The Poisson-Nijenhuis verdicts of (pi_I, N) on pi_I's chart, real
-    or complex, for N a square Poly matrix over its coordinate tangent
-    frame.
+    """Poisson-Nijenhuis check of (pi_I, N) on pi_I's chart, real or
+    complex, for N a square Poly matrix over its coordinate tangent frame
+    (column c the image of frame vector c).
 
     Checks [pi_I, pi_I] = 0, N pi# = pi# N* as an exact matrix identity,
     the Koszul compatibility and vanishing of the Nijenhuis torsion of N.
@@ -216,6 +196,12 @@ def _pn_verdicts(pi_i: Multivector, n_matrix) -> PNReport:
     Koszul algebroid of pi_I by N* (the matrix N^T on the coframe).  Its
     coframe brackets are d(pi_N^{ab}), so the check compares them with the
     deformed brackets on all coframe pairs, which suffices by tensoriality.
+
+    Each verdict is an identity between tensors, which a change of
+    coordinates with constant Jacobian, z = x + iy, carries to the same
+    identity on the other chart.  So for a (2,0) bivector pi the report
+    of (complex_parts(pi).pi_I, standard_j) on pi's complex chart is that
+    of (decompose(pi).pi_I, standard_j) on the real chart.
     """
     # algebroid imports this module at load time, so not the other way
     from .algebroid import (
@@ -277,16 +263,26 @@ def courant_bracket(e1: GCSection, e2: GCSection) -> GCSection:
 # foliations
 
 def foliation_rank(pi: Multivector, point) -> FoliationReport:
-    """Evaluate pi_R#, pi_I# at a rational point of the real chart and
-    compare ranks and column spaces exactly."""
+    """Evaluate pi_R#, pi_I# at a rational point (x_1..x_n, y_1..y_n) of
+    the real chart and compare ranks and column spaces exactly.
+
+    Both matrices are read on pi's complex chart (complex_parts) at the
+    point's image z_k = x_k + i y_k, zb_k = x_k - i y_k.  Their real-chart
+    forms are T M T^t for one constant invertible frame change T, which
+    changes neither the ranks nor whether the column spaces are equal."""
     _require_20(pi)
     n = pi.chart.n
     point = [GQ.of(v) for v in point]
     if len(point) != 2 * n:
         raise ChartError(f"point needs {2 * n} real coordinates")
-    pair = decompose(pi)
-    mat_r = poly_mat_eval(sharp_matrix(pair.pi_R), point)
-    mat_i = poly_mat_eval(sharp_matrix(pair.pi_I), point)
+    for k, v in enumerate(point):
+        if v.b:
+            raise ChartError(f"point coordinate {k + 1} is not real: {v}")
+    image = [z.evaluate(point)
+             for z in _coordinate_images(pi.chart, Chart.real(n))]
+    pair = complex_parts(pi)
+    mat_r = poly_mat_eval(sharp_matrix(pair.pi_R), image)
+    mat_i = poly_mat_eval(sharp_matrix(pair.pi_I), image)
     rank_r = dense_rank(mat_r)
     rank_i = dense_rank(mat_i)
     return FoliationReport(rank_r, rank_i, column_space_equal(mat_r, mat_i))

@@ -55,6 +55,9 @@ These deliberately take different routes from the library code:
   to the real chart once: conj pi is formed on the complex chart by
   multivector_conj, which left the library with it, and both parts are
   converted.
+* foliation_rank_reference is the library's foliation_rank before it
+  read the parts on the complex chart: decompose converts pi to the real
+  chart and both sharp matrices are evaluated at the real point itself.
 * multivector_conj_reference and _permutation_sign are the library's
   conjugation before it took its sign from merge_indices, frozen here as
   the reference for the property test of that sign.
@@ -176,6 +179,7 @@ from holopoisson.exactalg import (
 )
 from holopoisson.linalg import (
     SparseMatrix,
+    column_space_equal,
     dense_rank,
     gq_mat_inverse,
     poly_identity,
@@ -200,7 +204,9 @@ from holopoisson.multivec import (
     sharp_matrix,
 )
 from holopoisson.poisson import (
+    FoliationReport,
     PNReport,
+    _require_20,
     courant_bracket,
     decompose,
     is_holomorphic_poisson,
@@ -959,6 +965,22 @@ def decompose_reference(pi: Multivector):
             convert_alternating(pi_i, real))
 
 
+def foliation_rank_reference(pi: Multivector, point) -> FoliationReport:
+    """Evaluate pi_R#, pi_I# at a rational point of the real chart and
+    compare ranks and column spaces exactly."""
+    _require_20(pi)
+    n = pi.chart.n
+    point = [GQ.of(v) for v in point]
+    if len(point) != 2 * n:
+        raise ChartError(f"point needs {2 * n} real coordinates")
+    pair = decompose(pi)
+    mat_r = poly_mat_eval(sharp_matrix(pair.pi_R), point)
+    mat_i = poly_mat_eval(sharp_matrix(pair.pi_I), point)
+    rank_r = dense_rank(mat_r)
+    rank_i = dense_rank(mat_i)
+    return FoliationReport(rank_r, rank_i, column_space_equal(mat_r, mat_i))
+
+
 # ----------------------------------------------------------------------
 # conjugation of multivectors, as it was before the merge_indices sign
 
@@ -1636,10 +1658,9 @@ def pn_check_reference(pi_i: Multivector, n_matrix,
     matrix over the coordinate tangent frame.
 
     Checks [pi_I, pi_I] = 0 (unless the caller passes that verdict as
-    schouten_zero, see pn_check_complex), N pi# = pi# N* as an exact
-    matrix identity, the Koszul compatibility on all coordinate coframe
-    pairs (sufficient by tensoriality), and vanishing of the Nijenhuis
-    torsion of N.
+    schouten_zero), N pi# = pi# N* as an exact matrix identity, the
+    Koszul compatibility on all coordinate coframe pairs (sufficient by
+    tensoriality), and vanishing of the Nijenhuis torsion of N.
     """
     if pi_i.chart.is_complex():
         raise ChartError("pn_check runs on the real chart")

@@ -13,7 +13,6 @@ from holopoisson.algebroid import (
     RepData,
     _deformation,
     _f_tensor,
-    _realify,
     _s_tensor,
     antiholomorphic_tangent,
     bowtie,
@@ -763,7 +762,7 @@ def test_realified_algebra_equals_validated(g):
     """The realification is built unchecked; its algebroid rebuilds equal
     through AlgebroidChart(...)."""
     for a in (g, sl2(), heisenberg()):
-        doubled = _realify(a).algebroid
+        doubled = realify_liealgebra(a).algebroid
         assert revalidated(doubled) == doubled
 
 

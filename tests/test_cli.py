@@ -308,6 +308,16 @@ def test_foliation_rank_point_parsing(tmp_path):
     assert json.loads(out)["data"]["rank_R"] == 0
 
 
+def test_foliation_rank_refuses_a_point_off_the_real_chart():
+    """A coordinate with an imaginary part is an input error, as a point
+    of the wrong length is: exit 1, one line, no report."""
+    code, out, err = run_cli(["foliation-rank", corpus_path("sl2.json"),
+                              "--point", "i,1,0,2,3,1/3"])
+    assert code == 1 and out == ""
+    assert err.strip().splitlines() == [
+        "input error: point coordinate 1 is not real: i"]
+
+
 def test_cohomology_with_dump(tmp_path):
     doc = write_doc(tmp_path, "pi.json", {
         "chart": {"kind": "complex", "n": 1}, "pi": []})

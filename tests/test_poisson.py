@@ -28,12 +28,12 @@ from holopoisson.multivec import (
 )
 from holopoisson.poisson import (
     GCSection,
+    complex_parts,
     courant_bracket,
     decompose,
     foliation_rank,
     is_holomorphic_poisson,
     pn_check,
-    pn_check_complex,
     standard_j,
 )
 
@@ -42,6 +42,7 @@ from oracles import (
     courant_bracket_reference,
     darboux_symplectic_parts,
     decompose_reference,
+    foliation_rank_reference,
     frame_bivector,
     gc_eigensection_check,
     gc_eigenspace_dimension,
@@ -369,7 +370,7 @@ def test_pn_check_rejects_non_poisson_pi_i():
     pi = Multivector(c3, 2, {(0, 1): Poly.var(c3, 0),
                              (0, 2): Poly.var(c3, 1)})
     assert not is_holomorphic_poisson(pi).schouten_zero
-    rep = pn_check_complex(pi)
+    rep = pn_check(complex_parts(pi).pi_I, standard_j(c3))
     assert rep.sharp_intertwine and rep.koszul_compat and rep.torsion_zero
     assert not rep.schouten_zero and not rep.all_ok
     # the real-chart bracket of pi_I gives the same verdicts
@@ -405,18 +406,19 @@ def bivectors_20(draw):
 @settings(max_examples=100, deadline=None)
 @given(bivectors_20())
 def test_pn_check_complex_matches_real_chart(pi):
-    """pn_check_complex checks (pi_I, J) on pi's complex chart, J the
-    diagonal standard_j there; the real-chart pn_check of decompose's
-    pi_I with the real J gives the same report, verdict by verdict."""
-    pi_i = decompose(pi).pi_I
-    assert pn_check_complex(pi) == pn_check(pi_i, standard_j(pi_i.chart))
+    """pn_check of (pi_I, J) on pi's complex chart, J the diagonal
+    standard_j there, gives the report of the real-chart pair, decompose's
+    pi_I with the real J, verdict by verdict."""
+    n = pi.chart.n
+    assert (pn_check(complex_parts(pi).pi_I, standard_j(pi.chart))
+            == pn_check(decompose(pi).pi_I, standard_j(Chart.real(n))))
 
 
-def test_pn_check_complex_converts_no_chart(monkeypatch, tmp_path):
-    """pn-check on a complex document reads pi_I and J on its own chart:
-    convert_alternating is not called, whether the verdicts hold (three
-    corpus documents) or not (a non-Poisson bivector on C^3, exit 2);
-    decompose still calls it."""
+def test_no_command_but_decompose_converts_a_chart(monkeypatch, tmp_path):
+    """Every command but decompose reads its document on its own chart:
+    convert_alternating is not called on the corpus documents or on a
+    non-Poisson bivector on C^3 (with two 1-forms for koszul).
+    cohomology runs at --weight 1."""
     import json
 
     from holopoisson import cli, multivec, poisson
@@ -430,25 +432,36 @@ def test_pn_check_complex_converts_no_chart(monkeypatch, tmp_path):
 
     monkeypatch.setattr(multivec, "convert_alternating", counting)
     monkeypatch.setattr(poisson, "convert_alternating", counting)
-    bad = tmp_path / "pi.json"
-    bad.write_text(json.dumps({
-        "chart": {"kind": "complex", "n": 3},
-        "pi": [{"frame": ["z1", "z2"], "coeff": "z1"},
-               {"frame": ["z1", "z3"], "coeff": "z2 zb3"}]}))
-    for path, code in ((cli.corpus_path("quadratic.json"), 0),
-                       (cli.corpus_path("darboux_n2.json"), 0),
-                       (cli.corpus_path("constant_symplectic.json"), 0),
-                       (str(bad), 2)):
-        assert cli.main(["pn-check", path, "-o", os.devnull]) == code
+    bad = {"chart": {"kind": "complex", "n": 3},
+           "pi": [{"frame": ["z1", "z2"], "coeff": "z1"},
+                  {"frame": ["z1", "z3"], "coeff": "z2 zb3"}]}
+    forms = {"alpha": [{"frame": ["z1"], "coeff": "zb2"}],
+             "beta": [{"frame": ["z2"], "coeff": "z3"},
+                      {"frame": ["zb1"], "coeff": "1"}]}
+    paths = [cli.corpus_path(name) for name in cli.corpus()]
+    for name, doc in (("pi.json", bad), ("forms.json", {**bad, **forms})):
+        (tmp_path / name).write_text(json.dumps(doc))
+        paths.append(str(tmp_path / name))
+    ran = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        if "chart" in doc:
+            n = doc["chart"]["n"]
+        else:  # a realified algebra's complex presentation has half its rank
+            lie = doc["lie_algebra"]
+            n = lie["rank"] // (1 if lie["j"] is None else 2)
+        for command in sorted(set(cli.COMMANDS) - {"decompose"}):
+            extra = {"foliation-rank": ["--point", ",".join(
+                         str(k % 3 - 1) for k in range(2 * n))],
+                     "cohomology": ["--weight", "1"]}.get(command, [])
+            code = cli.main([command, path, "-o", os.devnull] + extra)
+            if code in (0, 2):
+                ran.add(command)
+    assert ran == set(cli.COMMANDS) - {"decompose"}
     assert calls == []
     decompose(frame_bivector(C2, 0, 1))
     assert calls == [R2]
-
-
-def test_pn_check_requires_real_chart():
-    eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    with pytest.raises(ChartError, match="pn_check runs on the real chart"):
-        pn_check(frame_bivector(C2, 0, 1), eye)
 
 
 def real_polys(chart, max_terms=2):
@@ -780,3 +793,35 @@ def test_foliation_rank_random_points_images_coincide():
 def test_foliation_rank_dimension_check():
     with pytest.raises(ChartError):
         foliation_rank(frame_bivector(C2, 0, 1), [0, 0])
+    with pytest.raises(ChartError,
+                       match=r"point coordinate 3 is not real: \(1\+i\)"):
+        foliation_rank(frame_bivector(C2, 0, 1), [0, 0, GQ(1, 1), 0])
+
+
+small_rationals = st.builds(lambda a, b: GQ(Fraction(a, b)),
+                            st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def bivectors_at_points(draw):
+    """A nonzero bivectors_20 bivector and a point of the real chart with
+    small rational coordinates; about half the time the bivector is
+    multiplied by z_1 - (x_1 + i y_1), so that it vanishes at the point
+    and the ranks drop there."""
+    pi = draw(bivectors_20().filter(lambda pi: not pi.is_zero()))
+    n = pi.chart.n
+    point = draw(st.lists(small_rationals, min_size=2 * n, max_size=2 * n))
+    if draw(st.booleans()):
+        z1 = point[0] + point[n] * GQ(0, 1)
+        pi = pi.scale(Poly.var(pi.chart, 0) - Poly.const(pi.chart, z1))
+    return pi, point
+
+
+@settings(max_examples=100, deadline=None)
+@given(bivectors_at_points())
+def test_foliation_rank_matches_real_chart(case):
+    """foliation_rank reads the sharp matrices on pi's complex chart at
+    the point's image; decompose's parts evaluated at the real point give
+    the same report."""
+    pi, point = case
+    assert foliation_rank(pi, point) == foliation_rank_reference(pi, point)
