@@ -4,7 +4,7 @@ An algebroid is given by its anchor matrix (one row per frame section,
 columns over the chart tangent frame) and antisymmetric structure functions;
 brackets of arbitrary sections follow from the Leibniz rule.  One Leibniz
 extension (_leibniz) takes a frame table to sections: the structure
-functions to the bracket, and a connection's gamma to its apply.  On top of
+functions to the bracket, and a connection's gamma to its _apply.  On top of
 that sit the tangent algebroid of a chart, Nijenhuis deformation, the
 cotangent algebroid of a holomorphic Poisson structure (its bracket is
 the Koszul bracket) and the Koszul algebroid of any bivector (whose
@@ -30,7 +30,7 @@ holomorphic_matched_pair builds it from A's data on a holomorphic frame,
 where both actions are zero on frames, and canonical_matched_pair is the
 case A = (T*X)_pi.  A connection is flat or not (check_representation,
 which reads gamma); the Leibniz rule holds by construction, as
-RepData.apply is the Leibniz extension of gamma.
+RepData._apply is the Leibniz extension of gamma.
 
 The public constructors (AlgebroidChart, RepData) check and coerce their
 input, once.  The algebroids the module builds itself are valid by
@@ -46,7 +46,7 @@ The structural checks read a frame bracket that is in the data (two
 frames: their structure vector; two coordinate coframes: d pi^{ij}) and
 evaluate every other frame-level quantity once, into a table.  The
 flatness and F/S/T checks and bowtie read the frame table nabla_{e_i} e_m
-of each connection, which is its connection data gamma itself: apply is
+of each connection, which is its connection data gamma itself: _apply is
 tensorial in its acting argument, so nabla along a combination of frames
 is the same combination of gamma's rows.
 realparts_liealgebra_check takes the antisymmetric identities on the
@@ -672,16 +672,11 @@ class RepData:
         self.module = module
         self.gamma = rows
 
-    def apply(self, u, s):
-        """nabla_u s for sections u of the acting and s of the module
-        algebroid; tensorial in u, Leibniz in s."""
-        return self._apply(self.acting.coerce_section(u),
-                           self.module.coerce_section(s))
-
     def _apply(self, u, s):
-        """apply on sections already coerced: Poly lists of the acting and
-        module ranks on the common chart (frames, table entries), by
-        _leibniz with gamma as the table."""
+        """nabla_u s for sections u of the acting and s of the module
+        algebroid, already coerced: Poly lists of the acting and module
+        ranks on the common chart (frames, table entries).  It is _leibniz
+        with gamma as the table: tensorial in u, Leibniz in s."""
         return _leibniz(self.acting, self.gamma, u, s)
 
 
@@ -689,11 +684,11 @@ def check_representation(rep: RepData) -> bool:
     """Flatness nabla_[ei,ej] = [nabla_ei, nabla_ej], exactly on frames.
 
     It reads the frame table nabla_{e_i} e_m, which is the connection data
-    gamma[i][m] itself (apply on two frames adds the anchor term
-    rho(e_i)(1) = 0 to 1 * gamma[i][m]).  apply is tensorial in its first
+    gamma[i][m] itself (_apply on two frames adds the anchor term
+    rho(e_i)(1) = 0 to 1 * gamma[i][m]).  _apply is tensorial in its first
     argument, so nabla_[ei,ej] e_m = sum_k c_ij^k nabla_{e_k} e_m, and a
     zero table entry is not applied to, since nabla_u 0 = 0.  The Leibniz
-    rule needs no check: apply is the Leibniz extension of gamma.  An
+    rule needs no check: _apply is the Leibniz extension of gamma.  An
     all-zero table, as both connections of a canonical pair have, is flat
     at once: both sides are zero."""
     a, b, table = rep.acting, rep.module, rep.gamma

@@ -16,9 +16,10 @@ are its JobSpec options (COMMAND_OPTIONS; option max_degree is the flag
 
 Exit codes: 0 = structural success, 2 = a verification failed (a verdict
 is false or a structural precondition was rejected), 1 = input error,
-including a malformed command line, a missing document key, a cohomology
-truncation the structure does not support and a report that cannot be
-written (an -o file, or stdout a closed pipe).  The process entry, run(),
+including a malformed command line, a missing document key, an input over
+a size budget, a cohomology truncation (TruncationError) over budget or
+that the structure does not support, and a report that cannot be written
+(an -o file, or stdout a closed pipe).  The process entry, run(),
 flushes stdout and stderr once main() has returned and ends with
 os._exit, skipping interpreter teardown; code that embeds the CLI calls
 main() and is not affected.
@@ -62,8 +63,9 @@ from .serialize import (
 )
 
 INPUT_ERRORS = (ParseError, ChartError, ShapeError, DegreeError,
-                json.JSONDecodeError, OSError, KeyError, ValueError)
-VERIFY_ERRORS = (StructureError, SingularError, TruncationError)
+                TruncationError, json.JSONDecodeError, OSError, KeyError,
+                ValueError)
+VERIFY_ERRORS = (StructureError, SingularError)
 
 
 def _load(path: str) -> dict:
@@ -208,9 +210,9 @@ def cmd_koszul(doc, options):
     chart = parse_chart(require_field(doc, "chart", context))
     pi = parse_bivector(chart, require_field(doc, "pi", context))
     alpha = parse_alternating(chart, require_field(doc, "alpha", context),
-                              1, "form")
+                              1, Form)
     beta = parse_alternating(chart, require_field(doc, "beta", context),
-                             1, "form")
+                             1, Form)
     bracket = Form.from_components(chart, alg.koszul_algebroid(pi).bracket(
         alpha.coefficients(), beta.coefficients()))
     return {"verdicts": {},
@@ -308,21 +310,16 @@ def cmd_cohomology(doc, options):
     truncation = coho.Truncation(mode, bound)
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
-    try:
-        # the dump's budget first, so that a dump above it is refused
-        # before any rank; its matrices are built and written one at a
-        # time once the report is made
-        totals = coho.assemble_total(mp, truncation) if dump_dir else ()
-        report = coho.betti(mp, truncation, method=method)
-        for label, matrix in totals:
-            path = os.path.join(dump_dir, f"{label}.txt")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(_dump_text(matrix))
-            del matrix  # not alive while the next one is built
-    except TruncationError as exc:
-        # the structure does not support the requested truncation: the
-        # request is at fault, no verification failed
-        raise ParseError(str(exc)) from exc
+    # the dump's budget first, so that a dump above it is refused before
+    # any rank; its matrices are built and written one at a time once the
+    # report is made
+    totals = coho.assemble_total(mp, truncation) if dump_dir else ()
+    report = coho.betti(mp, truncation, method=method)
+    for label, matrix in totals:
+        path = os.path.join(dump_dir, f"{label}.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_dump_text(matrix))
+        del matrix  # not alive while the next one is built
     return {"verdicts": {},
             "data": report.as_dict()}, True
 

@@ -287,12 +287,6 @@ class BlockReport(Record):
 class BettiReport(Record):
     __slots__ = ("mode", "bound", "method", "label", "blocks")
 
-    def block(self, weight):
-        for b in self.blocks:
-            if b.weight == weight:
-                return b
-        raise KeyError(weight)
-
 
 class _Cell:
     """The frozen basis of one cell, frame pairs outer and monomials
@@ -744,12 +738,12 @@ def _reduced_ranks(mp: MatchedPairData, bound: int, c_b: int) -> dict:
     return ranks
 
 
-def _reduced_reports(mp: MatchedPairData, bound: int, c_a: int,
-                     c_b: int) -> list:
+def _reduced_reports(mp: MatchedPairData, bound: int, c_b: int) -> list:
     """The block reports of weights 0..bound of a pair that _reduces, from
     counting and the ranks r(l, b) of _reduced_ranks alone.
 
-    A cochain of cell (k, l) and degree D = w - c_A k - c_B l is a sum of
+    A is T^{0,1}X with the constant anchor d/dzb, so c_A = 1, and a
+    cochain of cell (k, l) and degree D = w - k - c_B l is a sum of
     zb^a z^b dzb_I (x) e_J with a + b = D; write #(m) for the monomials of
     degree m in n variables.  partial_A is d on the polynomial k-forms in
     zb, the identity on z^b e_J.  Its rank on degree a is rho(k, a), and
@@ -780,7 +774,7 @@ def _reduced_reports(mp: MatchedPairData, bound: int, c_a: int,
         column = [0] * (r_b + 1)  # rank_A(k - 1, l) for each l
         for k in range(n + 1):
             for l in range(r_b + 1):
-                degree = weight - c_a * k - c_b * l
+                degree = weight - k - c_b * l
                 dim = comb(n, k) * comb(r_b, l) * count(degree, nvars)
                 rank_a = column[l] = dim - (
                     column[l] if k else comb(r_b, l) * count(degree))
@@ -864,10 +858,10 @@ def betti(mp: MatchedPairData, truncation: Truncation,
         raise TruncationError(f"unknown method {method!r}")
     if (truncation.mode == "weight" and method == "sparse"
             and _reduces(mp)):
-        c_a, c_b = weight_exponents(mp)
+        c_b = weight_exponents(mp)[1]
         _check_budget(mp, truncation,
                       _reduced_size(mp, truncation.bound, c_b))
-        reports = _reduced_reports(mp, truncation.bound, c_a, c_b)
+        reports = _reduced_reports(mp, truncation.bound, c_b)
     else:
         reports = [_block_report(block, method)
                    for block in _blocks_for(mp, truncation)]

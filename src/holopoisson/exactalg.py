@@ -11,8 +11,8 @@ operation returns a canonical form.
 
 Input is checked once, at the boundary: Chart(kind, n), Poly(chart,
 terms) and the parsers validate what they are given.  The constructors
-zero, one, const, var and monomial and every operation build their
-canonical term maps directly, with no second pass over them.
+zero, one, const and var and every operation build their canonical term
+maps directly, with no second pass over them.
 """
 
 from __future__ import annotations
@@ -493,17 +493,6 @@ class Poly:
         exps = [0] * chart.nvars
         exps[index] = 1
         return _poly(chart, {tuple(exps): _ONE})
-
-    @staticmethod
-    def monomial(chart: Chart, exps, coeff=1) -> "Poly":
-        exps = tuple(exps)
-        if len(exps) != chart.nvars:
-            raise ChartError(
-                f"exponent vector {exps} has wrong length for {chart}")
-        if any(e < 0 for e in exps):
-            raise ChartError("negative exponent")
-        coeff = GQ.of(coeff)
-        return _poly(chart, {} if coeff.is_zero() else {exps: coeff})
 
     # ------------------------------------------------------------------
     # ring operations

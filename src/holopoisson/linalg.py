@@ -199,7 +199,7 @@ def _peel(count, index, length, source, stack) -> dict:
     return pivots
 
 
-def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
+def markowitz_rank(matrix: SparseMatrix, pivot_rows: set) -> int:
     """Rank of a sparse GQ matrix by Gaussian elimination over GQ.
 
     The peel runs on counts over the matrix's own row dicts, which it
@@ -234,8 +234,7 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     Eliminating by a one-entry row deletes its column's entries, so each
     pivot row, peeled or not, is the original row plus multiples of
     earlier pivot rows, and the pivot rows are rank-many linearly
-    independent rows of the matrix; pivot_rows, if given, is a set that
-    receives them.
+    independent rows of the matrix; the set pivot_rows receives them.
     """
     source = matrix.row_dicts
     skip = matrix.skip
@@ -269,9 +268,8 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
     # no column singleton).
     by_row = _peel(length, source, count, index, [
         i for i in sorted(length, reverse=True) if length[i] == 1])
-    if pivot_rows is not None:
-        pivot_rows.update(by_column.values())
-        pivot_rows.update(by_row)
+    pivot_rows.update(by_column.values())
+    pivot_rows.update(by_row)
     rank = len(by_column) + len(by_row)
     if not length:
         return rank
@@ -341,8 +339,7 @@ def markowitz_rank(matrix: SparseMatrix, pivot_rows=None) -> int:
                 buckets.setdefault(new, []).append(j)
                 if new < low:
                     low = new
-        if pivot_rows is not None:
-            pivot_rows.add(pr)
+        pivot_rows.add(pr)
         rank += 1
     return rank
 

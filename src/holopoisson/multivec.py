@@ -146,11 +146,6 @@ class _Alternating:
         return cls(chart, degree, {})
 
     @classmethod
-    def frame(cls, chart: Chart, index: int):
-        """The degree-1 frame element of slot index."""
-        return cls(chart, 1, {(index,): Poly.one(chart)})
-
-    @classmethod
     def from_components(cls, chart: Chart, coeffs):
         """Degree-1 object from a length-2n coefficient list."""
         return cls(chart, 1, {(k,): c for k, c in enumerate(coeffs)})
@@ -226,17 +221,6 @@ class Multivector(_Alternating):
 
     def _frame_prefix(self):
         return "d/d"
-
-    def apply_to(self, f: Poly) -> Poly:
-        """Directional derivative X(f) of a degree-1 field."""
-        if self.degree != 1:
-            raise DegreeError("apply_to needs a degree-1 field")
-        if f.chart != self.chart:
-            raise ChartError("chart mismatch")
-        out = Poly.zero(self.chart)
-        for (k,), coeff in self.comps.items():
-            out = out + coeff * f.diff(k)
-        return out
 
 
 class Form(_Alternating):

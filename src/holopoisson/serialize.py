@@ -10,7 +10,7 @@ from __future__ import annotations
 from .algebroid import AlgebroidChart, LieAlgebra, lie_algebra
 from .errors import ParseError
 from .exactalg import Chart, Poly, parse_gq, parse_poly
-from .multivec import Form, Multivector
+from .multivec import Multivector
 
 
 def require_keys(obj: dict, allowed, context: str):
@@ -29,11 +29,16 @@ def require_field(doc: dict, key: str, context: str):
     return doc[key]
 
 
-# input budgets, checked before any object is built: every command on a
+# input budgets, checked as the document is read: every command on a
 # chart of n = 16 or a Lie algebra of rank 16 finishes in about a second,
 # and the cost grows fast beyond (yao-check takes 10 s at n = 32)
 MAX_CHART_N = 16
 MAX_LIE_RANK = 16
+# the highest total degree of a coefficient: foliation-rank evaluates a
+# term of degree d with d products.  Cold on a 2-CPU x86-64 host, at the
+# point (1/3, 2/7, ...), all 120 components of n = 16 at degree 100, 200
+# and 500 took 0.3, 0.5 and 2.1 s, and one component of degree 2000 1.5 s
+MAX_DEGREE = 500
 
 
 def is_int(value) -> bool:
@@ -55,14 +60,22 @@ def parse_chart(doc) -> Chart:
     return Chart(kind, n)
 
 
+def _parse_coeff(text, chart: Chart) -> Poly:
+    """A coefficient literal, refused above MAX_DEGREE."""
+    poly = parse_poly(str(text), chart)
+    if poly.degree() > MAX_DEGREE:
+        raise ParseError(f"a coefficient of degree {poly.degree()} is over "
+                         f"the budget of {MAX_DEGREE}")
+    return poly
+
+
 def chart_dict(chart: Chart) -> dict:
     return {"kind": chart.kind, "n": chart.n}
 
 
-def parse_alternating(chart: Chart, entries, degree, kind) -> "Multivector|Form":
-    """Parse a component list [{"frame": [...], "coeff": "..."}] into a
-    Multivector (kind 'vector') or Form (kind 'form')."""
-    cls = Multivector if kind == "vector" else Form
+def parse_alternating(chart: Chart, entries, degree: int, cls):
+    """Parse a component list [{"frame": [...], "coeff": "..."}] of the
+    given degree into a cls, Multivector or Form."""
     comps = {}
     if not isinstance(entries, list):
         raise ParseError("component list expected")
@@ -75,18 +88,12 @@ def parse_alternating(chart: Chart, entries, degree, kind) -> "Multivector|Form"
         if list(idx) != sorted(set(idx)):
             raise ParseError(f"component frame {names} is not strictly "
                              "increasing in the canonical order")
-        if degree is not None and len(idx) != degree:
+        if len(idx) != degree:
             raise ParseError(f"component frame {names} has wrong degree")
-        poly = parse_poly(str(require_field(entry, "coeff", "component")),
-                          chart)
+        poly = _parse_coeff(require_field(entry, "coeff", "component"), chart)
         if idx in comps:
             raise ParseError(f"duplicate component {names}")
         comps[idx] = poly
-    if degree is None:
-        degrees = {len(i) for i in comps}
-        if len(degrees) > 1:
-            raise ParseError("components of mixed degree")
-        degree = degrees.pop() if degrees else 0
     return cls(chart, degree, comps)
 
 
@@ -99,24 +106,21 @@ def alternating_dict(obj) -> list:
 
 
 def parse_bivector(chart: Chart, entries) -> Multivector:
-    return parse_alternating(chart, entries, 2, "vector")
+    return parse_alternating(chart, entries, 2, Multivector)
 
 
-def parse_matrix(chart: Chart, rows, size, context="matrix"):
+def parse_endo(chart: Chart, rows) -> list:
+    """A chart endomorphism: the square Poly matrix over the coordinate
+    tangent frame, column c the image of frame vector c."""
+    size = chart.nvars
     if not isinstance(rows, list) or len(rows) != size:
-        raise ParseError(f"{context}: expected {size} rows")
+        raise ParseError(f"endo: expected {size} rows")
     out = []
     for row in rows:
         if not isinstance(row, list) or len(row) != size:
-            raise ParseError(f"{context}: expected {size} columns")
-        out.append([parse_poly(str(v), chart) for v in row])
+            raise ParseError(f"endo: expected {size} columns")
+        out.append([_parse_coeff(v, chart) for v in row])
     return out
-
-
-def parse_endo(chart: Chart, doc) -> list:
-    """A chart endomorphism: the square Poly matrix over the coordinate
-    tangent frame, column c the image of frame vector c."""
-    return parse_matrix(chart, doc, chart.nvars, "endo")
 
 
 def parse_liealgebra(doc) -> LieAlgebra:

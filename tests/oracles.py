@@ -107,7 +107,8 @@ These deliberately take different routes from the library code:
   through the algebroid's Leibniz-extended bracket, the definition.
 
 Fixtures shared by several test modules: frame_bivector, sl2, heisenberg,
-sl2_pi, unequal_rank_pairs (matched pairs with rank A != rank B),
+sl2_pi, rebased_lie_algebra (a Lie algebra in another basis),
+unequal_rank_pairs (matched pairs with rank A != rank B),
 darboux_symplectic_parts (the Darboux pi on C^2n with the real
 and imaginary parts of its inverse form), real_part, imaginary_part and
 quarter_factor_identities (the six quarter-factor bracket identities).
@@ -444,7 +445,7 @@ def d_pi(c: BiCochain, pi: Multivector) -> BiCochain:
     if c.mp.A.chart != chart:
         raise ChartError("chart mismatch")
     n = chart.n
-    hamiltonian = [sharp(pi, Form.frame(chart, i)) for i in range(n)]
+    hamiltonian = [sharp(pi, Form(chart, 1, {(i,): 1})) for i in range(n)]
     comps = {}
     for (I, J), f in c.comps.items():
         frame_vec = Multivector(chart, len(J), {J: Poly.one(chart)})
@@ -454,7 +455,7 @@ def d_pi(c: BiCochain, pi: Multivector) -> BiCochain:
                 raise StructureError("d_pi left the holomorphic polyvectors")
             _accumulate(comps, (I, idx), f * coeff)
         for i in range(n):
-            deriv = hamiltonian[i].apply_to(f)
+            deriv = pairing(differential(f), hamiltonian[i])
             if deriv.is_zero():
                 continue
             merged = insert_index(i, J)
@@ -764,7 +765,7 @@ def _cell_keys(cell):
 def _basis_cochain(block, cell, key):
     I, J, exps = key
     return BiCochain(block.mp, cell[0], cell[1],
-                     {(I, J): Poly.monomial(block.mp.A.chart, exps)})
+                     {(I, J): Poly(block.mp.A.chart, {exps: 1})})
 
 
 def cell_matrix_reference(block, cell, direction):
@@ -1125,6 +1126,28 @@ def sl2_pi():
     return lie_poisson(sl2())
 
 
+def rebased_lie_algebra(a: AlgebroidChart, p, q) -> AlgebroidChart:
+    """The Lie algebra a in the basis f_b = sum_i p[i][b] e_i, for square
+    GQ matrices p and q = p^-1: [f_a, f_b] = sum_c c'_ab^c f_c with
+    c'_ab^c = sum_{i,j,k} p[i][a] p[j][b] c_ij^k q[c][k], since
+    e_k = sum_c q[c][k] f_c."""
+    r = a.rank
+    c = [[[entry.terms.get((), GQ(0)) for entry in vec] for vec in row]
+         for row in a.structure]
+    triples = []
+    for x in range(r):
+        for y in range(x + 1, r):
+            # [f_x, f_y] on the e basis
+            vec = [sum((p[i][x] * p[j][y] * c[i][j][k]
+                        for i in range(r) for j in range(r)), GQ(0))
+                   for k in range(r)]
+            for z in range(r):
+                value = sum((q[z][k] * vec[k] for k in range(r)), GQ(0))
+                if not value.is_zero():
+                    triples.append((x + 1, y + 1, z + 1, value))
+    return lie_algebra(r, triples)
+
+
 def unequal_rank_pairs():
     """Matched pairs with rank A != rank B, each also swapped: the corpus
     pairs all have rank A = rank B, where a mix-up of the two ranks (or of
@@ -1155,7 +1178,7 @@ def darboux_symplectic_parts(n):
     real = Chart.real(2 * n)
     pi = Multivector(chart, 2, {(k, n + k): Poly.const(chart, -1)
                                 for k in range(n)})
-    dx = [Form.frame(real, k) for k in range(4 * n)]
+    dx = [Form(real, 1, {(k,): 1}) for k in range(4 * n)]
     omega_r = Form.zero(real, 2)
     omega_i = Form.zero(real, 2)
     for k in range(n):
@@ -1410,10 +1433,10 @@ def check_representation_reference(rep) -> RepReport:
             ei, ej = a.frame_section(i), a.frame_section(j)
             for m in range(b.rank):
                 em = b.frame_section(m)
-                lhs = rep.apply(a.structure[i][j], em)
+                lhs = rep._apply(a.structure[i][j], em)
                 rhs = [x - y for x, y in zip(
-                    rep.apply(ei, rep.apply(ej, em)),
-                    rep.apply(ej, rep.apply(ei, em)))]
+                    rep._apply(ei, rep._apply(ej, em)),
+                    rep._apply(ej, rep._apply(ei, em)))]
                 if any(x != y for x, y in zip(lhs, rhs)):
                     flat = False
                     break
@@ -1431,8 +1454,8 @@ def check_representation_reference(rep) -> RepReport:
             for m in range(b.rank):
                 em = b.frame_section(m)
                 scaled = [f * p for p in em]
-                lhs = rep.apply(ei, scaled)
-                base = rep.apply(ei, em)
+                lhs = rep._apply(ei, scaled)
+                base = rep._apply(ei, em)
                 rhs = [f * p for p in base]
                 rhs[m] = rhs[m] + a.anchor_apply(ei, f)
                 if any(x != y for x, y in zip(lhs, rhs)):
@@ -1450,19 +1473,19 @@ def matched_pair_F(mp, x, y) -> Multivector:
     ax = mp.A.anchor_field(x)
     by = mp.B.anchor_field(y)
     return (schouten(ax, by)
-            + mp.A.anchor_field(mp.nablaBA.apply(y, x))
-            - mp.B.anchor_field(mp.nablaAB.apply(x, y)))
+            + mp.A.anchor_field(mp.nablaBA._apply(y, x))
+            - mp.B.anchor_field(mp.nablaAB._apply(x, y)))
 
 
 def matched_pair_S(mp, x, y1, y2):
     """S(X;Y1,Y2) = [nabla_X Y1, Y2] + [Y1, nabla_X Y2] - nabla_X [Y1,Y2]
     + nabla_{nabla_{Y2} X} Y1 - nabla_{nabla_{Y1} X} Y2 (a B-section)."""
     b = mp.B
-    t1 = b.bracket(mp.nablaAB.apply(x, y1), y2)
-    t2 = b.bracket(y1, mp.nablaAB.apply(x, y2))
-    t3 = mp.nablaAB.apply(x, b.bracket(y1, y2))
-    t4 = mp.nablaAB.apply(mp.nablaBA.apply(y2, x), y1)
-    t5 = mp.nablaAB.apply(mp.nablaBA.apply(y1, x), y2)
+    t1 = b.bracket(mp.nablaAB._apply(x, y1), y2)
+    t2 = b.bracket(y1, mp.nablaAB._apply(x, y2))
+    t3 = mp.nablaAB._apply(x, b.bracket(y1, y2))
+    t4 = mp.nablaAB._apply(mp.nablaBA._apply(y2, x), y1)
+    t5 = mp.nablaAB._apply(mp.nablaBA._apply(y1, x), y2)
     return [a + bb - c + d - e for a, bb, c, d, e in zip(t1, t2, t3, t4, t5)]
 
 
@@ -1498,9 +1521,9 @@ def canonical_matched_pair_reference(pi: Multivector) -> MatchedPairData:
     gamma_ab = []
     for i in range(n):
         row = []
-        xbar = Multivector.frame(chart, n + i)
+        xbar = Multivector(chart, 1, {(n + i,): 1})
         for j in range(n):
-            value = lie_derivative(xbar, Form.frame(chart, j))
+            value = lie_derivative(xbar, Form(chart, 1, {(j,): 1}))
             coeffs = value.coefficients()
             if any(not p.is_zero() for p in coeffs[n:]):
                 raise StructureError("Lie-derivative action left the "
@@ -1514,7 +1537,7 @@ def canonical_matched_pair_reference(pi: Multivector) -> MatchedPairData:
         row = []
         rho_j = b.anchor_field(b.frame_section(j))
         for i in range(n):
-            value = schouten(rho_j, Multivector.frame(chart, n + i))
+            value = schouten(rho_j, Multivector(chart, 1, {(n + i,): 1}))
             coeffs = value.coefficients()
             row.append(coeffs[n:])
         gamma_ba.append(row)
@@ -1645,8 +1668,8 @@ def nijenhuis_torsion_reference(n_field: EndoFieldReference):
     for a in range(m):
         for b in range(a + 1, m):
             value = nijenhuis_torsion_apply_reference(
-                n_field, Multivector.frame(chart, a),
-                Multivector.frame(chart, b))
+                n_field, Multivector(chart, 1, {(a,): 1}),
+                Multivector(chart, 1, {(b,): 1}))
             if not value.is_zero():
                 out[(a, b)] = value
     return out
@@ -1690,7 +1713,7 @@ def pn_check_reference(pi_i: Multivector, n_matrix,
 
     bracket = koszul_bracket_reference
     koszul_compat = True
-    coframe = [Form.frame(chart, k) for k in range(m)]
+    coframe = [Form(chart, 1, {(k,): 1}) for k in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
             alpha, beta = coframe[a], coframe[b]

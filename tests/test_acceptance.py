@@ -336,7 +336,7 @@ def test_criterion_8_betti_oracle_equivalence():
         oracle = betti(mp, truncation, method="oracle")
         if sparse.blocks != oracle.blocks:
             ok = False
-        if w == 2 and sparse.block(2).total_betti[0] != 1:
+        if w == 2 and sparse.blocks[2].total_betti[0] != 1:
             ok = False
     # (c) constant symplectic on C^2, degree <= 2
     mp = canonical_matched_pair(frame_bivector(C2, 0, 1))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,9 @@ from holopoisson.algebroid import (
     canonical_matched_pair,
     nijenhuis_torsion_algebroid,
 )
-from holopoisson.errors import ParseError
+from holopoisson.errors import ParseError, TruncationError
 from holopoisson.exactalg import Chart
+from holopoisson.multivec import Multivector
 from holopoisson.serialize import (
     alternating_dict,
     parse_alternating,
@@ -510,6 +512,47 @@ def test_oversized_truncation_is_input_error():
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert err.startswith("input error: the truncation has ")
+
+
+def test_oversized_polynomial_input_is_input_error(tmp_path):
+    """A coefficient above serialize.MAX_DEGREE, in any command's document,
+    and a decompose whose parts could hold more than
+    poisson.MAX_REAL_TERMS terms are refused before any work: exit 1 with
+    one input error line, within seconds.  A coefficient at the degree
+    budget is read."""
+    from holopoisson.poisson import MAX_REAL_TERMS
+    from holopoisson.serialize import MAX_DEGREE
+
+    def doc(n, coeff):
+        return write_doc(tmp_path, f"pi{len(os.listdir(tmp_path))}.json", {
+            "chart": {"kind": "complex", "n": n},
+            "pi": [{"frame": ["z1", "z2"], "coeff": coeff}]})
+
+    over = f"a coefficient of degree {MAX_DEGREE + 1} is over the budget"
+    # z^e on C^3 has (e + 1)^3 real monomials on each of 4 real frames
+    e = 1
+    while 4 * (e + 1) ** 3 <= MAX_REAL_TERMS:
+        e += 1
+    cases = [
+        (["foliation-rank", doc(2, f"z1^{MAX_DEGREE + 1}"),
+          "--point", "3,1,2,1"], over),
+        (["check-poisson", doc(2, f"z1^{MAX_DEGREE} zb2 + 1")], over),
+        (["torsion", write_doc(tmp_path, "endo.json", {
+            "chart": {"kind": "real", "n": 1},
+            "endo": [["0", f"x1^{MAX_DEGREE + 1}"], ["1", "0"]]})], over),
+        (["decompose", doc(3, f"z1^{e} z2^{e} z3^{e}")],
+         f"decompose: up to {4 * (e + 1) ** 3} terms on the real chart"),
+    ]
+    for args, message in cases:
+        started = time.monotonic()
+        code, out, err = run_cli(args)
+        assert time.monotonic() - started < 10, args
+        assert (code, out) == (1, ""), args
+        assert err.startswith(f"input error: {message}"), err
+        assert len(err.splitlines()) == 1, err
+    code, out, _ = run_cli(["foliation-rank", doc(2, f"z1^{MAX_DEGREE}"),
+                            "--point", "3,1,2,1"])
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_cohomology_requires_truncation(tmp_path):
@@ -1141,6 +1184,10 @@ def test_run_job_unknown_method_is_input_error():
                  "input": {"chart": {"kind": "complex", "n": 1}, "pi": []},
                  "options": {"weight": 1, "method": "bogus"}})
     assert ParseError in INPUT_ERRORS and ParseError not in VERIFY_ERRORS
+    # a truncation the structure does not support is the request's fault:
+    # run_job raises it as it is, and main reports it as an input error
+    assert TruncationError in INPUT_ERRORS
+    assert TruncationError not in VERIFY_ERRORS
 
 
 # ----------------------------------------------------------------------
@@ -1150,8 +1197,9 @@ def test_component_serialization_roundtrip():
     chart = Chart.complex(2)
     entries = [{"frame": ["z1", "zb2"], "coeff": "(-1/2+3i) z1^2 + zb1"},
                {"frame": ["zb1", "zb2"], "coeff": "2"}]
-    mv = parse_alternating(chart, entries, 2, "vector")
-    assert parse_alternating(chart, alternating_dict(mv), 2, "vector") == mv
+    mv = parse_alternating(chart, entries, 2, Multivector)
+    assert parse_alternating(chart, alternating_dict(mv), 2,
+                             Multivector) == mv
 
 
 def test_chart_parse_rejects_unknown_kind():

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -28,7 +29,7 @@ from holopoisson.cohomology import (
     monomials_up_to_degree,
     weight_exponents,
 )
-from holopoisson.errors import ParseError, StructureError, TruncationError
+from holopoisson.errors import StructureError, TruncationError
 from holopoisson.exactalg import GQ, Chart, Poly
 from holopoisson.multivec import Multivector
 from holopoisson.serialize import parse_liealgebra
@@ -48,6 +49,7 @@ from oracles import (
     partial_B,
     partial_B_reference,
     rand_poly,
+    rebased_lie_algebra,
     sl2_pi,
     total_as_bicochain_parts,
     total_differential,
@@ -270,7 +272,8 @@ def test_tables_only_for_nonempty_source_cells(monkeypatch):
     report = double_complex_betti(mp, Truncation("weight", 2))
     assert len(built) == 2 * len(nonempty)
     assert 0 < len(nonempty) < 121
-    assert report.block(2).total_dims[0] == 210  # quadratic monomials
+    blocks = {b.weight: b for b in report.blocks}
+    assert blocks[2].total_dims[0] == 210  # quadratic monomials
 
 
 @st.composite
@@ -728,9 +731,10 @@ def test_betti_reports_are_pinned(case):
 def test_betti_sl2_weight_two_casimir_line():
     mp = canonical_matched_pair(sl2_pi())
     report = betti(mp, Truncation("weight", 2))
-    assert report.block(2).total_betti[0] == 1
-    assert report.block(0).total_betti[0] == 1
-    assert report.block(1).total_betti[0] == 0
+    blocks = {b.weight: b for b in report.blocks}
+    assert blocks[2].total_betti[0] == 1
+    assert blocks[0].total_betti[0] == 1
+    assert blocks[1].total_betti[0] == 0
 
 
 def test_betti_sl2_weight_five_is_whitehead():
@@ -742,9 +746,10 @@ def test_betti_sl2_weight_five_is_whitehead():
         doc = json.load(handle)["lie_algebra"]
     sl2 = lie_poisson(parse_liealgebra(doc).algebroid)
     report = betti(canonical_matched_pair(sl2), Truncation("weight", 5))
-    for weight in range(6):
-        want = (1, 0, 0, 1, 0, 0, 0) if weight % 2 == 0 else (0,) * 7
-        assert tuple(report.block(weight).total_betti) == want
+    assert [b.weight for b in report.blocks] == list(range(6))
+    for block in report.blocks:
+        want = (1, 0, 0, 1, 0, 0, 0) if block.weight % 2 == 0 else (0,) * 7
+        assert tuple(block.total_betti) == want
 
 
 def test_betti_constructs_no_fraction(monkeypatch):
@@ -765,7 +770,7 @@ def test_betti_constructs_no_fraction(monkeypatch):
     built.clear()
     report = betti(canonical_matched_pair(sl2), Truncation("weight", 2))
     monkeypatch.undo()
-    assert report.block(2).total_betti[0] == 1
+    assert [b.total_betti[0] for b in report.blocks] == [1, 0, 1]
     assert built == []
 
 
@@ -809,7 +814,7 @@ def test_basis_size_is_the_reports_total_dimension():
             try:
                 report, _ = run_job({"command": "cohomology", "input": doc,
                                      "options": options})
-            except (StructureError, ParseError):
+            except (StructureError, TruncationError):
                 continue  # not Poisson, or an escaping truncation
             dims = sum(sum(block["total_dims"])
                        for block in report["data"]["blocks"])
@@ -839,7 +844,65 @@ def test_basis_budget_admits_the_ladder_and_refuses_weight_60():
 def test_empty_block_is_dimension_zero():
     mp = canonical_matched_pair(Multivector.zero(C1, 2))
     report = betti(mp, Truncation("weight", 0))
-    block = report.block(0)
+    block, = report.blocks
+    assert block.weight == 0
     # weight 0: only the constant functions in low cells
     assert block.total_dims[0] == 1
     assert all(b >= 0 for b in block.total_betti)
+
+
+# ----------------------------------------------------------------------
+# property: a change of basis of the Lie algebra changes no Betti number
+
+# the weight each corpus Lie algebra is compared at
+BASIS_CHANGE_WEIGHTS = {"sl2.json": 3, "heisenberg.json": 3,
+                        "oscillator.json": 3, "so4.json": 2}
+UNITS = (GQ(1), GQ(-1), GQ(0, 1), GQ(0, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_algebra_betti(name):
+    """A corpus Lie algebra and the report of its document's Lie-Poisson
+    structure at its weight."""
+    doc = _load(corpus_path(name))["lie_algebra"]
+    a = parse_liealgebra(doc).algebroid
+    report = betti(canonical_matched_pair(lie_poisson(a)),
+                   Truncation("weight", BASIS_CHANGE_WEIGHTS[name]))
+    return a, report.as_dict()
+
+
+@st.composite
+def basis_changes(draw, r):
+    """(T, T^-1) for a Gaussian-integer r x r matrix T of height <= 2 made
+    of elementary steps E = 1 + u e_x e_y^T (u a unit of Z[i]; T E adds u
+    column x to column y); T^-1 is made of their inverses
+    E^-1 = 1 - u e_x e_y^T, so it is exact.  A step that would take T
+    above height 2 is left out."""
+    t = [[GQ(int(x == y)) for y in range(r)] for x in range(r)]
+    t_inv = [list(row) for row in t]
+    for _ in range(draw(st.integers(1, 4))):
+        x, y = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2,
+                             unique=True))
+        u = draw(st.sampled_from(UNITS))
+        stepped = [row[:y] + [row[y] + u * row[x]] + row[y + 1:]
+                   for row in t]
+        if any(max(abs(v.a), abs(v.b)) > 2 for row in stepped for v in row):
+            continue
+        t = stepped
+        t_inv[x] = [v - u * w for v, w in zip(t_inv[x], t_inv[y])]
+    return t, t_inv
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_CHANGE_WEIGHTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_betti_is_invariant_under_a_change_of_basis(name, data):
+    """The Lie-Poisson structure of a re-based Lie algebra is the
+    document's under the linear change of coordinates T^t, which keeps
+    every weight and bidegree: its whole report equals the document's."""
+    a, want = _corpus_algebra_betti(name)
+    t, t_inv = data.draw(basis_changes(a.rank))
+    rebased = rebased_lie_algebra(a, t, t_inv)
+    report = betti(canonical_matched_pair(lie_poisson(rebased)),
+                   Truncation("weight", BASIS_CHANGE_WEIGHTS[name]))
+    assert report.as_dict() == want, t

@@ -485,7 +485,7 @@ def test_rank_without_previous_pivot_rows_is_the_full_rank(pair):
     assert restricted.ncols == d2.ncols and restricted.row_dicts is d2.row_dicts
     assert all(j not in pivots for _, j in restricted.entries)
     rank = restricted.rank("sparse")
-    assert rank == markowitz_rank(d2) == dense_rank(second)
+    assert rank == markowitz_rank(d2, set()) == dense_rank(second)
 
 
 # ----------------------------------------------------------------------

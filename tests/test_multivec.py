@@ -35,11 +35,11 @@ C3 = Chart.complex(3)
 
 
 def ev(chart, k):
-    return Multivector.frame(chart, k)
+    return Multivector(chart, 1, {(k,): 1})
 
 
 def ef(chart, k):
-    return Form.frame(chart, k)
+    return Form(chart, 1, {(k,): 1})
 
 
 # ----------------------------------------------------------------------

@@ -107,7 +107,6 @@ def test_records_compare_and_hash_by_value():
                         (BlockReport(2, (CellReport(0, 1, 3, 2, 1, 3, 0),),
                                      (3,), (2,)),))
     assert report == again and hash(report) == hash(again)
-    assert report.block(2) is block
 
 
 def test_records_repr_names_every_field():
